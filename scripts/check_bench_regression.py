@@ -4,20 +4,17 @@
 Usage:
     scripts/check_bench_regression.py <measured.json> <baseline.json> [--factor F]
 
-Four input schemas are understood: clb-bench-v1 (an "entries" array,
-timing in ns_per_round / ns_per_solve), clb-serve-v1 (the BENCH_serve.json
-format: "entries" keyed by (name, variant, clients), timing in ns_per_op),
-clb-scale-v1 (the BENCH_scale.json scaling-curve format: "entries" keyed
+Three input schemas are understood: clb-bench-v1 (an "entries" array,
+timing in ns_per_round / ns_per_solve), clb-scale-v1 (the BENCH_scale.json scaling-curve format: "entries" keyed
 by (name, variant, n), timing in ns_per_round plus a peak_rss_bytes
 memory gate held to the same factor — a leaked O(implicit edges)
 allocation fails on memory long before it fails on time), and
 google-benchmark's own JSON (a "benchmarks" array, timing in
 real_time + time_unit — the BENCH_micro.json format). Entries are matched
-by (name, variant, threads) — or (name, variant, clients|n) for the
-serve and scale schemas — where variant distinguishes rows measured under different kernel
-implementations (the SIMD dispatch levels: "scalar", "avx2", "avx512") or
-service paths ("warm_hit", "admission") — each variant is compared against
-its own baseline independently, so a vector-kernel speedup can never mask
+by (name, variant, threads) — or (name, variant, n) for the scale
+schema — where variant distinguishes rows measured under different kernel
+implementations (the SIMD dispatch levels: "scalar", "avx2", "avx512") —
+each variant is compared against its own baseline independently, so a vector-kernel speedup can never mask
 a scalar-fallback regression or vice versa. The
 check fails (exit 1) when any matched entry's metric exceeds
 factor * baseline (default 2x), or when a steady-state flood workload
@@ -47,20 +44,17 @@ _TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 # The clb schema markers this checker understands; documents that declare
 # a different one are from a future (or foreign) writer and must not be
-# silently compared. The serve schema keys its rows by concurrent client
-# count instead of worker threads; the scale schema (BENCH_scale.json)
-# keys by problem size n and additionally carries a peak_rss_bytes gate;
-# everything else is shared.
+# silently compared. The scale schema (BENCH_scale.json) keys by problem
+# size n instead of worker threads and additionally carries a
+# peak_rss_bytes gate; everything else is shared.
 _CLB_SCHEMA = "clb-bench-v1"
-_SERVE_SCHEMA = "clb-serve-v1"
 _SCALE_SCHEMA = "clb-scale-v1"
-_CLB_SCHEMAS = (_CLB_SCHEMA, _SERVE_SCHEMA, _SCALE_SCHEMA)
+_CLB_SCHEMAS = (_CLB_SCHEMA, _SCALE_SCHEMA)
 
 # Key dimension per schema: which entry field joins a measured row to its
 # baseline row alongside (name, variant).
 _SCHEMA_DIM = {
     _CLB_SCHEMA: "threads",
-    _SERVE_SCHEMA: "clients",
     _SCALE_SCHEMA: "n",
 }
 
@@ -109,15 +103,14 @@ def load_entries(path):
             f"understands {_CLB_SCHEMAS!r}")
     if not isinstance(doc["entries"], list):
         raise SchemaError(f"{path}: 'entries' is not an array")
-    # The serve schema scales by concurrent clients and the scale schema
-    # by problem size n, not worker threads — the third key component
-    # follows the schema so a 1-client (or small-n) row never silently
-    # compares against an 8-client (or million-node) baseline.
+    # The scale schema scales by problem size n, not worker threads — the
+    # third key component follows the schema so a small-n row never
+    # silently compares against a million-node baseline.
     dim = _SCHEMA_DIM[declared]
     for e in doc["entries"]:
         if not isinstance(e, dict):
             raise SchemaError(f"{path}: entry {e!r} is not an object")
-        # Entries are keyed by (name, variant, threads|clients|n); rows
+        # Entries are keyed by (name, variant, threads|n); rows
         # from newer bench families (e.g. BENCH_campaign.json) may omit
         # the third component or carry no ns_per_round at all — key them
         # anyway so they show up as "new", never as a crash. The declared
@@ -130,9 +123,8 @@ def load_entries(path):
 
 
 def metric_ns(entry):
-    """The entry's timing metric: ns_per_round, ns_per_solve, or the serve
-    schema's ns_per_op."""
-    for field in ("ns_per_round", "ns_per_solve", "ns_per_op"):
+    """The entry's timing metric: ns_per_round or ns_per_solve."""
+    for field in ("ns_per_round", "ns_per_solve"):
         if field in entry and entry[field] is not None:
             return entry[field]
     return None

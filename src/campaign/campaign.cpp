@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -299,32 +298,9 @@ const JobRecord* CampaignResult::find(std::string_view id) const {
   return nullptr;
 }
 
-std::size_t count_campaign_jobs(const CampaignSpec& spec) {
-  return expand(spec).jobs.size();
-}
-
-void register_campaign_metrics(obs::MetricsRegistry& metrics,
-                               std::size_t worker_slots) {
-  metrics.ensure_shards(worker_slots);
-  metrics.counter("campaign.jobs.executed");
-  metrics.counter("campaign.jobs.replayed");
-  metrics.counter("campaign.checks.holds");
-  metrics.counter("campaign.checks.violated");
-  metrics.counter("campaign.jobs.retried");
-  metrics.counter("campaign.jobs.quarantined");
-  metrics.counter("campaign.jobs.blocked");
-  metrics.histogram("campaign.job_wall_us",
-                    {100, 1000, 10000, 100000, 1000000});
-}
-
 CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
                             const std::map<std::string, JobRecord>* prior) {
   CLB_EXPECT(opts.threads >= 1, "campaign: threads must be >= 1");
-  CLB_EXPECT(opts.shared == nullptr || opts.max_jobs == 0,
-             "campaign: max_jobs is not supported on a shared scheduler");
-  // The worker-index space metrics shards are keyed by.
-  const std::size_t worker_slots =
-      opts.shared != nullptr ? opts.shared->num_threads() : opts.threads;
   const auto run_start = std::chrono::steady_clock::now();
 
   Expansion x = expand(spec);
@@ -450,7 +426,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
   obs::Counter* m_blocked = nullptr;
   obs::Histogram* m_wall = nullptr;
   if (opts.metrics != nullptr) {
-    register_campaign_metrics(*opts.metrics, worker_slots);
+    opts.metrics->ensure_shards(opts.threads);
     m_exec = &opts.metrics->counter("campaign.jobs.executed");
     m_replay = &opts.metrics->counter("campaign.jobs.replayed");
     m_holds = &opts.metrics->counter("campaign.checks.holds");
@@ -613,136 +589,33 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
           w);
     }
     out[ei] = std::move(rec);
-    if (opts.on_job) opts.on_job(*out[ei]);
   };
 
   // ---- Schedule + run ---------------------------------------------------
-  if (opts.shared == nullptr) {
-    WorkStealingScheduler sched(opts.threads);
-    std::vector<std::size_t> sched_id(n, kNone);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (mode[i] == Mode::kSkip) continue;
-      sched_id[i] = sched.add_job([&run_job, i](std::size_t w) {
-        run_job(i, w);
-      });
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (sched_id[i] == kNone) continue;
-      for (const std::size_t d : x.jobs[i].deps) {
-        if (sched_id[d] != kNone) {
-          sched.add_dependency(sched_id[i], sched_id[d]);
-        }
-      }
-    }
-    sched.run(opts.max_jobs);
-  } else {
-    // Shared-pool admission (docs/SERVICE.md): the DAG discipline lives
-    // here — a job is handed to the pool only once its prerequisites
-    // finished — while the pool interleaves this campaign's ready jobs
-    // with every other tenant's by priority. Results are identical to the
-    // private-scheduler path because jobs are pure functions of their
-    // pre-bound seeds; only wall-clock ordering differs.
-    struct SharedRun {
-      std::vector<std::size_t> deps_left;
-      std::vector<std::vector<std::size_t>> dependents;
-      std::size_t remaining = 0;
-      std::mutex mu;
-      std::condition_variable cv;
-      std::exception_ptr error;
-    } sr;
-    sr.deps_left.assign(n, 0);
-    sr.dependents.assign(n, {});
-    std::vector<std::uint8_t> scheduled(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      scheduled[i] = mode[i] != Mode::kSkip ? 1 : 0;
-      if (scheduled[i] != 0) ++sr.remaining;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (scheduled[i] == 0) continue;
-      for (const std::size_t d : x.jobs[i].deps) {
-        if (scheduled[d] == 0) continue;
-        sr.dependents[d].push_back(i);
-        ++sr.deps_left[i];
-      }
-    }
-    // submit_one is re-entered from pool workers as dependents become
-    // ready; it must be alive until the last job finished, which the
-    // final drain-wait below guarantees.
-    std::function<void(std::size_t)> submit_one = [&](std::size_t i) {
-      const bool admitted =
-          opts.shared->submit(opts.priority, [&, i](std::size_t w) {
-            try {
-              // After a first error, later jobs drain without running —
-              // mirroring WorkStealingScheduler's abandon mode.
-              bool poisoned_run;
-              {
-                std::lock_guard<std::mutex> lock(sr.mu);
-                poisoned_run = sr.error != nullptr;
-              }
-              if (!poisoned_run) run_job(i, w);
-            } catch (...) {
-              std::lock_guard<std::mutex> lock(sr.mu);
-              if (sr.error == nullptr) sr.error = std::current_exception();
-            }
-            for (const std::size_t dep : sr.dependents[i]) {
-              std::size_t left;
-              {
-                std::lock_guard<std::mutex> lock(sr.mu);
-                left = --sr.deps_left[dep];
-              }
-              if (left == 0) submit_one(dep);
-            }
-            bool done;
-            {
-              std::lock_guard<std::mutex> lock(sr.mu);
-              done = --sr.remaining == 0;
-            }
-            if (done) sr.cv.notify_all();
-          });
-      if (!admitted) {
-        // The pool is draining: account the job (and, transitively, its
-        // cone) as never-run, exactly like a kill — no record is written,
-        // and a later resume re-runs it.
-        for (const std::size_t dep : sr.dependents[i]) {
-          std::size_t left;
-          {
-            std::lock_guard<std::mutex> lock(sr.mu);
-            left = --sr.deps_left[dep];
-          }
-          if (left == 0) submit_one(dep);
-        }
-        bool done;
-        {
-          std::lock_guard<std::mutex> lock(sr.mu);
-          done = --sr.remaining == 0;
-        }
-        if (done) sr.cv.notify_all();
-      }
-    };
-    // Snapshot the initially-ready set BEFORE submitting anything: once a
-    // job is in the pool its completion decrements deps_left concurrently,
-    // and a later iteration of this loop reading a freshly-zeroed counter
-    // would submit that dependent a second time.
-    std::vector<std::size_t> initially_ready;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (scheduled[i] != 0 && sr.deps_left[i] == 0) {
-        initially_ready.push_back(i);
-      }
-    }
-    for (const std::size_t i : initially_ready) submit_one(i);
-    {
-      std::unique_lock<std::mutex> lock(sr.mu);
-      sr.cv.wait(lock, [&sr] { return sr.remaining == 0; });
-    }
-    if (sr.error != nullptr) std::rethrow_exception(sr.error);
+  WorkStealingScheduler sched(opts.threads);
+  std::vector<std::size_t> sched_id(n, kNone);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (mode[i] == Mode::kSkip) continue;
+    sched_id[i] = sched.add_job([&run_job, i](std::size_t w) {
+      run_job(i, w);
+    });
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (sched_id[i] == kNone) continue;
+    for (const std::size_t d : x.jobs[i].deps) {
+      if (sched_id[d] != kNone) {
+        sched.add_dependency(sched_id[i], sched_id[d]);
+      }
+    }
+  }
+  sched.run(opts.max_jobs);
 
   // ---- Collect ----------------------------------------------------------
   CampaignResult res;
   res.campaign = spec.name;
   res.spec_hash = spec.content_hash();
   res.jobs_total = n;
-  res.threads = worker_slots;
+  res.threads = opts.threads;
   for (std::size_t i = 0; i < n; ++i) {
     if (mode[i] == Mode::kSkip) {
       JobRecord r = *carried[i];

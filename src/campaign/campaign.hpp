@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -37,9 +36,6 @@ class MetricsRegistry;
 }
 
 namespace congestlb::campaign {
-
-class SharedScheduler;
-struct JobRecord;
 
 struct RunOptions {
   std::size_t threads = 1;
@@ -61,22 +57,6 @@ struct RunOptions {
   RetryPolicy retry;
   /// Deterministic fault injection for tests and the chaos harness.
   std::optional<ChaosConfig> chaos;
-  /// Multi-tenant execution (docs/SERVICE.md): run this campaign's jobs on
-  /// a long-running shared pool instead of a private scheduler. The DAG is
-  /// still enforced here (a job is only submitted once its prerequisites
-  /// completed); the pool decides global ordering by `priority`. `threads`
-  /// and `max_jobs` are ignored on this path — pool size belongs to the
-  /// pool, and kill simulation to the chaos layer.
-  SharedScheduler* shared = nullptr;
-  /// Priority for every job of this campaign on the shared pool (higher
-  /// runs first). Ignored when shared == nullptr.
-  int priority = 0;
-  /// Per-job completion hook, invoked from the executing worker right
-  /// after each record lands (executed or replayed jobs; records carried
-  /// whole from a prior manifest are skipped without a call). The service
-  /// streams these to watching clients as server-sent events. Must be
-  /// thread-safe; must not throw.
-  std::function<void(const JobRecord&)> on_job;
 };
 
 struct JobRecord {
@@ -122,21 +102,6 @@ struct CampaignResult {
 
   const JobRecord* find(std::string_view id) const;
 };
-
-/// Number of jobs the spec expands to (shared builds + per-sweep solves
-/// and checks) — what CampaignResult::jobs_total will report, computable
-/// without running anything. The service uses it for progress totals.
-std::size_t count_campaign_jobs(const CampaignSpec& spec);
-
-/// Pre-register every campaign.* instrument and pre-size the registry's
-/// shard space. MetricsRegistry registration is serial-only; run_campaign
-/// registers lazily, which is fine for one-shot CLI runs but races when
-/// many campaigns run concurrently against one registry (the service).
-/// Calling this once at startup — before any concurrent run_campaign —
-/// turns those lazy registrations into read-only lookups and the
-/// ensure_shards call into a no-op.
-void register_campaign_metrics(obs::MetricsRegistry& metrics,
-                               std::size_t worker_slots);
 
 /// Execute the campaign. `prior` (e.g. read_manifest of a partial run)
 /// enables resume; pass nullptr for a fresh run. Throws InvariantError on

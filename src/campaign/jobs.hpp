@@ -8,8 +8,8 @@
 // (equal canonical inputs => equal outputs) and the run manifests
 // bit-identical across worker counts.
 //
-// The check semantics are ports of the bench sweeps:
-//   - P1/P2/P3 mirror bench_properties (witness independence, cross-copy
+// The check semantics:
+//   - P1/P2/P3 check Properties 1-3 (witness independence, cross-copy
 //     matching >= ell, <= alpha shared positions);
 //   - Claim12/Claim35 mirror bench_gap_linear's measure(): max exact OPT
 //     over `trials` instance draws per branch, compared against the

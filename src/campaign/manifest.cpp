@@ -226,7 +226,7 @@ CampaignSpec builtin_paper_campaign() {
   spec.name = "paper";
   spec.seed = 2020;
 
-  // The 8 bench_properties shapes (P1-P3 sweep over gadget geometry).
+  // The 8 P1-P3 shapes (sweep over gadget geometry).
   const std::vector<GridPoint> property_shapes = {
       {2, 1, 2, std::nullopt}, {3, 1, 3, std::nullopt},
       {4, 1, 4, std::nullopt}, {3, 2, 2, std::nullopt},

@@ -171,89 +171,4 @@ WorkStealingScheduler::Report WorkStealingScheduler::run(
   return report;
 }
 
-// ---- SharedScheduler -----------------------------------------------------
-
-SharedScheduler::SharedScheduler(std::size_t num_threads)
-    : num_threads_(std::max<std::size_t>(1, num_threads)) {
-  workers_.reserve(num_threads_);
-  for (std::size_t w = 0; w < num_threads_; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-SharedScheduler::~SharedScheduler() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& th : workers_) {
-    if (th.joinable()) th.join();
-  }
-}
-
-bool SharedScheduler::submit(int priority, JobFn fn) {
-  CLB_EXPECT(fn != nullptr, "shared scheduler: null job");
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return false;
-    queue_.push(Entry{priority, next_seq_++, std::move(fn)});
-  }
-  work_cv_.notify_one();
-  return true;
-}
-
-void SharedScheduler::close() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  work_cv_.notify_all();
-}
-
-void SharedScheduler::drain() {
-  std::unique_lock<std::mutex> lock(mu_);
-  drain_cv_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
-}
-
-std::size_t SharedScheduler::pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + running_;
-}
-
-void SharedScheduler::worker_loop(std::size_t w) {
-  while (true) {
-    JobFn fn;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_) return;  // destructor: abandon whatever is still queued
-      // priority_queue::top is const&; the Entry must be moved out via
-      // const_cast-free copy of the fn — take it by extracting top into a
-      // local before pop.
-      fn = std::move(const_cast<Entry&>(queue_.top()).fn);
-      queue_.pop();
-      ++running_;
-    }
-    try {
-      fn(w);
-    } catch (...) {
-      // Job bodies are supervised (campaign/supervise.hpp) and campaign
-      // wrappers catch everything; an exception here is a harness bug.
-      // Count it — the service surfaces job_errors() in /v1/stats — but
-      // never take the worker down.
-      job_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    bool drained = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --running_;
-      drained = queue_.empty() && running_ == 0;
-    }
-    if (drained) drain_cv_.notify_all();
-  }
-}
-
 }  // namespace congestlb::campaign

@@ -27,11 +27,10 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <queue>
-#include <thread>
 #include <vector>
 
 namespace congestlb::campaign {
@@ -117,92 +116,6 @@ class WorkStealingScheduler {
 
   std::mutex error_mu_;
   std::exception_ptr first_error_;
-};
-
-/// Long-running multi-tenant executor for the campaign service
-/// (docs/SERVICE.md). Where WorkStealingScheduler executes one frozen DAG
-/// and retires, a SharedScheduler outlives every campaign submitted to it:
-/// `clb serve` owns exactly one, and every accepted sweep feeds its jobs
-/// into the same worker pool. Jobs carry an integer priority; the pool
-/// always runs the highest-priority ready job next, FIFO within a
-/// priority, so a tenant submitting at priority 10 overtakes the backlog
-/// of a priority-0 bulk sweep without preempting jobs already running.
-///
-/// Dependency tracking stays with the submitting campaign (campaign.cpp
-/// submits a job only once its prerequisites completed), which keeps this
-/// class a pure priority pool: one mutex, one heap, N workers. Campaign
-/// jobs are milliseconds-to-seconds of solver work, so — as with the
-/// per-deque mutexes above — contention on the single lock is noise.
-class SharedScheduler {
- public:
-  using JobFn = std::function<void(std::size_t worker)>;
-
-  explicit SharedScheduler(std::size_t num_threads);
-  /// Stops accepting, abandons jobs still queued, joins the workers.
-  /// Graceful shutdown (finish everything) is drain() then destruction.
-  ~SharedScheduler();
-
-  SharedScheduler(const SharedScheduler&) = delete;
-  SharedScheduler& operator=(const SharedScheduler&) = delete;
-
-  std::size_t num_threads() const { return num_threads_; }
-
-  /// Enqueue a ready job. Higher `priority` runs first; equal priorities
-  /// run in submission order. Returns false (job not enqueued) once
-  /// close() has been called — submitters must treat that as "the server
-  /// is draining", not as an error.
-  bool submit(int priority, JobFn fn);
-
-  /// Stop admitting new jobs (submit() returns false from now on).
-  void close();
-
-  /// Wait until every job admitted so far has finished executing. Does not
-  /// close the scheduler: new jobs may still arrive unless close() was
-  /// called first. Drain-then-exit is close(); drain().
-  void drain();
-
-  /// Jobs whose fn ran to completion (or threw; a throwing job counts as
-  /// executed and its exception is swallowed after being counted — job
-  /// bodies are supervised upstream and must not leak exceptions).
-  std::uint64_t executed() const {
-    return executed_.load(std::memory_order_relaxed);
-  }
-  /// Jobs admitted but not yet finished (queued + running).
-  std::size_t pending() const;
-  /// Jobs that threw out of their body (harness bugs; see executed()).
-  std::uint64_t job_errors() const {
-    return job_errors_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Entry {
-    int priority = 0;
-    std::uint64_t seq = 0;  ///< admission order; FIFO tie-break
-    JobFn fn;
-  };
-  struct EntryOrder {
-    bool operator()(const Entry& a, const Entry& b) const {
-      // priority_queue surfaces the *largest*: higher priority first,
-      // then the smaller (older) sequence number.
-      if (a.priority != b.priority) return a.priority < b.priority;
-      return a.seq > b.seq;
-    }
-  };
-
-  void worker_loop(std::size_t w);
-
-  std::size_t num_threads_;
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   ///< workers: queue non-empty or stop
-  std::condition_variable drain_cv_;  ///< drain(): pending reached zero
-  std::priority_queue<Entry, std::vector<Entry>, EntryOrder> queue_;
-  std::uint64_t next_seq_ = 0;
-  std::size_t running_ = 0;  ///< jobs currently inside fn
-  bool closed_ = false;
-  bool stop_ = false;
-  std::atomic<std::uint64_t> executed_{0};
-  std::atomic<std::uint64_t> job_errors_{0};
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace congestlb::campaign

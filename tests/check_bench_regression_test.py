@@ -33,10 +33,6 @@ def _entry(name, ns, threads=1, variant="", **extra):
     return e
 
 
-def _serve_doc(entries):
-    return {"schema": "clb-serve-v1", "entries": entries}
-
-
 def _scale_doc(entries):
     return {"schema": "clb-scale-v1", "entries": entries}
 
@@ -45,13 +41,6 @@ def _scale_entry(name, ns, n=9984, rss=100 * 1000 * 1000, variant="",
                  **extra):
     e = {"name": name, "variant": variant, "n": n, "threads": 1,
          "ns_per_round": ns, "peak_rss_bytes": rss}
-    e.update(extra)
-    return e
-
-
-def _serve_entry(name, ns, clients=1, variant="warm_hit", **extra):
-    e = {"name": name, "variant": variant, "clients": clients,
-         "ns_per_op": ns}
     e.update(extra)
     return e
 
@@ -142,54 +131,21 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertIn("no baseline entry matched", proc.stderr)
 
-    def test_serve_schema_healthy_pair_passes(self):
-        base = self._write("base.json", _serve_doc([
-            _serve_entry("serve/submit", 50000, clients=1),
-            _serve_entry("serve/submit", 80000, clients=8),
-            _serve_entry("serve/submit", 200000, variant="admission"),
+    def test_simd_variants_compare_independently(self):
+        # A scalar-fallback regression is caught even when the avx2 row of
+        # the same workload improved.
+        base = self._write("base.json", _clb_doc([
+            _entry("flood/ring", 100, variant="scalar"),
+            _entry("flood/ring", 900, variant="avx2"),
         ]))
-        meas = self._write("meas.json", _serve_doc([
-            _serve_entry("serve/submit", 60000, clients=1),
-            _serve_entry("serve/submit", 90000, clients=8),
-            _serve_entry("serve/submit", 210000, variant="admission"),
+        meas = self._write("meas.json", _clb_doc([
+            _entry("flood/ring", 300, variant="scalar"),
+            _entry("flood/ring", 100, variant="avx2"),
         ]))
         proc = self._run(meas, base)
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("3 entries compared", proc.stdout)
-
-    def test_serve_schema_regression_fails(self):
-        base = self._write("base.json", _serve_doc(
-            [_serve_entry("serve/submit", 50000, clients=4)]))
-        meas = self._write("meas.json", _serve_doc(
-            [_serve_entry("serve/submit", 500000, clients=4)]))
-        proc = self._run(meas, base)
-        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn("flood/ring [scalar]", proc.stdout)
         self.assertIn("REGRESSION", proc.stdout)
-
-    def test_serve_schema_keys_by_clients_not_threads(self):
-        # A 1-client measurement must not satisfy an 8-client baseline:
-        # with no matching key the comparison is vacuous, which fails.
-        base = self._write("base.json", _serve_doc(
-            [_serve_entry("serve/submit", 50000, clients=8)]))
-        meas = self._write("meas.json", _serve_doc(
-            [_serve_entry("serve/submit", 100, clients=1)]))
-        proc = self._run(meas, base)
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("no baseline entry matched", proc.stderr)
-
-    def test_serve_variants_compare_independently(self):
-        # warm_hit regressing is caught even when admission improved.
-        base = self._write("base.json", _serve_doc([
-            _serve_entry("serve/submit", 50000, variant="warm_hit"),
-            _serve_entry("serve/submit", 900000, variant="admission"),
-        ]))
-        meas = self._write("meas.json", _serve_doc([
-            _serve_entry("serve/submit", 150000, variant="warm_hit"),
-            _serve_entry("serve/submit", 100000, variant="admission"),
-        ]))
-        proc = self._run(meas, base)
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("warm_hit", proc.stdout)
 
     def test_scale_schema_healthy_pair_passes(self):
         base = self._write("base.json", _scale_doc([

@@ -18,16 +18,6 @@
 //                                   fsck audits the cache/manifest for crash
 //                                   debris (docs/ROBUSTNESS.md), --repair
 //                                   deletes what it classifies
-//   clb serve --state-dir D [--port P] [options]
-//                                   long-running multi-tenant campaign
-//                                   daemon (docs/SERVICE.md): HTTP/JSON
-//                                   submissions, per-client quotas, job
-//                                   priorities on one shared pool, SSE
-//                                   progress streaming, kill -9 durable
-//   clb submit <spec|builtin> --port P [--client C] [--priority N] [--wait]
-//                                   submit a sweep to a running daemon
-//   clb watch <sweep> --port P      stream a sweep's progress events
-//   clb fetch <sweep> --port P      fetch a completed sweep's manifest
 //   clb version                     print the library version
 //   clb help                        list every subcommand
 //
@@ -36,9 +26,7 @@
 
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -47,16 +35,11 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "campaign/campaign.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/report.hpp"
 #include "campaign/supervise.hpp"
-#include "serve/client.hpp"
-#include "serve/http.hpp"
-#include "serve/routes.hpp"
-#include "serve/service.hpp"
 #include "comm/lower_bound.hpp"
 #include "comm/protocols.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
@@ -89,13 +72,6 @@ void print_usage(std::ostream& os) {
         "      [--threads N] [--cache-dir DIR] [--manifest FILE]\n"
         "      [--max-jobs N] [--canonical] [--deadline-ms N] [--retries N]\n"
         "      [--repair] [--report FILE]\n"
-        "  clb serve --state-dir DIR [--port P] [--pool N]\n"
-        "      [--orchestrators N] [--max-queued N] [--max-inflight N]\n"
-        "      [--deadline-ms N] [--retries N]\n"
-        "  clb submit <spec.json|builtin> --port P [--client NAME]\n"
-        "      [--priority N] [--wait]\n"
-        "  clb watch <sweep> --port P [--since N]\n"
-        "  clb fetch <sweep> --port P [--out FILE]\n"
         "  clb version\n"
         "  clb help\n";
 }
@@ -672,347 +648,6 @@ int cmd_campaign(int argc, char** argv) {
   return result.all_hold ? 0 : 1;
 }
 
-std::optional<std::int64_t> parse_i64_arg(const char* s) {
-  if (s == nullptr || s[0] == '\0') return std::nullopt;
-  const char* digits = s[0] == '-' ? s + 1 : s;
-  if (!std::isdigit(static_cast<unsigned char>(digits[0]))) {
-    return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s, &end, 10);
-  if (errno == ERANGE || *end != '\0') return std::nullopt;
-  return v;
-}
-
-// ---- clb serve / submit / watch / fetch (docs/SERVICE.md) ---------------
-
-/// Set by the SIGTERM/SIGINT handler; the serve watcher thread polls it.
-volatile std::sig_atomic_t g_serve_signal = 0;
-
-extern "C" void clb_serve_on_signal(int sig) { g_serve_signal = sig; }
-
-int cmd_serve(int argc, char** argv) {
-  std::string state_dir;
-  std::uint64_t port = 0;
-  clb::serve::ServiceConfig config;
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--state-dir") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--state-dir", a.c_str());
-      state_dir = v;
-    } else if (a == "--port") {
-      const auto v = parse_u64(value());
-      if (!v || *v > 65535) return bad_arg("--port", argv[i]);
-      port = *v;
-    } else if (a == "--pool") {
-      const auto v = parse_u64(value());
-      if (!v || *v == 0) return bad_arg("--pool", argv[i]);
-      config.pool_threads = static_cast<std::size_t>(*v);
-    } else if (a == "--orchestrators") {
-      const auto v = parse_u64(value());
-      if (!v || *v == 0) return bad_arg("--orchestrators", argv[i]);
-      config.orchestrators = static_cast<std::size_t>(*v);
-    } else if (a == "--max-queued") {
-      const auto v = parse_u64(value());
-      if (!v || *v == 0) return bad_arg("--max-queued", argv[i]);
-      config.quota.max_queued = static_cast<std::size_t>(*v);
-    } else if (a == "--max-inflight") {
-      const auto v = parse_u64(value());
-      if (!v || *v == 0) return bad_arg("--max-inflight", argv[i]);
-      config.quota.max_inflight = static_cast<std::size_t>(*v);
-    } else if (a == "--deadline-ms") {
-      const auto v = parse_u64(value());
-      if (!v) return bad_arg("--deadline-ms", argv[i]);
-      config.job_deadline_ms = *v;
-    } else if (a == "--retries") {
-      const auto v = parse_u64(value());
-      if (!v) return bad_arg("--retries", argv[i]);
-      config.retry.max_attempts = static_cast<std::size_t>(*v) + 1;
-    } else {
-      return bad_arg("serve option", argv[i]);
-    }
-  }
-  if (state_dir.empty()) {
-    std::cerr << "serve: --state-dir is required\n";
-    return usage();
-  }
-  config.state_dir = state_dir;
-  // Same CLB_CHAOS_* environment contract as `clb campaign run`: the
-  // serve-smoke harness kills the daemon mid-sweep with it.
-  config.chaos = clb::campaign::chaos_from_env();
-
-  clb::serve::Service service(config);
-  clb::serve::HttpServer http(static_cast<std::uint16_t>(port));
-  // Port file: with --port 0 the kernel picks the port, so tests and
-  // scripts discover it here instead of racing for a free one themselves.
-  {
-    std::ofstream pf(state_dir + "/port", std::ios::trunc);
-    if (!pf) {
-      std::cerr << "serve: cannot write " << state_dir << "/port\n";
-      return 1;
-    }
-    pf << http.port() << "\n";
-  }
-  std::signal(SIGTERM, clb_serve_on_signal);
-  std::signal(SIGINT, clb_serve_on_signal);
-  std::cout << "clb serve: listening on 127.0.0.1:" << http.port()
-            << " (state: " << state_dir << ", pool: " << config.pool_threads
-            << ", orchestrators: " << config.orchestrators << ")\n"
-            << std::flush;
-  // The accept loop owns this thread; the watcher turns the async signal
-  // into a clean stop. SIGTERM is the graceful-drain contract: stop
-  // admitting, finish in-flight sweeps, persist the ledger, exit 0.
-  std::thread watcher([&http] {
-    while (g_serve_signal == 0 && !http.stopping()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    http.stop();
-  });
-  http.serve(clb::serve::make_service_handler(service));
-  watcher.join();
-  std::cout << "clb serve: draining...\n" << std::flush;
-  service.begin_drain();
-  service.shutdown();
-  std::cout << "clb serve: stopped (pool executed "
-            << service.pool_executed() << " jobs)\n";
-  return 0;
-}
-
-/// Shared --port handling for the client commands: read it from --port or
-/// from the daemon's <state-dir>/port file.
-std::optional<std::uint16_t> client_port(const std::string& port_arg,
-                                         const std::string& state_dir) {
-  if (!port_arg.empty()) {
-    const auto v = parse_u64(port_arg.c_str());
-    if (!v || *v == 0 || *v > 65535) return std::nullopt;
-    return static_cast<std::uint16_t>(*v);
-  }
-  if (!state_dir.empty()) {
-    std::ifstream pf(state_dir + "/port");
-    std::uint64_t p = 0;
-    if (pf >> p && p > 0 && p <= 65535) {
-      return static_cast<std::uint16_t>(p);
-    }
-  }
-  return std::nullopt;
-}
-
-int cmd_submit(int argc, char** argv) {
-  if (argc < 1) return usage();
-  const std::string spec_arg = argv[0];
-  std::string port_arg, state_dir, client = "anon";
-  std::int64_t priority = 0;
-  bool wait = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--port") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--port", a.c_str());
-      port_arg = v;
-    } else if (a == "--state-dir") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--state-dir", a.c_str());
-      state_dir = v;
-    } else if (a == "--client") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--client", a.c_str());
-      client = v;
-    } else if (a == "--priority") {
-      const auto v = parse_i64_arg(value());
-      if (!v) return bad_arg("--priority", argv[i]);
-      priority = *v;
-    } else if (a == "--wait") {
-      wait = true;
-    } else {
-      return bad_arg("submit option", argv[i]);
-    }
-  }
-  const auto port = client_port(port_arg, state_dir);
-  if (!port) {
-    std::cerr << "submit: need --port P or --state-dir of a live daemon\n";
-    return usage();
-  }
-
-  // A readable file is a spec document (embedded verbatim — it is already
-  // JSON); anything else is passed through as a builtin name.
-  std::string spec_value;
-  if (std::ifstream in(spec_arg); in) {
-    std::ostringstream text;
-    text << in.rdbuf();
-    spec_value = text.str();
-  } else {
-    spec_value = "\"" + spec_arg + "\"";
-  }
-  std::ostringstream body;
-  body << "{\"spec\": " << spec_value << ", \"client\": \"" << client
-       << "\", \"priority\": " << priority << "}";
-
-  clb::serve::HttpClient http(*port);
-  const auto res = http.request("POST", "/v1/sweeps", body.str());
-  if (res.status == 0) {
-    std::cerr << "submit: " << res.error << "\n";
-    return 1;
-  }
-  std::string outcome, sweep;
-  try {
-    const auto doc = clb::parse_json(res.body);
-    outcome = doc.at("outcome").as_string();
-    if (const auto* s = doc.find("sweep")) sweep = s->as_string();
-    std::cout << "outcome: " << outcome << "\nsweep: " << sweep << "\n";
-    if (const auto* m = doc.find("message")) {
-      std::cout << "message: " << m->as_string() << "\n";
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "submit: malformed response: " << e.what() << "\n";
-    return 1;
-  }
-  if (outcome == "invalid") return 2;
-  if (outcome == "draining") return 3;
-  if (outcome == "rejected_quota") return 4;
-  if (!wait) return 0;
-
-  // --wait: poll until the sweep reaches a terminal state; mirror
-  // `clb campaign run`'s exit contract (0 iff complete && all_hold).
-  while (true) {
-    const auto st = http.request("GET", "/v1/sweeps/" + sweep);
-    if (st.status != 200) {
-      std::cerr << "submit: lost the sweep while waiting (HTTP "
-                << st.status << ")\n";
-      return 1;
-    }
-    try {
-      const auto doc = clb::parse_json(st.body);
-      const std::string state = doc.at("state").as_string();
-      if (state == "complete") {
-        const bool all_hold = doc.at("all_hold").as_bool();
-        std::cout << "state: complete (all_hold: "
-                  << (all_hold ? "true" : "false") << ")\n";
-        return all_hold ? 0 : 1;
-      }
-      if (state == "failed") {
-        std::cout << "state: failed\n";
-        return 1;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "submit: malformed status: " << e.what() << "\n";
-      return 1;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-}
-
-int cmd_watch(int argc, char** argv) {
-  if (argc < 1) return usage();
-  const std::string sweep = argv[0];
-  std::string port_arg, state_dir;
-  std::uint64_t since = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--port") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--port", a.c_str());
-      port_arg = v;
-    } else if (a == "--state-dir") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--state-dir", a.c_str());
-      state_dir = v;
-    } else if (a == "--since") {
-      const auto v = parse_u64(value());
-      if (!v) return bad_arg("--since", argv[i]);
-      since = *v;
-    } else {
-      return bad_arg("watch option", argv[i]);
-    }
-  }
-  const auto port = client_port(port_arg, state_dir);
-  if (!port) {
-    std::cerr << "watch: need --port P or --state-dir of a live daemon\n";
-    return usage();
-  }
-  clb::serve::HttpClient http(*port);
-  bool completed = false;
-  const int status = http.stream(
-      "/v1/sweeps/" + sweep + "/events?since=" + std::to_string(since),
-      [&completed](std::string_view data) {
-        std::cout << data << "\n" << std::flush;
-        // Terminal frames close the feed; branch on the kind field.
-        if (data.find("\"kind\": \"completed\"") != std::string_view::npos) {
-          completed = true;
-          return false;
-        }
-        return data.find("\"kind\": \"failed\"") == std::string_view::npos;
-      });
-  if (status != 200) {
-    std::cerr << "watch: HTTP " << status << "\n";
-    return 1;
-  }
-  return completed ? 0 : 1;
-}
-
-int cmd_fetch(int argc, char** argv) {
-  if (argc < 1) return usage();
-  const std::string sweep = argv[0];
-  std::string port_arg, state_dir, out_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (a == "--port") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--port", a.c_str());
-      port_arg = v;
-    } else if (a == "--state-dir") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--state-dir", a.c_str());
-      state_dir = v;
-    } else if (a == "--out") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--out", a.c_str());
-      out_path = v;
-    } else {
-      return bad_arg("fetch option", argv[i]);
-    }
-  }
-  const auto port = client_port(port_arg, state_dir);
-  if (!port) {
-    std::cerr << "fetch: need --port P or --state-dir of a live daemon\n";
-    return usage();
-  }
-  clb::serve::HttpClient http(*port);
-  const auto res = http.request("GET", "/v1/sweeps/" + sweep + "/manifest");
-  if (res.status != 200) {
-    std::cerr << "fetch: "
-              << (res.status == 0 ? res.error
-                                  : "HTTP " + std::to_string(res.status))
-              << "\n";
-    return 1;
-  }
-  if (out_path.empty()) {
-    std::cout << res.body;
-    return 0;
-  }
-  std::ofstream out(out_path, std::ios::trunc);
-  if (!out) {
-    std::cerr << "fetch: cannot write '" << out_path << "'\n";
-    return 1;
-  }
-  out << res.body;
-  std::cout << "manifest: " << out_path << "\n";
-  return 0;
-}
-
 int cmd_version() {
 #ifdef CLB_VERSION
   std::cout << "clb " << CLB_VERSION << "\n";
@@ -1035,10 +670,6 @@ int main(int argc, char** argv) {
     if (cmd == "trace") return cmd_trace(argc - 2, argv + 2);
     if (cmd == "protocols") return cmd_protocols(argc - 2, argv + 2);
     if (cmd == "campaign") return cmd_campaign(argc - 2, argv + 2);
-    if (cmd == "serve") return cmd_serve(argc - 2, argv + 2);
-    if (cmd == "submit") return cmd_submit(argc - 2, argv + 2);
-    if (cmd == "watch") return cmd_watch(argc - 2, argv + 2);
-    if (cmd == "fetch") return cmd_fetch(argc - 2, argv + 2);
     if (cmd == "version" || cmd == "--version") return cmd_version();
     if (cmd == "help" || cmd == "--help") {
       print_usage(std::cout);
