@@ -1,9 +1,11 @@
 #include "congest/algorithms/universal_maxis.hpp"
 
-#include <unordered_set>
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "support/expect.hpp"
+#include "support/hash.hpp"
 #include "support/math.hpp"
 
 namespace congestlb::congest {
@@ -17,6 +19,48 @@ struct Token {
   std::uint64_t a = 0;  ///< node id / edge endpoint u
   std::uint64_t b = 0;  ///< degree / edge endpoint v
   std::uint64_t w = 0;  ///< weight (node tokens only)
+};
+
+/// Open-addressing set of edge keys (linear probing, power-of-two table,
+/// at most half full). Memory stays O(keys); the table doubles as it fills.
+class EdgeKeySet {
+ public:
+  /// Insert `key` (an edge key u * n + v < n^2, so never kEmpty); false
+  /// if it was already present.
+  bool insert(std::uint64_t key) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    if (!place(key)) return false;
+    ++size_;
+    return true;
+  }
+
+  std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+
+  bool place(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash_mix64(key) & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+      if (slots_[i] == kEmpty) {
+        slots_[i] = key;
+        return true;
+      }
+    }
+  }
+
+  void grow() {
+    const std::vector<std::uint64_t> old = std::exchange(
+        slots_, std::vector<std::uint64_t>(
+                    std::max<std::size_t>(16, 2 * slots_.size()), kEmpty));
+    for (std::uint64_t key : old) {
+      if (key != kEmpty) place(key);
+    }
+  }
+
+  std::vector<std::uint64_t> slots_;
+  std::size_t size_ = 0;
 };
 
 class UniversalMaxIsProgram final : public NodeProgram {
@@ -39,10 +83,11 @@ class UniversalMaxIsProgram final : public NodeProgram {
     for (std::size_t s = 0; s < info.neighbors.size(); ++s) {
       if (cursor_[s] >= tokens_.size()) continue;
       const Token& tok = tokens_[cursor_[s]++];
+      // Type bit, a and b in one LSB-first put: the same payload as three
+      // separate puts, since both ids are < 2^id_bits_.
       MessageWriter w;
-      w.put(tok.is_edge ? 1 : 0, 1);
-      w.put(tok.a, id_bits_);
-      w.put(tok.b, id_bits_);
+      w.put((tok.is_edge ? 1 : 0) | tok.a << 1 | tok.b << (1 + id_bits_),
+            head_bits());
       if (!tok.is_edge) w.put(tok.w, kWeightBits);
       outbox.send(s, std::move(w).finish());
     }
@@ -63,7 +108,8 @@ class UniversalMaxIsProgram final : public NodeProgram {
     initialized_ = true;
     id_bits_ = static_cast<std::size_t>(
         std::max(1, ceil_log2(std::max<std::size_t>(2, info.n))));
-    CLB_EXPECT(info.bits_per_edge >= 1 + 2 * id_bits_ + kWeightBits,
+    CLB_EXPECT(id_bits_ <= 31, "universal-maxis: too many nodes for token ids");
+    CLB_EXPECT(info.bits_per_edge >= head_bits() + kWeightBits,
                "universal-maxis: per-edge bandwidth too small for tokens; "
                "use universal_required_bits()");
     CLB_EXPECT(info.weight >= 0 &&
@@ -71,7 +117,6 @@ class UniversalMaxIsProgram final : public NodeProgram {
                "universal-maxis: weight does not fit token field");
     cursor_.assign(info.neighbors.size(), 0);
     node_known_.assign(info.n, false);
-    degree_.assign(info.n, 0);
     weight_.assign(info.n, 0);
     // Seed with own node token and incident edge tokens.
     add_node_token(info.id, info.neighbors.size(),
@@ -82,10 +127,13 @@ class UniversalMaxIsProgram final : public NodeProgram {
     }
   }
 
+  /// Width of a token's type bit plus its two id fields.
+  std::size_t head_bits() const { return 1 + 2 * id_bits_; }
+
   void add_node_token(std::uint64_t id, std::uint64_t deg, std::uint64_t w) {
     if (node_known_[id]) return;
     node_known_[id] = true;
-    degree_[id] = deg;
+    degree_sum_ += deg;
     weight_[id] = w;
     ++num_nodes_known_;
     tokens_.push_back(Token{false, id, deg, w});
@@ -93,17 +141,19 @@ class UniversalMaxIsProgram final : public NodeProgram {
 
   void add_edge_token(const NodeInfo& info, std::uint64_t u, std::uint64_t v) {
     const std::uint64_t key = u * info.n + v;
-    if (!edge_known_.insert(key).second) return;
+    if (!edge_known_.insert(key)) return;
     tokens_.push_back(Token{true, u, v, 0});
   }
 
   void ingest(const NodeInfo& info, const Message& msg) {
     MessageReader r(msg);
-    const bool is_edge = r.get(1) != 0;
-    const std::uint64_t a = r.get(id_bits_);
-    const std::uint64_t b = r.get(id_bits_);
+    const std::uint64_t head = r.get(head_bits());
+    const bool is_edge = (head & 1) != 0;
+    const std::uint64_t a = (head >> 1) & ((1ULL << id_bits_) - 1);
+    const std::uint64_t b = head >> (1 + id_bits_);
     CLB_EXPECT(a < info.n && b < info.n, "universal-maxis: bad token ids");
     if (is_edge) {
+      CLB_EXPECT(a < b, "universal-maxis: edge token endpoints out of order");
       add_edge_token(info, a, b);
     } else {
       add_node_token(a, b, r.get(kWeightBits));
@@ -112,9 +162,7 @@ class UniversalMaxIsProgram final : public NodeProgram {
 
   void try_finish(const NodeInfo& info) {
     if (have_solution_ || num_nodes_known_ < info.n) return;
-    std::uint64_t deg_sum = 0;
-    for (std::uint64_t d : degree_) deg_sum += d;
-    if (edge_known_.size() * 2 != deg_sum) return;
+    if (edge_known_.size() * 2 != degree_sum_) return;
     // Reconstruct and solve.
     graph::Graph g(info.n);
     for (NodeId v = 0; v < info.n; ++v) {
@@ -142,10 +190,10 @@ class UniversalMaxIsProgram final : public NodeProgram {
   std::vector<Token> tokens_;
   std::vector<std::size_t> cursor_;
   std::vector<bool> node_known_;
-  std::vector<std::uint64_t> degree_;
   std::vector<std::uint64_t> weight_;
-  std::unordered_set<std::uint64_t> edge_known_;
+  EdgeKeySet edge_known_;
   std::size_t num_nodes_known_ = 0;
+  std::uint64_t degree_sum_ = 0;  ///< over known node tokens
   bool have_solution_ = false;
   bool in_set_ = false;
 };

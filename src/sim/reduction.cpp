@@ -42,20 +42,23 @@ ReductionReport run_reduction(
   rep.no_bound = no_bound;
   rep.ground_truth_disjoint = inst.answer_is_disjoint();
 
+  // Owners are looked up once per node here, not twice per delivery.
+  std::vector<std::size_t> owner_of(gx.num_nodes());
+  for (graph::NodeId v = 0; v < owner_of.size(); ++v) owner_of[v] = owner(v);
+
   // The simulation argument: cut-crossing messages go on the blackboard,
   // charged to the owner of the sending node. Under fault injection the
   // observer fires per *delivery*, so the board sees corrupted payloads as
   // corrupted, echoes twice, and dropped messages never.
   std::uint64_t observed_cut_bits = 0;
-  cfg.on_message = [&board, &rep, &observed_cut_bits, owner](
+  cfg.on_message = [&board, &rep, &observed_cut_bits, &owner_of](
                        std::size_t round, graph::NodeId from,
                        graph::NodeId to, const congest::Message& msg) {
-    const std::size_t po = owner(from);
-    const std::size_t pd = owner(to);
+    const std::size_t po = owner_of[from];
+    const std::size_t pd = owner_of[to];
     if (po == pd) return;  // internal to one player: simulated for free
-    board.post(po, std::vector<std::byte>(msg.data.begin(), msg.data.end()),
-               msg.bits,
-               "msg " + std::to_string(from) + "->" + std::to_string(to));
+    board.post_cut_message(po, {msg.data.data(), msg.data.size()}, msg.bits,
+                           from, to);
     observed_cut_bits += msg.bits;
     if (rep.cut_bits_per_round.size() <= round) {
       rep.cut_bits_per_round.resize(round + 1, 0);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "congest/algorithms/greedy_mis.hpp"
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
@@ -238,6 +241,49 @@ TEST(Universal, RejectsTooSmallBandwidth) {
 TEST(Universal, RejectsNullSolver) {
   EXPECT_THROW(universal_maxis_factory(nullptr)(0, NodeInfo{}),
                InvariantError);
+}
+
+/// Sends one hand-built edge token (a, b) to every neighbor, then idles.
+class RawEdgeTokenSender final : public NodeProgram {
+ public:
+  RawEdgeTokenSender(std::uint64_t a, std::uint64_t b) : a_(a), b_(b) {}
+  void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
+             Rng&) override {
+    if (sent_) return;
+    sent_ = true;
+    const std::size_t id_bits = 2;  // n = 4
+    ASSERT_EQ(info.n, 4u);
+    outbox.send_all(
+        std::move(MessageWriter().put(1, 1).put(a_, id_bits).put(b_, id_bits))
+            .finish());
+  }
+  bool finished() const override { return sent_; }
+  std::int64_t output() const override { return 0; }
+
+ private:
+  std::uint64_t a_, b_;
+  bool sent_ = false;
+};
+
+TEST(Universal, RejectsMalformedEdgeTokens) {
+  // Senders always emit u < v; a reversed or self-loop token must be
+  // refused, not stored as a distinct edge key.
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 3);
+  NetworkConfig cfg;
+  cfg.bits_per_edge = universal_required_bits(g.num_nodes(), 1);
+  const auto universal = universal_maxis_factory(exact_solver());
+  for (const auto& [a, b] : {std::pair<std::uint64_t, std::uint64_t>{2, 1},
+                             std::pair<std::uint64_t, std::uint64_t>{1, 1}}) {
+    Network net(g, [&, a = a, b = b](graph::NodeId v, const NodeInfo& info)
+                    -> std::unique_ptr<NodeProgram> {
+      if (v == 0) return std::make_unique<RawEdgeTokenSender>(a, b);
+      return universal(v, info);
+    }, cfg);
+    EXPECT_THROW(net.run(), InvariantError) << "token (" << a << ", " << b << ")";
+  }
 }
 
 TEST(Universal, RequiredBitsFormula) {

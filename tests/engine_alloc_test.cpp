@@ -5,11 +5,15 @@
 // small-buffers engaged, arenas sized), running further rounds of a
 // steady-state program must perform ZERO allocations — that is the
 // engine-rewrite contract, and the benches report it as allocs/round.
+// The blackboard's cut-message posts, the other half of the Theorem-5 hot
+// path, may allocate only to grow their flat arenas: O(log N) for N posts.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 
+#include "comm/blackboard.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
@@ -162,6 +166,31 @@ TEST(EngineAlloc, EnabledTracingStaysAllocationFree) {
   EXPECT_GT(tracer.recorded(), 0u);
   EXPECT_GT(tracer.dropped(), 0u) << "ring should have wrapped in this run";
   EXPECT_EQ(metrics.counter("engine.rounds").value(), 108u);
+}
+
+TEST(EngineAlloc, BlackboardCutPostsOnlyGrowArenas) {
+  comm::Blackboard board(3);
+  obs::MetricsRegistry metrics;
+  board.attach_observability(nullptr, &metrics);
+  const Message msg =
+      std::move(MessageWriter().put(0x2a5, 10).put(0x1f, 8)).finish();
+  const auto post = [&](std::size_t i) {
+    board.post_cut_message(i % 3, {msg.data.data(), msg.data.size()},
+                           msg.bits, i % 90, (i + 31) % 90);
+  };
+  for (std::size_t i = 0; i < 1000; ++i) post(i);
+
+  constexpr std::size_t kPosts = 100'000;
+  const auto before = allochook::allocation_count();
+  for (std::size_t i = 0; i < kPosts; ++i) post(i);
+  const auto after = allochook::allocation_count();
+  // Two arenas (records, payload bytes), each regrown at most once per
+  // doubling of its size.
+  EXPECT_LE(after - before, 2 * (std::bit_width(kPosts) + 1))
+      << "blackboard posts allocated " << (after - before) << " times over "
+      << kPosts << " cut-message posts";
+  EXPECT_EQ(board.transcript().size(), 1000 + kPosts);
+  EXPECT_EQ(metrics.counter("blackboard.posts").value(), 1000 + kPosts);
 }
 
 }  // namespace

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <set>
+#include <string>
+#include <utility>
+
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
 #include "maxis/branch_and_bound.hpp"
@@ -68,12 +74,27 @@ TEST(LinearReduction, BlackboardChargesOnlyCutTraffic) {
   // Cut traffic is a strict subset of total traffic (the copies talk
   // internally a lot).
   EXPECT_LT(rep.blackboard_bits, rep.total_bits);
-  // Every entry is tagged with a cut edge whose endpoints have different
-  // owners.
+  // Every entry is tagged "msg u->v" with a cut edge {u, v}, charged to the
+  // sender's owner, and the entries' bits sum to the reported board bits.
+  std::set<std::pair<graph::NodeId, graph::NodeId>> cut;
+  for (auto [u, v] : c.cut_edges()) cut.emplace(std::min(u, v), std::max(u, v));
+  std::size_t bits = 0;
   for (const auto& entry : board.transcript()) {
-    EXPECT_LT(entry.player, t);
-    EXPECT_NE(entry.tag.find("msg"), std::string::npos);
+    graph::NodeId u = 0, v = 0;
+    ASSERT_EQ(std::sscanf(entry.tag.c_str(), "msg %zu->%zu", &u, &v), 2)
+        << entry.tag;
+    ASSERT_EQ(entry.tag, "msg " + std::to_string(u) + "->" + std::to_string(v));
+    ASSERT_TRUE(cut.count({std::min(u, v), std::max(u, v)})) << entry.tag;
+    ASSERT_EQ(entry.player, c.owner(u)) << entry.tag;
+    ASSERT_NE(c.owner(u), c.owner(v)) << entry.tag;
+    bits += entry.bits;
   }
+  EXPECT_EQ(bits, rep.blackboard_bits);
+  // The first posts of this seed, pinned as literal text.
+  ASSERT_GE(board.transcript().size(), 3u);
+  EXPECT_EQ(board.transcript()[0].tag, "msg 3->27");
+  EXPECT_EQ(board.transcript()[1].tag, "msg 3->28");
+  EXPECT_EQ(board.transcript()[2].tag, "msg 3->29");
 }
 
 TEST(LinearReduction, ApproximateAlgorithmStillAccountsCorrectly) {

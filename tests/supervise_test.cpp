@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -382,31 +383,46 @@ TEST(CampaignSupervision, CancelledSolveBranchIsCertifiedApproximate) {
 }
 
 TEST(CampaignSupervision, ApproximateResultsAreNeverCachedOrResumed) {
+  // Which solves a real deadline cancels depends on machine speed, so the
+  // approximate records are made by hand: an exact run's records with every
+  // third solve flagged approximate, as a fired deadline leaves them.
   const auto spec = cmp::builtin_smoke_campaign();
-  cmp::RunOptions opts;
-  // A 0-tolerance deadline cannot be set through job_deadline_ms (0 means
-  // "none"), so 1 ms is the tightest configurable budget; on any machine
-  // this cancels at least the larger solves. Either way the contract
-  // below must hold for whatever did get flagged.
-  opts.job_deadline_ms = 1;
-  const auto result = cmp::run_campaign(spec, opts);
-  ASSERT_TRUE(result.complete);
+  const auto exact = cmp::run_campaign(spec, cmp::RunOptions{});
+  ASSERT_TRUE(exact.complete);
 
   std::map<std::string, cmp::JobRecord> prior;
-  std::size_t approx = 0;
-  for (const auto& r : result.records) {
-    approx += r.outcome.approximate ? 1u : 0u;
-    prior.emplace(r.id, r);
+  std::set<std::string> flagged;  // solve records marked approximate
+  std::set<std::string> rebuilt;  // the builds those solves depend on
+  std::size_t solves = 0;
+  for (const auto& r : exact.records) {
+    ASSERT_FALSE(r.outcome.approximate) << r.id;
+    cmp::JobRecord rec = r;
+    if ((r.stage == "solve-yes" || r.stage == "solve-no") && solves++ % 3 == 0) {
+      rec.outcome.approximate = true;
+      flagged.insert(r.id);
+      // "<sweep>/<point>/<stage>" reads the graph built by "gadget/<point>".
+      const std::size_t first = r.id.find('/');
+      const std::size_t last = r.id.rfind('/');
+      rebuilt.insert("gadget/" + r.id.substr(first + 1, last - first - 1));
+    }
+    prior.emplace(r.id, std::move(rec));
   }
+  ASSERT_FALSE(flagged.empty());
+  for (const auto& id : rebuilt) ASSERT_EQ(prior.count(id), 1u) << id;
 
-  // Resume over those records: every approximate record must be re-run
-  // (match() refuses it), every exact one carried over.
-  cmp::RunOptions resume_opts;
-  const auto resumed = cmp::run_campaign(spec, resume_opts, &prior);
+  // Resume over those records: match() refuses every approximate record,
+  // so each flagged solve re-runs, and its build re-runs because a running
+  // solve needs the graph. Everything else is carried over or replayed.
+  const auto resumed = cmp::run_campaign(spec, cmp::RunOptions{}, &prior);
   EXPECT_TRUE(resumed.all_hold);
   for (const auto& r : resumed.records) {
     EXPECT_FALSE(r.outcome.approximate) << r.id;
+    const bool reran = flagged.count(r.id) + rebuilt.count(r.id) > 0;
+    EXPECT_EQ(r.resumed, !reran) << r.id;
   }
-  EXPECT_EQ(resumed.jobs_resumed + approx, resumed.jobs_total)
-      << "exactly the approximate records were refused on resume";
+  EXPECT_EQ(resumed.jobs_run, flagged.size() + rebuilt.size());
+  EXPECT_EQ(resumed.jobs_resumed + flagged.size() + rebuilt.size(),
+            resumed.jobs_total)
+      << "exactly the approximate records and their builds were re-run";
+  EXPECT_EQ(canonical_manifest(resumed), canonical_manifest(exact));
 }
