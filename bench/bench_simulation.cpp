@@ -244,9 +244,10 @@ std::size_t process_peak_rss_bytes() {
 /// first inbox slot. Deliberately never iterates the inbox — a grid node
 /// in the 10^6-node family has ~10^5 block-implied neighbors, and walking
 /// them every round would reintroduce exactly the O(implicit edges) cost
-/// the hybrid engine removes. Per node per round this is one
-/// counting-select (O(log n * |blocks|)) plus an O(1) broadcast, so a
-/// round is ~O(n log n) no matter how many edges the blocks imply.
+/// the hybrid engine removes. Per node per round this is one slot-0
+/// select (one O(|blocks|) source pass, no search) plus an O(1)
+/// broadcast, so a round is ~O(n * |blocks|) no matter how many edges the
+/// blocks imply.
 class ScaleFlood final : public clb::congest::NodeProgram {
  public:
   void round(const clb::congest::NodeInfo& info,

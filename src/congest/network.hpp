@@ -146,8 +146,9 @@ class Inbox {
 
   /// Hybrid (implicit-topology) view: presence bytes and messages are the
   /// engine's per-*sender-id* broadcast arena; slot i resolves to the i-th
-  /// smallest merged neighbor of v via Topology rank/select, so neither
-  /// the arena nor this view is ever O(total degree) in memory.
+  /// smallest merged neighbor of v via Topology::neighbor_at (bracketed by
+  /// O(1) per-block selects; slot 0 needs no search), so neither the arena
+  /// nor this view is ever O(total degree) in memory.
   Inbox(const Topology* topo, NodeId v, const std::uint8_t* sent,
         const Message* bmsgs, std::size_t count)
       : count_(count), topo_(topo), v_(v), sent_(sent), bmsgs_(bmsgs) {}

@@ -1,6 +1,7 @@
 #include "congest/topology.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "support/expect.hpp"
 
@@ -22,22 +23,60 @@ bool Topology::has_edge(NodeId u, NodeId v) const {
   return false;
 }
 
-std::size_t Topology::count_neighbors_leq(NodeId v, NodeId x) const {
-  const auto nb = neighbors_of(v);
-  std::size_t c = static_cast<std::size_t>(
-      std::upper_bound(nb.begin(), nb.end(), x) - nb.begin());
-  for (const auto& b : blocks) c += b.count_leq(v, x);
-  return c;
-}
-
 NodeId Topology::neighbor_at(NodeId v, std::size_t slot) const {
-  if (blocks.empty()) return neighbors_of(v)[slot];
-  // Binary search for the smallest id x with count_neighbors_leq(v, x) >
-  // slot; that x is the slot-th smallest merged neighbor.
-  NodeId lo = 0, hi = n - 1;
+  const auto nb = neighbors_of(v);
+  if (blocks.empty()) return nb[slot];
+
+  // One pass over v's sources — the explicit row and every block holding
+  // v — sums the merged degree and brackets the answer. Each source is
+  // sorted with O(1) select, so the slot-th merged neighbor lies in
+  // [lo, hi]: lo is the smallest first element (the merged minimum); hi is
+  // the smallest slot-th element over sources with more than `slot`
+  // members (that source alone puts slot+1 neighbors at or below it), or
+  // the largest last element when no source is that deep.
+  std::size_t total = 0;
+  NodeId lo = graph::kNoNode, hi = graph::kNoNode, last = 0;
+  auto bracket = [&](std::size_t deg, auto select) {
+    total += deg;
+    lo = std::min(lo, select(0));
+    if (deg > slot) {
+      hi = std::min(hi, select(slot));
+    } else {
+      last = std::max(last, select(deg - 1));
+    }
+  };
+  if (!nb.empty()) bracket(nb.size(), [&](std::size_t i) { return nb[i]; });
+
+  // The rank below sums over the gathered blocks only. Should v sit in
+  // more blocks than the on-stack array holds, the rank also rescans
+  // blocks[rest..] in full (count_leq is 0 for non-members), so any
+  // membership count stays exact without a heap allocation.
+  std::array<const graph::ImplicitBlock*, 8> gathered;
+  std::size_t k = 0, rest = blocks.size();
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const graph::ImplicitBlock& b = blocks[i];
+    const std::size_t d = b.degree_of(v);
+    if (d == 0) continue;
+    bracket(d, [&](std::size_t j) { return b.select(v, j); });
+    if (k < gathered.size()) {
+      gathered[k++] = &b;
+    } else if (rest == blocks.size()) {
+      rest = i;
+    }
+  }
+  CLB_EXPECT(slot < total, "neighbor_at: slot >= total_degree(v)");
+  if (hi == graph::kNoNode) hi = last;
+
+  // Smallest x in [lo, hi] with more than `slot` merged neighbors <= x.
+  const std::span<const graph::ImplicitBlock> tail(blocks.data() + rest,
+                                                   blocks.size() - rest);
   while (lo < hi) {
     const NodeId mid = lo + (hi - lo) / 2;
-    if (count_neighbors_leq(v, mid) <= slot) {
+    std::size_t rank = static_cast<std::size_t>(
+        std::upper_bound(nb.begin(), nb.end(), mid) - nb.begin());
+    for (std::size_t j = 0; j < k; ++j) rank += gathered[j]->count_leq(v, mid);
+    for (const auto& b : tail) rank += b.count_leq(v, mid);
+    if (rank <= slot) {
       lo = mid + 1;
     } else {
       hi = mid;

@@ -17,8 +17,8 @@
 // Figure 2 anti-matching grids) whose edges are never stored. degree()
 // and neighbors_of() keep their historical *explicit* meaning — the
 // engine's per-slot arenas are sized by them — while total_degree(),
-// count_neighbors_leq(), neighbor_at(), and neighbor_after() rank/select
-// over the merged explicit+implicit neighbor set arithmetically. The CSR
+// neighbor_at(), and neighbor_after() select over the merged
+// explicit+implicit neighbor set arithmetically. The CSR
 // arrays are spans so a topology can either own its storage (build()) or
 // borrow it from a memory-mapped snapshot (from_snapshot()) without
 // copying.
@@ -81,14 +81,14 @@ struct Topology {
   /// Explicit or block-implied adjacency test.
   bool has_edge(NodeId u, NodeId v) const;
 
-  /// Rank over the merged neighbor set: how many neighbors of v (explicit
-  /// and block-implied) have id <= x. O(log deg + |blocks|).
-  std::size_t count_neighbors_leq(NodeId v, NodeId x) const;
-
-  /// Select: the slot-th smallest neighbor of v in the merged set, for
-  /// slot < total_degree(v). O(log n * (log deg + |blocks|)) via binary
-  /// search over count_neighbors_leq — explicit-only topologies take the
-  /// O(1) array path.
+  /// Select: the slot-th smallest neighbor of v in the merged set. Throws
+  /// InvariantError when slot >= total_degree(v) on a hybrid topology;
+  /// explicit-only topologies take the O(1) array path unchecked. Hybrid
+  /// cost: one O(|blocks|) pass gathers v's sources (its explicit row and
+  /// the b_v blocks holding v) and brackets the answer with their O(1)
+  /// per-block selects, then a binary search *inside that bracket* ranks
+  /// over the gathered sources only — O(|blocks| + log(bracket) * (log deg
+  /// + b_v)). Slot 0 needs no rank evaluation at all. Allocation-free.
   NodeId neighbor_at(NodeId v, std::size_t slot) const;
 
   /// Smallest merged-set neighbor of v with id > x, or graph::kNoNode.
@@ -129,11 +129,11 @@ struct Topology {
 /// modes:
 ///  - dense: wraps the CSR row directly; operator[] and iteration are
 ///    pointer arithmetic, exactly the old span behavior;
-///  - hybrid: backed by Topology rank/select arithmetic; operator[] is a
-///    counting-select (O(log n * |blocks|)) and iteration walks
-///    neighbor_after, O(log deg + |blocks|) per step with no per-node
-///    state — a grid node with millions of implied neighbors costs nothing
-///    until visited.
+///  - hybrid: backed by Topology rank/select arithmetic; operator[] is
+///    Topology::neighbor_at (a bracketed select over v's own sources, no
+///    rank evaluation for element 0) and iteration walks neighbor_after,
+///    O(log deg + |blocks|) per step with no per-node state — a grid node
+///    with millions of implied neighbors costs nothing until visited.
 class NeighborsView {
  public:
   class const_iterator {

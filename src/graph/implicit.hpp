@@ -8,9 +8,9 @@
 // arithmetic: given a node id, its neighbor set inside the block is a
 // closed-form function of a handful of range parameters. An ImplicitBlock
 // stores those parameters; degrees, rank/select over the neighbor set,
-// adjacency tests, and prefix costs for edge-tiled sharding are all O(1)
-// (or O(log) where a search is unavoidable), so a graph with 10^10
-// block-implied edges costs a few dozen bytes per block.
+// adjacency tests, and prefix costs for edge-tiled sharding are all O(1),
+// so a graph with 10^10 block-implied edges costs a few dozen bytes per
+// block.
 //
 // The anti-matching family deserves a note: a naive encoding would store
 // one biclique-minus-matching descriptor per copy pair (i, j) — C(t, 2)
@@ -230,6 +230,31 @@ struct ImplicitBlock {
       }
     }
     return 0;
+  }
+
+  /// The i-th smallest neighbor of member v, for i < degree_of(v). O(1):
+  /// the neighbor set is a contiguous range (clique, biclique) or a grid
+  /// with v's own row and column removed, so the index maps to an id
+  /// directly.
+  NodeId select(NodeId v, std::size_t i) const {
+    switch (kind) {
+      case BlockKind::kClique: {
+        const NodeId c = a_begin + i;
+        return c >= v ? c + 1 : c;
+      }
+      case BlockKind::kBiclique:
+        return (v >= a_begin && v < a_end ? b_begin : a_begin) + i;
+      case BlockKind::kAntiMatchingGrid: {
+        const std::size_t vi = (v - base) / stride;
+        const std::size_t vr = (v - base) % stride;
+        std::size_t j = i / (row_len - 1);
+        std::size_t c = i % (row_len - 1);
+        if (j >= vi) ++j;
+        if (c >= vr) ++c;
+        return base + j * stride + c;
+      }
+    }
+    return kNoNode;
   }
 
   /// Smallest neighbor of member v with id > x, or kNoNode.

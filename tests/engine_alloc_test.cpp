@@ -10,13 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <memory>
+#include <vector>
 
 #include "comm/blackboard.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
+#include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/alloc_hook.hpp"
@@ -166,6 +169,75 @@ TEST(EngineAlloc, EnabledTracingStaysAllocationFree) {
   EXPECT_GT(tracer.recorded(), 0u);
   EXPECT_GT(tracer.dropped(), 0u) << "ring should have wrapped in this run";
   EXPECT_EQ(metrics.counter("engine.rounds").value(), 108u);
+}
+
+/// Broadcast-only flood that reads its inbox by index at the front, middle
+/// and back — on a hybrid topology each read is a Topology::neighbor_at
+/// select over the node's merged sources.
+class IndexedProbeFlood final : public NodeProgram {
+ public:
+  void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
+             Rng&) override {
+    if (!inbox.empty()) {
+      for (std::size_t i : {std::size_t{0}, inbox.size() / 2,
+                            inbox.size() - 1}) {
+        if (inbox[i]) ++heard_;
+      }
+    }
+    if (!info.neighbors.empty()) {
+      outbox.send_all(
+          std::move(MessageWriter().put(info.id & 0xFFFF, 16)).finish());
+    }
+  }
+  bool finished() const override { return false; }
+  std::int64_t output() const override {
+    return static_cast<std::int64_t>(heard_);
+  }
+
+ private:
+  std::size_t heard_ = 0;
+};
+
+TEST(EngineAlloc, HybridIndexedInboxReadsAllocateNothing) {
+  // Implicit blocks: a 4 x 8 anti-matching grid whose rows are also clique
+  // blocks (grid nodes merge two sources), a hub in more bicliques than
+  // neighbor_at gathers on its stack, and random explicit edges.
+  graph::Graph g(96);
+  g.set_implicit_block_threshold(1);
+  g.add_anti_matching_grid(0, 8, 4, 8);
+  for (graph::NodeId row = 0; row < 4; ++row) {
+    std::vector<graph::NodeId> members(8);
+    for (graph::NodeId c = 0; c < 8; ++c) members[c] = row * 8 + c;
+    g.add_clique(members);
+  }
+  for (graph::NodeId i = 0; i < 12; ++i) {
+    g.add_implicit_block(
+        graph::ImplicitBlock::biclique(40, 41, 42 + 2 * i, 44 + 2 * i));
+  }
+  Rng rng(77);
+  for (std::size_t e = 0; e < 150; ++e) {
+    const auto u = static_cast<graph::NodeId>(rng.range(0, 95));
+    const auto v = static_cast<graph::NodeId>(rng.range(0, 95));
+    if (u == v || g.has_edge(u, v)) continue;
+    g.add_edge(std::min(u, v), std::max(u, v));
+  }
+  NetworkConfig cfg;
+  cfg.bits_per_edge = 16;
+  cfg.broadcast_only = true;
+  cfg.max_rounds = 1'000'000;
+  Network net(g, [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<IndexedProbeFlood>();
+  }, cfg);
+  ASSERT_TRUE(net.topology().has_implicit());
+
+  net.run_rounds(8);
+
+  const auto before = allochook::allocation_count();
+  net.run_rounds(100);
+  const auto after = allochook::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "hybrid indexed inbox reads allocated " << (after - before)
+      << " times over 100 steady-state rounds";
 }
 
 TEST(EngineAlloc, BlackboardCutPostsOnlyGrowArenas) {

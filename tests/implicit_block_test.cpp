@@ -80,6 +80,11 @@ void check_block(const ImplicitBlock& b, NodeId n) {
     }
     ASSERT_EQ(walked, list) << "neighbor_after chain of " << v;
 
+    // select is the inverse of count_leq: the i-th smallest neighbor.
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      ASSERT_EQ(b.select(v, i), list[i]) << "select(" << v << "," << i << ")";
+    }
+
     std::vector<NodeId> visited;
     b.for_each_neighbor(v, [&](NodeId u) { visited.push_back(u); });
     ASSERT_EQ(visited, list) << "for_each_neighbor of " << v;

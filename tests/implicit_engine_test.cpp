@@ -22,6 +22,7 @@
 #include "graph/graph.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/params.hpp"
+#include "support/expect.hpp"
 #include "support/rng.hpp"
 
 namespace congestlb::congest {
@@ -60,7 +61,7 @@ class MixFlood final : public NodeProgram {
     for (const auto& m : inbox) {
       if (m) mix += MessageReader(*m).get(24);
     }
-    // Random access through the hybrid Inbox's counting-select path too.
+    // Random access through the hybrid Inbox's select path too.
     if (inbox.size() > 1) {
       const auto& probe = inbox[inbox.size() / 2];
       if (probe) mix ^= MessageReader(*probe).get(24);
@@ -171,7 +172,7 @@ TEST(ImplicitEngine, NeighborsViewMatchesMaterializedSpans) {
     NeighborsView hv(bt.get(), v, bt->total_degree(v));
     NeighborsView dv(dt->neighbors.data() + dt->offsets[v], dt->degree(v));
     ASSERT_EQ(hv.size(), dv.size());
-    // Indexed access (counting-select) and iteration (neighbor_after chain).
+    // Indexed access (neighbor_at) and iteration (neighbor_after chain).
     for (std::size_t i = 0; i < hv.size(); ++i) {
       ASSERT_EQ(hv[i], dv[i]) << "node " << v << " slot " << i;
     }
@@ -182,6 +183,80 @@ TEST(ImplicitEngine, NeighborsViewMatchesMaterializedSpans) {
   // Shard boundaries balance on the same merged costs.
   for (std::size_t shards : {1, 2, 5, 16}) {
     EXPECT_EQ(edge_tiled_shards(*bt, shards), edge_tiled_shards(*dt, shards));
+  }
+}
+
+/// Every merged-set select of the hybrid topology of `blocked` equals the
+/// CSR entry of its materialized twin, for every node and every slot.
+void expect_selects_match_materialized(const graph::Graph& blocked) {
+  const auto bt = Topology::build(blocked);
+  const auto dt = Topology::build(blocked.materialized());
+  ASSERT_TRUE(bt->has_implicit());
+  for (graph::NodeId v = 0; v < bt->n; ++v) {
+    const auto dense = dt->neighbors_of(v);
+    ASSERT_EQ(bt->total_degree(v), dense.size()) << "node " << v;
+    for (std::size_t s = 0; s < dense.size(); ++s) {
+      ASSERT_EQ(bt->neighbor_at(v, s), dense[s])
+          << "node " << v << " slot " << s;
+    }
+  }
+}
+
+/// Most implicit blocks holding any one node.
+std::size_t max_blocks_per_node(const graph::Graph& g) {
+  std::size_t most = 0;
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto& blocks = g.implicit_blocks();
+    const auto held = static_cast<std::size_t>(
+        std::count_if(blocks.begin(), blocks.end(),
+                      [v](const graph::ImplicitBlock& b) {
+                        return b.contains(v);
+                      }));
+    most = std::max(most, held);
+  }
+  return most;
+}
+
+TEST(ImplicitEngine, NeighborAtMatchesMaterializedOnMultiBlockNodes) {
+  // Blocked G_xbar: code nodes sit in a C_h clique block AND a grid block,
+  // so their selects merge several sources.
+  const auto params = lb::GadgetParams::from_l_alpha(3, 1);
+  lb::BuildOptions opts;
+  opts.implicit_threshold = 1;
+  opts.skip_labels = true;
+  for (std::size_t t : {2, 3, 5}) {
+    SCOPED_TRACE(t);
+    const lb::LinearConstruction blocked(params, t, opts);
+    ASSERT_GE(max_blocks_per_node(blocked.fixed_graph()), 2u);
+    expect_selects_match_materialized(blocked.fixed_graph());
+  }
+  for (std::uint64_t seed : {1ULL, 7ULL, 1234ULL}) {
+    SCOPED_TRACE(seed);
+    expect_selects_match_materialized(mixed_graph(seed, 40));
+  }
+  // A hub in more blocks than neighbor_at gathers on its stack (12 one-node
+  // bicliques), whose partners also share row cliques, plus explicit edges
+  // on both sides of the block ids.
+  graph::Graph hub(40);
+  hub.set_implicit_block_threshold(1);
+  for (graph::NodeId i = 0; i < 12; ++i) {
+    hub.add_implicit_block(
+        graph::ImplicitBlock::biclique(10, 11, 12 + 2 * i, 14 + 2 * i));
+  }
+  hub.add_clique(std::vector<graph::NodeId>{12, 13, 14, 15});
+  for (graph::NodeId u : {0, 3, 9, 36, 39}) hub.add_edge(u, 10);
+  hub.add_edge(12, 37);
+  ASSERT_EQ(max_blocks_per_node(hub), 12u);
+  expect_selects_match_materialized(hub);
+}
+
+TEST(ImplicitEngine, NeighborAtRejectsSlotPastMergedDegree) {
+  const auto bt = Topology::build(mixed_graph(7, 10));
+  ASSERT_TRUE(bt->has_implicit());
+  for (graph::NodeId v = 0; v < bt->n; ++v) {
+    const std::size_t d = bt->total_degree(v);
+    EXPECT_THROW(bt->neighbor_at(v, d), InvariantError) << "node " << v;
+    EXPECT_THROW(bt->neighbor_at(v, d + 7), InvariantError) << "node " << v;
   }
 }
 
