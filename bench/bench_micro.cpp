@@ -350,7 +350,7 @@ void BM_SimdPack(benchmark::State& state, clb::simd::Level level) {
 }
 
 /// Bulk delivery accounting over 16Ki directed slots (the network.cpp
-/// fault-free fast path: delivered count, bits total, per-slot bits).
+/// unobserved fast path: delivered count, bits total, per-slot bits).
 void BM_SimdDeliverAccount(benchmark::State& state, clb::simd::Level level) {
   constexpr std::size_t kSlots = 16384;
   std::vector<std::uint8_t> kinds(kSlots);

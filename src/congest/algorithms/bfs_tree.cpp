@@ -1,6 +1,5 @@
 #include "congest/algorithms/bfs_tree.hpp"
 
-#include "support/expect.hpp"
 #include "support/math.hpp"
 
 namespace congestlb::congest {
@@ -48,84 +47,11 @@ class BfsLevelProgram final : public NodeProgram {
   bool announced_ = false;
 };
 
-/// The retrying variant: re-broadcast the current best level every round
-/// until the deadline, believe only checksummed messages, keep the minimum.
-class FaultTolerantBfsProgram final : public NodeProgram {
- public:
-  FaultTolerantBfsProgram(graph::NodeId root, std::size_t deadline)
-      : root_(root), deadline_(deadline) {}
-
-  void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
-             Rng&) override {
-    if (level_bits_ == 0) {
-      level_bits_ = static_cast<std::size_t>(
-          std::max(1, ceil_log2(std::max<std::size_t>(2, info.n + 1))));
-      // Spend up to 4 bits on the checksum, fewer on very narrow edges.
-      CLB_EXPECT(info.bits_per_edge > level_bits_,
-                 "fault-tolerant BFS: bandwidth too small for level + checksum");
-      checksum_bits_ = std::min<std::size_t>(4, info.bits_per_edge - level_bits_);
-      if (deadline_ == 0) deadline_ = 3 * info.n + 16;
-      if (info.id == root_) level_ = 0;
-    }
-    for (const auto& msg : inbox) {
-      if (!msg) continue;
-      MessageReader r(*msg);
-      const std::uint64_t heard = r.get(level_bits_);
-      if (r.get(checksum_bits_) != fold_checksum(heard, checksum_bits_)) {
-        continue;  // corrupted in flight — retry will bring a clean copy
-      }
-      if (heard + 1 < level_) level_ = heard + 1;
-    }
-    ++rounds_seen_;
-    if (rounds_seen_ >= deadline_) {
-      done_ = true;
-      return;
-    }
-    // Retry logic: announce the best known level every round — a dropped
-    // announcement is simply re-sent next round.
-    if (level_ != kUnset && !info.neighbors.empty()) {
-      outbox.send_all(std::move(MessageWriter()
-                                    .put(level_, level_bits_)
-                                    .put(fold_checksum(level_, checksum_bits_),
-                                         checksum_bits_))
-                          .finish());
-    }
-  }
-
-  bool finished() const override { return done_ && level_ != kUnset; }
-  bool failed() const override { return done_ && level_ == kUnset; }
-  std::string diagnostic() const override {
-    if (!failed()) return {};
-    return "BFS level never heard from root " + std::to_string(root_) +
-           " within " + std::to_string(deadline_) + " rounds";
-  }
-  std::int64_t output() const override {
-    return level_ == kUnset ? 0 : static_cast<std::int64_t>(level_ + 1);
-  }
-
- private:
-  static constexpr std::uint64_t kUnset = ~0ULL;
-  graph::NodeId root_;
-  std::size_t deadline_;
-  std::uint64_t level_ = kUnset;
-  std::size_t level_bits_ = 0;
-  std::size_t checksum_bits_ = 0;
-  std::size_t rounds_seen_ = 0;
-  bool done_ = false;
-};
-
 }  // namespace
 
 ProgramFactory bfs_level_factory(graph::NodeId root) {
   return [root](graph::NodeId, const NodeInfo&) {
     return std::make_unique<BfsLevelProgram>(root);
-  };
-}
-
-ProgramFactory fault_tolerant_bfs_factory(graph::NodeId root,
-                                          std::size_t deadline_rounds) {
-  return [root, deadline_rounds](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<FaultTolerantBfsProgram>(root, deadline_rounds);
   };
 }
 

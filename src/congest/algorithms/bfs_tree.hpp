@@ -5,14 +5,6 @@
 // message per edge per direction. Foundation for the convergecast
 // aggregation (aggregate.hpp) and a standard sanity workload for the
 // simulator. Requires a connected graph (unreached nodes never finish).
-//
-// The fault-tolerant variant survives the adversarial schedules of
-// faults.hpp: nodes re-broadcast their best level every round (lost
-// messages are retried for free), adopt the *minimum* level ever heard
-// (late or duplicated announcements cannot inflate a level), checksum their
-// payload (corrupted announcements are discarded, not believed), and stop
-// at a round deadline — finished() with the converged layering, or
-// failed() with a diagnostic when the root was never heard.
 
 #pragma once
 
@@ -23,12 +15,5 @@ namespace congestlb::congest {
 /// Program outputs: every node's output() is its BFS level + 1 (so the
 /// root outputs 1); nodes that never hear from the root output 0.
 ProgramFactory bfs_level_factory(graph::NodeId root);
-
-/// Retry/timeout BFS layering for faulty networks. Same outputs as
-/// bfs_level_factory; every node terminates by `deadline_rounds` (0 = auto:
-/// 3n + 16, enough for 5%-drop schedules on any connected topology), either
-/// finished() with a level or failed() with a diagnostic.
-ProgramFactory fault_tolerant_bfs_factory(graph::NodeId root,
-                                          std::size_t deadline_rounds = 0);
 
 }  // namespace congestlb::congest

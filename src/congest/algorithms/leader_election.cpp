@@ -1,6 +1,5 @@
 #include "congest/algorithms/leader_election.hpp"
 
-#include "support/expect.hpp"
 #include "support/math.hpp"
 
 namespace congestlb::congest {
@@ -52,89 +51,11 @@ class LeaderElectionProgram final : public NodeProgram {
   bool done_ = false;
 };
 
-/// The retrying variant: flood the best id every round until the deadline,
-/// believe only checksummed floods.
-class FaultTolerantLeaderProgram final : public NodeProgram {
- public:
-  explicit FaultTolerantLeaderProgram(std::size_t deadline)
-      : deadline_(deadline) {}
-
-  void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
-             Rng&) override {
-    if (id_bits_ == 0) {
-      id_bits_ = static_cast<std::size_t>(
-          std::max(1, ceil_log2(std::max<std::size_t>(2, info.n))));
-      CLB_EXPECT(info.bits_per_edge > id_bits_,
-                 "fault-tolerant election: bandwidth too small for id + "
-                 "checksum");
-      checksum_bits_ = std::min<std::size_t>(4, info.bits_per_edge - id_bits_);
-      if (deadline_ == 0) deadline_ = 2 * info.n + 16;
-      best_ = info.id;
-      my_id_ = info.id;
-    }
-    for (const auto& msg : inbox) {
-      if (!msg) continue;
-      MessageReader r(*msg);
-      const std::uint64_t candidate = r.get(id_bits_);
-      if (r.get(checksum_bits_) != fold_checksum(candidate, checksum_bits_)) {
-        continue;  // corrupted flood — the sender will retry next round
-      }
-      heard_valid_ = true;
-      if (candidate > best_) best_ = candidate;
-    }
-    ++rounds_seen_;
-    if (rounds_seen_ >= deadline_) {
-      done_ = true;
-      return;
-    }
-    // Retry logic: re-flood the best id every round, improvement or not —
-    // under message loss the one announcement of the true maximum may have
-    // been the one that was dropped.
-    if (!info.neighbors.empty()) {
-      outbox.send_all(std::move(MessageWriter()
-                                    .put(best_, id_bits_)
-                                    .put(fold_checksum(best_, checksum_bits_),
-                                         checksum_bits_))
-                          .finish());
-    }
-    has_neighbors_ = !info.neighbors.empty();
-  }
-
-  bool finished() const override { return done_ && !isolated(); }
-  bool failed() const override { return done_ && isolated(); }
-  std::string diagnostic() const override {
-    if (!failed()) return {};
-    return "leader election: no valid message received in " +
-           std::to_string(deadline_) + " rounds (isolated by faults)";
-  }
-  std::int64_t output() const override { return best_ == my_id_ ? 1 : 0; }
-
- private:
-  bool isolated() const { return has_neighbors_ && !heard_valid_; }
-
-  std::size_t deadline_;
-  std::uint64_t best_ = 0;
-  std::uint64_t my_id_ = ~0ULL;
-  std::size_t id_bits_ = 0;
-  std::size_t checksum_bits_ = 0;
-  std::size_t rounds_seen_ = 0;
-  bool heard_valid_ = false;
-  bool has_neighbors_ = false;
-  bool done_ = false;
-};
-
 }  // namespace
 
 ProgramFactory leader_election_factory() {
   return [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<LeaderElectionProgram>();
-  };
-}
-
-ProgramFactory fault_tolerant_leader_election_factory(
-    std::size_t deadline_rounds) {
-  return [deadline_rounds](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<FaultTolerantLeaderProgram>(deadline_rounds);
   };
 }
 

@@ -5,13 +5,6 @@
 // stabilized network-wide (any id travels at most D < n hops), so nodes
 // stop. O(n) rounds worst case, O(D) until stabilization; one O(log n)-bit
 // message per improvement.
-//
-// The fault-tolerant variant re-broadcasts its current best *every* round
-// (not only on improvement — a dropped improvement would otherwise never be
-// retried), checksums the id so corrupted floods cannot forge a leader, and
-// runs for an extended deadline sized for lossy links. A node that has
-// neighbors yet never receives a single valid message reports failed()
-// ("isolated by faults") instead of silently electing itself.
 
 #pragma once
 
@@ -23,10 +16,5 @@ namespace congestlb::congest {
 /// connected component), 0 otherwise — so Network::selected_nodes()
 /// returns exactly the leaders.
 ProgramFactory leader_election_factory();
-
-/// Retry/timeout max-id flooding for faulty networks. Same outputs;
-/// terminates by `deadline_rounds` (0 = auto: 2n + 16).
-ProgramFactory fault_tolerant_leader_election_factory(
-    std::size_t deadline_rounds = 0);
 
 }  // namespace congestlb::congest

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "congest/algorithms/mis_common.hpp"
-#include "support/expect.hpp"
 #include "support/math.hpp"
 
 namespace congestlb::congest {
@@ -97,160 +96,11 @@ class LubyMisProgram final : public NodeProgram {
   bool finished_ = false;
 };
 
-/// Luby with an evaluation gate for faulty networks: the lottery is decided
-/// only on rounds with a complete, checksum-valid picture of the undecided
-/// neighborhood, and everything is bounded by a round deadline.
-class FaultTolerantLubyProgram final : public NodeProgram {
- public:
-  explicit FaultTolerantLubyProgram(std::size_t deadline)
-      : deadline_(deadline) {}
-
-  void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
-             Rng& rng) override {
-    if (key_bits_ == 0) {
-      neighbor_state_.assign(info.neighbors.size(), IsState::kUndecided);
-      neighbor_key_.assign(info.neighbors.size(), 0);
-      key_bits_ = 2 * static_cast<std::size_t>(
-                          std::max(1, ceil_log2(std::max<std::size_t>(2, info.n)))) +
-                  2;
-      // Message layout: 2 state bits + key + checksum.
-      CLB_EXPECT(info.bits_per_edge > 2 + 1,
-                 "fault-tolerant Luby: bandwidth too small");
-      checksum_bits_ =
-          std::min<std::size_t>(4, (info.bits_per_edge - 2) / 2);
-      if (key_bits_ + 2 + checksum_bits_ > info.bits_per_edge) {
-        key_bits_ = info.bits_per_edge - 2 - checksum_bits_;
-      }
-      key_bits_ = std::min<std::size_t>(key_bits_, 62);
-      if (deadline_ == 0) {
-        deadline_ = 24 * static_cast<std::size_t>(std::max(
-                             1, ceil_log2(std::max<std::size_t>(2, info.n)))) +
-                    40;
-      }
-    }
-
-    // Read the fresh, integrity-checked view of the neighborhood. The
-    // payload checksum covers state and key together, so a flipped state
-    // bit cannot smuggle a bogus kIn/kOut through.
-    std::vector<char> fresh(info.neighbors.size(), 0);
-    for (std::size_t s = 0; s < inbox.size(); ++s) {
-      if (!inbox[s]) continue;
-      MessageReader r(*inbox[s]);
-      const std::uint64_t state_raw = r.get(2);
-      const std::uint64_t key = r.get(key_bits_);
-      const std::uint64_t payload = (key << 2) | state_raw;
-      if (state_raw > 2 ||
-          r.get(checksum_bits_) != fold_checksum(payload, checksum_bits_)) {
-        continue;  // corrupted — treat the slot as silent this round
-      }
-      neighbor_state_[s] = static_cast<IsState>(state_raw);
-      neighbor_key_[s] = key;
-      fresh[s] = 1;
-    }
-
-    if (state_ == IsState::kUndecided) {
-      for (IsState s : neighbor_state_) {
-        if (s == IsState::kIn) {
-          state_ = IsState::kOut;
-          break;
-        }
-      }
-    }
-    // Evaluation gate: join only when every still-undecided neighbor spoke
-    // this very round — comparing against a stale key of a neighbor that
-    // has since joined would break independence.
-    if (state_ == IsState::kUndecided && announced_key_) {
-      bool complete = true;
-      bool win = true;
-      for (std::size_t s = 0; s < neighbor_state_.size(); ++s) {
-        if (neighbor_state_[s] != IsState::kUndecided) continue;
-        if (!fresh[s]) {
-          complete = false;
-          break;
-        }
-        const auto their = std::pair(neighbor_key_[s], info.neighbors[s]);
-        const auto mine = std::pair(current_key_, info.id);
-        if (their >= mine) win = false;
-      }
-      if (complete && win) state_ = IsState::kIn;
-    }
-
-    ++rounds_seen_;
-    if (rounds_seen_ >= deadline_) {
-      done_ = true;
-      return;
-    }
-    const bool neighbors_decided = [&] {
-      for (IsState s : neighbor_state_) {
-        if (s == IsState::kUndecided) return false;
-      }
-      return true;
-    }();
-    if (state_ != IsState::kUndecided && neighbors_decided &&
-        announced_final_) {
-      done_ = true;
-      return;
-    }
-    if (state_ == IsState::kUndecided) {
-      current_key_ = rng.next() & ((1ULL << key_bits_) - 1);
-    }
-    const std::uint64_t payload =
-        (current_key_ << 2) | static_cast<std::uint64_t>(state_);
-    outbox.send_all(std::move(MessageWriter()
-                                  .put(static_cast<std::uint64_t>(state_), 2)
-                                  .put(current_key_, key_bits_)
-                                  .put(fold_checksum(payload, checksum_bits_),
-                                       checksum_bits_))
-                        .finish());
-    announced_key_ = true;
-    if (state_ != IsState::kUndecided) announced_final_ = true;
-  }
-
-  bool finished() const override {
-    return done_ && state_ != IsState::kUndecided;
-  }
-  bool failed() const override {
-    return done_ && state_ == IsState::kUndecided;
-  }
-  std::string diagnostic() const override {
-    if (!failed()) return {};
-    std::size_t undecided = 0;
-    for (IsState s : neighbor_state_) {
-      if (s == IsState::kUndecided) ++undecided;
-    }
-    return "Luby MIS: still undecided after " + std::to_string(deadline_) +
-           " rounds (" + std::to_string(undecided) +
-           " neighbors last known undecided)";
-  }
-  std::int64_t output() const override {
-    return state_ == IsState::kIn ? 1 : 0;
-  }
-
- private:
-  std::size_t deadline_;
-  IsState state_ = IsState::kUndecided;
-  std::vector<IsState> neighbor_state_;
-  std::vector<std::uint64_t> neighbor_key_;
-  std::uint64_t current_key_ = 0;
-  std::size_t key_bits_ = 0;
-  std::size_t checksum_bits_ = 0;
-  std::size_t rounds_seen_ = 0;
-  bool announced_key_ = false;
-  bool announced_final_ = false;
-  bool done_ = false;
-};
-
 }  // namespace
 
 ProgramFactory luby_mis_factory() {
   return [](NodeId, const NodeInfo&) {
     return std::make_unique<LubyMisProgram>();
-  };
-}
-
-ProgramFactory fault_tolerant_luby_mis_factory(std::size_t deadline_rounds) {
-  return [deadline_rounds](NodeId, const NodeInfo&) {
-    return std::make_unique<FaultTolerantLubyProgram>(deadline_rounds);
   };
 }
 

@@ -18,15 +18,4 @@ namespace congestlb::congest {
 /// bits, clamped so the whole message fits the network's per-edge budget.
 ProgramFactory luby_mis_factory();
 
-/// Fault-tolerant Luby MIS for lossy/corrupting networks (faults.hpp).
-/// Safety under message loss comes from an evaluation gate: a node enters
-/// the lottery only in rounds where it received a fresh, checksum-valid
-/// message from *every* undecided neighbor — stale keys are never compared,
-/// so two adjacent nodes can never both join. Lost messages are retried by
-/// the every-round re-broadcast the base algorithm already does. Every node
-/// terminates by `deadline_rounds` (0 = auto: 24*ceil(log2 n) + 40);
-/// decided nodes report finished(), still-undecided ones failed() with a
-/// diagnostic. The decided subset is always independent.
-ProgramFactory fault_tolerant_luby_mis_factory(std::size_t deadline_rounds = 0);
-
 }  // namespace congestlb::congest

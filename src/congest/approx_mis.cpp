@@ -113,8 +113,8 @@ class ApproxMisProgram final : public NodeProgram {
     const bool final_state = state_ == State::kIn || state_ == State::kOut;
     if (round_index_ >= deadline) {
       // A final node's verdict is monotone and already announced — at the
-      // deadline it simply stops (it may never see a crashed neighbor turn
-      // sticky-final). Only a node still undecided/pending gives up.
+      // deadline it simply stops. Only a node still undecided/pending gives
+      // up.
       if (final_state && announced_final_) {
         finished_ = true;
       } else {
@@ -136,13 +136,6 @@ class ApproxMisProgram final : public NodeProgram {
   bool failed() const override { return failed_; }
   std::int64_t output() const override {
     return state_ == State::kIn ? 1 : 0;
-  }
-  std::string diagnostic() const override {
-    if (!failed_) return {};
-    return "approx-mis: undecided at deadline (epoch " +
-           std::to_string(epoch_) + ", " +
-           std::to_string(num_nodes_known_) + "/" + std::to_string(n_) +
-           " node tokens known)";
   }
 
  private:
@@ -190,7 +183,6 @@ class ApproxMisProgram final : public NodeProgram {
     degree_[id] = deg;
     weight_[id] = w;
     weight_seen_ += static_cast<graph::Weight>(w);
-    ++num_nodes_known_;
     tokens_.push_back(Token{TokKind::kNode, id, deg, w});
   }
 
@@ -203,8 +195,8 @@ class ApproxMisProgram final : public NodeProgram {
   }
 
   void add_decision(std::uint64_t id, bool in) {
-    // Monotone: none -> In -> Out; Out is sticky (the safe direction when
-    // carves ever conflict under faults).
+    // Monotone: none -> In -> Out; Out is sticky (the safe direction if
+    // two carves ever conflict).
     if (in) {
       if (decision_[id] != 0) return;
       decision_[id] = 1;
@@ -235,7 +227,7 @@ class ApproxMisProgram final : public NodeProgram {
       }
       while (r.remaining() >= 1) {
         if (r.get(1) == 0) break;
-        if (r.remaining() < token_bits_) break;  // truncated/corrupt tail
+        if (r.remaining() < token_bits_) break;  // truncated tail
         Token t;
         t.kind = static_cast<TokKind>(r.get(2));
         t.a = r.get(id_bits_);
@@ -259,7 +251,7 @@ class ApproxMisProgram final : public NodeProgram {
         if (t.a < n_ && (t.b == 1 || t.b == 2)) add_decision(t.a, t.b == 1);
         break;
       default:
-        break;  // unknown kind (corrupt) — drop
+        break;  // unknown kind — ignore
     }
   }
 
@@ -272,7 +264,7 @@ class ApproxMisProgram final : public NodeProgram {
       state_ = State::kPendingIn;
     }
     // A neighbor that finalized In forces us out (its carve decided us Out;
-    // if that token was lost this is the safe reconstruction).
+    // this reconstructs that verdict if its token has not reached us yet).
     if (state_ != State::kIn) {
       for (std::uint8_t st : sticky_) {
         if (st == 1) {
@@ -285,7 +277,7 @@ class ApproxMisProgram final : public NodeProgram {
 
   /// A pending-In node may finalize only in a round where every neighbor is
   /// known-final or spoke a checksum-valid frame this very round; adjacent
-  /// pending-Ins (possible only under faults) resolve by smaller id first.
+  /// pending-Ins resolve by smaller id first.
   void run_finalize_gate(const NodeInfo& info) {
     for (std::size_t s = 0; s < sticky_.size(); ++s) {
       if (sticky_[s] == 1) {
@@ -501,7 +493,6 @@ class ApproxMisProgram final : public NodeProgram {
   std::vector<std::uint8_t> decision_;  ///< 0 none / 1 In / 2 Out
   std::vector<std::vector<NodeId>> adj_;
   std::unordered_set<std::uint64_t> edge_known_;
-  std::size_t num_nodes_known_ = 0;
   graph::Weight weight_seen_ = 0;  ///< monotone; drives the auto deadline
 
   State state_ = State::kUndecided;

@@ -11,8 +11,12 @@
 // shell B(r+1). Charging every optimal vertex to the carve that removed it
 // gives w(ALG) >= OPT/(1+eps); concurrent carves are kept disjoint by an
 // id-based election over live distance, and the commit itself goes through
-// a checksummed pending-in handshake (the fault-tolerant-Luby gate idiom)
-// so the output is an independent set even under message loss.
+// a pending-in handshake: a node finalizes In only in a round where every
+// neighbor is known-final or spoke a valid frame that very round, so the
+// output is an independent set. Frames and tokens carry fold_checksum
+// fields; the engine delivers them intact, and the bits stay because they
+// are part of the message layout — dropping them would change every
+// message size and hence the recorded round and bit counts.
 //
 // Bandwidth scaling makes the LOCAL/CONGEST separation quantitative: with
 // approx_mis_local_bits() per edge every token moves one hop per round and
@@ -23,11 +27,10 @@
 // unavoidable. The epoch schedule is a pure function of (n, bits_per_edge),
 // so runs are bit-identical across thread counts like every engine program.
 //
-// Complexity envelopes (validated by tests/approx_contract.hpp): a
-// fault-free run terminates within approx_mis_round_bound(...) rounds and
-// satisfies w(ALG) * (den+num) >= OPT * den for eps = num/den; under faults
-// the independence of the finished output set still holds, and nodes that
-// cannot converge report failed() at a deadline instead of spinning.
+// Complexity envelopes (validated by tests/approx_contract.hpp): a run
+// terminates within approx_mis_round_bound(...) rounds and satisfies
+// w(ALG) * (den+num) >= OPT * den for eps = num/den. A node still
+// undecided at its round deadline reports failed() instead of spinning.
 
 #pragma once
 
@@ -62,7 +65,7 @@ std::size_t approx_mis_local_bits(std::size_t n, graph::Weight max_weight);
 /// worst-case pending tokens divided by tokens forwarded per edge-round.
 std::size_t approx_mis_sigma(std::size_t n, std::size_t bits_per_edge);
 
-/// Upper bound on the rounds a fault-free run takes: the epoch schedule
+/// Upper bound on the rounds a run takes: the epoch schedule
 /// summed to the epoch by which every component must have been fully
 /// carved (total_weight bounds the log_{1+eps} ball-growth plateau count).
 std::size_t approx_mis_round_bound(std::size_t n, graph::Weight total_weight,

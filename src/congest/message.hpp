@@ -126,12 +126,13 @@ class MessageWriter {
 };
 
 /// A `width`-bit integrity checksum of `value` (width in [1,16]): the low
-/// bits of a 64-bit mix of the value. Fault-tolerant algorithms append it to
-/// their payload so that in-budget bit corruption (faults.hpp) is detected
-/// and the message discarded, rather than a flipped bit silently becoming a
-/// wrong BFS level or a forged leader id. A width-w checksum misses a given
-/// corruption with probability 2^-w; callers pick the width they can afford
-/// within the CONGEST budget.
+/// bits of a 64-bit mix of the value. approx_mis appends it to its status
+/// frames and knowledge tokens and drops any that fail the check. The
+/// engine delivers every message intact, so the check always passes; the
+/// field stays because it is part of approx_mis's message layout, and
+/// removing it would change every message size and with it the recorded
+/// round and bit counts (tests/golden/bench_approx_rows.json). A width-w
+/// checksum misses a given corruption with probability 2^-w.
 std::uint64_t fold_checksum(std::uint64_t value, std::size_t width);
 
 /// Sequential bit reader over a Message.

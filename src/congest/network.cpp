@@ -33,8 +33,8 @@ Outbox::Outbox(std::size_t num_neighbors, std::size_t cap_bits)
 void Outbox::send(std::size_t slot, const Message& msg) {
   CLB_EXPECT(slot < count_, "Outbox: neighbor slot out of range");
   CLB_EXPECT(msg.bits > 0, "Outbox: refusing to send an empty message");
-  // The model constraint is checked at send time, faults or not: a program
-  // that oversends is buggy even if the message would be lost.
+  // The model constraint is checked at send time, so the error surfaces
+  // inside the offending program's round() rather than at delivery.
   CLB_EXPECT(msg.bits <= cap_bits_,
              "CONGEST bandwidth exceeded: message of " +
                  std::to_string(msg.bits) + " bits on a " +
@@ -81,13 +81,6 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
                        ? config_.bits_per_edge
                        : congest_bandwidth_bits(topo_->n);
   CLB_EXPECT(bits_per_edge_ >= 1, "Network: bandwidth must be positive");
-  if (config_.faults.enabled()) {
-    CLB_EXPECT(!hybrid_,
-               "fault injection requires a materialized topology (implicit "
-               "blocks deliver by reference; per-edge faults need per-edge "
-               "slots)");
-    injector_.emplace(config_.faults, topo_->n, config_.seed);
-  }
   if (hybrid_) {
     // Per-edge trace events and per-delivery metric observations are
     // O(total degree) — the very cost implicit blocks exist to avoid.
@@ -114,13 +107,9 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     in_msgs_.resize(slots);
     out_kind_.assign(slots, 0);
     out_msgs_.resize(slots);
-    echo_kind_.assign(slots, 0);
-    echo_msgs_.resize(slots);
     dbits_.assign(slots, 0);
     in_bits_.assign(slots, 0);
   }
-  was_crashed_.assign(n, 0);
-  crashed_now_.assign(n, 0);
 
   num_shards_ = pool_.num_threads();
   shard_range_ = edge_tiled_shards(*topo_, num_shards_);
@@ -153,20 +142,15 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     tracer_ = config_.tracer;
     trace_sends_ = tracer_->config().record_sends;
     // Stage capacity: the most events one shard can emit in one phase of
-    // one round — compute emits at most one send per out slot plus one
-    // crash/recover mark per node; deliver emits at most a fresh-message
-    // event plus an echo event per inbound slot.
+    // one round — compute emits at most one send per out slot, deliver at
+    // most one delivery per inbound slot.
     std::size_t max_stage = 0;
     for (std::size_t s = 0; s < num_shards_; ++s) {
       const auto [begin, end] = shard_range_[s];
-      const std::size_t shard_slots =
-          topo_->offsets[end] - topo_->offsets[begin];
-      max_stage = std::max(max_stage, 2 * shard_slots + (end - begin) + 4);
+      max_stage = std::max(max_stage,
+                           topo_->offsets[end] - topo_->offsets[begin]);
     }
     tracer_->bind(num_shards_, max_stage);
-    if (injector_.has_value()) {
-      trace_crash_schedule(injector_->plan(), *tracer_);
-    }
   }
   if (config_.metrics) {
     obs::MetricsRegistry& reg = *config_.metrics;
@@ -174,55 +158,17 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     em_.rounds = &reg.counter("engine.rounds");
     em_.messages_delivered = &reg.counter("engine.messages_delivered");
     em_.bits_delivered = &reg.counter("engine.bits_delivered");
-    em_.messages_dropped = &reg.counter("engine.messages_dropped");
-    em_.bits_dropped = &reg.counter("engine.bits_dropped");
-    em_.messages_corrupted = &reg.counter("engine.messages_corrupted");
-    em_.messages_duplicated = &reg.counter("engine.messages_duplicated");
-    em_.crashes = &reg.counter("engine.crashes");
-    em_.recoveries = &reg.counter("engine.recoveries");
     em_.inflight = &reg.gauge("engine.inflight_messages");
     em_.message_bits =
         &reg.histogram("engine.message_bits", {8, 16, 32, 64, 128, 256});
   }
 }
 
-bool Network::receiver_lost(NodeId v, std::size_t consume_round) const {
-  return injector_.has_value() && injector_->node_crashed(v, consume_round);
-}
-
 void Network::compute_shard(std::size_t shard) {
   try {
     const auto [begin, end] = shard_range_[shard];
-    ShardCounters& sc = shard_[shard];
     const std::size_t round = stats_.rounds;
     for (NodeId v = begin; v < end; ++v) {
-      // Crash bookkeeping: record crash/recovery transitions for this round.
-      if (injector_.has_value()) {
-        const std::uint8_t c = injector_->node_crashed(v, round) ? 1 : 0;
-        if (c && !was_crashed_[v]) {
-          sc.crashes += 1;
-          if (em_.crashes) em_.crashes->add(1, shard);
-          if (trace_round_) {
-            tracer_->emit_shard(0, shard,
-                                {0, trnd(round), tid(v), obs::TraceEvent::kNone,
-                                 obs::EventKind::kCrash});
-          }
-        }
-        if (!c && was_crashed_[v]) {
-          sc.recoveries += 1;
-          if (em_.recoveries) em_.recoveries->add(1, shard);
-          if (trace_round_) {
-            tracer_->emit_shard(0, shard,
-                                {0, trnd(round), tid(v), obs::TraceEvent::kNone,
-                                 obs::EventKind::kRecover});
-          }
-        }
-        was_crashed_[v] = c;
-        crashed_now_[v] = c;
-      }
-      // A crashed node neither computes nor sends; its program state is
-      // frozen until recovery (crash-stop, not amnesia).
-      if (crashed_now_[v]) continue;
       if (hybrid_) {
         const std::size_t fan = total_degree_[v];
         Inbox inbox(topo_.get(), v, bc_in_kind_.data(), bc_in_msgs_.data(),
@@ -280,7 +226,6 @@ void Network::deliver_shard_hybrid(std::size_t shard) {
       if (bc_out_kind_[u] == 0) continue;
       const std::uint64_t fan = total_degree_[u];
       const std::uint64_t bits = bc_out_msgs_[u].bits;
-      sc.attempted += fan;
       sc.delivered += fan;
       sc.bits_delivered += bits * fan;
       dbits_node_[u] += bits;
@@ -298,187 +243,58 @@ void Network::deliver_shard(std::size_t shard) {
     const std::size_t* off = topo_->offsets.data();
     const NodeId* nbrs = topo_->neighbors.data();
     const std::uint32_t* rev = topo_->reverse_slot.data();
-    if (!injector_.has_value()) {
-      if (!trace_round_ && em_.messages_delivered == nullptr) {
-        // Fault-free unobserved fast path: the copy loop only moves
-        // payloads and records per-slot presence/bits; all counter and
-        // dbits_ accounting happens afterwards as bulk SIMD passes over
-        // this shard's contiguous slot range.
-        const std::size_t lo = off[begin];
-        const std::size_t hi = off[end];
-        for (std::size_t e = lo; e < hi; ++e) {
-          const std::size_t o = off[nbrs[e]] + rev[e];
-          if (out_kind_[o]) {
-            out_kind_[o] = 0;  // consume; only this slot's owner reads it
-            in_msgs_[e] = out_msgs_[o];
-            in_kind_[e] = kNormal;
-            // Message bits are bounded by bits_per_edge (O(log n)) — far
-            // below 32 bits of count.
-            in_bits_[e] = static_cast<std::uint32_t>(in_msgs_[e].bits);
-          } else {
-            in_kind_[e] = kEmpty;
-            in_bits_[e] = 0;
-          }
-        }
-        const simd::Kernels& k = simd::kernels();
-        const std::size_t delivered =
-            k.count_nonzero_u8(in_kind_.data() + lo, hi - lo);
-        sc.attempted += delivered;
-        sc.delivered += delivered;
-        sc.bits_delivered += k.sum_u32(in_bits_.data() + lo, hi - lo);
-        k.accumulate_u32_to_u64(dbits_.data() + lo, in_bits_.data() + lo,
-                                hi - lo);
-        return;
-      }
-      // Fault-free traced/metered path: no losses, no echoes (the echo
-      // arena stays all-zero without an injector), every sent message is
-      // delivered, but tracing/metrics want per-slot hooks.
-      for (NodeId v = begin; v < end; ++v) {
-        for (std::size_t e = off[v]; e < off[v + 1]; ++e) {
-          const std::size_t o = off[nbrs[e]] + rev[e];
-          if (out_kind_[o]) {
-            out_kind_[o] = 0;  // consume; only this slot's owner reads it
-            in_msgs_[e] = out_msgs_[o];
-            sc.attempted += 1;
-            sc.delivered += 1;
-            sc.bits_delivered += in_msgs_[e].bits;
-            dbits_[e] += in_msgs_[e].bits;
-            in_kind_[e] = kNormal;
-            if (trace_round_) {
-              tracer_->emit_shard(1, shard,
-                                  {in_msgs_[e].bits, trnd(round), tid(nbrs[e]),
-                                   tid(v), obs::EventKind::kDeliver});
-            }
-            if (em_.messages_delivered) {
-              em_.messages_delivered->add(1, shard);
-              em_.bits_delivered->add(in_msgs_[e].bits, shard);
-              em_.message_bits->observe(in_msgs_[e].bits, shard);
-            }
-          } else {
-            in_kind_[e] = kEmpty;
-          }
-        }
-      }
-      return;
-    }
-    for (NodeId v = begin; v < end; ++v) {
-      // Messages sent this round are consumed next round; a receiver
-      // crashed at consumption time loses them.
-      const bool lost = receiver_lost(v, round + 1);
-      for (std::size_t e = off[v]; e < off[v + 1]; ++e) {
-        const NodeId u = nbrs[e];
-        const std::size_t o = off[u] + rev[e];  // u's out slot toward v
-        const std::uint8_t pending = echo_kind_[e];
-        std::uint8_t placed = kEmpty;
-        bool stage_echo = false;
+    if (!trace_round_ && em_.messages_delivered == nullptr) {
+      // Unobserved fast path: the copy loop only moves payloads and records
+      // per-slot presence/bits; all counter and dbits_ accounting happens
+      // afterwards as bulk SIMD passes over this shard's contiguous slot
+      // range.
+      const std::size_t lo = off[begin];
+      const std::size_t hi = off[end];
+      for (std::size_t e = lo; e < hi; ++e) {
+        const std::size_t o = off[nbrs[e]] + rev[e];
         if (out_kind_[o]) {
           out_kind_[o] = 0;  // consume; only this slot's owner reads it
-          const Message& m = out_msgs_[o];
-          sc.attempted += 1;
-          if (lost) {
-            sc.dropped += 1;
-            sc.bits_dropped += m.bits;
-            if (trace_round_) {
-              tracer_->emit_shard(1, shard,
-                                  {m.bits, trnd(round), tid(u), tid(v),
-                                   obs::EventKind::kDrop});
-            }
-            if (em_.messages_dropped) {
-              em_.messages_dropped->add(1, shard);
-              em_.bits_dropped->add(m.bits, shard);
-            }
-          } else {
-            const FaultAction action = injector_.has_value()
-                                           ? injector_->classify(round, u, v)
-                                           : FaultAction::kDeliver;
-            switch (action) {
-              case FaultAction::kDrop:
-                sc.dropped += 1;
-                sc.bits_dropped += m.bits;
-                if (trace_round_) {
-                  tracer_->emit_shard(1, shard,
-                                      {m.bits, trnd(round), tid(u), tid(v),
-                                       obs::EventKind::kDrop});
-                }
-                if (em_.messages_dropped) {
-                  em_.messages_dropped->add(1, shard);
-                  em_.bits_dropped->add(m.bits, shard);
-                }
-                break;
-              case FaultAction::kCorrupt:
-                in_msgs_[e] = m;
-                injector_->corrupt(round, u, v, in_msgs_[e]);
-                sc.corrupted += 1;
-                placed = kNormal;
-                if (trace_round_) {
-                  tracer_->emit_shard(1, shard,
-                                      {in_msgs_[e].bits, trnd(round), tid(u),
-                                       tid(v), obs::EventKind::kDeliverCorrupt});
-                }
-                if (em_.messages_corrupted) {
-                  em_.messages_corrupted->add(1, shard);
-                }
-                break;
-              case FaultAction::kDuplicate:
-                in_msgs_[e] = m;
-                placed = kNormal;
-                stage_echo = true;
-                if (trace_round_) {
-                  tracer_->emit_shard(1, shard,
-                                      {m.bits, trnd(round), tid(u), tid(v),
-                                       obs::EventKind::kDeliver});
-                }
-                break;
-              case FaultAction::kDeliver:
-                in_msgs_[e] = m;
-                placed = kNormal;
-                if (trace_round_) {
-                  tracer_->emit_shard(1, shard,
-                                      {m.bits, trnd(round), tid(u), tid(v),
-                                       obs::EventKind::kDeliver});
-                }
-                break;
-            }
-          }
-        }
-        // Place the echo staged in the previous round: a duplicated message
-        // is redelivered one round after the original, but only if the edge
-        // slot is otherwise idle this round (one message per edge per round
-        // — a fault never violates the CONGEST budget) and the receiver
-        // survives. Displaced or crash-lost echoes vanish without charge.
-        if (pending) {
-          sc.attempted += 1;
-          if (placed == kEmpty && !lost) {
-            sc.duplicated += 1;
-            in_msgs_[e] = echo_msgs_[e];
-            placed = kEcho;
-            if (trace_round_) {
-              tracer_->emit_shard(1, shard,
-                                  {in_msgs_[e].bits, trnd(round), tid(u),
-                                   tid(v), obs::EventKind::kDeliverEcho});
-            }
-            if (em_.messages_duplicated) {
-              em_.messages_duplicated->add(1, shard);
-            }
-          }
-        }
-        if (placed != kEmpty) {
-          sc.delivered += 1;
-          sc.bits_delivered += in_msgs_[e].bits;
-          dbits_[e] += in_msgs_[e].bits;
-          if (em_.messages_delivered) {
-            em_.messages_delivered->add(1, shard);
-            em_.bits_delivered->add(in_msgs_[e].bits, shard);
-            em_.message_bits->observe(in_msgs_[e].bits, shard);
-          }
-        }
-        in_kind_[e] = placed;
-        if (stage_echo) {
-          echo_msgs_[e] = out_msgs_[o];
-          echo_kind_[e] = 1;
-          sc.echoes_staged += 1;
+          in_msgs_[e] = out_msgs_[o];
+          in_kind_[e] = 1;
+          // Message bits are bounded by bits_per_edge (O(log n)) — far
+          // below 32 bits of count.
+          in_bits_[e] = static_cast<std::uint32_t>(in_msgs_[e].bits);
         } else {
-          echo_kind_[e] = 0;
+          in_kind_[e] = 0;
+          in_bits_[e] = 0;
+        }
+      }
+      const simd::Kernels& k = simd::kernels();
+      sc.delivered += k.count_nonzero_u8(in_kind_.data() + lo, hi - lo);
+      sc.bits_delivered += k.sum_u32(in_bits_.data() + lo, hi - lo);
+      k.accumulate_u32_to_u64(dbits_.data() + lo, in_bits_.data() + lo,
+                              hi - lo);
+      return;
+    }
+    // Traced/metered path: same deliveries, plus per-slot hooks.
+    for (NodeId v = begin; v < end; ++v) {
+      for (std::size_t e = off[v]; e < off[v + 1]; ++e) {
+        const std::size_t o = off[nbrs[e]] + rev[e];
+        if (!out_kind_[o]) {
+          in_kind_[e] = 0;
+          continue;
+        }
+        out_kind_[o] = 0;  // consume; only this slot's owner reads it
+        in_msgs_[e] = out_msgs_[o];
+        in_kind_[e] = 1;
+        const std::size_t bits = in_msgs_[e].bits;
+        sc.delivered += 1;
+        sc.bits_delivered += bits;
+        dbits_[e] += bits;
+        if (trace_round_) {
+          tracer_->emit_shard(1, shard,
+                              {bits, trnd(round), tid(nbrs[e]), tid(v),
+                               obs::EventKind::kDeliver});
+        }
+        if (em_.messages_delivered) {
+          em_.messages_delivered->add(1, shard);
+          em_.bits_delivered->add(bits, shard);
+          em_.message_bits->observe(bits, shard);
         }
       }
     }
@@ -488,15 +304,14 @@ void Network::deliver_shard(std::size_t shard) {
 }
 
 void Network::notify_observer() {
-  // Canonical order, independent of num_threads: every normal delivery in
-  // (sender, out-slot) order, then every echo delivery in the same order —
-  // exactly the order the serial seed engine produced.
+  // Canonical order, independent of num_threads: every delivery in
+  // (sender, out-slot) order — exactly the order the serial engine
+  // produced.
   const std::size_t round = stats_.rounds;
   if (hybrid_) {
     // Expand each sender's broadcast over its merged neighbor cursor —
     // identical (sender, neighbor-ascending) order to the materialized
-    // normal pass; there is no echo pass (faults are rejected in hybrid
-    // mode). O(total degree): observers are a small-n contract tool.
+    // path. O(total degree): observers are a small-n contract tool.
     for (NodeId u = 0; u < topo_->n; ++u) {
       if (bc_in_kind_[u] == 0) continue;
       for (NodeId v = topo_->neighbor_after(u, graph::kNoNode);
@@ -509,14 +324,11 @@ void Network::notify_observer() {
   const std::size_t* off = topo_->offsets.data();
   const NodeId* nbrs = topo_->neighbors.data();
   const std::uint32_t* rev = topo_->reverse_slot.data();
-  for (int pass = 0; pass < 2; ++pass) {
-    const std::uint8_t want = pass == 0 ? kNormal : kEcho;
-    for (NodeId u = 0; u < topo_->n; ++u) {
-      for (std::size_t d = off[u]; d < off[u + 1]; ++d) {
-        const NodeId v = nbrs[d];
-        const std::size_t e = off[v] + rev[d];
-        if (in_kind_[e] == want) config_.on_message(round, u, v, in_msgs_[e]);
-      }
+  for (NodeId u = 0; u < topo_->n; ++u) {
+    for (std::size_t d = off[u]; d < off[u + 1]; ++d) {
+      const NodeId v = nbrs[d];
+      const std::size_t e = off[v] + rev[d];
+      if (in_kind_[e]) config_.on_message(round, u, v, in_msgs_[e]);
     }
   }
 }
@@ -565,25 +377,13 @@ bool Network::step() {
 
   // Merge per-shard counters in shard order (integer sums, so the totals
   // are independent of the shard partition).
-  std::uint64_t attempted = 0;
   std::uint64_t delivered = 0;
-  std::size_t staged = 0;
   for (const ShardCounters& sc : shard_) {
-    attempted += sc.attempted;
     delivered += sc.delivered;
     stats_.messages_sent += sc.delivered;
     stats_.bits_sent += sc.bits_delivered;
-    stats_.messages_dropped += sc.dropped;
-    stats_.bits_dropped += sc.bits_dropped;
-    stats_.messages_corrupted += sc.corrupted;
-    stats_.messages_duplicated += sc.duplicated;
-    stats_.nodes_crashed += sc.crashes;
-    stats_.nodes_recovered += sc.recoveries;
-    staged += sc.echoes_staged;
   }
-  if (attempted > 0 && delivered == 0) stats_.rounds_stalled += 1;
   inflight_count_ = delivered;
-  echo_count_ = staged;
   // Seal before the observer runs so the staged phase events precede any
   // kBlackboardPost the observer emits; kRoundEnd closes the round after.
   if (trace_round_) tracer_->seal_round();
@@ -601,17 +401,7 @@ bool Network::step() {
 }
 
 bool Network::node_terminal(NodeId v) const {
-  if (programs_[v]->finished() || programs_[v]->failed()) return true;
-  // A permanently crashed node will never act again: waiting for it would
-  // spin to max_rounds for nothing.
-  if (injector_.has_value()) {
-    const auto& span = injector_->plan().crashes[v];
-    if (span.has_value() && span->permanent() &&
-        span->crash_round <= stats_.rounds) {
-      return true;
-    }
-  }
-  return false;
+  return programs_[v]->finished() || programs_[v]->failed();
 }
 
 RunStats Network::run() {
@@ -623,7 +413,7 @@ RunStats Network::run() {
         break;
       }
     }
-    if (all_done && inflight_count_ == 0 && echo_count_ == 0) break;
+    if (all_done && inflight_count_ == 0) break;
     step();
   }
   stats_.all_finished =
@@ -659,33 +449,12 @@ const NodeInfo& Network::info(NodeId v) const {
   return infos_[v];
 }
 
-const FaultPlan* Network::fault_plan() const {
-  return injector_.has_value() ? &injector_->plan() : nullptr;
-}
-
-bool Network::node_crashed(NodeId v) const {
-  CLB_EXPECT(v < programs_.size(), "Network: node id out of range");
-  return injector_.has_value() && injector_->node_crashed(v, stats_.rounds);
-}
-
-std::vector<std::string> Network::failure_diagnostics() const {
-  std::vector<std::string> out;
-  for (NodeId v = 0; v < programs_.size(); ++v) {
-    if (!programs_[v]->failed()) continue;
-    std::string line = "node " + std::to_string(v);
-    const std::string detail = programs_[v]->diagnostic();
-    if (!detail.empty()) line += ": " + detail;
-    out.push_back(std::move(line));
-  }
-  return out;
-}
-
 std::uint64_t Network::bits_on_edge(NodeId u, NodeId v) const {
   CLB_EXPECT(u < topo_->n && v < topo_->n,
              "bits_on_edge: node id out of range");
   if (hybrid_) {
     CLB_EXPECT(topo_->has_edge(u, v), "bits_on_edge: no such edge");
-    // Fault-free broadcast: every bit u ever sent was delivered to v (and
+    // Broadcast delivery: every bit u ever sent was delivered to v (and
     // vice versa), so the per-sender accumulators are exactly the per-edge
     // totals of the materialized engine.
     return dbits_node_[u] + dbits_node_[v];

@@ -13,13 +13,10 @@
 // paper's introduction) is available via Config::broadcast_only: a node must
 // send the same message to all neighbors in a round.
 //
-// Adversarial schedules: NetworkConfig::faults enables the deterministic
-// fault injector (faults.hpp) — per-message drop / in-budget corruption /
-// duplication-as-echo plus crash-stop node failures, all reproducible from
-// NetworkConfig::seed. Accounting stays exact under faults: edge traffic,
-// RunStats bit counters, and the on_message observer reflect precisely the
-// messages that were actually delivered (corrupted payloads included,
-// dropped ones excluded), so blackboard charging never drifts.
+// The model is fault-free, as in Theorem 5's simulation argument: every
+// message sent in round r is delivered, unmodified, at the start of round
+// r+1. Edge traffic, RunStats bit counters, and the on_message observer
+// therefore all see the same traffic, so blackboard charging is exact.
 //
 // Engine layout (the hot path is allocation-free after warm-up):
 //  - an immutable shared Topology snapshot (topology.hpp) holds CSR
@@ -34,17 +31,15 @@
 //    phase (delivery, sharded by receiver), with per-shard counters merged
 //    in shard order. Results — program outputs, RunStats, per-edge traffic,
 //    observer transcripts — are bit-for-bit identical to the serial engine
-//    for every thread count, fault schedules included.
+//    for every thread count.
 
 #pragma once
 
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
-#include "congest/faults.hpp"
 #include "congest/message.hpp"
 #include "congest/topology.hpp"
 #include "graph/graph.hpp"
@@ -186,8 +181,8 @@ class Inbox {
 /// Messages to send this round, same slot convention as Inbox. Inside the
 /// engine an Outbox is a view over the per-round send arena; the
 /// `Outbox(num_neighbors)` constructor makes a self-contained one for tests.
-/// The CONGEST bandwidth budget is enforced here, at send time — a program
-/// that oversends is buggy even if the message would be lost to a fault.
+/// The CONGEST bandwidth budget is enforced here, at send time, so an
+/// oversending program fails at the offending send.
 class Outbox {
  public:
   static constexpr std::size_t kUnlimitedBits = ~static_cast<std::size_t>(0);
@@ -262,15 +257,11 @@ class NodeProgram {
   /// nodes are finished and no message is in flight.
   virtual bool finished() const = 0;
 
-  /// True when this node has given up (e.g. a fault-tolerant algorithm hit
-  /// its round deadline without converging). A failed node is terminal for
-  /// halting purposes, like finished() — the network does not spin to
-  /// max_rounds waiting for it — but its output() is not to be trusted.
+  /// True when this node has given up (e.g. approx_mis hit its round
+  /// deadline without converging). A failed node is terminal for halting
+  /// purposes, like finished() — the network does not spin to max_rounds
+  /// waiting for it — but its output() is not to be trusted.
   virtual bool failed() const { return false; }
-
-  /// Structured self-report, meaningful mainly when failed(): what the node
-  /// was waiting for when it gave up. Empty = nothing to report.
-  virtual std::string diagnostic() const { return {}; }
 
   /// The node's output value; meaning is program-specific (e.g. 1 = "I am in
   /// the independent set").
@@ -292,23 +283,17 @@ struct NetworkConfig {
   /// knob. Programs of distinct nodes run concurrently and must not share
   /// mutable state behind the simulator's back.
   std::size_t num_threads = 1;
-  /// Deterministic fault injection (all-zero rates = off). The schedule is
-  /// a pure function of `seed` and these rates; see faults.hpp.
-  FaultConfig faults;
   /// Observer invoked for every message at delivery time (round, from, to,
   /// msg). Used by sim::ReductionDriver to charge cut-crossing messages to
-  /// the communication blackboard (Theorem 5's simulation). Under fault
-  /// injection the observer sees exactly the delivered traffic: corrupted
-  /// payloads as corrupted, dropped messages not at all. Invoked serially
-  /// in a canonical order regardless of num_threads.
+  /// the communication blackboard (Theorem 5's simulation). Invoked
+  /// serially in a canonical order regardless of num_threads.
   std::function<void(std::size_t, NodeId, NodeId, const Message&)> on_message;
   /// Round-level tracer (obs/trace.hpp); null = no tracing. Not owned; must
   /// outlive the Network. The engine binds per-shard staging buffers at
-  /// construction and records round begin/end, sends, deliveries (normal /
-  /// corrupted / echo), drops, and crash transitions — bit-identical across
-  /// num_threads and allocation-free in the steady state. A tracer whose
-  /// enabled() is false (zero capacity, or CONGESTLB_TRACE=0 builds)
-  /// behaves exactly like null.
+  /// construction and records round begin/end, sends, and deliveries —
+  /// bit-identical across num_threads and allocation-free in the steady
+  /// state. A tracer whose enabled() is false (zero capacity, or
+  /// CONGESTLB_TRACE=0 builds) behaves exactly like null.
   obs::Tracer* tracer = nullptr;
   /// Metrics registry (obs/metrics.hpp); null = no metrics. Not owned; must
   /// outlive the Network. The engine registers engine.* counters, gauges,
@@ -323,15 +308,6 @@ struct RunStats {
   std::uint64_t bits_sent = 0;      ///< bits actually delivered
   bool all_finished = false;
   bool any_failed = false;  ///< some program reported failed()
-
-  // Fault accounting (all zero when NetworkConfig::faults is disabled).
-  std::uint64_t messages_dropped = 0;    ///< lost to drop faults or crashes
-  std::uint64_t bits_dropped = 0;        ///< bits of those messages
-  std::uint64_t messages_corrupted = 0;  ///< delivered with flipped bits
-  std::uint64_t messages_duplicated = 0; ///< extra echo deliveries
-  std::size_t nodes_crashed = 0;         ///< crash events so far
-  std::size_t nodes_recovered = 0;       ///< recoveries so far
-  std::size_t rounds_stalled = 0;  ///< rounds where faults ate every message
 
   /// Field-wise equality — the determinism suite asserts parallel == serial.
   friend bool operator==(const RunStats&, const RunStats&) = default;
@@ -355,10 +331,9 @@ class Network {
   Network(const graph::Graph& g, const ProgramFactory& factory,
           NetworkConfig config = {});
 
-  /// Run until every node is terminal — finished(), failed(), or permanently
-  /// crashed — and the network is quiet, or until max_rounds. Can be called
-  /// repeatedly to continue a paused run: in-flight messages (including
-  /// pending fault echoes) are preserved across calls.
+  /// Run until every node is terminal — finished() or failed() — and the
+  /// network is quiet, or until max_rounds. Can be called repeatedly to
+  /// continue a paused run: in-flight messages are preserved across calls.
   RunStats run();
 
   /// Execute up to `rounds` additional rounds (for lockstep simulation by
@@ -375,16 +350,6 @@ class Network {
   /// The shared topology snapshot this network simulates on.
   const Topology& topology() const { return *topo_; }
 
-  /// The crash schedule in force, or nullptr when fault injection is off.
-  const FaultPlan* fault_plan() const;
-
-  /// Is v crashed at the current round?
-  bool node_crashed(NodeId v) const;
-
-  /// Diagnostics of every program that reported failed(), as
-  /// "node <id>: <diagnostic>" lines (empty when none failed).
-  std::vector<std::string> failure_diagnostics() const;
-
   /// Total bits sent over edge {u,v} in both directions so far.
   std::uint64_t bits_on_edge(NodeId u, NodeId v) const;
 
@@ -395,24 +360,11 @@ class Network {
   std::vector<NodeId> selected_nodes() const;
 
  private:
-  /// Delivery kinds stored in the arena presence bytes.
-  static constexpr std::uint8_t kEmpty = 0;
-  static constexpr std::uint8_t kNormal = 1;  ///< regular (maybe corrupted)
-  static constexpr std::uint8_t kEcho = 2;    ///< duplication-fault echo
-
   /// Per-shard round counters, merged (in shard order) into RunStats after
   /// each phase. Cache-line padded so shards never false-share.
   struct alignas(64) ShardCounters {
-    std::uint64_t attempted = 0;
     std::uint64_t delivered = 0;
     std::uint64_t bits_delivered = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t bits_dropped = 0;
-    std::uint64_t corrupted = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t echoes_staged = 0;
-    std::uint64_t crashes = 0;
-    std::uint64_t recoveries = 0;
 
     void reset() { *this = ShardCounters{}; }
   };
@@ -424,26 +376,20 @@ class Network {
     obs::Counter* rounds = nullptr;
     obs::Counter* messages_delivered = nullptr;
     obs::Counter* bits_delivered = nullptr;
-    obs::Counter* messages_dropped = nullptr;
-    obs::Counter* bits_dropped = nullptr;
-    obs::Counter* messages_corrupted = nullptr;
-    obs::Counter* messages_duplicated = nullptr;
-    obs::Counter* crashes = nullptr;
-    obs::Counter* recoveries = nullptr;
     obs::Gauge* inflight = nullptr;
     obs::Histogram* message_bits = nullptr;
   };
 
   bool step();  ///< one round; returns true if any message was delivered/sent
 
-  /// Phase 1 of a round, for one contiguous node shard: crash bookkeeping
-  /// and program execution (reads the inbound arena, fills the send arena).
+  /// Phase 1 of a round, for one contiguous node shard: program execution
+  /// (reads the inbound arena, fills the send arena).
   void compute_shard(std::size_t shard);
 
   /// Phase 2 of a round, for one contiguous node shard of *receivers*:
-  /// pull every inbound directed slot from its sender's send arena,
-  /// applying the fault schedule and placing pending echoes. Writes only
-  /// slots owned by this shard's receivers — race-free by construction.
+  /// pull every inbound directed slot from its sender's send arena. Writes
+  /// only slots owned by this shard's receivers — race-free by
+  /// construction.
   void deliver_shard(std::size_t shard);
 
   /// Hybrid-mode phase 2 for one shard of *senders*: all accounting is
@@ -452,24 +398,19 @@ class Network {
   void deliver_shard_hybrid(std::size_t shard);
 
   /// Invoke config_.on_message for this round's deliveries in the canonical
-  /// order (all normal deliveries in (sender, slot) order, then all echoes
-  /// in the same order) — identical for every num_threads.
+  /// (sender, slot) order — identical for every num_threads.
   void notify_observer();
 
   /// Rethrow the first (by shard index) exception captured during a phase.
   void rethrow_shard_error();
 
-  /// Node v is terminal: finished, failed, or crashed never to return.
+  /// Node v is terminal: finished or failed.
   bool node_terminal(NodeId v) const;
-
-  /// A message consumed at `round` by a crashed receiver is lost.
-  bool receiver_lost(NodeId v, std::size_t consume_round) const;
 
   std::shared_ptr<const Topology> topo_;
   bool hybrid_ = false;  ///< topology carries implicit blocks
   std::size_t bits_per_edge_;
   NetworkConfig config_;
-  std::optional<FaultInjector> injector_;  ///< engaged iff faults enabled
   std::vector<NodeInfo> infos_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<Rng> node_rng_;
@@ -477,20 +418,17 @@ class Network {
   // Flat message arenas, one entry per directed slot (see topology.hpp).
   // in_*: messages consumed this round, indexed by receiver-side slot.
   // out_*: messages produced this round, indexed by sender-side slot.
-  // echo_*: duplication echoes staged for the next round, receiver-side.
   // All payload capacity is retained across rounds — after warm-up the
   // round loop performs no allocations.
   std::vector<std::uint8_t> in_kind_;
   std::vector<Message> in_msgs_;
   std::vector<std::uint8_t> out_kind_;
   std::vector<Message> out_msgs_;
-  std::vector<std::uint8_t> echo_kind_;
-  std::vector<Message> echo_msgs_;
   std::vector<std::uint64_t> dbits_;  ///< delivered bits per directed slot
   /// Per-slot bits delivered *this round* (0 for empty slots), filled by the
-  /// fault-free unobserved deliver fast path so message/bit counters and
-  /// dbits_ accumulate as bulk SIMD passes instead of per-slot adds. Scratch
-  /// only — not consulted by the observed/faulted paths.
+  /// unobserved deliver fast path so message/bit counters and dbits_
+  /// accumulate as bulk SIMD passes instead of per-slot adds. Scratch only —
+  /// not consulted by the traced/metered path.
   std::vector<std::uint32_t> in_bits_;
 
   // Hybrid-mode broadcast arenas, one entry per *node* (not per slot):
@@ -506,9 +444,6 @@ class Network {
   std::vector<std::uint64_t> dbits_node_;
   std::vector<std::size_t> total_degree_;  ///< cached merged degrees
 
-  std::vector<std::uint8_t> was_crashed_;  ///< crash state last round
-  std::vector<std::uint8_t> crashed_now_;  ///< crash state this round
-
   ThreadPool pool_;
   std::size_t num_shards_ = 1;
   /// Contiguous [begin, end) node ranges from edge_tiled_shards
@@ -521,7 +456,6 @@ class Network {
   std::vector<std::exception_ptr> shard_error_;
 
   std::size_t inflight_count_ = 0;  ///< occupied slots in the inbound arena
-  std::size_t echo_count_ = 0;      ///< staged echoes awaiting placement
   RunStats stats_;
 
   obs::Tracer* tracer_ = nullptr;  ///< non-null iff tracing is live

@@ -5,8 +5,8 @@
 // the strings in the linear family; pair edges follow the strings in the
 // quadratic family). The construction code checks its *inputs* with
 // CLB_EXPECT, but a bare InvariantError tells a debugging engineer nothing
-// about which gadget, vertex, or weight went wrong — and a fault-injected
-// or hand-modified instance deserves a full report, not a first-failure
+// about which gadget, vertex, or weight went wrong — and a mutated or
+// hand-modified instance deserves a full report, not a first-failure
 // throw. These validators recheck every property from first principles and
 // return all violations as structured diagnostics: which property, which
 // players/copies, which vertex or edge, expected vs. actual value.

@@ -136,19 +136,15 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
         jw.end_object();
         jw.end_object();
         break;
-      case EventKind::kDeliver:
-      case EventKind::kDeliverCorrupt:
-      case EventKind::kDeliverEcho:
-      case EventKind::kDrop: {
-        instant(jw, to_string(ev.kind), base + kOffDeliver, 0,
-                lane_of_node(ev.b));
+      case EventKind::kDeliver: {
+        instant(jw, "deliver", base + kOffDeliver, 0, lane_of_node(ev.b));
         jw.key("args");
         jw.begin_object();
         jw.kv("from", static_cast<std::uint64_t>(ev.a));
         jw.kv("bits", ev.value);
         jw.end_object();
         jw.end_object();
-        if (ev.kind != EventKind::kDrop && !cut_index.empty()) {
+        if (!cut_index.empty()) {
           auto key = std::make_pair(std::min(ev.a, ev.b),
                                     std::max(ev.a, ev.b));
           const auto it = cut_index.find(key);
@@ -158,14 +154,6 @@ void write_chrome_trace(std::ostream& os, std::span<const TraceEvent> events,
         }
         break;
       }
-      case EventKind::kCrash:
-      case EventKind::kRecover:
-      case EventKind::kCrashScheduled:
-      case EventKind::kRecoverScheduled:
-        instant(jw, to_string(ev.kind), base + kOffBegin, 0,
-                lane_of_node(ev.a));
-        jw.end_object();
-        break;
       case EventKind::kPhase:
         instant(jw, "phase", base + kOffBegin, 0, 0);
         jw.key("args");

@@ -12,13 +12,6 @@ const char* to_string(EventKind kind) {
     case EventKind::kRoundEnd: return "round_end";
     case EventKind::kSend: return "send";
     case EventKind::kDeliver: return "deliver";
-    case EventKind::kDeliverCorrupt: return "deliver_corrupt";
-    case EventKind::kDeliverEcho: return "deliver_echo";
-    case EventKind::kDrop: return "drop";
-    case EventKind::kCrash: return "crash";
-    case EventKind::kRecover: return "recover";
-    case EventKind::kCrashScheduled: return "crash_scheduled";
-    case EventKind::kRecoverScheduled: return "recover_scheduled";
     case EventKind::kPhase: return "phase";
     case EventKind::kBlackboardPost: return "blackboard_post";
   }

@@ -3,8 +3,8 @@
 // The paper's lower bounds are statements about exact per-round, per-edge
 // communication (Lemmas 1-3 charge cut-crossing bits round by round;
 // Theorem 5 sums them), so the engine needs telemetry at exactly that
-// granularity: which message crossed which directed edge in which round,
-// and what the fault layer did to it. A Tracer records fixed-size POD
+// granularity: which message crossed which directed edge in which round.
+// A Tracer records fixed-size POD
 // TraceEvents into a preallocated ring buffer; exporters (obs/export.hpp)
 // turn the ring into Chrome trace_event JSON or a canonical text form, and
 // the property suite replays it against RunStats and the cut-bit
@@ -45,26 +45,18 @@ namespace congestlb::obs {
 /// kill switch); tests skip trace assertions when it is off.
 constexpr bool trace_compiled_in() { return CONGESTLB_TRACE != 0; }
 
-/// What one TraceEvent describes. Delivery kinds are disjoint so that event
-/// counts reconcile exactly with RunStats: messages_sent = #kDeliver +
-/// #kDeliverCorrupt + #kDeliverEcho, messages_dropped = #kDrop, and so on.
+/// What one TraceEvent describes. Event counts reconcile exactly with
+/// RunStats: messages_sent = #kDeliver, bits_sent = sum of kDeliver values.
 enum class EventKind : std::uint8_t {
-  kRoundBegin = 0,    ///< value = number of nodes; round starts
-  kRoundEnd,          ///< value = messages delivered this round
-  kSend,              ///< a -> b, value = bits queued on the edge
-  kDeliver,           ///< a -> b delivered untouched, value = bits
-  kDeliverCorrupt,    ///< a -> b delivered with flipped bits, value = bits
-  kDeliverEcho,       ///< a -> b duplication-fault echo, value = bits
-  kDrop,              ///< a -> b lost (drop fault or crashed receiver)
-  kCrash,             ///< node a crash-stops this round
-  kRecover,           ///< node a recovers this round
-  kCrashScheduled,    ///< plan: node a will crash at round `round`
-  kRecoverScheduled,  ///< plan: node a will recover at round `round`
-  kPhase,             ///< algorithm/driver phase mark, value = phase id
-  kBlackboardPost,    ///< player a posts value bits; round = entry index
+  kRoundBegin = 0,  ///< value = number of nodes; round starts
+  kRoundEnd,        ///< value = messages delivered this round
+  kSend,            ///< a -> b, value = bits queued on the edge
+  kDeliver,         ///< a -> b delivered, value = bits
+  kPhase,           ///< algorithm/driver phase mark, value = phase id
+  kBlackboardPost,  ///< player a posts value bits; round = entry index
 };
 
-/// Stable name for an event kind ("deliver", "drop", ...).
+/// Stable name for an event kind ("deliver", "send", ...).
 const char* to_string(EventKind kind);
 
 /// One structured trace record. 24-byte POD: fits a cache line pair per

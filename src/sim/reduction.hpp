@@ -13,17 +13,14 @@
 //   1. accounting: blackboard bits <= rounds * |cut| * bits_per_edge;
 //   2. exactness: the bits posted to the blackboard equal the bits the
 //      network accounted on the cut edges — delivered traffic, nothing
-//      more, nothing less. This holds under fault injection too
-//      (NetworkConfig::faults): dropped messages are charged nowhere,
-//      corrupted and duplicated deliveries are charged everywhere;
+//      more, nothing less;
 //   3. correctness: the gap predicate decides f(xbar) (when the supplied
 //      algorithm is exact, e.g. universal_maxis_factory, and the run
-//      completed — a faulted run that failed() reports itself instead).
+//      completed — a run in which some node reported failed() or which hit
+//      max_rounds answers nothing).
 
 #pragma once
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "comm/blackboard.hpp"
@@ -59,24 +56,17 @@ struct ReductionReport {
   bool correct = false;
   bool accounting_ok = false;          ///< blackboard_bits <= budget
   /// Bits posted to the blackboard == bits the network charged to the cut
-  /// edges. The invariant that keeps Theorem-5 charging honest under
-  /// faults.
+  /// edges: the invariant that keeps Theorem-5 charging honest.
   bool cut_accounting_exact = false;
   bool algorithm_finished = false;
-  bool algorithm_failed = false;  ///< some node gave up (fault deadline)
 
-  /// Full network statistics, including fault counters (drops, corruptions,
-  /// echoes, crashes) when cfg.faults was enabled.
+  /// Full network statistics (net_stats.any_failed: some node gave up).
   congest::RunStats net_stats;
-  /// "node <id>: <diagnostic>" for every failed node.
-  std::vector<std::string> failure_diagnostics;
 };
 
 /// Simulate `factory`'s program on G_xbar for the linear family. The
 /// network bandwidth comes from cfg (0 = auto); cfg.on_message must be
-/// empty (the driver installs its own observer). cfg.faults is honored:
-/// the run then exercises the adversarial schedule while the blackboard
-/// still sees exactly the delivered cut traffic.
+/// empty (the driver installs its own observer).
 ReductionReport run_linear_reduction(const lb::LinearConstruction& c,
                                      const comm::PromiseInstance& inst,
                                      const congest::ProgramFactory& factory,

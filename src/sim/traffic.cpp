@@ -102,79 +102,4 @@ graph::Graph traffic_graph(TrafficPattern p, std::size_t n,
   return g;
 }
 
-namespace {
-
-constexpr std::size_t kMaxValueBits = 16;
-
-class TrafficStressProgram final : public congest::NodeProgram {
- public:
-  TrafficStressProgram(std::size_t duration, std::uint64_t seed)
-      : duration_(duration), seed_(seed) {}
-
-  void round(const congest::NodeInfo& info, const congest::Inbox& inbox,
-             congest::Outbox& outbox, Rng& /*rng*/) override {
-    if (finished_) return;
-    if (value_bits_ == 0) {
-      CLB_EXPECT(info.bits_per_edge >= 2, "traffic: bandwidth too small");
-      chk_bits_ = std::min<std::size_t>(6, info.bits_per_edge / 2);
-      value_bits_ = std::min(kMaxValueBits, info.bits_per_edge - chk_bits_);
-    }
-    for (const auto& slot : inbox) {
-      if (!slot) continue;
-      congest::MessageReader r(*slot);
-      const std::uint64_t value = r.get(value_bits_);
-      if (r.get(chk_bits_) == congest::fold_checksum(value, chk_bits_)) {
-        ++received_;
-      } else {
-        ++rejected_;
-      }
-    }
-    if (round_ < duration_ && !info.neighbors.empty()) {
-      const std::size_t slot = (round_ + info.id) % info.neighbors.size();
-      const std::uint64_t value =
-          hash_mix(seed_, info.id, round_) &
-          ((value_bits_ >= 64) ? ~0ULL : ((1ULL << value_bits_) - 1));
-      outbox.send(slot,
-                  std::move(congest::MessageWriter()
-                                .put(value, value_bits_)
-                                .put(congest::fold_checksum(value, chk_bits_),
-                                     chk_bits_))
-                      .finish());
-    }
-    ++round_;
-    // Sends from round duration_-1 arrive in round duration_; nothing of
-    // ours is in flight after that.
-    if (round_ > duration_) finished_ = true;
-  }
-
-  bool finished() const override { return finished_; }
-  std::int64_t output() const override {
-    return static_cast<std::int64_t>(received_);
-  }
-  std::string diagnostic() const override {
-    return rejected_ == 0 ? std::string{}
-                          : std::to_string(rejected_) +
-                                " checksum-rejected deliveries";
-  }
-
- private:
-  std::size_t duration_;
-  std::uint64_t seed_;
-  std::size_t value_bits_ = 0;
-  std::size_t chk_bits_ = 0;
-  std::size_t round_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t rejected_ = 0;
-  bool finished_ = false;
-};
-
-}  // namespace
-
-congest::ProgramFactory traffic_stress_factory(std::size_t duration,
-                                               std::uint64_t seed) {
-  return [duration, seed](NodeId, const congest::NodeInfo&) {
-    return std::make_unique<TrafficStressProgram>(duration, seed);
-  };
-}
-
 }  // namespace congestlb::sim

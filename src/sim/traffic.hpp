@@ -1,17 +1,12 @@
 // Synthetic traffic-pattern workloads (the classic interconnection-network
 // suite: uniform-random, bit-complement, shuffle, transpose, tornado).
 //
-// Three views of each pattern:
+// Two views of each pattern:
 //  - a destination map dest: [n] -> [n] (the permutation/assignment itself);
 //  - a workload *graph* — the union of {i, dest(i)} edges plus a connecting
 //    ring — used as hostile topologies for the upper-bound algorithms
 //    (congest/approx_mis, congest/blackboard_mis): patterns concentrate
-//    long-range edges in structured ways random G(n,p) never produces;
-//  - a stress NodeProgram that pumps checksummed sequence-numbered messages
-//    through the engine for a fixed number of rounds, as load for the fault
-//    injector (faults.hpp) and fodder for fuzzing: every delivered payload
-//    is integrity-checked, and per-node receive counts are exposed through
-//    output() so tests can reconcile them against RunStats.
+//    long-range edges in structured ways random G(n,p) never produces.
 //
 // Everything is a pure function of (pattern, n, seed): the same workload is
 // rebuilt bit-identically on every thread count and every run.
@@ -24,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "congest/network.hpp"
 #include "graph/graph.hpp"
 
 namespace congestlb::sim {
@@ -59,14 +53,5 @@ std::vector<graph::NodeId> traffic_destinations(TrafficPattern p,
 /// would just test components). Requires n >= 1.
 graph::Graph traffic_graph(TrafficPattern p, std::size_t n,
                            std::uint64_t seed);
-
-/// Stress program: for `duration` rounds every node sends one checksummed
-/// (seq, payload) message per round to a rotating neighbor slot, then
-/// finishes. output() is the count of integrity-valid messages received —
-/// under a fault-free run the outputs sum to exactly the messages
-/// delivered, under faults they reconcile with RunStats (dropped messages
-/// missing, corrupted ones rejected by checksum or counted as corrupt).
-congest::ProgramFactory traffic_stress_factory(std::size_t duration,
-                                               std::uint64_t seed);
 
 }  // namespace congestlb::sim

@@ -1,12 +1,15 @@
 // Stateless deterministic hashing for schedule-independent decisions.
 //
-// The fault injector (congest/faults.hpp) must make the *same* drop/corrupt
-// decision for a message no matter in which order the simulator iterates
-// nodes or edges — otherwise a refactor of the delivery loop would silently
-// change every "random" fault schedule and break seed-based repros. These
-// helpers turn a tuple of integers into a high-quality 64-bit hash (a chain
-// of splitmix64 finalizers) and into a uniform double in [0,1), with no
-// generator state involved: hash_mix(seed, a, b, c) is a pure function.
+// Seeded choices that must not depend on iteration order — blackboard_mis's
+// per-phase lottery keys, the traffic workloads' per-node draws, the
+// campaign supervisor's backoff jitter and chaos verdicts, message
+// checksums (congest/message.hpp) — are derived by hashing their
+// coordinates rather than by advancing a shared generator, so a refactor of
+// the loop that asks cannot silently change them and break seed-based
+// repros. These helpers turn a tuple of integers into a high-quality 64-bit
+// hash (a chain of splitmix64 finalizers) and into a uniform double in
+// [0,1), with no generator state involved: hash_mix(seed, a, b, c) is a
+// pure function.
 
 #pragma once
 

@@ -3,7 +3,7 @@
 //
 // A *contract* bundles everything an approximation algorithm promises into
 // one checkable predicate over a single sample point (algorithm, workload
-// graph, seed, thread count, fault profile):
+// graph, seed, thread count):
 //
 //   1. output validity   — the selected set is independent; for MIS
 //                          protocols additionally maximal;
@@ -19,11 +19,7 @@
 //                          full revelation; 2n for blackboard Luby) and bit
 //                          counts inside the model budget;
 //   4. determinism       — outputs and RunStats are bit-identical across
-//                          thread counts (the engine's core promise), fault
-//                          schedules included;
-//   5. fault degradation — under faults the run still terminates and the
-//                          *converged* nodes still form an independent set;
-//                          ratio and maximality are only owed fault-free.
+//                          thread counts (the engine's core promise).
 //
 // Checks return std::nullopt on success and a message on violation, so
 // they plug directly into the property harness (property_harness.hpp) and
@@ -45,7 +41,6 @@
 #include "comm/blackboard.hpp"
 #include "congest/approx_mis.hpp"
 #include "congest/blackboard_mis.hpp"
-#include "congest/faults.hpp"
 #include "congest/network.hpp"
 #include "graph/graph.hpp"
 #include "maxis/brute_force.hpp"
@@ -63,7 +58,6 @@ struct ApproxContractOptions {
   std::size_t eps_num = 1;
   std::size_t eps_den = 4;
   std::vector<std::size_t> thread_counts = {1, 2, 8};
-  congest::FaultConfig faults;  ///< all-zero = fault-free sample
   /// Largest n the harness certifies with the exact solver; above it the
   /// clique-partition upper bound is the only oracle.
   std::size_t solvable_limit = 24;
@@ -74,23 +68,6 @@ namespace detail {
 inline std::string describe_graph(const graph::Graph& g) {
   return std::to_string(g.num_nodes()) + " nodes / " +
          std::to_string(g.num_edges()) + " edges";
-}
-
-inline bool fault_free(const congest::FaultConfig& fc) {
-  return fc.drop_rate == 0.0 && fc.corrupt_rate == 0.0 &&
-         fc.duplicate_rate == 0.0 && fc.crash_rate == 0.0;
-}
-
-/// The portion of the output that converged: nodes whose program finished
-/// (not failed, not crashed mid-protocol) and reported membership.
-inline std::vector<graph::NodeId> converged_members(
-    const congest::Network& net) {
-  std::vector<graph::NodeId> members;
-  const auto outs = net.outputs();
-  for (graph::NodeId v = 0; v < outs.size(); ++v) {
-    if (outs[v] != 0 && net.program(v).finished()) members.push_back(v);
-  }
-  return members;
 }
 
 inline congest::LocalMaxIsSolver contract_ball_solver() {
@@ -115,7 +92,7 @@ inline OptimumEstimate estimate_optimum(const graph::Graph& g,
 }
 
 /// Full contract for the KKSS-style (1+eps)-approximate MaxIS program on
-/// `g` at LOCAL bandwidth. `seed` drives the network (and fault schedule).
+/// `g` at LOCAL bandwidth. `seed` drives the network.
 inline std::optional<std::string> check_approx_mis_contract(
     const graph::Graph& g, std::uint64_t seed,
     const ApproxContractOptions& opts = {}) {
@@ -130,8 +107,6 @@ inline std::optional<std::string> check_approx_mis_contract(
   congest::NetworkConfig ncfg;
   ncfg.seed = seed;
   ncfg.bits_per_edge = congest::approx_mis_local_bits(g.num_nodes(), max_w);
-  ncfg.faults = opts.faults;
-  const bool clean = detail::fault_free(opts.faults);
 
   std::optional<congest::RunStats> base_stats;
   std::optional<std::vector<std::int64_t>> base_outputs;
@@ -144,7 +119,7 @@ inline std::optional<std::string> check_approx_mis_contract(
     const auto outputs = net.outputs();
 
     // (4) determinism: every thread count reproduces the first run bit for
-    // bit — outputs and the full RunStats (fault counters included).
+    // bit — outputs and the full RunStats.
     if (!base_stats.has_value()) {
       base_stats = stats;
       base_outputs = outputs;
@@ -156,25 +131,17 @@ inline std::optional<std::string> check_approx_mis_contract(
     }
     if (threads != opts.thread_counts.front()) continue;
 
-    // (5) termination: terminal state must be reached before max_rounds
-    // even under faults (failed() at a deadline counts as terminal).
-    if (!clean && stats.rounds >= ncfg.max_rounds) {
-      return "approx-mis: did not reach a terminal state under faults";
-    }
-
-    // (1) validity on the converged portion, unconditionally.
-    const auto members = detail::converged_members(net);
-    if (!g.is_independent_set(members)) {
-      return "approx-mis: converged output is not independent on " +
-             detail::describe_graph(g);
-    }
-
-    if (!clean) continue;  // ratio/rounds owed fault-free only
-
     if (!stats.all_finished || stats.any_failed) {
-      return "approx-mis: fault-free run did not converge (" +
+      return "approx-mis: run did not converge (" +
              std::to_string(stats.rounds) + " rounds, " +
              detail::describe_graph(g) + ")";
+    }
+
+    // (1) validity.
+    const auto members = net.selected_nodes();
+    if (!g.is_independent_set(members)) {
+      return "approx-mis: output is not independent on " +
+             detail::describe_graph(g);
     }
 
     // (3) complexity envelope.
@@ -266,19 +233,15 @@ inline std::optional<std::string> check_blackboard_contract(
 // Pre-packaged Property lambdas: instance = random connected topology from
 // (seed, size) via the shared generators, so failures shrink by seed replay.
 
-inline Property approx_mis_contract_property(ApproxContractOptions opts,
-                                             bool randomize_faults) {
-  return [opts, randomize_faults](
-             std::uint64_t seed,
-             std::size_t size) -> std::optional<std::string> {
+inline Property approx_mis_contract_property(ApproxContractOptions opts) {
+  return [opts](std::uint64_t seed,
+                std::size_t size) -> std::optional<std::string> {
     Rng rng(hash_mix(seed, 0xac01ULL));
     auto g = random_topology(rng, size);
     for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
       g.set_weight(v, static_cast<graph::Weight>(1 + rng.below(9)));
     }
-    ApproxContractOptions local = opts;
-    if (randomize_faults) local.faults = random_fault_config(rng, size);
-    return check_approx_mis_contract(g, seed, local);
+    return check_approx_mis_contract(g, seed, opts);
   };
 }
 

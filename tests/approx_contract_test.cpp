@@ -1,7 +1,7 @@
 // The approximation-contract suite for the upper-bound algorithm zoo:
 // KKSS-style (1+eps)-approximate MaxIS (congest/approx_mis.hpp) and the
 // Assadi–Kol–Zhang blackboard MIS protocols (congest/blackboard_mis.hpp),
-// sampled across workloads, seeds, thread counts, and fault profiles via
+// sampled across workloads, seeds, and thread counts via
 // the contract harness (approx_contract.hpp). Traffic-pattern graphs
 // (sim/traffic.hpp) serve as the structured stress workloads.
 
@@ -30,16 +30,9 @@ namespace {
 // ------------------------------------------------------ random workloads --
 
 TEST(ApproxContract, RandomGraphsFaultFree) {
-  const auto failure = check_seeds(
-      approx_mis_contract_property({}, /*randomize_faults=*/false),
-      /*base_seed=*/101, /*instances=*/6, /*max_size=*/10);
-  EXPECT_FALSE(failure.has_value()) << failure->describe();
-}
-
-TEST(ApproxContract, RandomGraphsUnderFaults) {
-  const auto failure = check_seeds(
-      approx_mis_contract_property({}, /*randomize_faults=*/true),
-      /*base_seed=*/211, /*instances=*/5, /*max_size=*/8);
+  const auto failure = check_seeds(approx_mis_contract_property({}),
+                                   /*base_seed=*/101, /*instances=*/6,
+                                   /*max_size=*/10);
   EXPECT_FALSE(failure.has_value()) << failure->describe();
 }
 
@@ -48,7 +41,7 @@ TEST(ApproxContract, TighterEpsilonStillMeetsRatio) {
   opts.eps_num = 1;
   opts.eps_den = 8;
   const auto failure =
-      check_seeds(approx_mis_contract_property(opts, false),
+      check_seeds(approx_mis_contract_property(opts),
                   /*base_seed=*/307, /*instances=*/4, /*max_size=*/8);
   EXPECT_FALSE(failure.has_value()) << failure->describe();
 }

@@ -408,9 +408,9 @@ TEST(Outbox, EnforcesBandwidthAtSendTime) {
   EXPECT_FALSE(out.has(1)) << "rejected message must not occupy the slot";
 }
 
-TEST(Network, OversendThrowsFromSendEvenIfFaultWouldDropIt) {
+TEST(Network, OversendThrowsFromSendBeforeDelivery) {
   // The cap is a program-correctness check: it fires inside Outbox::send,
-  // before the fault schedule could possibly lose the message.
+  // in the compute phase of the first round, before anything is delivered.
   class Oversender final : public NodeProgram {
    public:
     void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
@@ -425,11 +425,12 @@ TEST(Network, OversendThrowsFromSendEvenIfFaultWouldDropIt) {
   auto g = triangle();
   NetworkConfig cfg;
   cfg.bits_per_edge = 4;
-  cfg.faults.drop_rate = 1.0;  // every message would be dropped anyway
   Network net(g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<Oversender>();
   }, cfg);
   EXPECT_THROW(net.run(), InvariantError);
+  EXPECT_EQ(net.rounds_executed(), 0u);
+  EXPECT_EQ(net.stats().messages_sent, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // result of a Network run — RunStats, program outputs, per-edge traffic,
 // and the full observer transcript including payload bytes — must be
 // bit-for-bit identical for every num_threads value, across random
-// topologies, seeds, and fault schedules (the fuzz_test recipe).
+// topologies and seeds (the fuzz_test recipe).
 //
 // This is the test that licenses NetworkConfig::num_threads as "purely a
 // speed knob": if it ever fails, the parallel engine has a scheduling
@@ -124,39 +124,6 @@ TEST_P(EngineDeterminism, FaultFreeFloodMatchesSerial) {
     cfg.seed = rng.next();
     cfg.bits_per_edge = 16;
     cfg.max_rounds = 1000;
-    const auto factory = [flood_rounds](graph::NodeId, const NodeInfo&) {
-      return std::make_unique<FloodProgram>(flood_rounds);
-    };
-    const RunRecord serial = run_once(g, factory, cfg, 1);
-    for (std::size_t threads : kThreadCounts) {
-      expect_identical(serial, run_once(g, factory, cfg, threads), threads,
-                       cfg.seed);
-    }
-  }
-}
-
-TEST_P(EngineDeterminism, FaultScheduleMatchesSerial) {
-  // The fuzz_test fault recipe: random drop/corrupt/duplicate rates, with
-  // and without crash/recovery schedules. Faults are the hard case — the
-  // classification consumes per-message randomness and echoes span rounds.
-  Rng rng(GetParam() + 500);
-  for (int trial = 0; trial < 6; ++trial) {
-    const std::size_t n = 4 + rng.below(32);
-    const auto g =
-        graph::gnp_random_connected(rng, n, 0.1 + rng.uniform() * 0.4);
-    const std::size_t flood_rounds = 1 + rng.below(12);
-    NetworkConfig cfg;
-    cfg.seed = rng.next();
-    cfg.bits_per_edge = 16;
-    cfg.max_rounds = 1000;
-    cfg.faults.drop_rate = rng.uniform() * 0.4;
-    cfg.faults.corrupt_rate = rng.uniform() * 0.15;
-    cfg.faults.duplicate_rate = rng.uniform() * 0.15;
-    if (rng.chance(0.5)) {
-      cfg.faults.crash_rate = rng.uniform() * 0.3;
-      cfg.faults.crash_round_limit = 1 + rng.below(8);
-      cfg.faults.recovery_delay = rng.chance(0.5) ? 1 + rng.below(4) : 0;
-    }
     const auto factory = [flood_rounds](graph::NodeId, const NodeInfo&) {
       return std::make_unique<FloodProgram>(flood_rounds);
     };

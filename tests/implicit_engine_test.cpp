@@ -22,6 +22,8 @@
 #include "graph/graph.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/params.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "support/expect.hpp"
 #include "support/rng.hpp"
 
@@ -309,16 +311,30 @@ TEST(ImplicitEngine, HybridRejectsNonUniformSends) {
   EXPECT_THROW(net.run(), InvariantError);
 }
 
-TEST(ImplicitEngine, HybridRejectsFaultsAndMetrics) {
+TEST(ImplicitEngine, HybridRejectsTracingAndMetrics) {
+  // Per-delivery trace events and metric observations are O(total degree),
+  // the cost implicit blocks exist to avoid: both are refused up front.
   graph::Graph g(6);
   g.set_implicit_block_threshold(1);
   g.add_clique(std::vector<graph::NodeId>{0, 1, 2, 3, 4, 5});
   const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<MixFlood>(1);
   };
-  NetworkConfig faulty;
-  faulty.faults.drop_rate = 0.5;
-  EXPECT_THROW(Network(g, factory, faulty), InvariantError);
+  obs::MetricsRegistry registry;
+  NetworkConfig metered;
+  metered.metrics = &registry;
+  EXPECT_THROW(Network(g, factory, metered), InvariantError);
+
+  obs::Tracer off(obs::TraceConfig{.capacity = 0});
+  NetworkConfig untraced;
+  untraced.tracer = &off;  // a disabled tracer behaves like none
+  EXPECT_NO_THROW(Network(g, factory, untraced));
+  if (obs::trace_compiled_in()) {
+    obs::Tracer live;
+    NetworkConfig traced;
+    traced.tracer = &live;
+    EXPECT_THROW(Network(g, factory, traced), InvariantError);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // The tracer is only worth having if it is *exact*: every event stream must
 // replay to the engine's own RunStats and per-edge bit accounting, and must
 // be bit-identical across thread counts — otherwise a trace is a story, not
-// evidence. Each property here runs on randomized (topology, fault mix,
-// workload) instances derived purely from (seed, size); failures print the
+// evidence. Each property here runs on randomized (topology, workload)
+// instances derived purely from (seed, size); failures print the
 // minimal (seed, size) repro.
 
 #include <gtest/gtest.h>
@@ -43,7 +43,6 @@ using obs::EventKind;
 using obs::TraceEvent;
 using obs::Tracer;
 using testing::check_seeds;
-using testing::random_fault_config;
 using testing::random_program_plan;
 using testing::random_topology;
 
@@ -91,7 +90,6 @@ Instance make_instance(std::uint64_t seed, std::size_t size) {
   inst.cfg.seed = rng.next();
   inst.cfg.bits_per_edge = 64;
   inst.cfg.max_rounds = 400;
-  inst.cfg.faults = random_fault_config(rng, size);
   const auto plan = random_program_plan(rng, size);
   inst.flood_rounds = plan.flood_rounds;
   inst.payload_bits = plan.payload_bits;
@@ -137,11 +135,6 @@ TracedRun run_traced(const Instance& inst, std::size_t num_threads,
 struct Replay {
   std::uint64_t delivered = 0;
   std::uint64_t bits_delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t duplicated = 0;
-  std::uint64_t crashes = 0;
-  std::uint64_t recoveries = 0;
   std::uint64_t rounds = 0;
   /// Directed (from, to) -> delivered bits.
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> edge_bits;
@@ -152,22 +145,9 @@ Replay replay(std::span<const TraceEvent> events) {
   for (const TraceEvent& ev : events) {
     switch (ev.kind) {
       case EventKind::kDeliver:
-      case EventKind::kDeliverCorrupt:
-      case EventKind::kDeliverEcho:
         r.delivered += 1;
         r.bits_delivered += ev.value;
         r.edge_bits[{ev.a, ev.b}] += ev.value;
-        if (ev.kind == EventKind::kDeliverCorrupt) r.corrupted += 1;
-        if (ev.kind == EventKind::kDeliverEcho) r.duplicated += 1;
-        break;
-      case EventKind::kDrop:
-        r.dropped += 1;
-        break;
-      case EventKind::kCrash:
-        r.crashes += 1;
-        break;
-      case EventKind::kRecover:
-        r.recoveries += 1;
         break;
       case EventKind::kRoundEnd:
         r.rounds += 1;
@@ -189,8 +169,7 @@ std::optional<std::string> expect_eq(const char* what, T got, U want) {
 }
 
 /// Property 1: with sample_period 1 and no ring pressure, the event stream
-/// replays exactly to RunStats — every delivery kind, drop, crash,
-/// recovery, and round.
+/// replays exactly to RunStats — every delivery, bit, and round.
 std::optional<std::string> prop_replays_to_stats(std::uint64_t seed,
                                                  std::size_t size) {
   const Instance inst = make_instance(seed, size);
@@ -205,14 +184,6 @@ std::optional<std::string> prop_replays_to_stats(std::uint64_t seed,
   for (auto failure :
        {expect_eq("messages_sent", r.delivered, run.stats.messages_sent),
         expect_eq("bits_sent", r.bits_delivered, run.stats.bits_sent),
-        expect_eq("messages_dropped", r.dropped, run.stats.messages_dropped),
-        expect_eq("messages_corrupted", r.corrupted,
-                  run.stats.messages_corrupted),
-        expect_eq("messages_duplicated", r.duplicated,
-                  run.stats.messages_duplicated),
-        expect_eq("nodes_crashed", r.crashes, run.stats.nodes_crashed),
-        expect_eq("nodes_recovered", r.recoveries,
-                  run.stats.nodes_recovered),
         expect_eq("rounds", r.rounds, run.stats.rounds)}) {
     if (failure.has_value()) return failure;
   }
@@ -280,9 +251,9 @@ std::optional<std::string> prop_threads_identical(std::uint64_t seed,
   return std::nullopt;
 }
 
-/// Property 4: sampling. With sample_period p, round-scoped events exist
-/// exactly for rounds r with r % p == 0, and the sampled rounds replay to
-/// the same per-round content as a full trace restricted to those rounds.
+/// Property 4: sampling. With sample_period p, events exist exactly for
+/// rounds r with r % p == 0, and the sampled rounds replay to the same
+/// per-round content as a full trace restricted to those rounds.
 std::optional<std::string> prop_sampling_is_subset(std::uint64_t seed,
                                                    std::size_t size) {
   const Instance inst = make_instance(seed, size);
@@ -293,24 +264,14 @@ std::optional<std::string> prop_sampling_is_subset(std::uint64_t seed,
   const TracedRun a = run_traced(inst, 1, full);
   const TracedRun b = run_traced(inst, 1, sampled);
   if (a.trace_dropped != 0 || b.trace_dropped != 0) return "lossy trace";
-  auto round_scoped = [](const std::vector<TraceEvent>& evs) {
-    std::vector<TraceEvent> out;
-    for (const auto& ev : evs) {
-      if (ev.kind != EventKind::kCrashScheduled &&
-          ev.kind != EventKind::kRecoverScheduled) {
-        out.push_back(ev);
-      }
-    }
-    return out;
-  };
   std::vector<TraceEvent> expect;
-  for (const auto& ev : round_scoped(a.events)) {
+  for (const auto& ev : a.events) {
     if (ev.round % 3 == 0) expect.push_back(ev);
   }
-  const std::vector<TraceEvent> got = round_scoped(b.events);
+  const std::vector<TraceEvent>& got = b.events;
   if (expect.size() != got.size()) {
     return "sampled trace has " + std::to_string(got.size()) +
-           " round-scoped events, expected " + std::to_string(expect.size());
+           " events, expected " + std::to_string(expect.size());
   }
   for (std::size_t i = 0; i < expect.size(); ++i) {
     if (!(expect[i] == got[i])) {
@@ -400,8 +361,6 @@ TEST_F(ObsProperty, ReductionBlackboardMatchesTracedCutTraffic) {
     for (const TraceEvent& ev : tracer.events()) {
       switch (ev.kind) {
         case EventKind::kDeliver:
-        case EventKind::kDeliverCorrupt:
-        case EventKind::kDeliverEcho:
           if (c.owner(ev.a) != c.owner(ev.b)) cut_bits += ev.value;
           break;
         case EventKind::kBlackboardPost:

@@ -2,7 +2,7 @@
 //
 // Every generated instance is a pure function of (seed, size): the
 // generators below consume only an Rng forked from the seed, and `size`
-// caps the structural dimensions (nodes, rounds, fault intensity). That
+// caps the structural dimensions (nodes, rounds). That
 // purity buys the classic QuickCheck loop without storing instances:
 //
 //   - check_seeds runs `instances` independent seeds at full size and
@@ -25,7 +25,6 @@
 #include <optional>
 #include <string>
 
-#include "congest/faults.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "support/rng.hpp"
@@ -93,22 +92,6 @@ inline std::optional<PropertyFailure> check_seeds(const Property& prop,
 inline graph::Graph random_topology(Rng& rng, std::size_t size) {
   const std::size_t n = 2 + rng.below(size + 1);
   return graph::gnp_random_connected(rng, n, 0.1 + rng.uniform() * 0.4);
-}
-
-/// A fault mix scaled by `size` (size 0 = fault-free). Crash schedules only
-/// appear from size 4 up, so shrinking sheds fault classes in a fixed order.
-inline congest::FaultConfig random_fault_config(Rng& rng, std::size_t size) {
-  congest::FaultConfig fc;
-  if (size == 0 || rng.chance(0.25)) return fc;
-  fc.drop_rate = rng.uniform() * 0.3;
-  fc.corrupt_rate = rng.uniform() * 0.15;
-  fc.duplicate_rate = rng.uniform() * 0.15;
-  if (size >= 4 && rng.chance(0.5)) {
-    fc.crash_rate = rng.uniform() * 0.3;
-    fc.crash_round_limit = 1 + rng.below(8);
-    fc.recovery_delay = rng.chance(0.5) ? 1 + rng.below(4) : 0;
-  }
-  return fc;
 }
 
 /// Shape of the flood workload the property runs on the topology.

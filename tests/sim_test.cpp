@@ -49,8 +49,10 @@ TEST_P(LinearReductionSweep, UniversalAlgorithmDecidesBothBranches) {
         c, inst, congest::universal_maxis_factory(exact_solver()), board,
         universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell)));
     EXPECT_TRUE(rep.algorithm_finished);
+    EXPECT_FALSE(rep.net_stats.any_failed);
     EXPECT_TRUE(rep.correct) << "branch intersecting=" << intersecting;
     EXPECT_TRUE(rep.accounting_ok);
+    EXPECT_TRUE(rep.cut_accounting_exact);
     EXPECT_EQ(rep.decided_disjoint, !intersecting);
     EXPECT_GT(rep.blackboard_entries, 0u);
     EXPECT_LE(rep.blackboard_bits, rep.theorem5_budget);

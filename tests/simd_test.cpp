@@ -9,7 +9,7 @@
 //      random inputs — word rows straddling the kSimdDispatchWords
 //      threshold and vector-register boundaries, random pack/unpack field
 //      sequences, random accounting arrays;
-//   2. engine-level: the same random (topology, faults, flood plan)
+//   2. engine-level: the same random (topology, flood plan)
 //      instance is executed under every supported level via ScopedLevel and
 //      every observable (RunStats, outputs, per-edge bits, full transcript
 //      with payload bytes) must match the scalar run, serial and parallel;
@@ -321,8 +321,7 @@ TEST(SimdKernelProperty, AccountingKernelsMatchScalar) {
 // -------------------------------------------------- engine bit-identity ---
 
 /// Floods node id for a fixed number of rounds (the determinism-suite
-/// workload): exercises MessageWriter::put, bulk delivery accounting, and
-/// the faulted path when a FaultConfig is active.
+/// workload): exercises MessageWriter::put and bulk delivery accounting.
 class FloodProgram final : public congest::NodeProgram {
  public:
   FloodProgram(std::size_t rounds_to_run, std::size_t payload_bits)
@@ -387,7 +386,7 @@ EngineRecord run_engine(const graph::Graph& g,
   return rec;
 }
 
-/// Random (topology, faults, flood plan): the run must be bit-identical
+/// Random (topology, flood plan): the run must be bit-identical
 /// under every SIMD level, serial and parallel. The scalar serial run is
 /// the reference — this subsumes pack/unpack and the bulk delivery fast
 /// path end to end.
@@ -400,7 +399,6 @@ TEST(SimdEngineBitIdentity, FloodRunsMatchScalarAcrossLevels) {
     const auto plan = testing::random_program_plan(rng, size);
     congest::NetworkConfig cfg;
     cfg.seed = rng.next();
-    cfg.faults = testing::random_fault_config(rng, size);
     cfg.max_rounds = 64;
     // Auto bandwidth is O(log n) bits and the plan floods up to 24; widen
     // the edges so the property tests packing, not the bandwidth check.
@@ -437,7 +435,7 @@ TEST(SimdEngineBitIdentity, FloodRunsMatchScalarAcrossLevels) {
 }
 
 /// Same bit-identity contract for Luby MIS (randomized rounds, real
-/// termination logic) on random fault-free topologies.
+/// termination logic) on random topologies.
 TEST(SimdEngineBitIdentity, LubyMisMatchesScalarAcrossLevels) {
   const auto levels = supported_levels();
   const testing::Property prop = [&](std::uint64_t seed,
