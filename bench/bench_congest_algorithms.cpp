@@ -37,14 +37,14 @@ clb::graph::Graph random_connected(clb::Rng& rng, std::size_t n, double p,
   for (clb::graph::NodeId v = 0; v < n; ++v) {
     g.set_weight(v, static_cast<clb::graph::Weight>(1 + rng.below(max_w)));
   }
+  clb::graph::EdgeList edges;
   for (clb::graph::NodeId u = 0; u < n; ++u) {
     for (clb::graph::NodeId v = u + 1; v < n; ++v) {
-      if (rng.chance(p)) g.add_edge(u, v);
+      if (rng.chance(p)) edges.emplace_back(u, v);
     }
   }
-  for (clb::graph::NodeId v = 0; v + 1 < n; ++v) {
-    if (!g.has_edge(v, v + 1)) g.add_edge(v, v + 1);
-  }
+  for (clb::graph::NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  g.add_edges(edges);  // the path edges already drawn collapse
   return g;
 }
 

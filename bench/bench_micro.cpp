@@ -102,7 +102,11 @@ void BM_CongestRoundThroughput(benchmark::State& state) {
   // Greedy MIS on a cycle: measures simulator round overhead.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   clb::graph::Graph g(n);
-  for (clb::graph::NodeId v = 0; v < n; ++v) g.add_edge(v, (v + 1) % n);
+  clb::graph::EdgeList cycle;
+  for (clb::graph::NodeId v = 0; v < n; ++v) {
+    cycle.emplace_back(v, (v + 1) % n);
+  }
+  g.add_edges(cycle);
   for (auto _ : state) {
     clb::congest::Network net(g, clb::congest::greedy_mis_factory());
     const auto stats = net.run();
@@ -143,7 +147,8 @@ void BM_PromiseInstanceGeneration(benchmark::State& state) {
 BENCHMARK(BM_PromiseInstanceGeneration)->Arg(1024)->Arg(16384);
 
 void BM_TopologyBuild(benchmark::State& state) {
-  // The per-Network cost of the CSR + reverse-slot snapshot (topology.hpp).
+  // The per-Network cost of borrowing the CSR and computing reverse slots
+  // (topology.hpp).
   clb::Rng rng(3);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto g = clb::graph::gnp_random_connected(rng, n, 8.0 / static_cast<double>(n));
@@ -156,7 +161,8 @@ void BM_TopologyBuild(benchmark::State& state) {
 BENCHMARK(BM_TopologyBuild)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_BulkGraphBuild(benchmark::State& state) {
-  // Batch add_edges (append-unsorted, sort once) on a gnp edge list.
+  // Batch add_edges (one counting-sort scatter into a fresh CSR) on a gnp
+  // edge list.
   clb::Rng rng(4);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto src =
@@ -164,7 +170,6 @@ void BM_BulkGraphBuild(benchmark::State& state) {
   const auto edges = clb::graph::edge_list(src);
   for (auto _ : state) {
     clb::graph::Graph g(n);
-    g.reserve_edges(edges.size());
     g.add_edges(edges);
     benchmark::DoNotOptimize(g.num_edges());
   }

@@ -39,15 +39,16 @@ int main(int argc, char** argv) {
   for (clb::graph::NodeId v = 0; v < n; ++v) {
     g.set_weight(v, static_cast<clb::graph::Weight>(1 + rng.below(max_w)));
   }
+  clb::graph::EdgeList edges;
   for (clb::graph::NodeId u = 0; u < n; ++u) {
     for (clb::graph::NodeId v = u + 1; v < n; ++v) {
-      if (rng.chance(prob)) g.add_edge(u, v);
+      if (rng.chance(prob)) edges.emplace_back(u, v);
     }
   }
-  // Keep it connected so the universal algorithm terminates.
-  for (clb::graph::NodeId v = 0; v + 1 < n; ++v) {
-    if (!g.has_edge(v, v + 1)) g.add_edge(v, v + 1);
-  }
+  // Keep it connected so the universal algorithm terminates (add_edges
+  // skips the path edges already drawn).
+  for (clb::graph::NodeId v = 0; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  g.add_edges(edges);
 
   std::cout << "G(n=" << n << ", p=" << prob << "): " << g.num_edges()
             << " edges, max degree " << g.max_degree() << ", weights 1.."

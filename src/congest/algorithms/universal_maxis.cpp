@@ -168,9 +168,12 @@ class UniversalMaxIsProgram final : public NodeProgram {
     for (NodeId v = 0; v < info.n; ++v) {
       g.set_weight(v, static_cast<graph::Weight>(weight_[v]));
     }
+    graph::EdgeList edges;
+    edges.reserve(edge_known_.size());
     for (const Token& tok : tokens_) {
-      if (tok.is_edge) g.add_edge(tok.a, tok.b);
+      if (tok.is_edge) edges.emplace_back(tok.a, tok.b);
     }
+    g.add_edges(edges);
     const auto solution = solver_(g);
     CLB_EXPECT(g.is_independent_set(solution),
                "universal-maxis: solver returned a non-independent set");

@@ -163,7 +163,7 @@ class ApproxMisProgram final : public NodeProgram {
     degree_.assign(info.n, 0);
     weight_.assign(info.n, 0);
     decision_.assign(info.n, 0);
-    adj_.assign(info.n, {});
+    known_adj_.assign(info.n, {});
     add_node_token(info.id, info.neighbors.size(),
                    static_cast<std::uint64_t>(info.weight));
     for (NodeId nb : info.neighbors) {
@@ -189,8 +189,8 @@ class ApproxMisProgram final : public NodeProgram {
   void add_edge_token(std::uint64_t u, std::uint64_t v) {
     const std::uint64_t key = u * n_ + v;
     if (!edge_known_.insert(key).second) return;
-    adj_[u].push_back(static_cast<NodeId>(v));
-    adj_[v].push_back(static_cast<NodeId>(u));
+    known_adj_[u].push_back(static_cast<NodeId>(v));
+    known_adj_[v].push_back(static_cast<NodeId>(u));
     tokens_.push_back(Token{TokKind::kEdge, u, v, 0});
   }
 
@@ -310,7 +310,7 @@ class ApproxMisProgram final : public NodeProgram {
       const NodeId u = bfs_order_[head];
       const std::size_t d = static_cast<std::size_t>(bfs_dist_[u]);
       if (d == depth) continue;
-      for (NodeId v : adj_[u]) {
+      for (NodeId v : known_adj_[u]) {
         if (bfs_dist_[v] >= 0) continue;
         if (live_only && !believed_live(v)) continue;
         bfs_dist_[v] = static_cast<std::int32_t>(d + 1);
@@ -328,7 +328,7 @@ class ApproxMisProgram final : public NodeProgram {
     for (NodeId u : seen) {
       if (static_cast<std::size_t>(bfs_dist_[u]) >= radius) continue;
       if (!node_known_[u]) return false;
-      if (adj_[u].size() != degree_[u]) return false;
+      if (known_adj_[u].size() != degree_[u]) return false;
     }
     return true;
   }
@@ -397,15 +397,17 @@ class ApproxMisProgram final : public NodeProgram {
       index_of_[nodes[i]] = static_cast<std::int32_t>(i);
     }
     graph::Graph sub(nodes.size());
+    graph::EdgeList edges;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       sub.set_weight(i, static_cast<graph::Weight>(weight_[nodes[i]]));
-      for (NodeId v : adj_[nodes[i]]) {
+      for (NodeId v : known_adj_[nodes[i]]) {
         const std::int32_t j = index_of_[v];
         if (j >= 0 && static_cast<std::size_t>(j) > i) {
-          sub.add_edge(i, static_cast<std::size_t>(j));
+          edges.emplace_back(i, static_cast<std::size_t>(j));
         }
       }
     }
+    sub.add_edges(edges);
     const auto local = solver_(sub);
     CLB_EXPECT(sub.is_independent_set(local),
                "approx-mis: solver returned a non-independent set");
@@ -491,7 +493,8 @@ class ApproxMisProgram final : public NodeProgram {
   std::vector<std::uint64_t> degree_;
   std::vector<std::uint64_t> weight_;
   std::vector<std::uint8_t> decision_;  ///< 0 none / 1 In / 2 Out
-  std::vector<std::vector<NodeId>> adj_;
+  /// Adjacency learned so far; grows one edge token at a time.
+  std::vector<std::vector<NodeId>> known_adj_;
   std::unordered_set<std::uint64_t> edge_known_;
   graph::Weight weight_seen_ = 0;  ///< monotone; drives the auto deadline
 

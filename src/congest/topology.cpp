@@ -106,9 +106,12 @@ std::shared_ptr<const Topology> Topology::build(const graph::Graph& g) {
   topo->implicit_edges = g.num_implicit_edges();
   topo->blocks = g.implicit_blocks();
 
-  graph::Csr csr = graph::export_csr(g);
-  topo->own_offsets_ = std::move(csr.offsets);
-  topo->own_neighbors_ = std::move(csr.targets);
+  // Borrow the graph's CSR: it is immutable, and holding its shared_ptr
+  // keeps it alive however the graph is mutated or destroyed later.
+  const std::shared_ptr<const graph::Csr> csr = g.shared_csr();
+  topo->offsets = csr->offsets;
+  topo->neighbors = csr->targets;
+  topo->keepalive_ = csr;
 
   topo->own_weights_.resize(topo->n);
   for (NodeId v = 0; v < topo->n; ++v) topo->own_weights_[v] = g.weight(v);
@@ -117,18 +120,14 @@ std::shared_ptr<const Topology> Topology::build(const graph::Graph& g) {
   // order visits, for each receiver v, the entries "u appears in v's sorted
   // list" in ascending u — so u's position in v's list is exactly how many
   // earlier senders were adjacent to v.
-  topo->own_reverse_.resize(topo->own_neighbors_.size());
+  topo->own_reverse_.resize(topo->neighbors.size());
   std::vector<std::uint32_t> cursor(topo->n, 0);
   for (NodeId u = 0; u < topo->n; ++u) {
-    for (std::size_t d = topo->own_offsets_[u]; d < topo->own_offsets_[u + 1];
-         ++d) {
-      const NodeId v = topo->own_neighbors_[d];
-      topo->own_reverse_[d] = cursor[v]++;
+    for (std::size_t d = topo->offsets[u]; d < topo->offsets[u + 1]; ++d) {
+      topo->own_reverse_[d] = cursor[topo->neighbors[d]]++;
     }
   }
 
-  topo->offsets = topo->own_offsets_;
-  topo->neighbors = topo->own_neighbors_;
   topo->reverse_slot = topo->own_reverse_;
   topo->weights = topo->own_weights_;
   return topo;

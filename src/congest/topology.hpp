@@ -19,9 +19,9 @@
 // engine's per-slot arenas are sized by them — while total_degree(),
 // neighbor_at(), and neighbor_after() select over the merged
 // explicit+implicit neighbor set arithmetically. The CSR
-// arrays are spans so a topology can either own its storage (build()) or
-// borrow it from a memory-mapped snapshot (from_snapshot()) without
-// copying.
+// arrays are spans that borrow their storage without copying: build()
+// aliases the graph's own immutable CSR, from_snapshot() a memory-mapped
+// snapshot; either way a keepalive handle holds the storage.
 
 #pragma once
 
@@ -104,8 +104,11 @@ struct Topology {
     return c;
   }
 
-  /// Snapshot g's adjacency (and implicit-block table). The graph may be
-  /// mutated or destroyed afterwards; the topology is self-contained.
+  /// Borrow g's CSR (zero-copy: the spans alias g.csr(), whose shared
+  /// ownership the topology keeps) and copy its weights and implicit-block
+  /// table; only reverse_slot is computed. The graph may be mutated or
+  /// destroyed afterwards — a mutation replaces the graph's CSR, never
+  /// edits the borrowed one.
   static std::shared_ptr<const Topology> build(const graph::Graph& g);
 
   /// Adopt a (possibly memory-mapped) CSR snapshot produced by
@@ -115,11 +118,10 @@ struct Topology {
 
  private:
   // Owned backing for build(); empty when viewing a snapshot.
-  std::vector<std::size_t> own_offsets_;
-  std::vector<NodeId> own_neighbors_;
   std::vector<std::uint32_t> own_reverse_;
   std::vector<graph::Weight> own_weights_;
-  // Keeps a snapshot mapping alive while spans alias it.
+  // Keeps the borrowed CSR (graph or snapshot mapping) alive while spans
+  // alias it.
   std::shared_ptr<const void> keepalive_;
 };
 

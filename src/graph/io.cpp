@@ -48,6 +48,7 @@ void write_edge_list(std::ostream& os, const Graph& g) {
 Graph read_edge_list(std::istream& is) {
   std::string line;
   Graph g;
+  EdgeList edges;
   bool have_n = false;
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
@@ -104,12 +105,13 @@ Graph read_edge_list(std::istream& is) {
       if (!(ss >> u >> v) || u >= g.num_nodes() || v >= g.num_nodes() || u == v) {
         fail("bad edge line");
       }
-      g.add_edge(u, v);
+      edges.emplace_back(u, v);
     } else {
       fail("unknown record kind");
     }
   }
   CLB_EXPECT(have_n, "read_edge_list: missing 'n' line");
+  g.add_edges(edges);
   return g;
 }
 
@@ -208,41 +210,26 @@ void StreamingCsrBuilder::flush_chunk() {
 Csr StreamingCsrBuilder::finish() {
   CLB_EXPECT(!finished_, "builder already finished");
   finished_ = true;
-  Csr csr;
-  csr.offsets.resize(n_ + 1, 0);
-  for (std::size_t v = 0; v < n_; ++v) {
-    csr.offsets[v + 1] = csr.offsets[v] + degree_[v];
-  }
-  csr.targets.resize(csr.offsets[n_]);
-  // Reuse the degree array as the per-row scatter cursor.
-  std::vector<std::uint32_t>& cursor = degree_;
-  std::fill(cursor.begin(), cursor.end(), 0);
-  const auto scatter = [&](std::span<const std::pair<NodeId, NodeId>> pairs) {
-    for (auto [u, v] : pairs) {
-      csr.targets[csr.offsets[u] + cursor[u]++] = v;
-      csr.targets[csr.offsets[v] + cursor[v]++] = u;
-    }
-  };
+  CsrScatter scatter(std::move(degree_));
   if (spill_ != nullptr) {
     std::rewind(spill_);
     std::vector<std::pair<NodeId, NodeId>> buf(opts_.chunk_edges);
     std::size_t got = 0;
     while ((got = std::fread(buf.data(), sizeof(buf[0]), buf.size(),
                              spill_)) > 0) {
-      scatter({buf.data(), got});
+      scatter.scatter({buf.data(), got});
     }
   } else {
-    for (const auto& c : spilled_chunks_) scatter(c);
+    for (const auto& c : spilled_chunks_) scatter.scatter(c);
     spilled_chunks_.clear();
   }
-  scatter(chunk_);
+  scatter.scatter(chunk_);
   chunk_.clear();
   chunk_.shrink_to_fit();
+  Csr csr = scatter.finish();
   for (std::size_t v = 0; v < n_; ++v) {
-    const auto row_begin = csr.targets.begin() + csr.offsets[v];
-    const auto row_end = csr.targets.begin() + csr.offsets[v + 1];
-    std::sort(row_begin, row_end);
-    CLB_EXPECT(std::adjacent_find(row_begin, row_end) == row_end,
+    const auto row = csr.row(v);
+    CLB_EXPECT(std::adjacent_find(row.begin(), row.end()) == row.end(),
                "duplicate edge in streamed CSR input");
   }
   return csr;

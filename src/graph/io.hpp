@@ -51,8 +51,8 @@ void write_dot(std::ostream& os, const Graph& g, const DotOptions& opts = {});
 /// order, each undirected edge exactly once) and are buffered in
 /// fixed-size chunks — optionally spilled to a scratch file — so peak
 /// resident memory during the build is O(n + chunk_edges) plus the final
-/// CSR itself, never a vector-of-vectors adjacency. finish() runs a
-/// counting-sort scatter over the buffered stream and sorts each row.
+/// CSR itself. finish() runs the CsrScatter that Graph::add_edges also
+/// uses over the buffered stream, then rejects duplicate edges.
 class StreamingCsrBuilder {
  public:
   struct Options {

@@ -35,28 +35,27 @@ BaseGadget::BaseGadget(GadgetParams params, const BuildOptions& opts)
     }
   }
 
-  // Bulk construction: the non-codeword star edges dominate (k * m_pos *
-  // (p-1) of them), so reserve once and insert them as a single batch.
-  g_.reserve_edges(k * (k - 1) / 2 + m_pos * p * (p - 1) / 2 +
-                   k * m_pos * (p - 1));
+  // Bulk construction: the cliques and the codeword stars go into one
+  // batch, so the gadget's CSR is built once.
+  graph::EdgeList edges;
+  edges.reserve(k * (k - 1) / 2 + m_pos * p * (p - 1) / 2 +
+                k * m_pos * (p - 1));
   // The clique A.
-  g_.add_clique(a_nodes());
+  g_.add_clique(a_nodes(), edges);
   // The code-gadget cliques C_h.
   for (std::size_t h = 0; h < m_pos; ++h) {
-    g_.add_clique(clique_nodes(h));
+    g_.add_clique(clique_nodes(h), edges);
   }
   // v_m <-> Code \ Code_m.
-  std::vector<std::pair<NodeId, NodeId>> star_edges;
-  star_edges.reserve(k * m_pos * (p - 1));
   for (std::size_t m = 0; m < k; ++m) {
     const codes::Word& w = codewords_[m];
     for (std::size_t h = 0; h < m_pos; ++h) {
       for (std::size_t r = 0; r < p; ++r) {
-        if (r != w[h]) star_edges.emplace_back(a_node(m), code_node(h, r));
+        if (r != w[h]) edges.emplace_back(a_node(m), code_node(h, r));
       }
     }
   }
-  g_.add_edges(star_edges);
+  g_.add_edges(edges);
 }
 
 NodeId BaseGadget::a_node(std::size_t m) const {

@@ -34,27 +34,27 @@ LinearConstruction::LinearConstruction(GadgetParams params, std::size_t t,
   // Per-copy structure: the clique A^i, the code cliques C^i_h, and the
   // codeword star edges v^i_m <-> Code^i \ Code^i_m. All are contiguous id
   // ranges, so the cliques become blocks above the threshold; the stars are
-  // the irreducibly explicit part (k * (ell+alpha) * (p-1) per copy).
-  std::vector<std::pair<NodeId, NodeId>> stars;
-  stars.reserve(t_ * k * m_pos * (p - 1));
+  // the irreducibly explicit part (k * (ell+alpha) * (p-1) per copy). Every
+  // sub-threshold edge joins one batch, so the fixed graph's CSR is built
+  // once.
+  graph::EdgeList edges;
+  edges.reserve(t_ * base_.graph().num_edges());  // per-copy cliques + stars
   for (std::size_t i = 0; i < t_; ++i) {
     std::vector<NodeId> a(k);
     for (std::size_t m = 0; m < k; ++m) a[m] = a_node(i, m);
-    g_.add_clique(a);
+    g_.add_clique(a, edges);
     for (std::size_t h = 0; h < m_pos; ++h) {
-      g_.add_clique(clique_nodes(i, h));
+      g_.add_clique(clique_nodes(i, h), edges);
     }
     for (std::size_t m = 0; m < k; ++m) {
       const codes::Word& w = base_.codeword(m);
       for (std::size_t h = 0; h < m_pos; ++h) {
         for (std::size_t r = 0; r < p; ++r) {
-          if (r != w[h]) stars.emplace_back(a_node(i, m), code_node(i, h, r));
+          if (r != w[h]) edges.emplace_back(a_node(i, m), code_node(i, h, r));
         }
       }
     }
   }
-  g_.reserve_edges(stars.size());
-  g_.add_edges(stars);
 
   // Inter-copy connections (Figure 2): for each position h, all edges
   // between C^i_h and C^j_h (i != j) except the natural perfect matching —
@@ -62,8 +62,10 @@ LinearConstruction::LinearConstruction(GadgetParams params, std::size_t t,
   // covering every copy pair at once (block count stays ell+alpha, not
   // C(t,2) * (ell+alpha)).
   for (std::size_t h = 0; h < m_pos; ++h) {
-    g_.add_anti_matching_grid(static_cast<NodeId>(k + h * p), npc, t_, p);
+    g_.add_anti_matching_grid(static_cast<NodeId>(k + h * p), npc, t_, p,
+                              edges);
   }
+  g_.add_edges(edges);
 }
 
 LinearConstruction::LinearConstruction(GadgetParams params, std::size_t t,
@@ -92,6 +94,8 @@ graph::Graph LinearConstruction::instantiate(
 graph::Graph LinearConstruction::instantiate_raw(
     const std::vector<std::vector<std::uint8_t>>& strings) const {
   CLB_EXPECT(strings.size() == t_, "instantiate_raw: wrong player count");
+  // Copies only the weights and the block table; the CSR is shared, so an
+  // instance is a weight overlay on the fixed graph.
   graph::Graph gx = g_;
   for (std::size_t i = 0; i < t_; ++i) {
     CLB_EXPECT(strings[i].size() == params_.k,

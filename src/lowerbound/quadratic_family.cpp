@@ -24,9 +24,11 @@ QuadraticConstruction::QuadraticConstruction(GadgetParams params,
   g_.set_implicit_block_threshold(opts.implicit_threshold);
 
   // Per-copy structure (2t copies of H, indexed (i, b)): labels, the fixed
-  // weights w_F, the cliques, and the explicit codeword stars.
-  std::vector<std::pair<NodeId, NodeId>> stars;
-  stars.reserve(2 * t_ * k * m_pos * (p - 1));
+  // weights w_F, the cliques, and the explicit codeword stars. Every
+  // sub-threshold edge joins one batch, so the fixed graph's CSR is built
+  // once.
+  graph::EdgeList edges;
+  edges.reserve(2 * t_ * base_.graph().num_edges());  // cliques + stars
   for (std::size_t i = 0; i < t_; ++i) {
     for (std::size_t b = 0; b < 2; ++b) {
       const NodeId offset = a_node(i, b, 0);
@@ -43,26 +45,24 @@ QuadraticConstruction::QuadraticConstruction(GadgetParams params,
       }
       std::vector<NodeId> a(k);
       for (std::size_t m = 0; m < k; ++m) a[m] = a_node(i, b, m);
-      g_.add_clique(a);
+      g_.add_clique(a, edges);
       for (std::size_t h = 0; h < m_pos; ++h) {
         std::vector<NodeId> c(p);
         for (std::size_t r = 0; r < p; ++r) c[r] = code_node(i, b, h, r);
-        g_.add_clique(c);
+        g_.add_clique(c, edges);
       }
       for (std::size_t m = 0; m < k; ++m) {
         const codes::Word& w = base_.codeword(m);
         for (std::size_t h = 0; h < m_pos; ++h) {
           for (std::size_t r = 0; r < p; ++r) {
             if (r != w[h]) {
-              stars.emplace_back(a_node(i, b, m), code_node(i, b, h, r));
+              edges.emplace_back(a_node(i, b, m), code_node(i, b, h, r));
             }
           }
         }
       }
     }
   }
-  g_.reserve_edges(stars.size());
-  g_.add_edges(stars);
 
   // Within each block b: the Figure-2 anti-matchings between copies — one
   // grid per (b, h) over rows = copies (stride 2*npc), columns = symbols.
@@ -70,10 +70,11 @@ QuadraticConstruction::QuadraticConstruction(GadgetParams params,
     for (std::size_t b = 0; b < 2; ++b) {
       for (std::size_t h = 0; h < m_pos; ++h) {
         g_.add_anti_matching_grid(static_cast<NodeId>(b * npc + k + h * p),
-                                  2 * npc, t_, p);
+                                  2 * npc, t_, p, edges);
       }
     }
   }
+  g_.add_edges(edges);
 }
 
 graph::Graph QuadraticConstruction::instantiate(
@@ -82,8 +83,8 @@ graph::Graph QuadraticConstruction::instantiate(
   CLB_EXPECT(inst.k == string_length(),
              "instantiate: instance string length must be k^2");
   CLB_EXPECT(inst.t == t_, "instantiate: instance t mismatch");
-  graph::Graph fx = g_;
-  std::vector<std::pair<NodeId, NodeId>> zero_edges;
+  graph::Graph fx = g_;  // shares g_'s CSR until the merge below
+  graph::EdgeList zero_edges;
   zero_edges.reserve(t_ * params_.k * params_.k);
   for (std::size_t i = 0; i < t_; ++i) {
     for (std::size_t m1 = 0; m1 < params_.k; ++m1) {

@@ -24,9 +24,11 @@ UnweightedExpansion to_unweighted(const graph::Graph& g) {
                              : g.label(v) + "#" + std::to_string(c));
     }
   }
+  graph::EdgeList edges;
   for (auto [u, v] : graph::edge_list(g)) {
-    ex.graph.add_biclique(ex.copies_of[u], ex.copies_of[v]);
+    ex.graph.add_biclique(ex.copies_of[u], ex.copies_of[v], edges);
   }
+  ex.graph.add_edges(edges);
   return ex;
 }
 

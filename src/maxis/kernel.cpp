@@ -17,8 +17,8 @@ namespace {
 /// Merged (explicit + implicit-block) neighbor list of v. On a block-free
 /// graph this is the adjacency list itself (no copy); with blocks present
 /// it fills and returns `scratch` via the shared neighbor cursor.
-const std::vector<NodeId>& merged_neighbors(const graph::Graph& g, NodeId v,
-                                            std::vector<NodeId>& scratch) {
+std::span<const NodeId> merged_neighbors(const graph::Graph& g, NodeId v,
+                                         std::vector<NodeId>& scratch) {
   if (!g.has_implicit_blocks()) return g.neighbors(v);
   scratch.clear();
   g.for_each_neighbor(v, [&](NodeId u) { scratch.push_back(u); });
@@ -164,7 +164,7 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
     std::vector<std::pair<std::uint64_t, NodeId>> sig;
     sig.reserve(n);
     for (NodeId v = 0; v < n; ++v) {
-      const auto& nb = merged_neighbors(g, v, scratch_a);
+      const auto nb = merged_neighbors(g, v, scratch_a);
       const std::size_t d = nb.size();
       // The pipeline's twin pass skips degree-0 vertices, so mirror that
       // (and keep nb[d-1] in range when the degree rules are masked off).
@@ -186,8 +186,9 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
       // them.
       for (std::size_t i = lo; i < hi; ++i) {
         for (std::size_t j = i + 1; j < hi; ++j) {
-          if (merged_neighbors(g, sig[i].second, scratch_a) ==
-              merged_neighbors(g, sig[j].second, scratch_b)) {
+          if (std::ranges::equal(
+                  merged_neighbors(g, sig[i].second, scratch_a),
+                  merged_neighbors(g, sig[j].second, scratch_b))) {
             return true;
           }
         }
@@ -203,7 +204,7 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
     std::vector<std::uint32_t> mark(n, 0);
     std::uint32_t stamp = 0;
     for (NodeId u = 0; u < n; ++u) {
-      const auto& nu = merged_neighbors(g, u, scratch);
+      const auto nu = merged_neighbors(g, u, scratch);
       if (nu.empty() || nu.size() > cap) continue;
       ++stamp;
       mark[u] = stamp;

@@ -41,13 +41,13 @@ class LocalSearch {
   void add(NodeId v) {
     CLB_CHECK(!in_[v] && tight_[v] == 0);
     in_[v] = true;
-    for (NodeId nb : g_->neighbors(v)) ++tight_[nb];
+    g_->for_each_neighbor(v, [&](NodeId nb) { ++tight_[nb]; });
   }
 
   void remove(NodeId v) {
     CLB_CHECK(in_[v]);
     in_[v] = false;
-    for (NodeId nb : g_->neighbors(v)) --tight_[nb];
+    g_->for_each_neighbor(v, [&](NodeId nb) { --tight_[nb]; });
   }
 
   void count_move() {
@@ -71,9 +71,9 @@ class LocalSearch {
   /// (non-members whose only IS neighbor is v).
   bool try_swap(NodeId v) {
     std::vector<NodeId> dependents;
-    for (NodeId nb : g_->neighbors(v)) {
+    g_->for_each_neighbor(v, [&](NodeId nb) {
       if (!in_[nb] && tight_[nb] == 1) dependents.push_back(nb);
-    }
+    });
     if (dependents.empty()) return false;
     // Best single replacement.
     NodeId best_single = dependents[0];

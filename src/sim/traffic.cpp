@@ -92,13 +92,12 @@ graph::Graph traffic_graph(TrafficPattern p, std::size_t n,
                         1 + (hash_mix(seed, 0x77ULL, v) % 8)));
   }
   const auto dest = traffic_destinations(p, n, seed);
+  graph::EdgeList edges;
   for (NodeId i = 0; i < n; ++i) {
-    const NodeId d = dest[i];
-    if (d != i && !g.has_edge(i, d)) g.add_edge(i, d);
+    if (dest[i] != i) edges.emplace_back(i, dest[i]);
   }
-  for (NodeId i = 0; i + 1 < n; ++i) {
-    if (!g.has_edge(i, i + 1)) g.add_edge(i, i + 1);
-  }
+  for (NodeId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
+  g.add_edges(edges);  // repeated pairs collapse, as the graph is simple
   return g;
 }
 

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "congest/topology.hpp"
 #include "graph/graph.hpp"
 #include "support/expect.hpp"
 
@@ -318,6 +323,54 @@ TEST(Network, OutputsVectorCoversAllNodes) {
   EXPECT_EQ(outs[2], 1);
   const auto sel = net.selected_nodes();
   EXPECT_EQ(sel.size(), 3u);  // all nonzero
+}
+
+TEST(Topology, BuildBorrowsTheGraphCsr) {
+  graph::Graph g = triangle();
+  g.set_weight(1, 4);
+  const auto topo = Topology::build(g);
+  EXPECT_EQ(topo->neighbors.data(), g.csr().targets.data());
+  EXPECT_EQ(topo->offsets.data(), g.csr().offsets.data());
+  EXPECT_EQ(topo->weights[1], 4);
+}
+
+TEST(Network, SurvivesSourceGraphMutationAndDestruction) {
+  // Topology::build borrows the graph's CSR; mutating or destroying the
+  // graph afterwards must neither change nor invalidate what the network
+  // runs on (the sanitizer build checks the second half).
+  const auto make = [] {
+    graph::Graph g(6);
+    g.add_edges(std::vector<std::pair<graph::NodeId, graph::NodeId>>{
+        {0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 4}});
+    g.set_weight(2, 7);
+    return g;
+  };
+  const auto factory = [](graph::NodeId id, const NodeInfo&) {
+    return std::make_unique<EchoProgram>(1 + id % 3);
+  };
+  const graph::Graph untouched = make();
+  Network reference(untouched, factory, echo_cfg());
+
+  auto g = std::make_unique<graph::Graph>(make());
+  Network net(*g, factory, echo_cfg());
+  g->add_edge(0, 5);
+  g->add_edges(std::vector<std::pair<graph::NodeId, graph::NodeId>>{
+      {0, 2}, {3, 5}});
+  g->set_weight(2, 1);
+  g.reset();
+
+  for (graph::NodeId v = 0; v < 6; ++v) {
+    const auto& got = net.info(v);
+    const auto& want = reference.info(v);
+    EXPECT_EQ(got.weight, want.weight);
+    EXPECT_EQ(std::vector<graph::NodeId>(got.neighbors.begin(),
+                                         got.neighbors.end()),
+              std::vector<graph::NodeId>(want.neighbors.begin(),
+                                         want.neighbors.end()))
+        << "node " << v;
+  }
+  EXPECT_EQ(net.run(), reference.run());
+  EXPECT_EQ(net.outputs(), reference.outputs());
 }
 
 TEST(Network, RunAfterCompletionIsIdempotent) {

@@ -1,9 +1,13 @@
 // Tests for the weighted graph substrate: construction, adjacency,
-// weights, set operations, subgraphs, complement.
+// weights, set operations, subgraphs, complement, the bulk add_edges path,
+// and copy-on-write sharing of the CSR.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "support/expect.hpp"
@@ -199,6 +203,138 @@ TEST(Graph, EdgeListSortedAndComplete) {
   ASSERT_EQ(edges.size(), 3u);
   EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
   for (auto [u, v] : edges) EXPECT_LT(u, v);
+}
+
+// ------------------------------------------------ bulk path and sharing --
+
+/// A graph equal to g but built on its own fresh adjacency storage, so it
+/// cannot observe an in-place edit of g's.
+Graph deep_copy(const Graph& g) {
+  Graph copy(g.num_nodes());
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    copy.set_weight(u, g.weight(u));
+    for (NodeId v : g.explicit_neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  for (auto [u, v] : edges) copy.add_edge(u, v);
+  for (const auto& b : g.implicit_blocks()) copy.add_implicit_block(b);
+  return copy;
+}
+
+TEST(Graph, AddEdgesThrowLeavesGraphUnchanged) {
+  Graph g(4);
+  g.add_edge(0, 3);
+  const Graph before = deep_copy(g);
+
+  const std::vector<std::pair<NodeId, NodeId>> self_loop = {
+      {2, 1}, {0, 1}, {3, 3}};
+  EXPECT_THROW(g.add_edges(self_loop), InvariantError);
+  EXPECT_TRUE(g == before);
+  EXPECT_FALSE(g.has_edge(0, 1));
+  EXPECT_EQ(g.num_edges(), 1u);
+
+  const std::vector<std::pair<NodeId, NodeId>> out_of_range = {
+      {2, 1}, {0, 1}, {1, 4}};
+  EXPECT_THROW(g.add_edges(out_of_range), InvariantError);
+  EXPECT_TRUE(g == before);
+  EXPECT_EQ(g.degree(1), 0u);
+}
+
+TEST(Graph, AddEdgesMatchesPerEdgeReference) {
+  // Repeated pairs, both orientations and already-present edges: the batch
+  // must land on exactly the graph (and count) that one add_edge per pair
+  // produces.
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 2 + rng.below(30);
+    const auto node = [&] { return static_cast<NodeId>(rng.below(n)); };
+    Graph g(n);
+    std::vector<std::pair<NodeId, NodeId>> present;
+    for (std::size_t e = rng.below(2 * n); e > 0; --e) {
+      const NodeId u = node(), v = node();
+      if (u != v && g.add_edge(u, v)) present.emplace_back(u, v);
+    }
+    std::vector<std::pair<NodeId, NodeId>> batch;
+    for (std::size_t e = rng.below(4 * n); e > 0; --e) {
+      if (!batch.empty() && rng.chance(0.25)) {
+        const auto [u, v] = batch[rng.below(batch.size())];
+        batch.emplace_back(v, u);
+      } else if (!present.empty() && rng.chance(0.2)) {
+        batch.push_back(present[rng.below(present.size())]);
+      } else {
+        const NodeId u = node(), v = node();
+        if (u != v) batch.emplace_back(u, v);
+      }
+    }
+
+    Graph reference = deep_copy(g);
+    std::size_t want = 0;
+    for (auto [u, v] : batch) want += reference.add_edge(u, v) ? 1 : 0;
+    EXPECT_EQ(g.add_edges(batch), want) << "seed " << seed;
+    EXPECT_TRUE(g == reference) << "seed " << seed;
+    for (NodeId v = 0; v < n; ++v) {
+      const auto nb = g.neighbors(v);
+      EXPECT_TRUE(std::adjacent_find(nb.begin(), nb.end(),
+                                     std::greater_equal<>()) == nb.end())
+          << "row " << v << " not strictly ascending, seed " << seed;
+    }
+    EXPECT_EQ(edge_list(g).size(), g.num_edges());
+  }
+}
+
+TEST(Graph, CopiesShareAdjacency) {
+  Graph g(5);
+  g.add_edges(std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {1, 2}, {3, 4}});
+  const Graph copy = g;
+  EXPECT_EQ(&copy.csr(), &g.csr());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(copy.explicit_neighbors(v).data(),
+              g.explicit_neighbors(v).data());
+  }
+}
+
+TEST(Graph, MovedFromGraphIsEmpty) {
+  Graph g(4);
+  g.add_edge(0, 3);
+  g.set_implicit_block_threshold(1);
+  g.add_clique(std::vector<NodeId>{0, 1, 2});
+  const Graph moved = std::move(g);
+  EXPECT_EQ(moved.num_edges(), 4u);
+  EXPECT_EQ(g.num_nodes(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(g.num_edges(), 0u);
+  EXPECT_EQ(g.csr().offsets.size(), 1u);
+  g = Graph(2);
+  EXPECT_TRUE(g.add_edge(0, 1));
+}
+
+TEST(Graph, MutatingACopyLeavesTheOriginal) {
+  Graph g(8);
+  g.add_edges(
+      std::vector<std::pair<NodeId, NodeId>>{{0, 1}, {1, 2}, {2, 3}, {0, 4}});
+  g.set_weight(2, 5);
+  const Graph snapshot = deep_copy(g);
+  const auto first_row = g.explicit_neighbors(0);
+
+  const std::vector<std::function<void(Graph&)>> mutations = {
+      [](Graph& c) { c.add_edge(0, 7); },
+      [](Graph& c) {
+        c.add_edges(std::vector<std::pair<NodeId, NodeId>>{{1, 6}, {0, 2}});
+      },
+      [](Graph& c) { c.add_clique(std::vector<NodeId>{4, 5, 6}); },
+      [](Graph& c) { c.add_implicit_block(ImplicitBlock::clique(5, 8)); },
+      [](Graph& c) { c.set_weight(0, 9); },
+  };
+  for (std::size_t i = 0; i < mutations.size(); ++i) {
+    Graph copy = g;
+    mutations[i](copy);
+    EXPECT_FALSE(copy == snapshot) << "mutation " << i << " had no effect";
+    EXPECT_TRUE(g == snapshot) << "mutation " << i << " reached the original";
+    EXPECT_EQ(g.explicit_neighbors(0).data(), first_row.data());
+  }
+  EXPECT_EQ(std::vector<NodeId>(first_row.begin(), first_row.end()),
+            (std::vector<NodeId>{1, 4}));
 }
 
 // Property sweep: random graphs keep degree/edge-count invariants.

@@ -17,11 +17,14 @@
 #include <utility>
 #include <vector>
 
+#include "comm/instances.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "graph/graph.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/params.hpp"
+#include "lowerbound/quadratic_family.hpp"
+#include "maxis/branch_and_bound.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/expect.hpp"
@@ -282,6 +285,47 @@ TEST(ImplicitEngine, LinearFamilyBlockedTwinIsBitIdentical) {
   const RunRecord a = run_once(plain.fixed_graph(), probe, 4, 2);
   const RunRecord b = run_once(blocked.fixed_graph(), probe, 4, 2);
   EXPECT_EQ(a, b);
+}
+
+TEST(ImplicitEngine, QuadraticFamilyBlockedTwinIsBitIdentical) {
+  // F_xbar's twin of the test above: every clique and inter-copy
+  // anti-matching recorded as a block, against the all-explicit default.
+  const auto params = lb::GadgetParams::from_l_alpha(2, 1, 3);
+  const std::size_t t = 2;
+  const lb::QuadraticConstruction plain(params, t);
+  lb::BuildOptions opts;
+  opts.implicit_threshold = 1;
+  opts.skip_labels = true;
+  const lb::QuadraticConstruction blocked(params, t, opts);
+
+  ASSERT_TRUE(blocked.fixed_graph().has_implicit_blocks());
+  ASSERT_FALSE(plain.fixed_graph().has_implicit_blocks());
+  ASSERT_EQ(blocked.fixed_graph().num_edges(), plain.fixed_graph().num_edges());
+  EXPECT_TRUE(blocked.fixed_graph().materialized() == plain.fixed_graph());
+  EXPECT_EQ(graph::edge_list(blocked.fixed_graph().materialized()),
+            graph::edge_list(plain.fixed_graph()));
+  EXPECT_EQ(blocked.cut_size(), plain.cut_size());
+  EXPECT_EQ(blocked.cut_edges(), plain.cut_edges());
+  EXPECT_EQ(blocked.cut_edges().size(), blocked.cut_size());
+
+  const auto probe = plain.cut_edges();
+  EXPECT_EQ(run_once(plain.fixed_graph(), probe, 4, 2),
+            run_once(blocked.fixed_graph(), probe, 4, 2));
+
+  Rng rng(19);
+  const auto yes = comm::make_uniquely_intersecting(blocked.string_length(), t,
+                                                    rng, 0.3);
+  const auto no =
+      comm::make_pairwise_disjoint(blocked.string_length(), t, rng, 0.3);
+  for (const auto* inst : {&yes, &no}) {
+    const graph::Graph fx_blocked = blocked.instantiate(*inst);
+    const graph::Graph fx_plain = plain.instantiate(*inst);
+    ASSERT_TRUE(fx_blocked.has_implicit_blocks());
+    EXPECT_EQ(graph::edge_list(fx_blocked.materialized()),
+              graph::edge_list(fx_plain));
+    EXPECT_EQ(maxis::solve_exact(fx_blocked).weight,
+              maxis::solve_exact(fx_plain).weight);
+  }
 }
 
 TEST(ImplicitEngine, HybridRejectsNonUniformSends) {
