@@ -138,8 +138,8 @@ class ComponentContext {
 };
 
 /// One structural subtree job: a candidate row plus the include decisions
-/// that led to it. Pure data, derived from the component alone — never from
-/// the thread count.
+/// that led to it. Pure data, derived from the component and the probe cap
+/// alone — never from the thread count.
 struct JobSpec {
   std::vector<std::uint64_t> cand;
   std::vector<std::size_t> chosen;  ///< order-positions already included
@@ -149,10 +149,14 @@ struct JobSpec {
 struct JobOutcome {
   Weight best = 0;            ///< max(bound_in, best found in the subtree)
   bool improved = false;      ///< best > bound_in (chosen is then valid)
-  bool aborted = false;       ///< node cap hit (probe mode only) or cancel
   bool cancelled = false;     ///< deadline token observed (subtree partial)
   std::vector<char> chosen;   ///< order-position membership of the best IS
   std::uint64_t nodes = 0;    ///< search nodes visited
+  /// Probe mode, node cap hit: the unexplored rest of the DFS in serial
+  /// order — the interrupted node, then each ancestor level's
+  /// exclude-continuation from deepest to shallowest (empty ones dropped).
+  /// Empty when the search finished or was cancelled.
+  std::vector<JobSpec> remainder;
 };
 
 /// The include/exclude search of branch_and_bound.cpp, restarted from an
@@ -170,10 +174,11 @@ struct JobOutcome {
 /// functions of the candidate set, so node counts stay deterministic.
 class SubtreeSearch {
  public:
-  /// stop_on_budget: exhausting max_nodes sets outcome.aborted and returns
-  /// the best found so far — the probe mode, still deterministic because
-  /// the traversal order and the cap are fixed. Otherwise exhaustion
-  /// throws, matching the seed solver's budget contract.
+  /// stop_on_budget: exhausting max_nodes returns the best found so far
+  /// plus the unexplored DFS remainder (outcome.remainder) — the probe
+  /// mode, still deterministic because the traversal order and the cap are
+  /// fixed. Otherwise exhaustion throws, matching the seed solver's budget
+  /// contract.
   SubtreeSearch(const ComponentContext& cx, std::uint64_t max_nodes,
                 bool stop_on_budget, const DeadlineToken* deadline = nullptr)
       : cx_(&cx), max_nodes_(max_nodes), stop_on_budget_(stop_on_budget),
@@ -207,13 +212,14 @@ class SubtreeSearch {
     aborted_ = false;
     cancelled_ = false;
     nodes_ = 0;
+    remainder_.clear();
     recurse(0, spec.acc, 0);
     JobOutcome out;
     out.best = best_;
     out.improved = improved_;
-    out.aborted = aborted_;
     out.cancelled = cancelled_;
     out.nodes = nodes_;
+    out.remainder = std::move(remainder_);
     if (improved_) {
       out.chosen.assign(best_chosen_.begin(), best_chosen_.end());
     }
@@ -298,10 +304,29 @@ class SubtreeSearch {
     return bound;
   }
 
+  /// Appends (cand, the current include prefix, acc) to the remainder.
+  void record_remainder(const std::uint64_t* cand, Weight acc) {
+    JobSpec s;
+    s.cand.assign(cand, cand + nw_);
+    for (std::size_t p = 0; p < n_; ++p) {
+      if (chosen_[p] != 0) s.chosen.push_back(p);
+    }
+    s.acc = acc;
+    remainder_.push_back(std::move(s));
+  }
+
   void recurse(std::size_t depth, Weight acc, std::size_t part) {
     std::uint64_t* cand = cand_row(depth);
     while (true) {
-      if (aborted_) return;
+      if (aborted_) {
+        // Unwinding from a child the cap interrupted: cand already excludes
+        // the branch vertex and chosen_ is back at this level's prefix, so
+        // (cand, acc) is this level's exclude-continuation.
+        if (!cancelled_ && words::first_bit(cand, nw_, n_) != n_) {
+          record_remainder(cand, acc);
+        }
+        return;
+      }
       ++nodes_;
       // Cancellation outranks the budget contract: a cancelled search
       // never throws, even in stop_on_budget=false (fanout job) mode — it
@@ -315,7 +340,11 @@ class SubtreeSearch {
       if (max_nodes_ != 0 && nodes_ > max_nodes_) {
         CLB_EXPECT(stop_on_budget_,
                    "solver engine: per-job search-node budget exhausted");
+        // This node is left unvisited: it heads the remainder, and the job
+        // that runs it counts it.
+        --nodes_;
         aborted_ = true;
+        record_remainder(cand, acc);
         return;
       }
       if (acc > best_) {
@@ -358,10 +387,11 @@ class SubtreeSearch {
   std::vector<char> best_chosen_;
   std::vector<std::uint64_t> seen_;  ///< clique-id epoch stamps (tier 1)
   std::unique_ptr<std::uint32_t[]> part_cid_;
+  std::vector<JobSpec> remainder_;
   std::uint64_t epoch_ = 0;
   Weight best_ = 0;
   bool improved_ = false;
-  bool aborted_ = false;
+  bool aborted_ = false;  ///< node cap hit (probe mode only) or cancel
   bool cancelled_ = false;
   std::uint64_t nodes_ = 0;
 };
@@ -373,37 +403,29 @@ JobSpec whole_component_spec(const ComponentContext& cx) {
   return s;
 }
 
-/// Split a component into at most `fanout` structural subtree jobs: job i
-/// includes order-position i after excluding positions 0..i-1 (the first
-/// `fanout - 1` top-level include branches of the serial search), and one
-/// residual job excludes them all. The union is an exact partition of the
-/// search space.
-std::vector<JobSpec> make_jobs(const ComponentContext& cx,
-                               std::size_t fanout) {
-  std::vector<JobSpec> jobs;
+/// Split `spec` into at most `fanout` structural sub-jobs, appended to
+/// `jobs` in serial order: sub-job i includes the i-th candidate in
+/// position order after excluding the earlier ones (the first `fanout - 1`
+/// include branches of the search at spec's root), and one residual job
+/// excludes them all. The union is an exact partition of spec's subtree.
+void split_job(const ComponentContext& cx, JobSpec spec, std::size_t fanout,
+               std::vector<JobSpec>& jobs) {
   const std::size_t n = cx.n();
   const std::size_t nw = cx.nw();
-  if (fanout <= 1 || n == 0) {
-    jobs.push_back(whole_component_spec(cx));
-    return jobs;
-  }
-  std::vector<std::uint64_t> all(nw, 0);
-  words::fill_prefix(all.data(), n, nw);
-  const std::size_t f = std::min(fanout - 1, n);
-  for (std::size_t i = 0; i < f; ++i) {
+  for (std::size_t i = 0; i + 1 < fanout; ++i) {
+    const std::size_t v = words::first_bit(spec.cand.data(), nw, n);
+    if (v == n) break;
     JobSpec s;
     s.cand.assign(nw, 0);
-    words::and_not_rows(s.cand.data(), all.data(), cx.row(i), nw);
-    words::clear_bit(s.cand.data(), i);
-    s.chosen = {i};
-    s.acc = cx.weight(i);
+    words::and_not_rows(s.cand.data(), spec.cand.data(), cx.row(v), nw);
+    words::clear_bit(s.cand.data(), v);
+    s.chosen = spec.chosen;
+    s.chosen.push_back(v);
+    s.acc = spec.acc + cx.weight(v);
     jobs.push_back(std::move(s));
-    words::clear_bit(all.data(), i);
+    words::clear_bit(spec.cand.data(), v);
   }
-  JobSpec residual;
-  residual.cand = all;
-  jobs.push_back(std::move(residual));
-  return jobs;
+  jobs.push_back(std::move(spec));
 }
 
 struct ComponentPlan {
@@ -414,7 +436,8 @@ struct ComponentPlan {
   IsSolution warm;             ///< component-local ids
   JobOutcome probe;            ///< serial capped probe result
   Weight bound = 0;            ///< max(warm, probe best): fanout-job bound
-  std::vector<JobSpec> jobs;   ///< empty when the probe finished exactly
+  std::vector<JobSpec> jobs;   ///< empty when the probe finished or was
+                               ///< cancelled
   std::size_t first_job = 0;   ///< index into the flat job array
 };
 
@@ -458,9 +481,12 @@ EngineResult solve_maxis(const graph::Graph& g, const EngineOptions& opts) {
   // ---- Per component: context, warm start, serial probe, fanout plan ----
   // The probe runs the canonical serial search — which chains its incumbent
   // across subtrees exactly like the seed solver — under a fixed node cap;
-  // a component the probe finishes is solved outright. Only cap-exhausted
-  // components fan out, every job pruning against the deterministic
-  // max(warm, probe-best) incumbent.
+  // a component the probe finishes is solved outright. A cap-exhausted
+  // probe hands over its unexplored DFS remainder: those continuations,
+  // the shallowest one split into structural sub-jobs, are the component's
+  // jobs, every one pruning against the deterministic max(warm,
+  // probe-best) incumbent. Probe off, the whole component is the one
+  // continuation.
   std::size_t total_jobs = 0;
   for (ComponentPlan& plan : plans) {
     if (num_comps == 1) {
@@ -488,14 +514,17 @@ EngineResult solve_maxis(const graph::Graph& g, const EngineOptions& opts) {
       plan.probe =
           probe.run(whole_component_spec(*plan.cx), plan.warm.weight);
       if (plan.probe.cancelled) res.approximate = true;
+      plan.jobs = std::move(plan.probe.remainder);
     } else {
-      plan.probe.aborted = true;  // skip straight to the fanout
+      plan.jobs.push_back(whole_component_spec(*plan.cx));
     }
     plan.bound = std::max(plan.warm.weight, plan.probe.best);
-    if (plan.probe.aborted) {
+    if (!plan.jobs.empty()) {
       const std::size_t fanout =
           plan.cx->n() >= opts.fanout_min_nodes ? opts.fanout : 1;
-      plan.jobs = make_jobs(*plan.cx, fanout);
+      JobSpec shallowest = std::move(plan.jobs.back());
+      plan.jobs.pop_back();
+      split_job(*plan.cx, std::move(shallowest), fanout, plan.jobs);
       plan.first_job = total_jobs;
       total_jobs += plan.jobs.size();
     }

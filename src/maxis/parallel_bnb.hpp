@@ -13,10 +13,13 @@
 //      local search), so the bound prunes from the first search node;
 //   4. a serial *probe*: the canonical single-tree search under a node cap,
 //      which chains its incumbent across subtrees exactly like the seed
-//      solver. Components the probe finishes are solved outright; only
-//      cap-exhausted components fan out their top search subtrees as jobs
-//      on a campaign::WorkStealingScheduler, each pruning against the
-//      deterministic max(warm, probe-best) incumbent.
+//      solver. Components the probe finishes are solved outright. A
+//      cap-exhausted probe hands its unexplored DFS remainder to the
+//      fanout: the interrupted node and each ancestor's exclude-branch
+//      become jobs on a campaign::WorkStealingScheduler (the shallowest one
+//      split into its top include branches), each pruning against the
+//      deterministic max(warm, probe-best) incumbent. No node the probe
+//      visited is searched again.
 //
 // Bounding is two-tier: a fixed clique partition computed once per
 // component gives an O(#cliques) bit-probe bound (near-exact on the
@@ -27,11 +30,11 @@
 // Determinism contract (pinned by parallel_bnb_test across threads 1/2/8):
 // the returned solution, its weight, and search_nodes are bit-identical for
 // every thread count. The probe is serial and capped by a constant, the job
-// set is a pure function of the graph (fanout never depends on `threads`),
-// each job prunes only against the deterministic warm/probe incumbent plus
-// its own local best, and the shared incumbent is a monotone max register
-// combined with a structural (lowest-job-index) tie-break — so neither
-// execution order nor steal pattern can leak into any output.
+// set is a pure function of the graph and that cap (fanout never depends on
+// `threads`), each job prunes only against the deterministic warm/probe
+// incumbent plus its own local best, and the shared incumbent is a monotone
+// max register combined with a structural (lowest-job-index) tie-break — so
+// neither execution order nor steal pattern can leak into any output.
 // Report.steals is the one deliberately volatile observable.
 
 #pragma once
@@ -68,21 +71,27 @@ struct EngineOptions {
   std::uint64_t max_search_nodes = 200'000'000;
   /// Serial probe budget per component: the whole-tree search runs inline
   /// up to this many nodes and, if it finishes, the component never fans
-  /// out. The default generously covers every gadget search observed in
-  /// the paper campaign (hundreds to a few thousand nodes) — fanning out a
-  /// search the probe can finish only loses, because root-level subtree
-  /// jobs forfeit the probe's chained incumbent. 0 disables the probe
-  /// (every component goes straight to the fanout — the path the
-  /// determinism tests exercise). When max_search_nodes is smaller than
-  /// this, the probe is skipped so the budget-exhaustion contract stays
-  /// with the throwing job search.
+  /// out. If it does not, the probe's unexplored DFS remainder becomes the
+  /// component's jobs, so the nodes it visited are never searched again;
+  /// the jobs lose only the incumbent chaining between them. The default
+  /// covers the linear-family gadget searches of the paper campaign
+  /// (hundreds to a few thousand nodes) but not F_x̄ at ℓ = 6, t = 4
+  /// (n = 448), where about 40% of solves run past it (up to ~55k nodes).
+  /// 0 disables the probe (the whole component is the one continuation —
+  /// the path the fanout determinism tests exercise). When
+  /// max_search_nodes is smaller than this, the probe is skipped so the
+  /// budget-exhaustion contract stays with the throwing job search.
   std::uint64_t probe_search_nodes = 20'000;
-  /// Subtree jobs fanned out per cap-exhausted component. Structural:
-  /// never derived from `threads`, so the job set (and with it
-  /// search_nodes) is identical for every worker count.
+  /// Upper bound on the structural sub-jobs the shallowest continuation of
+  /// a cap-exhausted component (the whole component, probe off) splits
+  /// into: its first `fanout - 1` include branches plus a residual. The
+  /// deeper continuations run as one job each. Structural: never derived
+  /// from `threads`, so the job set (and with it search_nodes) is
+  /// identical for every worker count.
   std::size_t fanout = 16;
-  /// Cap-exhausted components smaller than this still solve as one job —
-  /// fanout bookkeeping costs more than the search there.
+  /// Cap-exhausted components smaller than this run their continuations
+  /// unsplit (probe off: as one job) — fanout bookkeeping costs more than
+  /// the search there.
   std::size_t fanout_min_nodes = 48;
   /// Optional sink for maxis.kernel.* rule hit-counts and maxis.engine.*
   /// job/steal counters (serial update after the pool drains).
@@ -103,7 +112,8 @@ struct EngineResult {
   IsSolution solution;             ///< verified on the *original* graph
   std::uint64_t search_nodes = 0;  ///< probe + jobs; thread-invariant
   std::size_t components = 0;      ///< kernel components searched
-  std::size_t jobs = 0;            ///< fanout jobs executed (0 = probe won)
+  std::size_t jobs = 0;            ///< fanout jobs executed (0 = probe
+                                   ///< finished or was cancelled)
   std::uint64_t steals = 0;        ///< pool steals (volatile; see header)
   KernelStats kernel;              ///< rule hit counts (zero if kernelize off)
   std::size_t kernel_nodes = 0;    ///< vertices surviving into the search

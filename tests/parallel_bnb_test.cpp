@@ -1,17 +1,20 @@
 // Solver engine (maxis/parallel_bnb.hpp): the determinism contract —
 // solution, weight, and search_nodes bit-identical across thread counts,
-// with the probe disabled so the fanout path really executes — plus OPT
-// agreement with the seed solver, kernel on/off equivalence, budget
-// enforcement, and structural edge cases.
+// with the probe disabled or capped early so the fanout path really
+// executes — plus equality of a capped probe's continuation with the
+// uncapped serial search, OPT agreement with the seed solver, kernel on/off
+// equivalence, budget enforcement, and structural edge cases.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <string>
 
 #include "comm/instances.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/params.hpp"
+#include "lowerbound/quadratic_family.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "maxis/parallel_bnb.hpp"
 #include "property_harness.hpp"
@@ -49,6 +52,19 @@ graph::Graph gadget(bool yes, std::uint64_t trial) {
   return c.instantiate(inst);
 }
 
+/// F_x̄ at ℓ = 6, α = 1, k = 7, t = 4 (n = 448): the claims_quadratic
+/// shape, YES at density 0.3 or NO at density 0.4.
+graph::Graph quadratic_gadget(bool yes, std::uint64_t seed) {
+  const lb::QuadraticConstruction c(lb::GadgetParams::from_l_alpha(6, 1, 7),
+                                    4);
+  Rng rng(seed);
+  const auto inst = yes ? comm::make_uniquely_intersecting(
+                              c.string_length(), c.num_players(), rng, 0.3)
+                        : comm::make_pairwise_disjoint(
+                              c.string_length(), c.num_players(), rng, 0.4);
+  return c.instantiate(inst);
+}
+
 /// Options that force the fanout: probe off, fanout floor at zero, so the
 /// multi-threaded job path runs even on small graphs.
 EngineOptions fanout_options(std::size_t threads) {
@@ -56,6 +72,23 @@ EngineOptions fanout_options(std::size_t threads) {
   opts.threads = threads;
   opts.probe_search_nodes = 0;
   opts.fanout_min_nodes = 0;
+  return opts;
+}
+
+/// Options whose probe stops after a few nodes, so the jobs are the
+/// probe's unexplored DFS remainder (the continuation path) even on small
+/// graphs.
+EngineOptions continuation_options(std::size_t threads) {
+  EngineOptions opts = fanout_options(threads);
+  opts.probe_search_nodes = 64;
+  return opts;
+}
+
+/// Options for one uncapped serial search: the probe never stops.
+EngineOptions serial_options() {
+  EngineOptions opts;
+  opts.probe_search_nodes = std::numeric_limits<std::uint64_t>::max();
+  opts.max_search_nodes = 0;
   return opts;
 }
 
@@ -112,6 +145,76 @@ TEST(SolverEngine, DeterminismOnRandomGraphs) {
   };
   const auto failure = testing::check_seeds(prop, 99, 40, 16);
   EXPECT_FALSE(failure.has_value()) << failure->describe();
+}
+
+TEST(SolverEngine, ContinuationBitIdenticalAcrossThreadCounts) {
+  // The same contract on the continuation path: the probe stops mid-tree
+  // and its remainder fans out.
+  std::size_t continued = 0;
+  for (const bool yes : {false, true}) {
+    for (std::uint64_t trial = 0; trial < 2; ++trial) {
+      const graph::Graph g = gadget(yes, trial);
+      const EngineResult base = solve_maxis(g, continuation_options(1));
+      if (base.jobs > 0) ++continued;
+      for (const std::size_t threads : {2u, 8u}) {
+        const EngineResult got = solve_maxis(g, continuation_options(threads));
+        EXPECT_EQ(got.solution.nodes, base.solution.nodes)
+            << "threads=" << threads;
+        EXPECT_EQ(got.solution.weight, base.solution.weight);
+        EXPECT_EQ(got.search_nodes, base.search_nodes)
+            << "threads=" << threads;
+        EXPECT_EQ(got.jobs, base.jobs);
+      }
+    }
+  }
+  EXPECT_GT(continued, 0u) << "no probe stopped below its cap";
+}
+
+TEST(SolverEngine, ContinuationDeterminismOnRandomGraphs) {
+  // Thread invariance on the continuation path, and the DFS-first optimum:
+  // the continuation returns exactly the uncapped serial search's solution.
+  std::size_t continued = 0;
+  const testing::Property prop =
+      [&](std::uint64_t seed, std::size_t size) -> std::optional<std::string> {
+    Rng rng(seed);
+    const std::size_t n = 1 + rng.below(2 + 3 * size);
+    const graph::Graph g =
+        random_weighted(rng, n, 0.02 + rng.uniform() * 0.3, 8);
+    const EngineResult a = solve_maxis(g, continuation_options(1));
+    const EngineResult b = solve_maxis(g, continuation_options(7));
+    if (a.solution.nodes != b.solution.nodes ||
+        a.solution.weight != b.solution.weight ||
+        a.search_nodes != b.search_nodes || a.jobs != b.jobs) {
+      return "thread-dependent result on n=" + std::to_string(n);
+    }
+    if (a.solution.nodes != solve_maxis(g, serial_options()).solution.nodes) {
+      return "continuation differs from the serial search on n=" +
+             std::to_string(n);
+    }
+    if (a.jobs > 0) ++continued;
+    return std::nullopt;
+  };
+  const auto failure = testing::check_seeds(prop, 99, 40, 16);
+  EXPECT_FALSE(failure.has_value()) << failure->describe();
+  EXPECT_GT(continued, 0u) << "no probe stopped below its cap";
+}
+
+TEST(SolverEngine, CappedProbeContinuesInsteadOfRestarting) {
+  // On F_x̄ the default probe cap stops many solves mid-tree. The jobs then
+  // finish the probe's DFS instead of searching the whole tree again: the
+  // same solution as one uncapped serial search, at (nearly) its node count.
+  for (const bool yes : {false, true}) {
+    const graph::Graph g = quadratic_gadget(yes, yes ? 11 : 1);
+    const EngineResult serial = solve_maxis(g, serial_options());
+    const EngineResult got = solve_maxis(g);
+    EXPECT_GT(got.jobs, 0u) << "probe finished below its cap, yes=" << yes;
+    EXPECT_EQ(serial.jobs, 0u);
+    EXPECT_EQ(got.solution.nodes, serial.solution.nodes) << "yes=" << yes;
+    EXPECT_EQ(got.solution.weight, serial.solution.weight);
+    EXPECT_LE(static_cast<double>(got.search_nodes),
+              1.02 * static_cast<double>(serial.search_nodes))
+        << "yes=" << yes << " serial=" << serial.search_nodes;
+  }
 }
 
 // --------------------------------------------------------------- exactness --
@@ -227,6 +330,8 @@ TEST(SolverEngine, CancelledDeadlineReturnsCertifiedIncumbent) {
   opts.deadline = &cancelled;
   const EngineResult partial = solve_maxis(g, opts);
   EXPECT_TRUE(partial.approximate);
+  // The cancelled probe hands over no remainder, so nothing fans out.
+  EXPECT_EQ(partial.jobs, 0u);
   EXPECT_LE(partial.solution.weight, opt);
   // Certified: independent on the original graph, weight consistent.
   Weight sum = 0;
