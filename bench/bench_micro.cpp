@@ -200,8 +200,8 @@ class MicroFlood final : public clb::congest::NodeProgram {
 };
 
 void BM_EngineSteadyRound(benchmark::State& state) {
-  // One iteration = one allocation-free round of the rewritten engine
-  // (arena reuse, pull-based delivery). range(1) = num_threads.
+  // One iteration = one allocation-free round of the engine (arena reuse,
+  // in-place inbox reads). range(1) = num_threads.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   clb::Rng rng(5);
   const auto g =

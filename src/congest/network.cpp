@@ -40,12 +40,15 @@ void Outbox::send(std::size_t slot, const Message& msg) {
                  std::to_string(msg.bits) + " bits on a " +
                  std::to_string(cap_bits_) + "-bit edge");
   if (bcast_) {
-    // Broadcast (hybrid) mode: one slot backs all neighbors; every send in
-    // a round must agree byte-for-byte.
+    // One slot backs all neighbors: sends must visit the slots in
+    // ascending order, each once, and agree byte for byte.
+    CLB_EXPECT(slot == sent_count_,
+               "broadcast network: sends must cover neighbor slots once "
+               "each, in ascending order");
     if (kind_[0] != 0) {
       CLB_EXPECT(msgs_[0].bits == msg.bits && msgs_[0].data == msg.data,
-                 "implicit-block topology requires identical messages to "
-                 "all neighbors in a round");
+                 "broadcast network requires identical messages to all "
+                 "neighbors in a round");
     } else {
       msgs_[0] = msg;
       kind_[0] = 1;
@@ -73,7 +76,6 @@ void Outbox::send_all(const Message& msg) {
 Network::Network(const graph::Graph& g, const ProgramFactory& factory,
                  NetworkConfig config)
     : topo_(Topology::build(g)),
-      hybrid_(topo_->has_implicit()),
       config_(std::move(config)),
       pool_(config_.num_threads == 0 ? 1 : config_.num_threads) {
   CLB_EXPECT(topo_->n > 0, "Network: empty graph");
@@ -81,7 +83,8 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
                        ? config_.bits_per_edge
                        : congest_bandwidth_bits(topo_->n);
   CLB_EXPECT(bits_per_edge_ >= 1, "Network: bandwidth must be positive");
-  if (hybrid_) {
+  const bool hybrid = topo_->has_implicit();
+  if (hybrid) {
     // Per-edge trace events and per-delivery metric observations are
     // O(total degree) — the very cost implicit blocks exist to avoid.
     CLB_EXPECT(config_.tracer == nullptr || !config_.tracer->enabled(),
@@ -90,26 +93,17 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
                "engine metrics require a materialized topology");
   }
 
+  // Out-slots: one per node on a broadcast network, one per directed slot
+  // (2m) otherwise. With 10^9+ block-implied edges only the former exists.
   const std::size_t n = topo_->n;
-  if (hybrid_) {
-    // Broadcast arenas: one slot per *node*. The per-directed-slot arenas
-    // stay empty — with 10^9+ block-implied slots they must never exist.
-    bc_out_kind_.assign(n, 0);
-    bc_out_msgs_.resize(n);
-    bc_in_kind_.assign(n, 0);
-    bc_in_msgs_.resize(n);
-    dbits_node_.assign(n, 0);
-    total_degree_.resize(n);
-    for (NodeId v = 0; v < n; ++v) total_degree_[v] = topo_->total_degree(v);
-  } else {
-    const std::size_t slots = topo_->neighbors.size();  // 2m directed slots
-    in_kind_.assign(slots, 0);
-    in_msgs_.resize(slots);
-    out_kind_.assign(slots, 0);
-    out_msgs_.resize(slots);
-    dbits_.assign(slots, 0);
-    in_bits_.assign(slots, 0);
+  bcast_ = hybrid || config_.broadcast_only;
+  const std::size_t slots = bcast_ ? n : topo_->neighbors.size();
+  for (Arena& a : arena_) {
+    a.sent.assign(slots, 0);
+    a.msgs.resize(slots);
   }
+  dbits_.assign(slots, 0);
+  if (!bcast_) out_bits_.assign(slots, 0);
 
   num_shards_ = pool_.num_threads();
   shard_range_ = edge_tiled_shards(*topo_, num_shards_);
@@ -126,9 +120,9 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     info.n = n;
     info.weight = topo_->weights[v];
     info.neighbors =
-        hybrid_ ? NeighborsView(topo_.get(), v, total_degree_[v])
-                : NeighborsView(topo_->neighbors.data() + topo_->offsets[v],
-                                topo_->degree(v));
+        hybrid ? NeighborsView(topo_.get(), v, topo_->total_degree(v))
+               : NeighborsView(topo_->neighbors.data() + topo_->offsets[v],
+                               topo_->degree(v));
     info.bits_per_edge = bits_per_edge_;
     infos_.push_back(info);
     node_rng_.push_back(seeder.fork());
@@ -142,8 +136,8 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     tracer_ = config_.tracer;
     trace_sends_ = tracer_->config().record_sends;
     // Stage capacity: the most events one shard can emit in one phase of
-    // one round — compute emits at most one send per out slot, deliver at
-    // most one delivery per inbound slot.
+    // one round — one send per (sender, neighbor), one delivery per
+    // (receiver, neighbor).
     std::size_t max_stage = 0;
     for (std::size_t s = 0; s < num_shards_; ++s) {
       const auto [begin, end] = shard_range_[s];
@@ -164,131 +158,90 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
   }
 }
 
+Inbox Network::inbox(NodeId v, const Arena& arena) const {
+  const std::uint32_t* reverse =
+      bcast_ ? nullptr : topo_->reverse_slot.data() + topo_->offsets[v];
+  return Inbox(infos_[v].neighbors, topo_->offsets.data(), reverse,
+               arena.sent.data(), arena.msgs.data());
+}
+
 void Network::compute_shard(std::size_t shard) {
   try {
     const auto [begin, end] = shard_range_[shard];
+    const std::size_t lo = first_slot(begin);
+    const std::size_t hi = first_slot(end);
+    Arena& out = arena_[cur_];
+    const Arena& in = arena_[cur_ ^ 1];
+    std::fill(out.sent.begin() + lo, out.sent.begin() + hi, 0);
+
     const std::size_t round = stats_.rounds;
+    ShardCounters& sc = shard_[shard];
     for (NodeId v = begin; v < end; ++v) {
-      if (hybrid_) {
-        const std::size_t fan = total_degree_[v];
-        Inbox inbox(topo_.get(), v, bc_in_kind_.data(), bc_in_msgs_.data(),
-                    fan);
-        Outbox outbox = Outbox::broadcast_view(
-            &bc_out_kind_[v], &bc_out_msgs_[v], fan, bits_per_edge_);
-        programs_[v]->round(infos_[v], inbox, outbox, node_rng_[v]);
-        const std::size_t sends = outbox.broadcast_sends();
-        CLB_EXPECT(sends == 0 || sends == fan,
-                   "implicit-block topology requires all-or-none fan-out "
+      const NodeInfo& info = infos_[v];
+      const std::size_t fan = info.neighbors.size();
+      std::uint8_t* sent = out.sent.data() + first_slot(v);
+      Message* msgs = out.msgs.data() + first_slot(v);
+      Outbox outbox = bcast_ ? Outbox::broadcast_view(sent, msgs, fan,
+                                                      bits_per_edge_)
+                             : Outbox(sent, msgs, fan, bits_per_edge_);
+      programs_[v]->round(info, inbox(v, in), outbox, node_rng_[v]);
+      if (bcast_ && outbox.broadcast_sends() != 0) {
+        CLB_EXPECT(outbox.broadcast_sends() == fan,
+                   "broadcast network requires all-or-none fan-out "
                    "(partial sends need per-edge slots)");
-        continue;
+        // The one out-slot reaches all `fan` neighbors; its delivered-bits
+        // counter takes the bits once.
+        const std::uint64_t bits = msgs->bits;
+        sc.delivered += fan;
+        sc.bits_delivered += bits * fan;
+        dbits_[v] += bits;
       }
-      const std::size_t off = topo_->offsets[v];
-      const std::size_t deg = topo_->degree(v);
-      Inbox inbox(in_kind_.data() + off, in_msgs_.data() + off, deg);
-      Outbox outbox(out_kind_.data() + off, out_msgs_.data() + off, deg,
-                    bits_per_edge_);
-      programs_[v]->round(infos_[v], inbox, outbox, node_rng_[v]);
       if (trace_round_ && trace_sends_) {
-        for (std::size_t s = 0; s < deg; ++s) {
-          if (!out_kind_[off + s]) continue;
-          tracer_->emit_shard(0, shard,
-                              {out_msgs_[off + s].bits, trnd(round), tid(v),
-                               tid(topo_->neighbors[off + s]),
-                               obs::EventKind::kSend});
-        }
-      }
-      if (config_.broadcast_only) {
-        // All non-empty slots must carry identical payloads.
-        const Message* first = nullptr;
-        for (std::size_t s = 0; s < deg; ++s) {
-          if (!out_kind_[off + s]) continue;
-          const Message& m = out_msgs_[off + s];
-          if (!first) {
-            first = &m;
-          } else {
-            CLB_EXPECT(first->bits == m.bits && first->data == m.data,
-                       "CONGEST-Broadcast: different messages to different "
-                       "neighbors in one round");
+        std::size_t s = 0;
+        for (const NodeId w : info.neighbors) {
+          if (outbox.has(s)) {
+            tracer_->emit_shard(0, shard,
+                                {outbox.message(s).bits, trnd(round), tid(v),
+                                 tid(w), obs::EventKind::kSend});
           }
+          ++s;
         }
       }
     }
-  } catch (...) {
-    shard_error_[shard] = std::current_exception();
-  }
-}
+    if (bcast_) return;
 
-void Network::deliver_shard_hybrid(std::size_t shard) {
-  try {
-    const auto [begin, end] = shard_range_[shard];
-    ShardCounters& sc = shard_[shard];
-    for (NodeId u = begin; u < end; ++u) {
-      if (bc_out_kind_[u] == 0) continue;
-      const std::uint64_t fan = total_degree_[u];
-      const std::uint64_t bits = bc_out_msgs_[u].bits;
-      sc.delivered += fan;
-      sc.bits_delivered += bits * fan;
-      dbits_node_[u] += bits;
+    // Unicast: each out-slot reaches one receiver, so the accounting is
+    // three bulk SIMD passes over the shard's contiguous slot range.
+    // Message bits are bounded by bits_per_edge (O(log n)) — far below 32
+    // bits of count.
+    for (std::size_t e = lo; e < hi; ++e) {
+      out_bits_[e] =
+          out.sent[e] ? static_cast<std::uint32_t>(out.msgs[e].bits) : 0;
     }
+    const simd::Kernels& k = simd::kernels();
+    sc.delivered += k.count_nonzero_u8(out.sent.data() + lo, hi - lo);
+    sc.bits_delivered += k.sum_u32(out_bits_.data() + lo, hi - lo);
+    k.accumulate_u32_to_u64(dbits_.data() + lo, out_bits_.data() + lo,
+                            hi - lo);
   } catch (...) {
     shard_error_[shard] = std::current_exception();
   }
 }
 
-void Network::deliver_shard(std::size_t shard) {
+void Network::observe_shard(std::size_t shard) {
   try {
     const auto [begin, end] = shard_range_[shard];
-    ShardCounters& sc = shard_[shard];
     const std::size_t round = stats_.rounds;
-    const std::size_t* off = topo_->offsets.data();
-    const NodeId* nbrs = topo_->neighbors.data();
-    const std::uint32_t* rev = topo_->reverse_slot.data();
-    if (!trace_round_ && em_.messages_delivered == nullptr) {
-      // Unobserved fast path: the copy loop only moves payloads and records
-      // per-slot presence/bits; all counter and dbits_ accounting happens
-      // afterwards as bulk SIMD passes over this shard's contiguous slot
-      // range.
-      const std::size_t lo = off[begin];
-      const std::size_t hi = off[end];
-      for (std::size_t e = lo; e < hi; ++e) {
-        const std::size_t o = off[nbrs[e]] + rev[e];
-        if (out_kind_[o]) {
-          out_kind_[o] = 0;  // consume; only this slot's owner reads it
-          in_msgs_[e] = out_msgs_[o];
-          in_kind_[e] = 1;
-          // Message bits are bounded by bits_per_edge (O(log n)) — far
-          // below 32 bits of count.
-          in_bits_[e] = static_cast<std::uint32_t>(in_msgs_[e].bits);
-        } else {
-          in_kind_[e] = 0;
-          in_bits_[e] = 0;
-        }
-      }
-      const simd::Kernels& k = simd::kernels();
-      sc.delivered += k.count_nonzero_u8(in_kind_.data() + lo, hi - lo);
-      sc.bits_delivered += k.sum_u32(in_bits_.data() + lo, hi - lo);
-      k.accumulate_u32_to_u64(dbits_.data() + lo, in_bits_.data() + lo,
-                              hi - lo);
-      return;
-    }
-    // Traced/metered path: same deliveries, plus per-slot hooks.
     for (NodeId v = begin; v < end; ++v) {
-      for (std::size_t e = off[v]; e < off[v + 1]; ++e) {
-        const std::size_t o = off[nbrs[e]] + rev[e];
-        if (!out_kind_[o]) {
-          in_kind_[e] = 0;
-          continue;
-        }
-        out_kind_[o] = 0;  // consume; only this slot's owner reads it
-        in_msgs_[e] = out_msgs_[o];
-        in_kind_[e] = 1;
-        const std::size_t bits = in_msgs_[e].bits;
-        sc.delivered += 1;
-        sc.bits_delivered += bits;
-        dbits_[e] += bits;
+      auto u = infos_[v].neighbors.begin();
+      for (const Inbox::Slot m : inbox(v, arena_[cur_])) {
+        const NodeId from = *u;
+        ++u;
+        if (!m) continue;
+        const std::size_t bits = m->bits;
         if (trace_round_) {
           tracer_->emit_shard(1, shard,
-                              {bits, trnd(round), tid(nbrs[e]), tid(v),
+                              {bits, trnd(round), tid(from), tid(v),
                                obs::EventKind::kDeliver});
         }
         if (em_.messages_delivered) {
@@ -305,30 +258,18 @@ void Network::deliver_shard(std::size_t shard) {
 
 void Network::notify_observer() {
   // Canonical order, independent of num_threads: every delivery in
-  // (sender, out-slot) order — exactly the order the serial engine
-  // produced.
+  // (sender, neighbor-ascending) order. On a hybrid topology this expands
+  // each broadcast over the merged neighbor cursor — O(total degree):
+  // observers are a small-n contract tool.
   const std::size_t round = stats_.rounds;
-  if (hybrid_) {
-    // Expand each sender's broadcast over its merged neighbor cursor —
-    // identical (sender, neighbor-ascending) order to the materialized
-    // path. O(total degree): observers are a small-n contract tool.
-    for (NodeId u = 0; u < topo_->n; ++u) {
-      if (bc_in_kind_[u] == 0) continue;
-      for (NodeId v = topo_->neighbor_after(u, graph::kNoNode);
-           v != graph::kNoNode; v = topo_->neighbor_after(u, v)) {
-        config_.on_message(round, u, v, bc_in_msgs_[u]);
-      }
-    }
-    return;
-  }
-  const std::size_t* off = topo_->offsets.data();
-  const NodeId* nbrs = topo_->neighbors.data();
-  const std::uint32_t* rev = topo_->reverse_slot.data();
+  const Arena& out = arena_[cur_];
+  const std::size_t stride = bcast_ ? 0 : 1;
   for (NodeId u = 0; u < topo_->n; ++u) {
-    for (std::size_t d = off[u]; d < off[u + 1]; ++d) {
-      const NodeId v = nbrs[d];
-      const std::size_t e = off[v] + rev[d];
-      if (in_kind_[e]) config_.on_message(round, u, v, in_msgs_[e]);
+    std::size_t o = first_slot(u);
+    if (bcast_ && out.sent[o] == 0) continue;
+    for (const NodeId v : infos_[u].neighbors) {
+      if (out.sent[o]) config_.on_message(round, u, v, out.msgs[o]);
+      o += stride;
     }
   }
 }
@@ -352,26 +293,15 @@ bool Network::step() {
                    obs::TraceEvent::kNone, obs::EventKind::kRoundBegin});
   }
 
-  // Phase 1: programs run (sharded by sender), filling the send arena.
+  // The round: one sharded phase. Each shard writes only its own out-slots
+  // in the current arena and reads only the previous one — race-free and
+  // schedule-independent, hence bit-identical across thread counts.
   pool_.run(num_shards_,
             [this](std::size_t shard) { compute_shard(shard); });
   rethrow_shard_error();
-  // Phase 2: pull-based delivery (sharded by receiver). Each thread writes
-  // only its own receivers' inbound slots — race-free and schedule-
-  // independent, hence bit-identical across thread counts.
-  if (hybrid_) {
+  if (trace_round_ || em_.messages_delivered) {
     pool_.run(num_shards_,
-              [this](std::size_t shard) { deliver_shard_hybrid(shard); });
-    rethrow_shard_error();
-    // Publish this round's broadcasts: swap arenas (messages move by
-    // pointer — payload capacity is retained, the steady state stays
-    // allocation-free) and clear the new out arena's presence bytes.
-    std::swap(bc_in_kind_, bc_out_kind_);
-    std::swap(bc_in_msgs_, bc_out_msgs_);
-    std::fill(bc_out_kind_.begin(), bc_out_kind_.end(), 0);
-  } else {
-    pool_.run(num_shards_,
-              [this](std::size_t shard) { deliver_shard(shard); });
+              [this](std::size_t shard) { observe_shard(shard); });
     rethrow_shard_error();
   }
 
@@ -396,6 +326,7 @@ bool Network::step() {
     em_.rounds->add(1);
     em_.inflight->set(static_cast<std::int64_t>(delivered));
   }
+  cur_ ^= 1;  // this round's sends become next round's inboxes
   stats_.rounds += 1;
   return delivered > 0 || any_inbound;
 }
@@ -452,17 +383,14 @@ const NodeInfo& Network::info(NodeId v) const {
 std::uint64_t Network::bits_on_edge(NodeId u, NodeId v) const {
   CLB_EXPECT(u < topo_->n && v < topo_->n,
              "bits_on_edge: node id out of range");
-  if (hybrid_) {
-    CLB_EXPECT(topo_->has_edge(u, v), "bits_on_edge: no such edge");
-    // Broadcast delivery: every bit u ever sent was delivered to v (and
-    // vice versa), so the per-sender accumulators are exactly the per-edge
-    // totals of the materialized engine.
-    return dbits_node_[u] + dbits_node_[v];
-  }
-  const std::size_t su = topo_->slot_of(v, u);  // u's position in v's list
-  CLB_EXPECT(su != Topology::kNoSlot, "bits_on_edge: no such edge");
-  const std::size_t sv = topo_->slot_of(u, v);
-  return dbits_[topo_->offsets[v] + su] + dbits_[topo_->offsets[u] + sv];
+  CLB_EXPECT(topo_->has_edge(u, v), "bits_on_edge: no such edge");
+  // Each direction's bits sit in its sender's out-slot counter: the slot of
+  // the receiver in the sender's list (unicast) or the sender's one slot
+  // (broadcast: every bit it sent reached every neighbor).
+  const auto slot = [this](NodeId from, NodeId to) {
+    return bcast_ ? from : topo_->offsets[from] + topo_->slot_of(from, to);
+  };
+  return dbits_[slot(u, v)] + dbits_[slot(v, u)];
 }
 
 std::vector<std::int64_t> Network::outputs() const {

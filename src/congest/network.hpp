@@ -11,7 +11,7 @@
 //
 // A CONGEST-Broadcast restriction (the model of [11], discussed in the
 // paper's introduction) is available via Config::broadcast_only: a node must
-// send the same message to all neighbors in a round.
+// send the same message to all neighbors in a round, or to none.
 //
 // The model is fault-free, as in Theorem 5's simulation argument: every
 // message sent in round r is delivered, unmodified, at the start of round
@@ -19,19 +19,25 @@
 // therefore all see the same traffic, so blackboard charging is exact.
 //
 // Engine layout (the hot path is allocation-free after warm-up):
-//  - an immutable shared Topology snapshot (topology.hpp) holds CSR
-//    neighbor arrays and the precomputed reverse-slot map, so delivery is
-//    O(1) per message with no binary search;
-//  - messages live in flat double-buffered arenas indexed by directed slot
-//    (a presence byte + a small-buffer Message per slot), reused across
-//    rounds without freeing payload capacity;
-//  - NetworkConfig::num_threads > 1 enables the deterministic parallel
-//    round executor: nodes are partitioned into contiguous shards, each
-//    round runs a compute phase (programs, sharded by sender) and a pull
-//    phase (delivery, sharded by receiver), with per-shard counters merged
-//    in shard order. Results — program outputs, RunStats, per-edge traffic,
-//    observer transcripts — are bit-for-bit identical to the serial engine
-//    for every thread count.
+//  - an immutable shared Topology snapshot (topology.hpp) holds the CSR
+//    neighbor arrays and the precomputed reverse-slot map;
+//  - every node owns a contiguous run of *out-slots* in a double-buffered
+//    send arena (a presence byte + a small-buffer Message per slot). A
+//    unicast network gives node v one out-slot per explicit neighbor, at
+//    offsets[v]; a broadcast network — a topology with implicit blocks, or
+//    broadcast_only — gives it a single out-slot at v that every neighbor
+//    reads, so per-round memory is O(n) however many edges blocks imply;
+//  - a round is one phase. Each shard (a contiguous node range) clears its
+//    own out-slots in the current arena, runs its programs — an Inbox
+//    reads the *previous* arena in place at the sender's out-slot, an
+//    Outbox writes the current one — and accounts its own out-slots. The
+//    arenas swap at round end; no message is ever copied to a receiver;
+//  - NetworkConfig::num_threads > 1 runs the shards in parallel. Writes go
+//    only to a shard's own out-slots and reads come only from the previous
+//    arena, so there is nothing to race on; per-shard counters merge in
+//    shard order. Results — program outputs, RunStats, per-edge traffic,
+//    observer transcripts, traces — are bit-for-bit identical to the
+//    serial engine for every thread count.
 
 #pragma once
 
@@ -76,9 +82,13 @@ struct NodeInfo {
 };
 
 /// Messages received this round: slot i corresponds to
-/// NodeInfo::neighbors[i]. A lightweight view over the engine's message
-/// arena; elements behave like std::optional<Message> (contextual bool,
-/// has_value(), *, ->) so algorithm code reads naturally.
+/// NodeInfo::neighbors[i]. A view that reads the previous round's send
+/// arena in place — nothing is copied to the receiver — walking the
+/// receiver's NeighborsView and mapping each neighbor u to the out-slot u
+/// wrote: `offsets[u] + reverse[i]` on a unicast network, `u` itself on a
+/// broadcast network (reverse == nullptr). Elements behave like
+/// std::optional<Message> (contextual bool, has_value(), *, ->) so
+/// algorithm code reads naturally.
 class Inbox {
  public:
   /// One received-message slot; empty when the neighbor sent nothing.
@@ -104,78 +114,57 @@ class Inbox {
     using pointer = void;
     using reference = Slot;
 
-    const_iterator(const std::uint8_t* kind, const Message* msg)
-        : kind_(kind), msg_(msg) {}
-    const_iterator(const Inbox* box, std::size_t idx, NodeId cur)
-        : box_(box), idx_(idx), cur_(cur) {}
-    Slot operator*() const {
-      if (box_ == nullptr) return Slot(msg_, *kind_ != 0);
-      return Slot(box_->bmsgs_ + cur_, box_->sent_[cur_] != 0);
-    }
+    const_iterator(const Inbox* box, NeighborsView::const_iterator nb,
+                   std::size_t idx)
+        : box_(box), nb_(nb), idx_(idx) {}
+    Slot operator*() const { return box_->slot(*nb_, idx_); }
     const_iterator& operator++() {
-      if (box_ == nullptr) {
-        ++kind_;
-        ++msg_;
-      } else {
-        ++idx_;
-        cur_ = box_->topo_->neighbor_after(box_->v_, cur_);
-      }
+      ++nb_;
+      ++idx_;
       return *this;
     }
-    bool operator==(const const_iterator& o) const {
-      return box_ == nullptr ? kind_ == o.kind_ : idx_ == o.idx_;
-    }
+    bool operator==(const const_iterator& o) const { return idx_ == o.idx_; }
     bool operator!=(const const_iterator& o) const { return !(*this == o); }
 
    private:
-    const std::uint8_t* kind_ = nullptr;
-    const Message* msg_ = nullptr;
-    const Inbox* box_ = nullptr;  ///< non-null in hybrid mode
-    std::size_t idx_ = 0;
-    NodeId cur_ = 0;
+    const Inbox* box_;
+    NeighborsView::const_iterator nb_;
+    std::size_t idx_;
   };
 
-  Inbox() = default;
-  Inbox(const std::uint8_t* kind, const Message* msgs, std::size_t count)
-      : kind_(kind), msgs_(msgs), count_(count) {}
+  Inbox(NeighborsView neighbors, const std::size_t* offsets,
+        const std::uint32_t* reverse, const std::uint8_t* sent,
+        const Message* msgs)
+      : neighbors_(neighbors),
+        offsets_(offsets),
+        reverse_(reverse),
+        sent_(sent),
+        msgs_(msgs) {}
 
-  /// Hybrid (implicit-topology) view: presence bytes and messages are the
-  /// engine's per-*sender-id* broadcast arena; slot i resolves to the i-th
-  /// smallest merged neighbor of v via Topology::neighbor_at (bracketed by
-  /// O(1) per-block selects; slot 0 needs no search), so neither the arena
-  /// nor this view is ever O(total degree) in memory.
-  Inbox(const Topology* topo, NodeId v, const std::uint8_t* sent,
-        const Message* bmsgs, std::size_t count)
-      : count_(count), topo_(topo), v_(v), sent_(sent), bmsgs_(bmsgs) {}
+  std::size_t size() const { return neighbors_.size(); }
+  bool empty() const { return neighbors_.empty(); }
 
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
-  Slot operator[](std::size_t i) const {
-    if (topo_ == nullptr) return Slot(msgs_ + i, kind_[i] != 0);
-    const NodeId u = topo_->neighbor_at(v_, i);
-    return Slot(bmsgs_ + u, sent_[u] != 0);
-  }
+  /// Throws InvariantError when i >= size().
+  Slot operator[](std::size_t i) const { return slot(neighbors_[i], i); }
 
   const_iterator begin() const {
-    if (topo_ == nullptr) return const_iterator(kind_, msgs_);
-    return const_iterator(this, 0, topo_->neighbor_after(v_, graph::kNoNode));
+    return const_iterator(this, neighbors_.begin(), 0);
   }
   const_iterator end() const {
-    if (topo_ == nullptr) {
-      return const_iterator(kind_ + count_, msgs_ + count_);
-    }
-    return const_iterator(this, count_, graph::kNoNode);
+    return const_iterator(this, neighbors_.end(), size());
   }
 
  private:
-  const std::uint8_t* kind_ = nullptr;
-  const Message* msgs_ = nullptr;
-  std::size_t count_ = 0;
-  const Topology* topo_ = nullptr;  ///< non-null in hybrid mode
-  NodeId v_ = 0;
-  const std::uint8_t* sent_ = nullptr;   ///< per-sender presence (hybrid)
-  const Message* bmsgs_ = nullptr;       ///< per-sender messages (hybrid)
+  Slot slot(NodeId u, std::size_t i) const {
+    const std::size_t o = reverse_ != nullptr ? offsets_[u] + reverse_[i] : u;
+    return Slot(msgs_ + o, sent_[o] != 0);
+  }
+
+  NeighborsView neighbors_;
+  const std::size_t* offsets_;
+  const std::uint32_t* reverse_;  ///< receiver's reverse_slot row, or null
+  const std::uint8_t* sent_;      ///< previous round's presence bytes
+  const Message* msgs_;           ///< previous round's messages
 };
 
 /// Messages to send this round, same slot convention as Inbox. Inside the
@@ -197,12 +186,12 @@ class Outbox {
          std::size_t cap_bits)
       : kind_(kind), msgs_(msgs), count_(count), cap_bits_(cap_bits) {}
 
-  /// Broadcast view (hybrid topologies): one presence byte + one message
-  /// slot backs all `fanout` neighbor slots. Every send in a round must
-  /// carry an identical payload (CONGEST-Broadcast semantics — the
-  /// implicit-block engine delivers by reference, it cannot keep per-edge
-  /// payloads), and the engine verifies all-or-none fan-out after the
-  /// program runs.
+  /// Broadcast view (broadcast networks: implicit blocks or
+  /// NetworkConfig::broadcast_only): one presence byte + one message slot
+  /// backs all `fanout` neighbor slots, since receivers read the sender's
+  /// one slot. Sends must cover the slots in ascending order, each once,
+  /// with identical payloads (CONGEST-Broadcast semantics), and the engine
+  /// requires all-or-none fan-out after the program runs.
   static Outbox broadcast_view(std::uint8_t* kind, Message* msg,
                                std::size_t fanout, std::size_t cap_bits) {
     Outbox ob(kind, msg, fanout, cap_bits);
@@ -224,7 +213,7 @@ class Outbox {
   }
 
   /// Broadcast mode only: how many sends the program issued this round.
-  /// The engine requires 0 or size() — an implicit topology cannot
+  /// The engine requires 0 or size() — one out-slot per node cannot
   /// represent partial fan-out.
   std::size_t broadcast_sends() const { return sent_count_; }
 
@@ -235,7 +224,7 @@ class Outbox {
   Message* msgs_ = nullptr;
   std::size_t count_ = 0;
   std::size_t cap_bits_ = kUnlimitedBits;
-  bool bcast_ = false;          ///< broadcast (hybrid) mode
+  bool bcast_ = false;          ///< broadcast view
   std::size_t sent_count_ = 0;  ///< sends issued (broadcast mode only)
 };
 
@@ -360,8 +349,8 @@ class Network {
   std::vector<NodeId> selected_nodes() const;
 
  private:
-  /// Per-shard round counters, merged (in shard order) into RunStats after
-  /// each phase. Cache-line padded so shards never false-share.
+  /// Per-shard round counters, merged (in shard order) into RunStats at
+  /// round end. Cache-line padded so shards never false-share.
   struct alignas(64) ShardCounters {
     std::uint64_t delivered = 0;
     std::uint64_t bits_delivered = 0;
@@ -380,25 +369,26 @@ class Network {
     obs::Histogram* message_bits = nullptr;
   };
 
+  /// One round's sends: a presence byte and a message per out-slot. All
+  /// payload capacity is retained across rounds — after warm-up the round
+  /// loop performs no allocations.
+  struct Arena {
+    std::vector<std::uint8_t> sent;
+    std::vector<Message> msgs;
+  };
+
   bool step();  ///< one round; returns true if any message was delivered/sent
 
-  /// Phase 1 of a round, for one contiguous node shard: program execution
-  /// (reads the inbound arena, fills the send arena).
+  /// The round, for one contiguous node shard: clear the shard's out-slots
+  /// in the current arena, run its programs, account its out-slots.
   void compute_shard(std::size_t shard);
 
-  /// Phase 2 of a round, for one contiguous node shard of *receivers*:
-  /// pull every inbound directed slot from its sender's send arena. Writes
-  /// only slots owned by this shard's receivers — race-free by
-  /// construction.
-  void deliver_shard(std::size_t shard);
-
-  /// Hybrid-mode phase 2 for one shard of *senders*: all accounting is
-  /// arithmetic — a sender that broadcast reaches total_degree neighbors
-  /// by definition, so counters cost O(nodes), never O(edges).
-  void deliver_shard_hybrid(std::size_t shard);
+  /// Traced or metered rounds only, for one shard of *receivers*: emit the
+  /// deliver events and metric observations in receiver order.
+  void observe_shard(std::size_t shard);
 
   /// Invoke config_.on_message for this round's deliveries in the canonical
-  /// (sender, slot) order — identical for every num_threads.
+  /// (sender, neighbor-ascending) order — identical for every num_threads.
   void notify_observer();
 
   /// Rethrow the first (by shard index) exception captured during a phase.
@@ -407,42 +397,30 @@ class Network {
   /// Node v is terminal: finished or failed.
   bool node_terminal(NodeId v) const;
 
+  /// First out-slot of node v; v's out-slots end where v+1's begin.
+  std::size_t first_slot(NodeId v) const {
+    return bcast_ ? v : topo_->offsets[v];
+  }
+
+  /// Node v's view of the messages in `arena`.
+  Inbox inbox(NodeId v, const Arena& arena) const;
+
   std::shared_ptr<const Topology> topo_;
-  bool hybrid_ = false;  ///< topology carries implicit blocks
   std::size_t bits_per_edge_;
   NetworkConfig config_;
+  bool bcast_ = false;  ///< broadcast layout: one out-slot per node
   std::vector<NodeInfo> infos_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<Rng> node_rng_;
 
-  // Flat message arenas, one entry per directed slot (see topology.hpp).
-  // in_*: messages consumed this round, indexed by receiver-side slot.
-  // out_*: messages produced this round, indexed by sender-side slot.
-  // All payload capacity is retained across rounds — after warm-up the
-  // round loop performs no allocations.
-  std::vector<std::uint8_t> in_kind_;
-  std::vector<Message> in_msgs_;
-  std::vector<std::uint8_t> out_kind_;
-  std::vector<Message> out_msgs_;
-  std::vector<std::uint64_t> dbits_;  ///< delivered bits per directed slot
-  /// Per-slot bits delivered *this round* (0 for empty slots), filled by the
-  /// unobserved deliver fast path so message/bit counters and dbits_
-  /// accumulate as bulk SIMD passes instead of per-slot adds. Scratch only —
-  /// not consulted by the traced/metered path.
-  std::vector<std::uint32_t> in_bits_;
-
-  // Hybrid-mode broadcast arenas, one entry per *node* (not per slot):
-  // a sender's single outbound message reaches every merged neighbor, so
-  // per-round memory is O(n) however many edges the blocks imply.
-  // bc_in_* holds the previous round's broadcasts (receivers resolve
-  // senders by id); dbits_node_ accumulates per-sender delivered bits for
-  // bits_on_edge.
-  std::vector<std::uint8_t> bc_out_kind_;
-  std::vector<Message> bc_out_msgs_;
-  std::vector<std::uint8_t> bc_in_kind_;
-  std::vector<Message> bc_in_msgs_;
-  std::vector<std::uint64_t> dbits_node_;
-  std::vector<std::size_t> total_degree_;  ///< cached merged degrees
+  /// arena_[cur_] is written this round; the other holds the previous
+  /// round's sends, which this round's inboxes read.
+  Arena arena_[2];
+  std::size_t cur_ = 0;
+  std::vector<std::uint64_t> dbits_;  ///< delivered bits per out-slot
+  /// Unicast scratch: this round's bits per out-slot (0 for empty slots), so
+  /// message/bit counters and dbits_ accumulate as bulk SIMD passes.
+  std::vector<std::uint32_t> out_bits_;
 
   ThreadPool pool_;
   std::size_t num_shards_ = 1;
@@ -455,7 +433,7 @@ class Network {
   std::vector<ShardCounters> shard_;
   std::vector<std::exception_ptr> shard_error_;
 
-  std::size_t inflight_count_ = 0;  ///< occupied slots in the inbound arena
+  std::size_t inflight_count_ = 0;  ///< messages sent last round
   RunStats stats_;
 
   obs::Tracer* tracer_ = nullptr;  ///< non-null iff tracing is live

@@ -25,7 +25,10 @@ bool Topology::has_edge(NodeId u, NodeId v) const {
 
 NodeId Topology::neighbor_at(NodeId v, std::size_t slot) const {
   const auto nb = neighbors_of(v);
-  if (blocks.empty()) return nb[slot];
+  if (blocks.empty()) {
+    expect_neighbor_slot(slot, nb.size());
+    return nb[slot];
+  }
 
   // One pass over v's sources — the explicit row and every block holding
   // v — sums the merged degree and brackets the answer. Each source is
@@ -64,7 +67,7 @@ NodeId Topology::neighbor_at(NodeId v, std::size_t slot) const {
       rest = i;
     }
   }
-  CLB_EXPECT(slot < total, "neighbor_at: slot >= total_degree(v)");
+  expect_neighbor_slot(slot, total);
   if (hi == graph::kNoNode) hi = last;
 
   // Smallest x in [lo, hi] with more than `slot` merged neighbors <= x.
@@ -108,47 +111,24 @@ std::shared_ptr<const Topology> Topology::build(const graph::Graph& g) {
 
   // Borrow the graph's CSR: it is immutable, and holding its shared_ptr
   // keeps it alive however the graph is mutated or destroyed later.
-  const std::shared_ptr<const graph::Csr> csr = g.shared_csr();
-  topo->offsets = csr->offsets;
-  topo->neighbors = csr->targets;
-  topo->keepalive_ = csr;
+  topo->csr_ = g.shared_csr();
+  topo->offsets = topo->csr_->offsets;
+  topo->neighbors = topo->csr_->targets;
 
-  topo->own_weights_.resize(topo->n);
-  for (NodeId v = 0; v < topo->n; ++v) topo->own_weights_[v] = g.weight(v);
+  topo->weights.resize(topo->n);
+  for (NodeId v = 0; v < topo->n; ++v) topo->weights[v] = g.weight(v);
 
   // reverse_slot via the cursor trick: iterating senders u in ascending
   // order visits, for each receiver v, the entries "u appears in v's sorted
   // list" in ascending u — so u's position in v's list is exactly how many
   // earlier senders were adjacent to v.
-  topo->own_reverse_.resize(topo->neighbors.size());
+  topo->reverse_slot.resize(topo->neighbors.size());
   std::vector<std::uint32_t> cursor(topo->n, 0);
   for (NodeId u = 0; u < topo->n; ++u) {
     for (std::size_t d = topo->offsets[u]; d < topo->offsets[u + 1]; ++d) {
-      topo->own_reverse_[d] = cursor[topo->neighbors[d]]++;
+      topo->reverse_slot[d] = cursor[topo->neighbors[d]]++;
     }
   }
-
-  topo->reverse_slot = topo->own_reverse_;
-  topo->weights = topo->own_weights_;
-  return topo;
-}
-
-std::shared_ptr<const Topology> Topology::from_snapshot(graph::MappedCsr snap) {
-  CLB_EXPECT(snap.offsets.size() == snap.n + 1 &&
-                 snap.targets.size() == 2 * snap.m &&
-                 snap.reverse_slot.size() == 2 * snap.m &&
-                 snap.weights.size() == snap.n,
-             "snapshot array sizes inconsistent with header");
-  auto topo = std::make_shared<Topology>();
-  topo->n = snap.n;
-  topo->m = snap.m;
-  topo->implicit_edges = snap.implicit_edges;
-  topo->blocks = std::move(snap.blocks);
-  topo->offsets = snap.offsets;
-  topo->neighbors = snap.targets;
-  topo->reverse_slot = snap.reverse_slot;
-  topo->weights = snap.weights;
-  topo->keepalive_ = std::move(snap.keepalive);
   return topo;
 }
 

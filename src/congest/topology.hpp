@@ -6,22 +6,20 @@
 // offsets[v+1]), sorted ascending. A *directed slot* is an index into that
 // range — slot d = offsets[u] + s addresses the edge u -> neighbors[d].
 //
-// The precomputed reverse_slot map is what removes the per-message binary
-// search from the delivery hot path: for directed slot d = (u, s) with
-// v = neighbors[d], reverse_slot[d] is the position of u in v's neighbor
-// list, so the receiver-side slot of the message u -> v is
-// offsets[v] + reverse_slot[d], an O(1) lookup.
+// The precomputed reverse_slot map is what lets a receiver find a message
+// in its sender's out-slots in O(1), with no binary search: for directed
+// slot d = (v, i) with u = neighbors[d], reverse_slot[d] is the position of
+// v in u's neighbor list, so the message u -> v sits at sender slot
+// offsets[u] + reverse_slot[d].
 //
 // Hybrid topologies: alongside the explicit CSR a topology may carry a
 // small table of ImplicitBlock descriptors (cliques, bicliques, the
 // Figure 2 anti-matching grids) whose edges are never stored. degree()
-// and neighbors_of() keep their historical *explicit* meaning — the
-// engine's per-slot arenas are sized by them — while total_degree(),
+// and neighbors_of() keep their *explicit* meaning, while total_degree(),
 // neighbor_at(), and neighbor_after() select over the merged
-// explicit+implicit neighbor set arithmetically. The CSR
-// arrays are spans that borrow their storage without copying: build()
-// aliases the graph's own immutable CSR, from_snapshot() a memory-mapped
-// snapshot; either way a keepalive handle holds the storage.
+// explicit+implicit neighbor set arithmetically. offsets and neighbors
+// borrow the graph's own immutable CSR without copying; the topology holds
+// a reference that keeps it alive.
 
 #pragma once
 
@@ -32,7 +30,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "graph/io.hpp"
+#include "support/expect.hpp"
 
 namespace congestlb::congest {
 
@@ -43,17 +41,16 @@ struct Topology {
   std::size_t m = 0;  ///< explicit undirected edges; 2m directed slots
   std::uint64_t implicit_edges = 0;  ///< block-implied undirected edges
 
-  std::span<const std::size_t> offsets;        ///< size n+1
-  std::span<const NodeId> neighbors;           ///< size 2m, sorted per node
-  std::span<const std::uint32_t> reverse_slot; ///< size 2m, see file comment
-  std::span<const graph::Weight> weights;      ///< size n
+  std::span<const std::size_t> offsets;     ///< size n+1
+  std::span<const NodeId> neighbors;        ///< size 2m, sorted per node
+  std::vector<std::uint32_t> reverse_slot;  ///< size 2m, see file comment
+  std::vector<graph::Weight> weights;       ///< size n
 
-  std::vector<graph::ImplicitBlock> blocks;    ///< implicit-edge table
+  std::vector<graph::ImplicitBlock> blocks;  ///< implicit-edge table
 
   bool has_implicit() const { return !blocks.empty(); }
 
-  /// Explicit slot count of v (the engine's per-slot arenas are sized by
-  /// this; block-implied neighbors are not slots).
+  /// Explicit slot count of v (block-implied neighbors are not slots).
   std::size_t degree(NodeId v) const { return offsets[v + 1] - offsets[v]; }
 
   std::size_t implicit_degree(NodeId v) const {
@@ -82,10 +79,10 @@ struct Topology {
   bool has_edge(NodeId u, NodeId v) const;
 
   /// Select: the slot-th smallest neighbor of v in the merged set. Throws
-  /// InvariantError when slot >= total_degree(v) on a hybrid topology;
-  /// explicit-only topologies take the O(1) array path unchecked. Hybrid
-  /// cost: one O(|blocks|) pass gathers v's sources (its explicit row and
-  /// the b_v blocks holding v) and brackets the answer with their O(1)
+  /// InvariantError when slot >= total_degree(v), with or without blocks;
+  /// explicit-only topologies then take the O(1) array path. Hybrid cost:
+  /// one O(|blocks|) pass gathers v's sources (its explicit row and the
+  /// b_v blocks holding v) and brackets the answer with their O(1)
   /// per-block selects, then a binary search *inside that bracket* ranks
   /// over the gathered sources only — O(|blocks| + log(bracket) * (log deg
   /// + b_v)). Slot 0 needs no rank evaluation at all. Allocation-free.
@@ -111,19 +108,15 @@ struct Topology {
   /// edits the borrowed one.
   static std::shared_ptr<const Topology> build(const graph::Graph& g);
 
-  /// Adopt a (possibly memory-mapped) CSR snapshot produced by
-  /// graph::write_topology_snapshot — zero-copy: the topology's spans alias
-  /// the mapping, which is kept alive for the topology's lifetime.
-  static std::shared_ptr<const Topology> from_snapshot(graph::MappedCsr snap);
-
  private:
-  // Owned backing for build(); empty when viewing a snapshot.
-  std::vector<std::uint32_t> own_reverse_;
-  std::vector<graph::Weight> own_weights_;
-  // Keeps the borrowed CSR (graph or snapshot mapping) alive while spans
-  // alias it.
-  std::shared_ptr<const void> keepalive_;
+  std::shared_ptr<const graph::Csr> csr_;  ///< keeps the borrowed CSR alive
 };
+
+/// The one bounds check behind every merged-neighbor select
+/// (Topology::neighbor_at, NeighborsView and Inbox indexing).
+inline void expect_neighbor_slot(std::size_t slot, std::size_t degree) {
+  CLB_EXPECT(slot < degree, "neighbor_at: slot >= total_degree(v)");
+}
 
 /// A node's merged (explicit + implicit) neighbor list, presented with the
 /// same surface as a sorted std::span<const NodeId> — size(), operator[],
@@ -151,9 +144,9 @@ class NeighborsView {
     const_iterator(const Topology* topo, NodeId v, std::size_t idx, NodeId cur)
         : topo_(topo), v_(v), idx_(idx), cur_(cur) {}
 
-    NodeId operator*() const { return ptr_ != nullptr ? *ptr_ : cur_; }
+    NodeId operator*() const { return topo_ == nullptr ? *ptr_ : cur_; }
     const_iterator& operator++() {
-      if (ptr_ != nullptr) {
+      if (topo_ == nullptr) {
         ++ptr_;
       } else {
         ++idx_;
@@ -167,13 +160,13 @@ class NeighborsView {
       return copy;
     }
     bool operator==(const const_iterator& o) const {
-      return ptr_ != nullptr ? ptr_ == o.ptr_ : idx_ == o.idx_;
+      return topo_ == nullptr ? ptr_ == o.ptr_ : idx_ == o.idx_;
     }
     bool operator!=(const const_iterator& o) const { return !(*this == o); }
 
    private:
-    const NodeId* ptr_ = nullptr;  ///< dense mode; null in hybrid mode
-    const Topology* topo_ = nullptr;
+    const NodeId* ptr_ = nullptr;  ///< dense mode
+    const Topology* topo_ = nullptr;  ///< hybrid mode; null in dense mode
     NodeId v_ = 0;
     std::size_t idx_ = 0;
     NodeId cur_ = 0;
@@ -188,36 +181,39 @@ class NeighborsView {
   std::size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
 
+  /// Throws InvariantError when i >= size(), in both modes.
   NodeId operator[](std::size_t i) const {
-    return data_ != nullptr ? data_[i] : topo_->neighbor_at(v_, i);
+    if (topo_ != nullptr) return topo_->neighbor_at(v_, i);
+    expect_neighbor_slot(i, count_);
+    return data_[i];
   }
   NodeId front() const { return (*this)[0]; }
   NodeId back() const { return (*this)[count_ - 1]; }
 
   const_iterator begin() const {
-    if (data_ != nullptr) return const_iterator(data_);
+    if (topo_ == nullptr) return const_iterator(data_);
     return const_iterator(topo_, v_, 0,
                           topo_->neighbor_after(v_, graph::kNoNode));
   }
   const_iterator end() const {
-    if (data_ != nullptr) return const_iterator(data_ + count_);
+    if (topo_ == nullptr) return const_iterator(data_ + count_);
     return const_iterator(topo_, v_, count_, graph::kNoNode);
   }
 
  private:
   const NodeId* data_ = nullptr;  ///< dense mode
-  const Topology* topo_ = nullptr;  ///< hybrid mode
+  const Topology* topo_ = nullptr;  ///< hybrid mode; null in dense mode
   NodeId v_ = 0;
   std::size_t count_ = 0;
 };
 
 /// Edge-tiled shard partition: `num_shards` contiguous [begin, end) node
 /// ranges whose boundaries balance per-shard cost, where node v costs
-/// total_degree(v) + 1 — directed message slots dominate both engine
-/// phases, the +1 keeps degree-0 nodes from all landing in one shard's
-/// compute phase. Unlike an equal-node split, a high-degree gadget hub (the
-/// clique/biclique blocks of the paper's F_x̄/G_x̄ constructions) gets a
-/// shard of its own instead of skewing whichever shard its id falls into.
+/// total_degree(v) + 1 — directed message slots dominate a round, the +1
+/// keeps degree-0 nodes from all landing in one shard. Unlike an
+/// equal-node split, a high-degree gadget hub (the clique/biclique blocks
+/// of the paper's F_x̄/G_x̄ constructions) gets a shard of its own instead
+/// of skewing whichever shard its id falls into.
 /// Implicit-block degrees count arithmetically, so the 10^10-edge scaled
 /// families still balance on edges without touching them.
 ///

@@ -51,7 +51,7 @@ struct Csr {
 };
 
 /// Counting-sort scatter of an undirected pair stream into CSR rows — the
-/// one bulk path behind Graph::add_edges and StreamingCsrBuilder. The
+/// one bulk path behind Graph::add_edges. The
 /// caller counts each node's endpoint occurrences up front; pairs then
 /// arrive in any number of chunks, and finish() sorts every row.
 /// O(n + pairs) plus the per-row sorts.

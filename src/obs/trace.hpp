@@ -101,7 +101,8 @@ class Tracer {
   const TraceConfig& config() const { return config_; }
 
   /// Engine binding: preallocate 2 * num_shards staging buffers (phase 0 =
-  /// compute, phase 1 = deliver) of per_shard_capacity events each, plus
+  /// sends, phase 1 = the receiver-order deliver pass) of per_shard_capacity
+  /// events each, plus
   /// the ring. Serial context only; the one place the tracer allocates.
   void bind(std::size_t num_shards, std::size_t per_shard_capacity);
 

@@ -9,10 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <memory>
+#include <vector>
+
 #include "congest/algorithms/greedy_mis.hpp"
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
+#include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
 #include "maxis/branch_and_bound.hpp"
@@ -79,18 +84,106 @@ TEST_P(BroadcastMisSweep, WeightedGreedyRunsUnderBroadcastRestriction) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BroadcastMisSweep,
                          ::testing::Values(11, 12, 13, 14, 15));
 
+struct Delivery {
+  std::size_t round;
+  graph::NodeId from;
+  graph::NodeId to;
+  std::size_t bits;
+  std::vector<std::byte> data;
+
+  friend bool operator==(const Delivery&, const Delivery&) = default;
+};
+
+struct BroadcastRun {
+  RunStats stats;
+  std::vector<graph::NodeId> selected;
+  std::vector<Delivery> transcript;
+  std::vector<std::uint64_t> edge_bits;  ///< bits_on_edge, every edge
+
+  friend bool operator==(const BroadcastRun&, const BroadcastRun&) = default;
+};
+
+BroadcastRun run_mode(const graph::Graph& g, const ProgramFactory& factory,
+                      bool broadcast_only, std::size_t threads) {
+  BroadcastRun rec;
+  NetworkConfig cfg;
+  cfg.broadcast_only = broadcast_only;
+  cfg.num_threads = threads;
+  cfg.seed = 5;
+  cfg.on_message = [&rec](std::size_t round, graph::NodeId from,
+                          graph::NodeId to, const Message& m) {
+    rec.transcript.push_back(
+        {round, from, to, m.bits,
+         std::vector<std::byte>(m.data.begin(), m.data.end())});
+  };
+  Network net(g, factory, cfg);
+  rec.stats = net.run();
+  rec.selected = net.selected_nodes();
+  for (const auto& [u, v] : graph::edge_list(g)) {
+    rec.edge_bits.push_back(net.bits_on_edge(u, v));
+  }
+  return rec;
+}
+
 TEST(Broadcast, SameResultAsUnicastForBroadcastAlgorithms) {
   // A broadcast algorithm's behavior cannot change when the restriction is
-  // lifted: identical outputs either way.
+  // lifted. broadcast_only switches the engine to one out-slot per node, so
+  // this also pins that layout against the per-edge one: identical
+  // RunStats, outputs, observer transcripts and per-edge bits, for every
+  // thread count.
   Rng rng(7);
   auto g = graph::gnp_random(rng, 35, 0.2);
-  NetworkConfig uni, bro;
-  bro.broadcast_only = true;
-  Network a(g, greedy_mis_factory(), uni);
-  Network b(g, greedy_mis_factory(), bro);
-  a.run();
-  b.run();
-  EXPECT_EQ(a.selected_nodes(), b.selected_nodes());
+  for (const ProgramFactory& factory :
+       {greedy_mis_factory(), luby_mis_factory()}) {
+    const BroadcastRun unicast = run_mode(g, factory, false, 1);
+    ASSERT_GT(unicast.stats.messages_sent, 0u);
+    for (std::size_t threads : {1, 2, 8}) {
+      EXPECT_EQ(run_mode(g, factory, false, threads), unicast)
+          << "unicast threads=" << threads;
+      EXPECT_EQ(run_mode(g, factory, true, threads), unicast)
+          << "broadcast_only threads=" << threads;
+    }
+  }
+}
+
+TEST(Broadcast, PartialFanOutRejected) {
+  // Identical payloads to only some neighbors are not a broadcast: the
+  // CONGEST-Broadcast restriction requires all neighbors or none, on a
+  // materialized graph exactly as on its blocked twin.
+  class FirstNeighborOnly final : public NodeProgram {
+   public:
+    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
+               Rng&) override {
+      if (info.id == 0 && !done_) {
+        outbox.send(0, std::move(MessageWriter().put(1, 8)).finish());
+      }
+      done_ = true;
+    }
+    bool finished() const override { return done_; }
+
+   private:
+    bool done_ = false;
+  };
+  const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<FirstNeighborOnly>();
+  };
+
+  graph::Graph blocked(3);
+  blocked.set_implicit_block_threshold(1);
+  blocked.add_clique(std::vector<graph::NodeId>{0, 1, 2});
+  ASSERT_TRUE(blocked.has_implicit_blocks());
+  const graph::Graph triangle = blocked.materialized();
+
+  NetworkConfig cfg;
+  cfg.broadcast_only = true;
+  Network materialized(triangle, factory, cfg);
+  EXPECT_THROW(materialized.run(), InvariantError);
+  Network twin(blocked, factory, cfg);
+  EXPECT_THROW(twin.run(), InvariantError);
+
+  // Without the restriction the same program is a legal unicast.
+  Network unicast(triangle, factory);
+  EXPECT_EQ(unicast.run().messages_sent, 1u);
 }
 
 TEST(Broadcast, UniversalGossipIsBroadcastCompatible) {

@@ -1,8 +1,10 @@
-// Graph serialization: edge-list round trip, DOT output, malformed input.
+// Graph serialization: edge-list round trip (implicit blocks included),
+// DOT output, malformed input.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "graph/io.hpp"
 #include "support/expect.hpp"
@@ -96,6 +98,38 @@ TEST(Dot, WeightsHiddenOnRequest) {
   std::ostringstream os;
   write_dot(os, g, opts);
   EXPECT_EQ(os.str().find("w=9"), std::string::npos);
+}
+
+TEST(EdgeListText, RoundTripsBlocks) {
+  Graph g(30);
+  g.set_implicit_block_threshold(1);
+  g.add_clique(std::vector<NodeId>{0, 1, 2, 3});
+  g.add_biclique(std::vector<NodeId>{4, 5}, std::vector<NodeId>{6, 7, 8});
+  g.add_anti_matching_grid(9, 5, 3, 4);
+  g.add_edge(24, 25);
+  g.add_edge(0, 29);
+  g.set_weight(2, 11);
+
+  std::stringstream ss;
+  write_edge_list(ss, g);
+  const Graph back = read_edge_list(ss);
+  EXPECT_EQ(back, g);
+  EXPECT_EQ(back.num_implicit_edges(), g.num_implicit_edges());
+}
+
+TEST(EdgeListText, RejectsMalformedBlockRecords) {
+  {
+    std::stringstream ss("n 10\nb clique 5 5\n");
+    EXPECT_THROW(read_edge_list(ss), InvariantError);
+  }
+  {
+    std::stringstream ss("n 10\nb grid 0 2 2 4\n");  // stride < row_len
+    EXPECT_THROW(read_edge_list(ss), InvariantError);
+  }
+  {
+    std::stringstream ss("n 4\nb clique 0 9\n");  // out of bounds
+    EXPECT_THROW(read_edge_list(ss), InvariantError);
+  }
 }
 
 }  // namespace

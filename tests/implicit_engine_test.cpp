@@ -256,12 +256,24 @@ TEST(ImplicitEngine, NeighborAtMatchesMaterializedOnMultiBlockNodes) {
 }
 
 TEST(ImplicitEngine, NeighborAtRejectsSlotPastMergedDegree) {
-  const auto bt = Topology::build(mixed_graph(7, 10));
+  // The blocked topology and its materialized twin reject the same slots,
+  // through Topology::neighbor_at and NeighborsView indexing alike.
+  const graph::Graph blocked = mixed_graph(7, 10);
+  const auto bt = Topology::build(blocked);
+  const auto dt = Topology::build(blocked.materialized());
   ASSERT_TRUE(bt->has_implicit());
+  ASSERT_FALSE(dt->has_implicit());
   for (graph::NodeId v = 0; v < bt->n; ++v) {
     const std::size_t d = bt->total_degree(v);
+    ASSERT_EQ(dt->total_degree(v), d) << "node " << v;
     EXPECT_THROW(bt->neighbor_at(v, d), InvariantError) << "node " << v;
     EXPECT_THROW(bt->neighbor_at(v, d + 7), InvariantError) << "node " << v;
+    EXPECT_THROW(dt->neighbor_at(v, d), InvariantError) << "node " << v;
+    EXPECT_THROW(dt->neighbor_at(v, d + 7), InvariantError) << "node " << v;
+    const NeighborsView hv(bt.get(), v, d);
+    const NeighborsView dv(dt->neighbors.data() + dt->offsets[v], d);
+    EXPECT_THROW(hv[d], InvariantError) << "node " << v;
+    EXPECT_THROW(dv[d], InvariantError) << "node " << v;
   }
 }
 
@@ -353,6 +365,40 @@ TEST(ImplicitEngine, HybridRejectsNonUniformSends) {
     return std::make_unique<OneSlot>();
   });
   EXPECT_THROW(net.run(), InvariantError);
+}
+
+TEST(ImplicitEngine, HybridRejectsDuplicateSendAsBroadcast) {
+  // Sending slot 0 twice is as many sends as neighbors on a triangle, but
+  // not a broadcast: slot 1 never got a message. The one-slot broadcast
+  // arena must reject it as the per-edge arena does.
+  class SlotZeroTwice final : public NodeProgram {
+   public:
+    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
+               Rng&) override {
+      if (info.id == 0 && !done_) {
+        const Message m = std::move(MessageWriter().put(1, 8)).finish();
+        outbox.send(0, m);
+        outbox.send(0, m);
+      }
+      done_ = true;
+    }
+    bool finished() const override { return done_; }
+
+   private:
+    bool done_ = false;
+  };
+
+  graph::Graph g(3);
+  g.set_implicit_block_threshold(1);
+  g.add_clique(std::vector<graph::NodeId>{0, 1, 2});
+  ASSERT_TRUE(g.has_implicit_blocks());
+  const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<SlotZeroTwice>();
+  };
+  Network blocked(g, factory);
+  EXPECT_THROW(blocked.run(), InvariantError);
+  Network materialized(g.materialized(), factory);
+  EXPECT_THROW(materialized.run(), InvariantError);
 }
 
 TEST(ImplicitEngine, HybridRejectsTracingAndMetrics) {
