@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the hot substrates: Reed-Solomon
 // encoding, Hopcroft-Karp on the Figure-2 anti-matchings, branch-and-bound
 // on gadget instances, gadget construction itself, blackboard posting, the
-// engine's Topology snapshot / bulk graph build, and raw CONGEST round
-// throughput.
+// message codec, the engine's Topology snapshot / bulk graph build, and raw
+// CONGEST round throughput.
 //
 // A custom main (bottom of file) mirrors the console run into
 // BENCH_micro.json — google-benchmark's own JSON format — so CI can archive
@@ -10,7 +10,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "comm/exact_cc.hpp"
 #include "comm/instances.hpp"
 #include "congest/algorithms/greedy_mis.hpp"
+#include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "congest/topology.hpp"
 #include "graph/generators.hpp"
@@ -321,38 +321,33 @@ BENCHMARK(BM_EngineSteadyRoundTraced)
     ->Args({1024, 1})
     ->Args({1024, 4});
 
-// ------------------------------------------------ SIMD kernel variants --
-// One row per (kernel, level) for every level this build + CPU supports,
-// registered dynamically in main (BM_SimdPack/scalar, BM_SimdPack/avx2,
-// ...). The scalar rows double as the portable baseline that
-// check_bench_regression.py holds the fallback path to.
-
-/// Multi-field payload packing through the level's pack_bits (the
-/// MessageWriter::put hot loop).
-void BM_SimdPack(benchmark::State& state, clb::simd::Level level) {
+/// One multi-field message through MessageWriter::put and finish(): the
+/// codec every program runs per send. The 8 widths (170 bits) fill all three
+/// inline payload words and cross both word boundaries.
+void BM_MessageCodec(benchmark::State& state) {
   static constexpr std::size_t kWidths[] = {16, 7, 33, 12, 64, 5, 24, 9};
-  std::size_t total_bits = 0;
-  for (std::size_t w : kWidths) total_bits += w;
-  const std::size_t bytes = (total_bits + 7) / 8 + clb::simd::kPackSlackBytes;
-  std::vector<std::byte> buf(bytes);
-  const clb::simd::ScopedLevel forced(level);
-  const clb::simd::Kernels& k = clb::simd::kernels();
   std::uint64_t s = 1;
   for (auto _ : state) {
-    std::memset(buf.data(), 0, bytes);
-    std::size_t pos = 0;
+    clb::congest::MessageWriter w;
     for (std::size_t width : kWidths) {
-      const std::uint64_t value =
-          (s++ * 0x9E3779B97F4A7C15ULL) &
-          (width == 64 ? ~0ULL : (1ULL << width) - 1);
-      k.pack_bits(buf.data(), pos, value, width);
-      pos += width;
+      w.put((s++ * 0x9E3779B97F4A7C15ULL) &
+                (width == 64 ? ~0ULL : (1ULL << width) - 1),
+            width);
     }
-    benchmark::DoNotOptimize(buf.data());
+    const clb::congest::Message m = std::move(w).finish();
+    benchmark::DoNotOptimize(m.data.words());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(std::size(kWidths)));
 }
+BENCHMARK(BM_MessageCodec);
+
+// ------------------------------------------------ SIMD kernel variants --
+// One row per (kernel, level) for every level this build + CPU supports,
+// registered dynamically in main (BM_SimdDeliverAccount/scalar,
+// BM_SimdDeliverAccount/avx2, ...). The scalar rows double as the portable
+// baseline that check_bench_regression.py holds the fallback path to.
 
 /// Bulk delivery accounting over 16Ki directed slots (the network.cpp
 /// unobserved fast path: delivered count, bits total, per-slot bits).
@@ -420,8 +415,6 @@ void register_simd_benchmarks() {
   for (Level level : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
     if (!clb::simd::level_supported(level)) continue;
     const std::string suffix = clb::simd::level_name(level);
-    benchmark::RegisterBenchmark(("BM_SimdPack/" + suffix).c_str(),
-                                 BM_SimdPack, level);
     benchmark::RegisterBenchmark(("BM_SimdDeliverAccount/" + suffix).c_str(),
                                  BM_SimdDeliverAccount, level);
     benchmark::RegisterBenchmark(

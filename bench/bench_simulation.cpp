@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -35,6 +34,7 @@
 #include "congest/algorithms/greedy_mis.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
+#include "congest/message.hpp"
 #include "graph/generators.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "obs/export.hpp"
@@ -479,61 +479,48 @@ std::pair<std::vector<ScaleRow>, bool> scale_section(bool smoke) {
   return {std::move(rows), ok};
 }
 
-// ------------------------------------------- SIMD pack/deliver kernels --
+// ------------------------------- message codec and SIMD deliver kernels --
 
-/// The SWAR/vector layer's hot-path speedup gate: in a full run on
-/// SIMD-capable hardware, at least one pack/deliver kernel row must beat
-/// the scalar reference by this factor or the bench exits nonzero.
+/// The vector layer's hot-path speedup gate: in a full run on SIMD-capable
+/// hardware, the deliver kernel row must beat the scalar reference by this
+/// factor or the bench exits nonzero.
 constexpr double kSimdKernelGate = 1.5;
 
 struct SimdKernelRow {
   std::string name;
-  std::string variant;  ///< "scalar" or the vector level actually run
+  std::string variant;  ///< "scalar", the vector level run, or "" (level-free)
   std::size_t slots = 0;
   std::size_t rounds = 0;
   double ns_per_round = 0;
 };
 
-/// One simulated round of payload packing: every directed slot writes one
-/// multi-field message through the active pack_bits kernel — the
-/// MessageWriter hot loop without the engine around it. The widths mirror
-/// the universal algorithm's multi-field payloads (ids, weights, flags at
-/// arbitrary bit offsets), which is where the word-window packer beats the
-/// byte loop hardest.
-SimdKernelRow measure_pack_kernel(clb::simd::Level level, std::size_t slots,
-                                  std::size_t rounds) {
+/// One simulated round of message encoding: every directed slot writes one
+/// multi-field message through MessageWriter::put and finish() — the codec
+/// the programs run, without the engine around it. The widths mirror the
+/// universal algorithm's multi-field payloads (ids, weights, flags at
+/// arbitrary bit offsets); their 170 bits fill all three inline words.
+SimdKernelRow measure_message_codec(std::size_t slots, std::size_t rounds) {
   static constexpr std::size_t kWidths[] = {16, 7, 33, 12, 64, 5, 24, 9};
-  std::size_t total_bits = 0;
-  for (std::size_t w : kWidths) total_bits += w;
-  const std::size_t bytes =
-      (total_bits + 7) / 8 + clb::simd::kPackSlackBytes;
-  std::vector<std::byte> buf(bytes);
-
-  const clb::simd::ScopedLevel forced(level);
-  const clb::simd::Kernels& k = clb::simd::kernels();
   std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
     for (std::size_t s = 0; s < slots; ++s) {
-      std::memset(buf.data(), 0, bytes);
-      std::size_t pos = 0;
+      clb::congest::MessageWriter w;
       std::size_t f = 0;
       for (std::size_t width : kWidths) {
-        const std::uint64_t value =
-            (s * 0x9E3779B97F4A7C15ULL + f++) &
-            (width == 64 ? ~0ULL : (1ULL << width) - 1);
-        k.pack_bits(buf.data(), pos, value, width);
-        pos += width;
+        w.put((s * 0x9E3779B97F4A7C15ULL + f++) &
+                  (width == 64 ? ~0ULL : (1ULL << width) - 1),
+              width);
       }
-      sink += static_cast<std::uint64_t>(buf[bytes - 9]);
+      const clb::congest::Message m = std::move(w).finish();
+      sink += m.data.words()[m.data.num_words() - 1];
     }
   }
   const auto t1 = std::chrono::steady_clock::now();
-  if (sink == 0xDEAD) std::cout << "";  // keep the packed bytes observable
+  if (sink == 0xDEAD) std::cout << "";  // keep the encoded words observable
 
   SimdKernelRow row;
-  row.name = "pack-kernel/multifield";
-  row.variant = clb::simd::level_name(level);
+  row.name = "message-codec/multifield";
   row.slots = slots;
   row.rounds = rounds;
   row.ns_per_round = elapsed_ns(t0, t1) / static_cast<double>(rounds);
@@ -627,18 +614,18 @@ bool engine_throughput_section(std::size_t timed_rounds,
     }
   }
 
-  // SIMD pack/deliver kernel rows: the same hot-path work, scalar table vs
-  // the best level this build + CPU supports (identical when the machine
-  // is scalar-only). Slot count matches the gnp-1024 flood's directed
-  // slots, so the rows are read in the same units as flood/gnp-1024.
+  // Hot-path kernel rows: the level-free message codec, then the deliver
+  // kernel under the scalar table and the best level this build + CPU
+  // supports (one variant when the machine is scalar-only). Slot count
+  // matches the gnp-1024 flood's directed slots, so the rows are read in
+  // the same units as flood/gnp-1024.
   const std::size_t kernel_slots = 2 * gnp.num_edges();
   const std::size_t kernel_rounds = timed_rounds;
   const clb::simd::Level best = clb::simd::best_level();
   std::vector<SimdKernelRow> kernel_rows;
+  kernel_rows.push_back(measure_message_codec(kernel_slots, kernel_rounds));
   for (const clb::simd::Level level :
        {clb::simd::Level::kScalar, best}) {
-    kernel_rows.push_back(
-        measure_pack_kernel(level, kernel_slots, kernel_rounds));
     kernel_rows.push_back(
         measure_deliver_kernel(level, kernel_slots, kernel_rounds));
     if (best == clb::simd::Level::kScalar) break;  // one variant only
@@ -659,7 +646,8 @@ bool engine_throughput_section(std::size_t timed_rounds,
 
   Table kt({"kernel", "variant", "slots", "ns/round"});
   for (const auto& r : kernel_rows) {
-    kt.add_row({r.name, r.variant, std::to_string(r.slots),
+    kt.add_row({r.name, r.variant.empty() ? "-" : r.variant,
+                std::to_string(r.slots),
                 clb::fmt_double(r.ns_per_round, 0)});
   }
   std::cout << "\n";
@@ -690,7 +678,7 @@ bool engine_throughput_section(std::size_t timed_rounds,
   for (const auto& r : kernel_rows) {
     jw.begin_object();
     jw.kv("name", r.name);
-    jw.kv("variant", r.variant);
+    if (!r.variant.empty()) jw.kv("variant", r.variant);
     jw.kv("threads", std::uint64_t{1});
     jw.kv("slots", static_cast<std::uint64_t>(r.slots));
     jw.kv("rounds", static_cast<std::uint64_t>(r.rounds));
@@ -775,8 +763,8 @@ bool engine_throughput_section(std::size_t timed_rounds,
     }
   }
 
-  // SIMD kernel gate: on SIMD-capable hardware the vector variant of at
-  // least one pack/deliver row must hold kSimdKernelGate over scalar.
+  // SIMD kernel gate: on SIMD-capable hardware the vector variant of the
+  // deliver row must hold kSimdKernelGate over scalar.
   // Full runs only — smoke windows on shared CI runners are too noisy,
   // and scalar-only machines have nothing to compare (their fallback is
   // instead held to the baseline by check_bench_regression.py).

@@ -19,7 +19,8 @@ Blackboard::Blackboard(std::size_t num_players)
 }
 
 void Blackboard::append(std::size_t player, std::span<const std::byte> data,
-                        std::size_t bits, Record rec) {
+                        std::size_t bits, bool edge_tag, std::size_t tag_a,
+                        std::size_t tag_b) {
   CLB_EXPECT(player < num_players(), "blackboard: player index out of range");
   CLB_EXPECT(bits <= 8 * data.size(), "blackboard: declared bits exceed payload");
   CLB_EXPECT(bits > 0, "blackboard: empty writes are not charged, don't post them");
@@ -27,7 +28,7 @@ void Blackboard::append(std::size_t player, std::span<const std::byte> data,
   bits_by_player_[player] += bits;
   total_bits_ += bits;
   if (tracer_) {
-    tracer_->emit({bits, static_cast<std::uint32_t>(records_.size()),
+    tracer_->emit({bits, static_cast<std::uint32_t>(num_records_),
                    static_cast<std::uint32_t>(player),
                    obs::TraceEvent::kNone, obs::EventKind::kBlackboardPost});
   }
@@ -35,21 +36,22 @@ void Blackboard::append(std::size_t player, std::span<const std::byte> data,
     posts_metric_->add(1);
     bits_metric_->add(bits);
   }
-  rec.offset = payload_.size();
-  rec.player = static_cast<std::uint32_t>(player);
-  rec.bits = static_cast<std::uint32_t>(bits);
+  if (num_records_ % kChunkRecords == 0) {
+    chunks_.push_back(std::make_unique_for_overwrite<Record[]>(kChunkRecords));
+  }
+  chunks_.back()[num_records_ % kChunkRecords] = Record{
+      payload_.size(), static_cast<std::uint32_t>(player), edge_tag,
+      static_cast<std::uint32_t>(bits), static_cast<std::uint32_t>(tag_a),
+      static_cast<std::uint32_t>(tag_b)};
   payload_.insert(payload_.end(), data.begin(), data.end());
-  records_.push_back(rec);
+  ++num_records_;
 }
 
 void Blackboard::post(std::size_t player, std::vector<std::byte> data,
                       std::size_t bits, std::string tag) {
   CLB_EXPECT(tag_text_.size() + tag.size() <= kMax32,
              "blackboard: tag text exceeds 4 GiB");
-  Record rec;
-  rec.tag_a = static_cast<std::uint32_t>(tag_text_.size());
-  rec.tag_b = static_cast<std::uint32_t>(tag.size());
-  append(player, data, bits, rec);
+  append(player, data, bits, false, tag_text_.size(), tag.size());
   tag_text_ += tag;
 }
 
@@ -59,18 +61,14 @@ void Blackboard::post_cut_message(std::size_t player,
                                   std::size_t to) {
   CLB_EXPECT(from <= kMax32 && to <= kMax32,
              "blackboard: cut-message node ids must fit 32 bits");
-  Record rec;
-  rec.tag_a = static_cast<std::uint32_t>(from);
-  rec.tag_b = static_cast<std::uint32_t>(to);
-  rec.edge_tag = 1;
-  append(player, data, bits, rec);
+  append(player, data, bits, true, from, to);
 }
 
 BoardEntry Blackboard::entry(std::size_t i) const {
-  CLB_EXPECT(i < records_.size(), "blackboard: transcript index out of range");
-  const Record& rec = records_[i];
+  CLB_EXPECT(i < num_records_, "blackboard: transcript index out of range");
+  const Record& rec = record(i);
   const std::size_t end =
-      i + 1 < records_.size() ? records_[i + 1].offset : payload_.size();
+      i + 1 < num_records_ ? record(i + 1).offset : payload_.size();
   BoardEntry e;
   e.player = rec.player;
   e.data = std::span<const std::byte>(payload_).subspan(rec.offset,

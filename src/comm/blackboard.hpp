@@ -8,17 +8,20 @@
 // message crosses between two players' node sets, its bits land here.
 //
 // The transcript is stored flat: one fixed-size record per post (player,
-// charged bits, payload offset, tag) in a single vector, and every payload
-// byte in one contiguous byte arena, so a post costs no heap allocation
-// beyond amortized arena growth. A cut message posted through
-// post_cut_message records its edge endpoints as two integers; its tag
-// text "msg <from>-><to>" is formatted only when the entry is read.
-// transcript() is a view that materializes BoardEntry values on read.
+// charged bits, payload offset, tag) and every payload byte in one
+// contiguous byte arena. Records live in fixed chunks of kChunkRecords that
+// are allocated once and never moved, so a post costs no copy of earlier
+// records and at most one chunk allocation per 4096 posts. A cut message
+// posted through post_cut_message records its edge endpoints as two
+// integers; its tag text "msg <from>-><to>" is formatted only when the
+// entry is read. transcript() is a view that materializes BoardEntry values
+// on read.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -121,21 +124,29 @@ class Blackboard {
   /// offset); the tag is the edge (tag_a, tag_b) when `edge_tag`, otherwise
   /// the text tag_text_[tag_a, tag_a + tag_b). The 32-bit fields bound a
   /// post to < 2^32 bits, node ids to < 2^32 and tag text to < 4 GiB.
+  /// Trivially constructible, so a fresh chunk is left uninitialized.
   struct Record {
-    std::uint64_t offset = 0;
-    std::uint32_t player : 31 = 0;
-    std::uint32_t edge_tag : 1 = 0;
-    std::uint32_t bits = 0;
-    std::uint32_t tag_a = 0;
-    std::uint32_t tag_b = 0;
+    std::uint64_t offset;
+    std::uint32_t player : 31;
+    std::uint32_t edge_tag : 1;
+    std::uint32_t bits;
+    std::uint32_t tag_a;
+    std::uint32_t tag_b;
   };
   static_assert(sizeof(Record) == 24);
+  static constexpr std::size_t kChunkRecords = 4096;  ///< 96 KiB per chunk
 
+  /// The tag fields are checked by the caller to fit 32 bits.
   void append(std::size_t player, std::span<const std::byte> data,
-              std::size_t bits, Record rec);
+              std::size_t bits, bool edge_tag, std::size_t tag_a,
+              std::size_t tag_b);
+  const Record& record(std::size_t i) const {
+    return chunks_[i / kChunkRecords][i % kChunkRecords];
+  }
   BoardEntry entry(std::size_t i) const;
 
-  std::vector<Record> records_;
+  std::vector<std::unique_ptr<Record[]>> chunks_;
+  std::size_t num_records_ = 0;
   std::vector<std::byte> payload_;
   std::string tag_text_;
   std::vector<std::size_t> bits_by_player_;
@@ -145,7 +156,7 @@ class Blackboard {
   obs::Counter* bits_metric_ = nullptr;
 };
 
-inline std::size_t Transcript::size() const { return board_->records_.size(); }
+inline std::size_t Transcript::size() const { return board_->num_records_; }
 
 inline BoardEntry Transcript::operator[](std::size_t i) const {
   return board_->entry(i);

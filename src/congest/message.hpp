@@ -4,97 +4,113 @@
 // O(log n) bits to each neighbor per round. A Message carries an explicit
 // bit count; congest::Network enforces the per-edge budget and sim::
 // ReductionDriver charges exactly these bits to the blackboard for cut
-// edges. Helpers pack/unpack small integer fields so algorithm code never
-// hand-rolls bit twiddling.
+// edges. MessageWriter/MessageReader pack and unpack small integer fields so
+// algorithm code never hand-rolls bit twiddling.
 //
-// Payloads live in a PayloadBytes small-buffer container: anything up to
-// kInlineCapacity bytes (192 bits — beyond any O(log n) budget the benches
-// use) is stored inline, so constructing, copying, and moving typical
-// CONGEST messages never touches the heap. This is what lets the simulator's
-// double-buffered message arenas run allocation-free after warm-up.
+// A payload is a run of 64-bit words, LSB-first: field bits fill each word
+// from bit 0 up and spill into the next. The writer and reader are inline
+// shift/or over those words. On the little-endian hosts this library
+// targets the words *are* the LSB-first byte layout, so the byte view
+// (data(), operator[], begin()/end()) needs no conversion. Up to
+// kInlineWords words (192 bits, beyond any O(log n) budget the benches use)
+// live inline in the Message, so constructing, copying and moving typical
+// CONGEST messages never touches the heap; that is what lets the engine's
+// double-buffered message arenas run allocation-free after warm-up. Longer
+// frames (approx-MIS's LOCAL frames) move to a heap buffer whose capacity
+// later assignments reuse.
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <utility>
+
+#include "support/expect.hpp"
 
 namespace congestlb::congest {
 
-/// A byte buffer with small-buffer optimization and capacity-reusing copy
+static_assert(std::endian::native == std::endian::little,
+              "the payload byte view reads the words' in-memory bytes");
+
+class MessageWriter;
+
+/// A word-backed byte buffer with inline storage and capacity-reusing copy
 /// assignment (an assignment into a buffer that is already big enough never
-/// allocates — the property the engine's message arenas rely on).
+/// allocates — the property the engine's message arenas rely on). Every bit
+/// past the message's bit count, up to the end of its last word, is zero.
 class PayloadBytes {
  public:
-  static constexpr std::size_t kInlineCapacity = 24;
-
-  /// Slack bytes allocated past every buffer's capacity (inline and heap),
-  /// never part of size(): the SIMD bit packers (support/simd.hpp,
-  /// Kernels::pack_bits) read-modify-write whole 8-byte windows plus a
-  /// spill byte, so MessageWriter/MessageReader need
-  /// simd::kPackSlackBytes addressable bytes beyond the payload. The
-  /// window stores bytes beyond the payload back unchanged, so slack
-  /// contents are never observable.
-  static constexpr std::size_t kSlackBytes = 8;
+  static constexpr std::size_t kInlineWords = 3;
+  static constexpr std::size_t kInlineCapacity = 8 * kInlineWords;  ///< bytes
 
   PayloadBytes() = default;
-  PayloadBytes(const PayloadBytes& other) { assign(other.data(), other.size_); }
-  PayloadBytes(PayloadBytes&& other) noexcept { swap(other); }
+  PayloadBytes(const PayloadBytes& other) { *this = other; }
+  PayloadBytes(PayloadBytes&& other) noexcept
+      : heap_(other.heap_), size_(other.size_), cap_words_(other.cap_words_) {
+    std::copy_n(other.inline_, kInlineWords, inline_);
+    other.heap_ = nullptr;
+    other.size_ = 0;
+    other.cap_words_ = kInlineWords;
+  }
   ~PayloadBytes() { delete[] heap_; }
 
   PayloadBytes& operator=(const PayloadBytes& other) {
-    if (this != &other) assign(other.data(), other.size_);
+    if (this != &other) {
+      const std::size_t nw = other.num_words();
+      if (nw > cap_words_) grow(nw, 0);
+      std::copy_n(other.words(), nw, words());
+      size_ = other.size_;
+    }
     return *this;
   }
   PayloadBytes& operator=(PayloadBytes&& other) noexcept {
-    if (this != &other) swap(other);
+    swap(other);
     return *this;
   }
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
 
-  std::byte* data() { return heap_ ? heap_ : inline_; }
-  const std::byte* data() const { return heap_ ? heap_ : inline_; }
-
-  std::byte& operator[](std::size_t i) { return data()[i]; }
+  const std::byte* data() const {
+    return reinterpret_cast<const std::byte*>(words());
+  }
   const std::byte& operator[](std::size_t i) const { return data()[i]; }
-
   const std::byte* begin() const { return data(); }
   const std::byte* end() const { return data() + size_; }
+
+  /// The payload's ceil(size() / 8) words.
+  const std::uint64_t* words() const { return heap_ ? heap_ : inline_; }
+  std::size_t num_words() const { return (size_ + 7) / 8; }
 
   /// Drop contents; capacity is retained.
   void clear() { size_ = 0; }
 
-  /// Grow (zero-filling new bytes) or shrink; capacity never shrinks.
-  void resize(std::size_t n);
-
-  void push_back(std::byte b);
-
-  /// Replace contents with [src, src+n); reuses capacity when possible.
-  void assign(const std::byte* src, std::size_t n);
-
-  void swap(PayloadBytes& other) noexcept;
-
   friend bool operator==(const PayloadBytes& a, const PayloadBytes& b) {
-    if (a.size_ != b.size_) return false;
-    const std::byte* pa = a.data();
-    const std::byte* pb = b.data();
-    for (std::size_t i = 0; i < a.size_; ++i) {
-      if (pa[i] != pb[i]) return false;
-    }
-    return true;
-  }
-  friend bool operator!=(const PayloadBytes& a, const PayloadBytes& b) {
-    return !(a == b);
+    return a.size_ == b.size_ && std::memcmp(a.data(), b.data(), a.size_) == 0;
   }
 
  private:
-  void ensure_capacity(std::size_t n);
+  friend class MessageWriter;
 
-  std::byte inline_[kInlineCapacity + kSlackBytes] = {};
-  std::byte* heap_ = nullptr;  ///< engaged once capacity spills past inline
-  std::size_t size_ = 0;
-  std::size_t capacity_ = kInlineCapacity;
+  std::uint64_t* words() { return heap_ ? heap_ : inline_; }
+
+  /// Move to a zero-filled heap buffer of >= nw words, keeping the first
+  /// `keep` words.
+  void grow(std::size_t nw, std::size_t keep);
+
+  void swap(PayloadBytes& other) noexcept {
+    std::swap(inline_, other.inline_);
+    std::swap(heap_, other.heap_);
+    std::swap(size_, other.size_);
+    std::swap(cap_words_, other.cap_words_);
+  }
+
+  std::uint64_t inline_[kInlineWords] = {};
+  std::uint64_t* heap_ = nullptr;  ///< engaged once capacity spills past inline
+  std::uint32_t size_ = 0;         ///< bytes
+  std::uint32_t cap_words_ = kInlineWords;
 };
 
 struct Message {
@@ -110,13 +126,34 @@ struct Message {
   }
 };
 
+// The engine keeps two arenas of one Message per directed slot.
+static_assert(sizeof(Message) <= 48);
+
 /// Append-only bit writer producing a Message.
 class MessageWriter {
  public:
   /// Append the low `width` bits of value (width in [1,64]).
-  MessageWriter& put(std::uint64_t value, std::size_t width);
+  MessageWriter& put(std::uint64_t value, std::size_t width) {
+    CLB_EXPECT(width >= 1 && width <= 64, "MessageWriter: width in [1,64]");
+    CLB_EXPECT(width == 64 || value < (1ULL << width),
+               "MessageWriter: value does not fit in declared width");
+    if (bits_ + width > 64 * data_.cap_words_) {
+      data_.grow((bits_ + width + 63) / 64, (bits_ + 63) / 64);
+    }
+    // The words past bits_ are zero (fresh inline words, zero-filled growth),
+    // so a field is one OR plus, when it straddles a word, one store.
+    std::uint64_t* w = data_.words() + bits_ / 64;
+    const std::size_t shift = bits_ % 64;
+    w[0] |= value << shift;
+    if (shift + width > 64) w[1] = value >> (64 - shift);
+    bits_ += width;
+    return *this;
+  }
 
-  Message finish() &&;
+  Message finish() && {
+    data_.size_ = static_cast<std::uint32_t>((bits_ + 7) / 8);
+    return Message{std::move(data_), bits_};
+  }
 
   std::size_t bits() const { return bits_; }
 
@@ -135,13 +172,23 @@ class MessageWriter {
 /// checksum misses a given corruption with probability 2^-w.
 std::uint64_t fold_checksum(std::uint64_t value, std::size_t width);
 
-/// Sequential bit reader over a Message.
+/// Sequential bit reader over a Message, which must outlive it.
 class MessageReader {
  public:
   explicit MessageReader(const Message& msg) : msg_(&msg) {}
+  MessageReader(const Message&&) = delete;  ///< would read a dead temporary
 
   /// Read `width` bits (width in [1,64]); throws if past the end.
-  std::uint64_t get(std::size_t width);
+  std::uint64_t get(std::size_t width) {
+    CLB_EXPECT(width >= 1 && width <= 64, "MessageReader: width in [1,64]");
+    CLB_EXPECT(pos_ + width <= msg_->bits, "MessageReader: read past end");
+    const std::uint64_t* w = msg_->data.words() + pos_ / 64;
+    const std::size_t shift = pos_ % 64;
+    std::uint64_t value = w[0] >> shift;
+    if (shift + width > 64) value |= w[1] << (64 - shift);
+    pos_ += width;
+    return width == 64 ? value : value & ((1ULL << width) - 1);
+  }
 
   std::size_t remaining() const { return msg_->bits - pos_; }
 

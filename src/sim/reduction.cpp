@@ -70,6 +70,9 @@ ReductionReport run_reduction(
   // one timeline.
   board.attach_observability(cfg.tracer, cfg.metrics);
 
+  // A board may carry earlier posts; the report covers this run's only.
+  const std::size_t bits_before = board.total_bits();
+  const std::size_t entries_before = board.transcript().size();
   congest::Network net(gx, factory, cfg);
   phase_mark(cfg.tracer, kPhaseSimulate, 0);
   const congest::RunStats stats = net.run();
@@ -81,8 +84,8 @@ ReductionReport run_reduction(
   rep.total_bits = stats.bits_sent;
   rep.algorithm_finished = stats.all_finished;
   rep.net_stats = stats;
-  rep.blackboard_bits = board.total_bits();
-  rep.blackboard_entries = board.transcript().size();
+  rep.blackboard_bits = board.total_bits() - bits_before;
+  rep.blackboard_entries = board.transcript().size() - entries_before;
   // Each undirected cut edge carries up to one message per *direction* per
   // round, so the per-round budget is 2 * |cut| * B — the factor the
   // paper's O(log n) absorbs.

@@ -38,7 +38,9 @@ struct ReductionReport {
   std::size_t bits_per_edge = 0;
   std::size_t cut_edges = 0;
 
-  std::uint64_t blackboard_bits = 0;   ///< bits posted for cut messages
+  /// Bits and entries this run posted for cut messages (posts already on
+  /// a reused board are not counted).
+  std::uint64_t blackboard_bits = 0;
   std::uint64_t blackboard_entries = 0;
   /// Cut traffic per round (index = round as reported at delivery time);
   /// the raw series behind the Theorem-5 accounting.

@@ -32,13 +32,10 @@ enum class Level : std::uint8_t { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 inline constexpr std::size_t kNumLevels = 3;
 
-/// Slack bytes the pack/unpack kernels may read (and write back unchanged)
-/// past the last payload byte: the vector variants work on whole 8-byte
-/// windows plus one spill byte. congest::PayloadBytes over-allocates every
-/// buffer by exactly this amount to make the window access always in-bounds.
-inline constexpr std::size_t kPackSlackBytes = 8;
-
-/// One dispatch table. All row kernels operate on `nw` 64-bit words;
+/// One dispatch table: the maxis word-row kernels and the engine's unicast
+/// delivery accounting. Message bit packing is not here: a field is one or
+/// two words of inline shift/or in congest/message.hpp, cheaper than any
+/// call through this table. All row kernels operate on `nw` 64-bit words;
 /// dst may alias a or b (elementwise ops).
 struct Kernels {
   Level level;
@@ -54,19 +51,6 @@ struct Kernels {
                               std::size_t nw);
   std::size_t (*first_bit)(const std::uint64_t* row, std::size_t nw,
                            std::size_t none);
-
-  // --- congest message bit-packing (message.cpp) --------------------------
-  /// OR the low `width` bits of value into the buffer at bit position
-  /// `bit_pos` (LSB-first within and across bytes). Preconditions: all bits
-  /// at positions >= bit_pos are currently zero, the buffer covers
-  /// (bit_pos + width + 7) / 8 bytes, and kPackSlackBytes more are
-  /// readable/writable (they are preserved).
-  void (*pack_bits)(std::byte* bytes, std::size_t bit_pos, std::uint64_t value,
-                    std::size_t width);
-  /// Read `width` bits from bit position `bit_pos`, same layout and slack
-  /// precondition (read-only).
-  std::uint64_t (*unpack_bits)(const std::byte* bytes, std::size_t bit_pos,
-                               std::size_t width);
 
   // --- congest bulk delivery accounting (network.cpp) ---------------------
   std::size_t (*count_nonzero_u8)(const std::uint8_t* p, std::size_t n);

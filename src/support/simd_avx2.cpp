@@ -9,8 +9,6 @@
 
 #include <immintrin.h>
 
-#include "support/simd_detail.hpp"
-
 namespace congestlb::simd::detail {
 
 namespace {
@@ -168,8 +166,6 @@ const Kernels kTable = {
     avx2_popcount,
     avx2_and_popcount,
     avx2_first_bit,
-    swar_pack_bits,
-    swar_unpack_bits,
     avx2_count_nonzero_u8,
     avx2_sum_u32,
     avx2_accumulate_u32_to_u64,

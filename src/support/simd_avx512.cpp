@@ -10,8 +10,6 @@
 
 #include <immintrin.h>
 
-#include "support/simd_detail.hpp"
-
 namespace congestlb::simd::detail {
 
 namespace {
@@ -152,8 +150,6 @@ const Kernels kTable = {
     avx512_popcount,
     avx512_and_popcount,
     avx512_first_bit,
-    swar_pack_bits,
-    swar_unpack_bits,
     avx512_count_nonzero_u8,
     avx512_sum_u32,
     avx512_accumulate_u32_to_u64,

@@ -1,13 +1,11 @@
-// Internal to the simd_*.cpp translation units (and the SIMD property
-// tests, which compare vector kernels against these references): portable
-// scalar kernel implementations, plus the SWAR word-window bit packers the
-// vector tables share.
+// Internal to simd_scalar.cpp (and the SIMD property tests, which compare
+// vector kernels against these references): the portable scalar kernel
+// implementations.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "support/simd.hpp"
 
@@ -51,31 +49,6 @@ inline std::size_t scalar_first_bit(const std::uint64_t* row, std::size_t nw,
   return none;
 }
 
-/// Byte-wise LSB-first append — the layout fuzz_test's bit-by-bit reference
-/// checks; the SWAR packer below must produce identical buffers.
-inline void scalar_pack_bits(std::byte* bytes, std::size_t bit_pos,
-                             std::uint64_t value, std::size_t width) {
-  std::size_t byte_i = bit_pos / 8;
-  const std::size_t shift = bit_pos % 8;
-  bytes[byte_i] |= static_cast<std::byte>((value << shift) & 0xFF);
-  for (std::size_t written = 8 - shift; written < width; written += 8) {
-    bytes[++byte_i] |= static_cast<std::byte>((value >> written) & 0xFF);
-  }
-}
-
-inline std::uint64_t scalar_unpack_bits(const std::byte* bytes,
-                                        std::size_t bit_pos,
-                                        std::size_t width) {
-  std::size_t byte_i = bit_pos / 8;
-  const std::size_t shift = bit_pos % 8;
-  std::uint64_t value = static_cast<std::uint64_t>(bytes[byte_i]) >> shift;
-  for (std::size_t got = 8 - shift; got < width; got += 8) {
-    value |= static_cast<std::uint64_t>(bytes[++byte_i]) << got;
-  }
-  if (width < 64) value &= (1ULL << width) - 1;
-  return value;
-}
-
 inline std::size_t scalar_count_nonzero_u8(const std::uint8_t* p,
                                            std::size_t n) {
   std::size_t c = 0;
@@ -94,45 +67,5 @@ inline void scalar_accumulate_u32_to_u64(std::uint64_t* acc,
                                          std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) acc[i] += p[i];
 }
-
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-
-/// Word-window packer: one 8-byte store instead of up to nine byte RMWs,
-/// plus a spill byte when shift + width > 64. The pack_bits contract (all
-/// bits >= bit_pos are zero) means only the *first* byte of the window can
-/// hold prior data, so the window is rebuilt from a 1-byte load — a wide
-/// load here would partially overlap the previous field's store and stall
-/// on failed store-to-load forwarding, which is slower than the byte loop.
-/// Requires the Kernels::pack_bits slack contract (kPackSlackBytes
-/// readable/writable past the payload). Little-endian only: the window's
-/// byte order must match the LSB-first byte layout.
-inline void swar_pack_bits(std::byte* bytes, std::size_t bit_pos,
-                           std::uint64_t value, std::size_t width) {
-  std::byte* p = bytes + bit_pos / 8;
-  const std::size_t shift = bit_pos % 8;
-  const std::uint64_t window =
-      static_cast<std::uint64_t>(p[0]) | (value << shift);
-  std::memcpy(p, &window, 8);
-  if (shift + width > 64) {
-    // The spill byte is entirely past bit_pos, hence zero: plain store.
-    p[8] = static_cast<std::byte>(value >> (64 - shift));
-  }
-}
-
-inline std::uint64_t swar_unpack_bits(const std::byte* bytes,
-                                      std::size_t bit_pos, std::size_t width) {
-  const std::byte* p = bytes + bit_pos / 8;
-  const std::size_t shift = bit_pos % 8;
-  std::uint64_t window;
-  std::memcpy(&window, p, 8);
-  std::uint64_t value = window >> shift;
-  if (shift + width > 64) {
-    value |= static_cast<std::uint64_t>(p[8]) << (64 - shift);
-  }
-  if (width < 64) value &= (1ULL << width) - 1;
-  return value;
-}
-
-#endif  // little-endian
 
 }  // namespace congestlb::simd::detail

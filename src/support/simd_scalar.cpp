@@ -16,8 +16,6 @@ const Kernels kTable = {
     scalar_popcount,
     scalar_and_popcount,
     scalar_first_bit,
-    scalar_pack_bits,
-    scalar_unpack_bits,
     scalar_count_nonzero_u8,
     scalar_sum_u32,
     scalar_accumulate_u32_to_u64,

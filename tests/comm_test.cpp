@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "comm/blackboard.hpp"
 #include "comm/instances.hpp"
 #include "comm/lower_bound.hpp"
@@ -55,6 +58,68 @@ TEST(Blackboard, RejectsBadWrites) {
   EXPECT_THROW(b.post_bits(0, {1, 2}), InvariantError);     // non-binary
   EXPECT_THROW(b.post_bits(0, {}), InvariantError);         // empty
   EXPECT_THROW(b.bits_by(7), InvariantError);
+}
+
+TEST(Blackboard, TranscriptSpansRecordChunks) {
+  // More than two 4096-record chunks of mixed posts: every entry reads back
+  // as posted, and the totals match.
+  struct Expected {
+    std::size_t player;
+    std::vector<std::byte> data;
+    std::size_t bits;
+    std::string tag;
+  };
+  Blackboard b(3);
+  std::vector<Expected> expected;
+  std::vector<std::size_t> by_player(3, 0);
+  Rng rng(2024);
+  for (std::size_t i = 0; i < 9000; ++i) {
+    const std::size_t player = rng.below(3);
+    const std::size_t bits = 1 + rng.below(40);
+    const std::uint64_t value = rng.below(1ULL << bits);
+    std::vector<std::byte> data((bits + 7) / 8);
+    for (std::size_t j = 0; j < data.size(); ++j) {
+      data[j] = static_cast<std::byte>(value >> (8 * j));
+    }
+    std::string tag = "post " + std::to_string(i);
+    switch (i % 4) {
+      case 0:
+        b.post(player, data, bits, tag);
+        break;
+      case 1:
+        b.post_uint(player, value, bits, tag);
+        break;
+      case 2: {
+        std::vector<std::uint8_t> bits01(bits);
+        for (std::size_t j = 0; j < bits; ++j) bits01[j] = (value >> j) & 1;
+        b.post_bits(player, bits01, tag);
+        break;
+      }
+      default:
+        b.post_cut_message(player, data, bits, i, i + 1);
+        tag = "msg " + std::to_string(i) + "->" + std::to_string(i + 1);
+    }
+    expected.push_back({player, std::move(data), bits, std::move(tag)});
+    by_player[player] += bits;
+  }
+  ASSERT_EQ(b.transcript().size(), expected.size());
+  std::size_t i = 0;
+  for (const BoardEntry& e : b.transcript()) {
+    const Expected& want = expected[i];
+    ASSERT_EQ(e.player, want.player) << "entry " << i;
+    ASSERT_EQ(e.bits, want.bits) << "entry " << i;
+    ASSERT_EQ(e.tag, want.tag) << "entry " << i;
+    ASSERT_EQ(std::vector<std::byte>(e.data.begin(), e.data.end()), want.data)
+        << "entry " << i;
+    ASSERT_EQ(b.transcript()[i].tag, want.tag) << "entry " << i;
+    ++i;
+  }
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_EQ(b.bits_by(p), by_player[p]);
+    total += by_player[p];
+  }
+  EXPECT_EQ(b.total_bits(), total);
 }
 
 TEST(Blackboard, NeedsTwoPlayers) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,6 +57,88 @@ TEST(Message, CrossByteBoundary) {
   EXPECT_EQ(r.get(3), 0b101u);
   EXPECT_EQ(r.get(6), 0b110011u);
   EXPECT_EQ(r.get(1), 1u);
+}
+
+// A reader views its message, so it must not bind a temporary.
+static_assert(!std::is_constructible_v<MessageReader, Message&&>);
+static_assert(std::is_constructible_v<MessageReader, const Message&>);
+
+using Fields = std::vector<std::pair<std::uint64_t, std::size_t>>;
+
+Message write_fields(const Fields& fields) {
+  MessageWriter w;
+  for (auto [value, width] : fields) w.put(value, width);
+  return std::move(w).finish();
+}
+
+/// The LSB-first byte layout, built one bit at a time.
+std::vector<std::byte> reference_bytes(const Fields& fields) {
+  std::vector<std::byte> bytes;
+  std::size_t pos = 0;
+  for (auto [value, width] : fields) {
+    for (std::size_t b = 0; b < width; ++b, ++pos) {
+      if (pos % 8 == 0) bytes.push_back(std::byte{0});
+      if ((value >> b) & 1) bytes.back() |= std::byte{1} << (pos % 8);
+    }
+  }
+  return bytes;
+}
+
+void expect_layout(const Message& m, const Fields& fields) {
+  EXPECT_EQ(std::vector<std::byte>(m.data.begin(), m.data.end()),
+            reference_bytes(fields));
+  MessageReader r(m);
+  for (auto [value, width] : fields) EXPECT_EQ(r.get(width), value);
+  EXPECT_EQ(r.remaining(), 0u);
+  // Bits past the end of the message are zero up to the end of its last
+  // word, whatever the slot held before.
+  const std::size_t tail = m.bits % 64;
+  if (tail != 0) {
+    EXPECT_EQ(m.data.words()[m.bits / 64] >> tail, 0u);
+  }
+}
+
+const Fields kHeapFrame = {{~0ULL, 64},
+                           {0x0123456789ABCDEFULL, 60},
+                           {~0ULL, 64},
+                           {(1ULL << 52) - 1, 52},
+                           {0x05A5A5A5A5A5A5A5ULL, 60}};  // 300 bits
+const Fields kShortFrame = {{0xABCDE12345ULL, 40}};
+
+TEST(Message, SlotReuseMatchesFreshTwin) {
+  for (const auto& [first, second] :
+       {std::pair{kHeapFrame, kShortFrame},
+        std::pair{kShortFrame, kHeapFrame}}) {
+    const Message twin = write_fields(second);
+    Message slot = write_fields(first);
+    slot = twin;  // copy-assign, as the engine's arena does
+    EXPECT_EQ(slot.bits, twin.bits);
+    EXPECT_TRUE(slot.data == twin.data);
+    expect_layout(slot, second);
+    Message moved = write_fields(first);
+    moved = write_fields(second);
+    EXPECT_TRUE(moved.data == twin.data);
+    expect_layout(moved, second);
+  }
+}
+
+TEST(Message, FieldsEndingOnWordBoundaries) {
+  // Fields end exactly at bits 64 (one full word), 128 (an unaligned field
+  // filling the rest of a word) and 192 (the last inline word), then one
+  // more bit moves the payload to the heap.
+  Fields fields = {{0x0123456789ABCDEFULL, 64},
+                   {5, 3},
+                   {(1ULL << 61) - 7, 61},
+                   {0x1FFFF, 17},
+                   {~0ULL >> 17, 47}};
+  const Message inline_frame = write_fields(fields);
+  EXPECT_EQ(inline_frame.bits, 192u);
+  EXPECT_EQ(inline_frame.data.size(), PayloadBytes::kInlineCapacity);
+  expect_layout(inline_frame, fields);
+  fields.emplace_back(1, 1);
+  const Message heap_frame = write_fields(fields);
+  EXPECT_EQ(heap_frame.data.size(), PayloadBytes::kInlineCapacity + 1);
+  expect_layout(heap_frame, fields);
 }
 
 // ------------------------------------------------------------- test programs --
@@ -451,6 +536,28 @@ TEST(Outbox, OneMessagePerNeighborPerRound) {
                InvariantError);
   Message empty;
   EXPECT_THROW(out.send(1, empty), InvariantError);
+}
+
+TEST(Outbox, BroadcastEqualityIgnoresPayloadHistory) {
+  // The same 40 bits, written in one field, in two fields, and copied into
+  // a slot that last held a 300-bit heap frame.
+  const Message once = write_fields(kShortFrame);
+  const Message split = write_fields({{0x12345, 20}, {0xABCDE, 20}});
+  Message reused = write_fields(kHeapFrame);
+  reused = once;
+  Message slot = write_fields(kHeapFrame);
+  std::uint8_t kind = 0;
+  Outbox out = Outbox::broadcast_view(&kind, &slot, 3, Outbox::kUnlimitedBits);
+  out.send(0, split);
+  EXPECT_NO_THROW(out.send(1, once));
+  EXPECT_NO_THROW(out.send(2, reused));
+  // A different payload of the same length is still refused.
+  kind = 0;
+  Outbox other =
+      Outbox::broadcast_view(&kind, &slot, 2, Outbox::kUnlimitedBits);
+  other.send(0, once);
+  EXPECT_THROW(other.send(1, write_fields({{0xABCDE12344ULL, 40}})),
+               InvariantError);
 }
 
 TEST(Outbox, EnforcesBandwidthAtSendTime) {

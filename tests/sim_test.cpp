@@ -99,6 +99,33 @@ TEST(LinearReduction, BlackboardChargesOnlyCutTraffic) {
   EXPECT_EQ(board.transcript()[2].tag, "msg 3->29");
 }
 
+TEST(LinearReduction, ReusedBoardReportsThisRunOnly) {
+  // Every run on a shared board must report what a fresh board reports:
+  // its own posts, checked against its own budget.
+  const std::size_t t = 2;
+  const auto p = lb::GadgetParams::for_linear_separation(t, 1, 3);
+  const lb::LinearConstruction c(p, t);
+  Rng rng(11);
+  const auto inst = comm::make_uniquely_intersecting(p.k, t, rng, 0.4);
+  const auto cfg =
+      universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell));
+  const auto factory = congest::universal_maxis_factory(exact_solver());
+  comm::Blackboard fresh(t);
+  const auto want = run_linear_reduction(c, inst, factory, fresh, cfg);
+  ASSERT_TRUE(want.accounting_ok);
+  comm::Blackboard shared(t);
+  for (int run = 0; run < 3; ++run) {
+    const auto rep = run_linear_reduction(c, inst, factory, shared, cfg);
+    EXPECT_EQ(rep.blackboard_bits, want.blackboard_bits) << "run " << run;
+    EXPECT_EQ(rep.blackboard_entries, want.blackboard_entries) << "run " << run;
+    EXPECT_EQ(rep.theorem5_budget, want.theorem5_budget) << "run " << run;
+    EXPECT_EQ(rep.accounting_ok, want.accounting_ok) << "run " << run;
+    EXPECT_EQ(rep.cut_accounting_exact, want.cut_accounting_exact);
+    EXPECT_EQ(rep.correct, want.correct) << "run " << run;
+  }
+  EXPECT_EQ(shared.total_bits(), 3 * want.blackboard_bits);
+}
+
 TEST(LinearReduction, ApproximateAlgorithmStillAccountsCorrectly) {
   // weighted-greedy is not exact, so the decision may be wrong — but the
   // Theorem-5 *accounting* must hold regardless of the algorithm.

@@ -7,8 +7,7 @@
 //   1. kernel-level: every dispatch-table entry of every supported level is
 //      compared against the scalar reference (support/simd_detail.hpp) on
 //      random inputs — word rows straddling the kSimdDispatchWords
-//      threshold and vector-register boundaries, random pack/unpack field
-//      sequences, random accounting arrays;
+//      threshold and vector-register boundaries, random accounting arrays;
 //   2. engine-level: the same random (topology, flood plan)
 //      instance is executed under every supported level via ScopedLevel and
 //      every observable (RunStats, outputs, per-edge bits, full transcript
@@ -221,62 +220,8 @@ TEST(SimdKernelProperty, WordsNamespaceMatchesScalarAcrossThreshold) {
   EXPECT_FALSE(failure.has_value()) << failure->describe();
 }
 
-/// pack_bits/unpack_bits: a random field sequence packed through each
-/// level's kernel must produce a byte-identical buffer to the scalar
-/// byte-loop reference, and every level must read back every field from
-/// every buffer.
-TEST(SimdKernelProperty, PackUnpackMatchesScalar) {
-  const auto levels = supported_levels();
-  const testing::Property prop = [&](std::uint64_t seed,
-                                     std::size_t size) -> std::optional<std::string> {
-    Rng rng(seed);
-    const std::size_t fields = 1 + rng.below(2 * size + 1);
-    std::vector<std::pair<std::uint64_t, std::size_t>> layout;
-    std::size_t total_bits = 0;
-    for (std::size_t f = 0; f < fields; ++f) {
-      const std::size_t width = 1 + rng.below(64);
-      const std::uint64_t value =
-          width == 64 ? rng.next() : rng.below(1ULL << width);
-      layout.emplace_back(value, width);
-      total_bits += width;
-    }
-    const std::size_t bytes = (total_bits + 7) / 8 + simd::kPackSlackBytes;
-
-    std::vector<std::byte> ref(bytes, std::byte{0});
-    std::size_t pos = 0;
-    for (auto [value, width] : layout) {
-      simd::detail::scalar_pack_bits(ref.data(), pos, value, width);
-      pos += width;
-    }
-
-    for (Level level : levels) {
-      const Kernels& k = *simd::kernels_for(level);
-      std::vector<std::byte> got(bytes, std::byte{0});
-      pos = 0;
-      for (auto [value, width] : layout) {
-        k.pack_bits(got.data(), pos, value, width);
-        pos += width;
-      }
-      if (got != ref) {
-        return row_mismatch("pack_bits", level, fields, "buffer bytes");
-      }
-      pos = 0;
-      for (auto [value, width] : layout) {
-        if (k.unpack_bits(ref.data(), pos, width) != value) {
-          return row_mismatch("unpack_bits", level, fields,
-                              "field at bit " + std::to_string(pos));
-        }
-        pos += width;
-      }
-    }
-    return std::nullopt;
-  };
-  auto failure = testing::check_seeds(prop, 0x51D0'0003, 80, 10);
-  EXPECT_FALSE(failure.has_value()) << failure->describe();
-}
-
 /// Delivery-accounting kernels on arrays with realistic zero density
-/// (in_kind_ bytes are mostly 0/1, in_bits_ values small).
+/// (the arena's `sent` bytes are mostly 0/1, out_bits_ values small).
 TEST(SimdKernelProperty, AccountingKernelsMatchScalar) {
   const auto levels = supported_levels();
   const testing::Property prop = [&](std::uint64_t seed,
@@ -388,8 +333,7 @@ EngineRecord run_engine(const graph::Graph& g,
 
 /// Random (topology, flood plan): the run must be bit-identical
 /// under every SIMD level, serial and parallel. The scalar serial run is
-/// the reference — this subsumes pack/unpack and the bulk delivery fast
-/// path end to end.
+/// the reference — this covers the bulk delivery fast path end to end.
 TEST(SimdEngineBitIdentity, FloodRunsMatchScalarAcrossLevels) {
   const auto levels = supported_levels();
   const testing::Property prop = [&](std::uint64_t seed,
@@ -401,7 +345,7 @@ TEST(SimdEngineBitIdentity, FloodRunsMatchScalarAcrossLevels) {
     cfg.seed = rng.next();
     cfg.max_rounds = 64;
     // Auto bandwidth is O(log n) bits and the plan floods up to 24; widen
-    // the edges so the property tests packing, not the bandwidth check.
+    // the edges so the property tests delivery, not the bandwidth check.
     cfg.bits_per_edge = 32;
     const congest::ProgramFactory factory =
         [&plan](graph::NodeId, const congest::NodeInfo&) {
