@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the hot substrates: Reed-Solomon
 // encoding, Hopcroft-Karp on the Figure-2 anti-matchings, branch-and-bound
 // on gadget instances, gadget construction itself, blackboard posting, the
-// message codec, the engine's Topology snapshot / bulk graph build, and raw
+// message codec, the engine's reverse-slot map / bulk graph build, and raw
 // CONGEST round throughput.
 //
 // A custom main (bottom of file) mirrors the console run into
@@ -21,7 +21,6 @@
 #include "congest/algorithms/greedy_mis.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
-#include "congest/topology.hpp"
 #include "graph/generators.hpp"
 #include "graph/matching.hpp"
 #include "lowerbound/linear_family.hpp"
@@ -147,13 +146,13 @@ void BM_PromiseInstanceGeneration(benchmark::State& state) {
 BENCHMARK(BM_PromiseInstanceGeneration)->Arg(1024)->Arg(16384);
 
 void BM_TopologyBuild(benchmark::State& state) {
-  // The per-Network cost of borrowing the CSR and computing reverse slots
-  // (topology.hpp).
+  // The reverse-slot map a unicast Network builds at construction
+  // (network.hpp).
   clb::Rng rng(3);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto g = clb::graph::gnp_random_connected(rng, n, 8.0 / static_cast<double>(n));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(clb::congest::Topology::build(g));
+    benchmark::DoNotOptimize(clb::congest::reverse_slots(g.csr()));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(g.num_edges()));

@@ -30,7 +30,7 @@ std::vector<NodeId> greedy_mis_by_id(const graph::Graph& g) {
     if (blocked[v]) continue;
     in[v] = 1;
     mis.push_back(v);
-    g.for_each_neighbor(v, [&](NodeId u) { blocked[u] = 1; });
+    for (NodeId u : g.neighbors(v)) blocked[u] = 1;
   }
   return mis;
 }
@@ -43,11 +43,10 @@ void verify_maximal_independent(const graph::Graph& g,
   for (NodeId v : mis) in[v] = 1;
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (in[v]) continue;
-    bool covered = false;
-    g.for_each_neighbor(v, [&](NodeId u) {
-      if (in[u]) covered = true;
-    });
-    CLB_EXPECT(covered, "blackboard-mis: result is not maximal");
+    const auto nb = g.neighbors(v);
+    CLB_EXPECT(std::any_of(nb.begin(), nb.end(),
+                           [&](NodeId u) { return in[u] != 0; }),
+               "blackboard-mis: result is not maximal");
   }
 }
 
@@ -62,12 +61,12 @@ BlackboardMisReport full_revelation_mis(const graph::Graph& g,
   const std::uint64_t start_bits = board.total_bits();
   // One round: the owner of each edge's smaller endpoint reveals it.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    g.for_each_neighbor(u, [&](NodeId v) {
-      if (v <= u) return;
+    for (NodeId v : g.neighbors(u)) {
+      if (v <= u) continue;
       board.post_uint(owner_of(u, players),
                       (static_cast<std::uint64_t>(u) << id_bits) | v,
                       2 * id_bits, "mis/edge");
-    });
+    }
   }
   BlackboardMisReport report;
   report.mis = greedy_mis_by_id(g);
@@ -105,10 +104,12 @@ BlackboardMisReport luby_blackboard_mis(const graph::Graph& g,
       if (state[v] != 0) continue;
       const auto mine = std::pair(hash_mix(seed, phase, v), v);
       bool win = true;
-      g.for_each_neighbor(v, [&](NodeId u) {
-        if (!win || state[u] != 0) return;
-        if (std::pair(hash_mix(seed, phase, u), u) < mine) win = false;
-      });
+      for (NodeId u : g.neighbors(v)) {
+        if (state[u] == 0 && std::pair(hash_mix(seed, phase, u), u) < mine) {
+          win = false;
+          break;
+        }
+      }
       if (win) winners.push_back(v);
     }
     for (NodeId v : winners) {
@@ -121,13 +122,13 @@ BlackboardMisReport luby_blackboard_mis(const graph::Graph& g,
     // that can see the edge to the winner.
     std::vector<NodeId> covered;
     for (NodeId w : winners) {
-      g.for_each_neighbor(w, [&](NodeId u) {
+      for (NodeId u : g.neighbors(w)) {
         if (state[u] == 0) {
           state[u] = 2;
           --undecided;
           covered.push_back(u);
         }
-      });
+      }
     }
     std::sort(covered.begin(), covered.end());
     for (NodeId u : covered) {

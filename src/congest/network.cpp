@@ -73,17 +73,67 @@ void Outbox::send_all(const Message& msg) {
 
 // ----------------------------------------------------------------- Network --
 
+std::vector<std::uint32_t> reverse_slots(const graph::Csr& csr) {
+  // Iterating senders u in ascending order visits, for each receiver v, the
+  // entries "u appears in v's sorted row" in ascending u — so u's position
+  // in v's row is exactly how many earlier senders were adjacent to v.
+  const std::size_t n = csr.offsets.size() - 1;
+  std::vector<std::uint32_t> reverse(csr.targets.size());
+  std::vector<std::uint32_t> cursor(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t d = csr.offsets[u]; d < csr.offsets[u + 1]; ++d) {
+      reverse[d] = cursor[csr.targets[d]]++;
+    }
+  }
+  return reverse;
+}
+
+std::vector<std::pair<NodeId, NodeId>> edge_tiled_shards(
+    const graph::Graph& g, std::size_t num_shards) {
+  if (num_shards == 0) num_shards = 1;
+  const std::size_t n = g.num_nodes();
+  // Prefix cost of the first v nodes: directed slots (explicit + implicit,
+  // the latter in closed form per block) + one unit per node. Strictly
+  // increasing in v, so each boundary is a binary search for the first
+  // prefix at or past the shard's proportional target.
+  const auto cost = [&g](NodeId v) { return g.degree_prefix(v) + v; };
+  const std::uint64_t total = cost(n);
+  std::vector<std::pair<NodeId, NodeId>> ranges(num_shards);
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    std::size_t end = n;
+    if (s + 1 < num_shards) {
+      const std::uint64_t target = total * (s + 1) / num_shards;
+      std::size_t lo = begin;
+      std::size_t hi = n;
+      while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (cost(mid) < target) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      end = lo;
+    }
+    ranges[s] = {static_cast<NodeId>(begin), static_cast<NodeId>(end)};
+    begin = end;
+  }
+  return ranges;
+}
+
 Network::Network(const graph::Graph& g, const ProgramFactory& factory,
                  NetworkConfig config)
-    : topo_(Topology::build(g)),
+    : csr_(g.shared_csr()),
+      blocks_(g.implicit_blocks()),
       config_(std::move(config)),
       pool_(config_.num_threads == 0 ? 1 : config_.num_threads) {
-  CLB_EXPECT(topo_->n > 0, "Network: empty graph");
-  bits_per_edge_ = config_.bits_per_edge != 0
-                       ? config_.bits_per_edge
-                       : congest_bandwidth_bits(topo_->n);
+  const std::size_t n = g.num_nodes();
+  CLB_EXPECT(n > 0, "Network: empty graph");
+  bits_per_edge_ = config_.bits_per_edge != 0 ? config_.bits_per_edge
+                                              : congest_bandwidth_bits(n);
   CLB_EXPECT(bits_per_edge_ >= 1, "Network: bandwidth must be positive");
-  const bool hybrid = topo_->has_implicit();
+  const bool hybrid = !blocks_.empty();
   if (hybrid) {
     // Per-edge trace events and per-delivery metric observations are
     // O(total degree) — the very cost implicit blocks exist to avoid.
@@ -95,34 +145,30 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
 
   // Out-slots: one per node on a broadcast network, one per directed slot
   // (2m) otherwise. With 10^9+ block-implied edges only the former exists.
-  const std::size_t n = topo_->n;
   bcast_ = hybrid || config_.broadcast_only;
-  const std::size_t slots = bcast_ ? n : topo_->neighbors.size();
+  const std::size_t slots = bcast_ ? n : csr_->targets.size();
   for (Arena& a : arena_) {
     a.sent.assign(slots, 0);
     a.msgs.resize(slots);
   }
   dbits_.assign(slots, 0);
-  if (!bcast_) out_bits_.assign(slots, 0);
-
-  num_shards_ = pool_.num_threads();
-  shard_range_ = edge_tiled_shards(*topo_, num_shards_);
-  shard_.resize(num_shards_);
-  shard_error_.resize(num_shards_);
+  if (!bcast_) {
+    out_bits_.assign(slots, 0);
+    reverse_slot_ = reverse_slots(*csr_);
+  }
 
   Rng seeder(config_.seed);
   infos_.reserve(n);
   programs_.reserve(n);
   node_rng_.reserve(n);
+  const graph::Csr& csr = *csr_;
+  const std::span<const graph::ImplicitBlock> blocks = blocks_;
   for (NodeId v = 0; v < n; ++v) {
     NodeInfo info;
     info.id = v;
     info.n = n;
-    info.weight = topo_->weights[v];
-    info.neighbors =
-        hybrid ? NeighborsView(topo_.get(), v, topo_->total_degree(v))
-               : NeighborsView(topo_->neighbors.data() + topo_->offsets[v],
-                               topo_->degree(v));
+    info.weight = g.weight(v);
+    info.neighbors = NeighborsView(csr, blocks, v);
     info.bits_per_edge = bits_per_edge_;
     infos_.push_back(info);
     node_rng_.push_back(seeder.fork());
@@ -131,6 +177,16 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     programs_.push_back(factory(v, infos_[v]));
     CLB_EXPECT(programs_.back() != nullptr, "Network: factory returned null");
   }
+
+  // Planned last, so the shard vectors are the network's last (and
+  // smallest) allocations and among the first it frees. Measured with
+  // glibc, this keeps back-to-back networks from trimming and re-faulting
+  // the heap under the per-node arrays each time (docs/PERFORMANCE.md,
+  // "One neighbour view").
+  num_shards_ = pool_.num_threads();
+  shard_range_ = edge_tiled_shards(g, num_shards_);
+  shard_.resize(num_shards_);
+  shard_error_.resize(num_shards_);
 
   if (config_.tracer && config_.tracer->enabled()) {
     tracer_ = config_.tracer;
@@ -141,8 +197,8 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     std::size_t max_stage = 0;
     for (std::size_t s = 0; s < num_shards_; ++s) {
       const auto [begin, end] = shard_range_[s];
-      max_stage = std::max(max_stage,
-                           topo_->offsets[end] - topo_->offsets[begin]);
+      max_stage =
+          std::max(max_stage, csr_->offsets[end] - csr_->offsets[begin]);
     }
     tracer_->bind(num_shards_, max_stage);
   }
@@ -160,8 +216,8 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
 
 Inbox Network::inbox(NodeId v, const Arena& arena) const {
   const std::uint32_t* reverse =
-      bcast_ ? nullptr : topo_->reverse_slot.data() + topo_->offsets[v];
-  return Inbox(infos_[v].neighbors, topo_->offsets.data(), reverse,
+      bcast_ ? nullptr : reverse_slot_.data() + csr_->offsets[v];
+  return Inbox(infos_[v].neighbors, csr_->offsets.data(), reverse,
                arena.sent.data(), arena.msgs.data());
 }
 
@@ -264,7 +320,7 @@ void Network::notify_observer() {
   const std::size_t round = stats_.rounds;
   const Arena& out = arena_[cur_];
   const std::size_t stride = bcast_ ? 0 : 1;
-  for (NodeId u = 0; u < topo_->n; ++u) {
+  for (NodeId u = 0; u < infos_.size(); ++u) {
     std::size_t o = first_slot(u);
     if (bcast_ && out.sent[o] == 0) continue;
     for (const NodeId v : infos_[u].neighbors) {
@@ -289,7 +345,7 @@ bool Network::step() {
   for (auto& sc : shard_) sc.reset();
   trace_round_ = tracer_ != nullptr && tracer_->sampled(stats_.rounds);
   if (trace_round_) {
-    tracer_->emit({topo_->n, trnd(stats_.rounds), obs::TraceEvent::kNone,
+    tracer_->emit({infos_.size(), trnd(stats_.rounds), obs::TraceEvent::kNone,
                    obs::TraceEvent::kNone, obs::EventKind::kRoundBegin});
   }
 
@@ -381,14 +437,18 @@ const NodeInfo& Network::info(NodeId v) const {
 }
 
 std::uint64_t Network::bits_on_edge(NodeId u, NodeId v) const {
-  CLB_EXPECT(u < topo_->n && v < topo_->n,
+  CLB_EXPECT(u < infos_.size() && v < infos_.size(),
              "bits_on_edge: node id out of range");
-  CLB_EXPECT(topo_->has_edge(u, v), "bits_on_edge: no such edge");
+  CLB_EXPECT(infos_[u].neighbors.contains(v), "bits_on_edge: no such edge");
   // Each direction's bits sit in its sender's out-slot counter: the slot of
-  // the receiver in the sender's list (unicast) or the sender's one slot
+  // the receiver in the sender's row (unicast) or the sender's one slot
   // (broadcast: every bit it sent reached every neighbor).
   const auto slot = [this](NodeId from, NodeId to) {
-    return bcast_ ? from : topo_->offsets[from] + topo_->slot_of(from, to);
+    if (bcast_) return from;
+    const auto row = csr_->row(from);
+    return csr_->offsets[from] +
+           static_cast<std::size_t>(std::ranges::lower_bound(row, to) -
+                                    row.begin());
   };
   return dbits_[slot(u, v)] + dbits_[slot(v, u)];
 }

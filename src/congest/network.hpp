@@ -19,14 +19,23 @@
 // therefore all see the same traffic, so blackboard charging is exact.
 //
 // Engine layout (the hot path is allocation-free after warm-up):
-//  - an immutable shared Topology snapshot (topology.hpp) holds the CSR
-//    neighbor arrays and the precomputed reverse-slot map;
+//  - the network borrows the graph's immutable CSR (holding its shared_ptr,
+//    so the graph may change or die afterwards) and copies its small
+//    implicit-block table. Every node's NodeInfo::neighbors is the graph
+//    layer's merged NeighborsView over those two — the same view
+//    Graph::neighbors returns;
 //  - every node owns a contiguous run of *out-slots* in a double-buffered
 //    send arena (a presence byte + a small-buffer Message per slot). A
 //    unicast network gives node v one out-slot per explicit neighbor, at
-//    offsets[v]; a broadcast network — a topology with implicit blocks, or
+//    offsets[v]; a broadcast network — a graph with implicit blocks, or
 //    broadcast_only — gives it a single out-slot at v that every neighbor
 //    reads, so per-round memory is O(n) however many edges blocks imply;
+//  - a unicast receiver finds its message in O(1) through a reverse-slot
+//    map built at construction: for directed slot d = offsets[v] + i with
+//    u = targets[d], reverse_slot[d] is v's position in u's sorted row, so
+//    the message u -> v sits at out-slot offsets[u] + reverse_slot[d]. A
+//    broadcast network needs no map (the sender's slot is u) and builds
+//    none;
 //  - a round is one phase. Each shard (a contiguous node range) clears its
 //    own out-slots in the current arena, runs its programs — an Inbox
 //    reads the *previous* arena in place at the sender's out-slot, an
@@ -47,7 +56,6 @@
 #include <vector>
 
 #include "congest/message.hpp"
-#include "congest/topology.hpp"
 #include "graph/graph.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
@@ -63,20 +71,19 @@ class Tracer;
 
 namespace congestlb::congest {
 
+using graph::NeighborsView;
 using graph::NodeId;
 
 /// What a node statically knows about itself and its surroundings — its own
 /// id, weight, the ids of its neighbors, and n (standard KT1-style knowledge
 /// plus n, as assumed by the paper's constructions where nodes know the
-/// fixed topology template). `neighbors` views the shared Topology snapshot
-/// owned by the Network; it stays valid for the Network's lifetime.
+/// fixed topology template). `neighbors` views the CSR and block table the
+/// Network holds; it stays valid for the Network's lifetime.
 struct NodeInfo {
   NodeId id = 0;
   std::size_t n = 0;                  ///< number of nodes in the network
   graph::Weight weight = 1;           ///< this node's weight
-  /// Sorted neighbor ids (shared view over the Topology). On a hybrid
-  /// (implicit-block) topology this merges explicit and block-implied
-  /// neighbors arithmetically; the program-facing surface is unchanged.
+  /// Sorted neighbor ids, explicit and block-implied (graph.hpp).
   NeighborsView neighbors;
   std::size_t bits_per_edge = 0;      ///< per-round per-edge bandwidth
 };
@@ -315,8 +322,8 @@ constexpr std::size_t congest_bandwidth_bits(std::size_t n) {
 class Network {
  public:
   /// The graph must be non-empty. One program per node is created eagerly.
-  /// The graph is snapshotted (topology + weights); it need not outlive the
-  /// Network.
+  /// The network borrows the graph's CSR and copies its block table and
+  /// weights; the graph need not outlive the Network.
   Network(const graph::Graph& g, const ProgramFactory& factory,
           NetworkConfig config = {});
 
@@ -335,9 +342,6 @@ class Network {
   std::size_t bits_per_edge() const { return bits_per_edge_; }
   std::size_t rounds_executed() const { return stats_.rounds; }
   const RunStats& stats() const { return stats_; }
-
-  /// The shared topology snapshot this network simulates on.
-  const Topology& topology() const { return *topo_; }
 
   /// Total bits sent over edge {u,v} in both directions so far.
   std::uint64_t bits_on_edge(NodeId u, NodeId v) const;
@@ -399,13 +403,16 @@ class Network {
 
   /// First out-slot of node v; v's out-slots end where v+1's begin.
   std::size_t first_slot(NodeId v) const {
-    return bcast_ ? v : topo_->offsets[v];
+    return bcast_ ? v : csr_->offsets[v];
   }
 
   /// Node v's view of the messages in `arena`.
   Inbox inbox(NodeId v, const Arena& arena) const;
 
-  std::shared_ptr<const Topology> topo_;
+  std::shared_ptr<const graph::Csr> csr_;  ///< the graph's, borrowed
+  std::vector<graph::ImplicitBlock> blocks_;
+  /// Unicast only (empty on a broadcast network); see the file comment.
+  std::vector<std::uint32_t> reverse_slot_;
   std::size_t bits_per_edge_;
   NetworkConfig config_;
   bool bcast_ = false;  ///< broadcast layout: one out-slot per node
@@ -424,11 +431,11 @@ class Network {
 
   ThreadPool pool_;
   std::size_t num_shards_ = 1;
-  /// Contiguous [begin, end) node ranges from edge_tiled_shards
-  /// (topology.hpp): boundaries balance directed-slot counts, not node
-  /// counts, so high-degree gadget vertices don't skew shard load. A pure
-  /// function of the topology — determinism across thread counts holds
-  /// regardless of the partition.
+  /// Contiguous [begin, end) node ranges from edge_tiled_shards:
+  /// boundaries balance directed-slot counts, not node counts, so
+  /// high-degree gadget vertices don't skew shard load. A pure function of
+  /// the graph — determinism across thread counts holds regardless of the
+  /// partition.
   std::vector<std::pair<NodeId, NodeId>> shard_range_;
   std::vector<ShardCounters> shard_;
   std::vector<std::exception_ptr> shard_error_;
@@ -441,5 +448,28 @@ class Network {
   bool trace_sends_ = false;       ///< tracer_->config().record_sends, cached
   EngineMetrics em_;               ///< all-null when no registry is bound
 };
+
+/// The unicast reverse-slot map of `csr` (see the file comment): for every
+/// directed slot, the receiver's position in the sender's sorted row. O(n +
+/// m) with one counting pass; what a unicast Network builds at
+/// construction.
+std::vector<std::uint32_t> reverse_slots(const graph::Csr& csr);
+
+/// Edge-tiled shard partition: `num_shards` contiguous [begin, end) node
+/// ranges whose boundaries balance per-shard cost, where node v costs
+/// degree(v) + 1 — directed message slots dominate a round, the +1 keeps
+/// degree-0 nodes from all landing in one shard. Unlike an equal-node
+/// split, a high-degree gadget hub (the clique/biclique blocks of the
+/// paper's F_x̄/G_x̄ constructions) gets a shard of its own instead of
+/// skewing whichever shard its id falls into. Implicit-block degrees count
+/// arithmetically (Graph::degree_prefix), so the 10^10-edge scaled families
+/// still balance on edges without touching them.
+///
+/// A pure function of (graph, num_shards) — never of thread scheduling —
+/// so the parallel round executor built on it stays bit-identical to serial
+/// for every thread count. Shards may be empty; ranges cover [0, n) in
+/// order.
+std::vector<std::pair<NodeId, NodeId>> edge_tiled_shards(
+    const graph::Graph& g, std::size_t num_shards);
 
 }  // namespace congestlb::congest

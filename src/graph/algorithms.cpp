@@ -17,12 +17,12 @@ std::vector<std::size_t> bfs_distances(const Graph& g, NodeId source) {
   while (!q.empty()) {
     NodeId u = q.front();
     q.pop();
-    g.for_each_neighbor(u, [&](NodeId v) {
+    for (NodeId v : g.neighbors(u)) {
       if (dist[v] == kInfiniteDistance) {
         dist[v] = dist[u] + 1;
         q.push(v);
       }
-    });
+    }
   }
   return dist;
 }
@@ -50,12 +50,12 @@ std::vector<std::size_t> connected_components(const Graph& g) {
     queue.push_back(s);
     while (head < queue.size()) {
       const NodeId u = queue[head++];
-      g.for_each_neighbor(u, [&](NodeId v) {
+      for (NodeId v : g.neighbors(u)) {
         if (comp[v] == kInfiniteDistance) {
           comp[v] = next;
           queue.push_back(v);
         }
-      });
+      }
     }
     ++next;
   }
@@ -85,11 +85,11 @@ std::vector<std::size_t> greedy_coloring(const Graph& g) {
   std::vector<bool> taken;
   for (NodeId v : order) {
     taken.assign(g.degree(v) + 1, false);
-    g.for_each_neighbor(v, [&](NodeId nb) {
+    for (NodeId nb : g.neighbors(v)) {
       if (color[nb] != kInfiniteDistance && color[nb] < taken.size()) {
         taken[color[nb]] = true;
       }
-    });
+    }
     std::size_t c = 0;
     while (taken[c]) ++c;
     color[v] = c;

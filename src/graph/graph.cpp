@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <utility>
 
@@ -39,6 +40,86 @@ Csr CsrScatter::finish() {
   }
   cursor_ = {};
   return std::move(csr_);
+}
+
+bool NeighborsView::contains(NodeId u) const {
+  if (std::binary_search(row_, row_ + row_size_, u)) return true;
+  for (const auto& b : blocks()) {
+    if (b.is_edge(v_, u)) return true;
+  }
+  return false;
+}
+
+NodeId NeighborsView::select(std::size_t slot) const {
+  CLB_EXPECT(slot < size_, "neighbor select: slot >= degree(v)");
+  const NodeId v = v_;
+  const auto nb = row();
+  const auto table = blocks();
+
+  // One pass over v's sources — the explicit row and every block holding
+  // v — brackets the answer. Each source is sorted with O(1) select, so the
+  // slot-th merged neighbor lies in [lo, hi]: lo is the smallest first
+  // element (the merged minimum); hi is the smallest slot-th element over
+  // sources with more than `slot` members (that source alone puts slot+1
+  // neighbors at or below it), or the largest last element when no source
+  // is that deep.
+  NodeId lo = kNoNode, hi = kNoNode, last = 0;
+  auto bracket = [&](std::size_t deg, auto select) {
+    lo = std::min(lo, select(0));
+    if (deg > slot) {
+      hi = std::min(hi, select(slot));
+    } else {
+      last = std::max(last, select(deg - 1));
+    }
+  };
+  if (!nb.empty()) bracket(nb.size(), [&](std::size_t i) { return nb[i]; });
+
+  // The rank below sums over the gathered blocks only. Should v sit in
+  // more blocks than the on-stack array holds, the rank also rescans
+  // blocks[rest..] in full (count_leq is 0 for non-members), so any
+  // membership count stays exact without a heap allocation.
+  std::array<const ImplicitBlock*, 8> gathered;
+  std::size_t k = 0, rest = table.size();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const ImplicitBlock& b = table[i];
+    const std::size_t d = b.degree_of(v);
+    if (d == 0) continue;
+    bracket(d, [&](std::size_t j) { return b.select(v, j); });
+    if (k < gathered.size()) {
+      gathered[k++] = &b;
+    } else if (rest == table.size()) {
+      rest = i;
+    }
+  }
+  if (hi == kNoNode) hi = last;
+
+  // Smallest x in [lo, hi] with more than `slot` merged neighbors <= x.
+  const auto tail = table.subspan(rest);
+  while (lo < hi) {
+    const NodeId mid = lo + (hi - lo) / 2;
+    std::size_t rank = static_cast<std::size_t>(
+        std::upper_bound(nb.begin(), nb.end(), mid) - nb.begin());
+    for (std::size_t j = 0; j < k; ++j) rank += gathered[j]->count_leq(v, mid);
+    for (const auto& b : tail) rank += b.count_leq(v, mid);
+    if (rank <= slot) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+std::pair<const NodeId*, NodeId> NeighborsView::const_iterator::step(
+    const NodeId* row, const NodeId* row_end,
+    std::span<const ImplicitBlock> blocks, NodeId v, NodeId cur) {
+  NodeId next = row != row_end ? *row : kNoNode;
+  for (const auto& b : blocks) {
+    const NodeId c = b.neighbor_after(v, cur);
+    if (c < next) next = c;
+  }
+  if (row != row_end && *row == next) ++row;
+  return {row, next};
 }
 
 namespace {
@@ -113,15 +194,8 @@ bool Graph::add_edge(NodeId u, NodeId v) {
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
-  check_node(u);
   check_node(v);
-  if (u == v) return false;
-  const auto nu = adj_->row(u);
-  if (std::binary_search(nu.begin(), nu.end(), v)) return true;
-  for (const auto& b : blocks_) {
-    if (b.is_edge(u, v)) return true;
-  }
-  return false;
+  return neighbors(u).contains(v);
 }
 
 std::size_t Graph::add_edges(
@@ -276,21 +350,6 @@ void Graph::add_anti_matching_grid(NodeId base, std::size_t stride,
   block.for_each_edge([&](NodeId u, NodeId v) { batch.emplace_back(u, v); });
 }
 
-std::span<const NodeId> Graph::neighbors(NodeId v) const {
-  check_node(v);
-  CLB_EXPECT(!in_implicit_block(v),
-             "node is covered by an implicit block; use for_each_neighbor "
-             "(or explicit_neighbors) instead of neighbors()");
-  return adj_->row(v);
-}
-
-std::size_t Graph::implicit_degree(NodeId v) const {
-  check_node(v);
-  std::size_t d = 0;
-  for (const auto& b : blocks_) d += b.degree_of(v);
-  return d;
-}
-
 Graph Graph::materialized() const {
   Graph g = *this;
   g.blocks_.clear();
@@ -308,6 +367,13 @@ Graph Graph::materialized() const {
 std::size_t Graph::max_degree() const {
   std::size_t d = 0;
   for (NodeId v = 0; v < num_nodes(); ++v) d = std::max(d, degree(v));
+  return d;
+}
+
+std::uint64_t Graph::degree_prefix(NodeId v) const {
+  CLB_EXPECT(v <= num_nodes(), "node id out of range");
+  std::uint64_t d = adj_->offsets[v];
+  for (const auto& b : blocks_) d += b.degree_prefix(v);
   return d;
 }
 
@@ -340,7 +406,7 @@ bool Graph::is_independent_set(std::span<const NodeId> nodes) const {
              "independent-set check requires distinct node ids");
   for (NodeId v : sorted) {
     // Intersect neighbors(v) (sorted) with the sorted candidate set.
-    const auto nb = neighbors_unchecked(v);
+    const auto nb = explicit_neighbors(v);
     auto a = nb.begin();
     auto b = sorted.begin();
     while (a != nb.end() && b != sorted.end()) {

@@ -1,4 +1,5 @@
-// Vertex-weighted undirected simple graphs.
+// Vertex-weighted undirected simple graphs, and the one merged neighbour
+// view every layer reads.
 //
 // This is the substrate every construction in the paper lives on. The gadget
 // graphs of Sections 4 and 5 are weighted (node weights in {1, ell}), so
@@ -6,24 +7,30 @@
 // (offsets plus per-node sorted targets) held behind a shared_ptr: copies
 // of a graph share it, and a mutation builds a replacement CSR instead of
 // editing a shared one. A lower-bound instance is therefore a weight
-// overlay on its fixed construction, and the CONGEST engine's Topology
-// borrows the same arrays. Sorted rows make has_edge O(log deg) and let the
-// independent-set verifier run in O(|I| log n) per member.
+// overlay on its fixed construction, and a CONGEST Network borrows the same
+// arrays.
 //
 // Dense gadget structure (cliques, bicliques, the Figure 2 anti-matching
 // grids) can additionally be stored *implicitly*: above a caller-set edge
 // threshold, add_clique / add_biclique / add_anti_matching_grid record an
-// ImplicitBlock descriptor instead of materializing O(n^2) adjacency, and
-// degrees / adjacency tests / neighbor iteration combine the explicit CSR
-// with block arithmetic. The default threshold is kNeverImplicit, so
-// existing callers see byte-identical behavior unless they opt in.
+// ImplicitBlock descriptor instead of materializing O(n^2) adjacency. The
+// default threshold is kNeverImplicit, so existing callers see
+// byte-identical behavior unless they opt in.
+//
+// A node's neighbours are always read through NeighborsView: its explicit
+// CSR row merged with the block table, in ascending id order. The graph
+// (neighbors, degree, has_edge), the CONGEST engine (NodeInfo::neighbors,
+// Inbox) and the exact solver all read this one view; with no blocks it is
+// the plain sorted row.
 
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,8 +45,8 @@ using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
 
 /// Compressed-sparse-row explicit adjacency: targets[offsets[v] ..
 /// offsets[v+1]) are v's explicit neighbors, sorted ascending. A Graph holds
-/// one immutably behind a shared_ptr; the CONGEST engine's Topology aliases
-/// the same arrays, and implicit blocks ride alongside, never inside.
+/// one immutably behind a shared_ptr; a CONGEST Network aliases the same
+/// arrays, and implicit blocks ride alongside, never inside.
 struct Csr {
   std::vector<std::size_t> offsets;  ///< size num_nodes()+1
   std::vector<NodeId> targets;       ///< size 2*num_explicit_edges()
@@ -48,6 +55,127 @@ struct Csr {
     return {targets.data() + offsets[v], offsets[v + 1] - offsets[v]};
   }
   bool operator==(const Csr&) const = default;
+};
+
+/// Node v's merged neighbour list: its explicit CSR row plus every block of
+/// the table that holds v, presented as a sorted list — size(), operator[]
+/// and forward iteration, like a std::span<const NodeId>. Blocks must be
+/// edge-disjoint from each other and from the row (implicit.hpp), so the
+/// merged list has no duplicates and size() is the plain sum of the
+/// sources. A node no block holds gets the row alone: operator[] and ++ are
+/// then a pointer read plus one well-predicted branch on the block count.
+/// With blocks, operator[] is a bracketed select over v's own sources and
+/// the iterator steps one merge, keeping its index into the row — a grid
+/// node with millions of implied neighbours costs nothing until visited.
+///
+/// A view borrows the CSR and the block table; it is valid while both are.
+class NeighborsView {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = NodeId;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const NodeId*;
+    using reference = NodeId;
+
+    const_iterator() = default;
+
+    NodeId operator*() const { return blocks_.empty() ? *row_ : cur_; }
+    const_iterator& operator++() {
+      if (blocks_.empty()) {
+        ++row_;
+      } else {
+        std::tie(row_, cur_) = step(row_, row_end_, blocks_, v_, cur_);
+      }
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator copy = *this;
+      ++*this;
+      return copy;
+    }
+    bool operator==(const const_iterator& o) const {
+      return row_ == o.row_ && cur_ == o.cur_;
+    }
+
+   private:
+    friend class NeighborsView;
+    const_iterator(const NodeId* row, const NodeId* row_end,
+                   std::span<const ImplicitBlock> blocks, NodeId v)
+        : row_(row), row_end_(row_end), blocks_(blocks), v_(v) {}
+
+    /// The merged cursor: the smallest source head past `cur`, and the
+    /// row position after it. Static and by value, so that no loop over a
+    /// view has to keep its iterator in memory.
+    static std::pair<const NodeId*, NodeId> step(
+        const NodeId* row, const NodeId* row_end,
+        std::span<const ImplicitBlock> blocks, NodeId v, NodeId cur);
+
+    const NodeId* row_ = nullptr;  ///< first explicit neighbour not yet visited
+    const NodeId* row_end_ = nullptr;
+    std::span<const ImplicitBlock> blocks_;
+    NodeId v_ = 0;
+    NodeId cur_ = kNoNode;  ///< current neighbour with blocks; kNoNode at end
+  };
+
+  NeighborsView() = default;
+  /// v's view over `csr` and `blocks` (neither copied). O(|blocks|).
+  NeighborsView(const Csr& csr, std::span<const ImplicitBlock> blocks,
+                NodeId v)
+      : row_(csr.targets.data() + csr.offsets[v]),
+        v_(v),
+        size_(csr.offsets[v + 1] - csr.offsets[v]),
+        row_size_(static_cast<std::uint32_t>(size_)) {
+    std::size_t implied = 0;
+    for (const auto& b : blocks) implied += b.degree_of(v);
+    // A node no block holds reads its row alone, on the dense paths.
+    if (implied != 0) {
+      blocks_ = blocks.data();
+      num_blocks_ = static_cast<std::uint32_t>(blocks.size());
+      size_ += implied;
+    }
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// The i-th smallest neighbour. Throws InvariantError when i >= size().
+  NodeId operator[](std::size_t i) const {
+    if (num_blocks_ == 0) {
+      CLB_EXPECT(i < size_, "neighbor select: slot >= degree(v)");
+      return row_[i];
+    }
+    return select(i);
+  }
+
+  /// True when {v, u} is an edge. O(log deg + |blocks|).
+  bool contains(NodeId u) const;
+
+  const_iterator begin() const {
+    const_iterator it(row_, row_ + row_size_, blocks(), v_);
+    if (num_blocks_ != 0) ++it;
+    return it;
+  }
+  const_iterator end() const {
+    return const_iterator(row_ + row_size_, row_ + row_size_, blocks(), v_);
+  }
+
+ private:
+  NodeId select(std::size_t slot) const;
+  std::span<const NodeId> row() const { return {row_, row_size_}; }
+  std::span<const ImplicitBlock> blocks() const {
+    return {blocks_, num_blocks_};
+  }
+
+  // Packed, since every NodeInfo holds one: row lengths fit 32 bits, as
+  // the engine's reverse-slot map already assumes.
+  const NodeId* row_ = nullptr;
+  const ImplicitBlock* blocks_ = nullptr;  ///< null when no block holds v
+  NodeId v_ = 0;
+  std::size_t size_ = 0;
+  std::uint32_t row_size_ = 0;
+  std::uint32_t num_blocks_ = 0;
 };
 
 /// Counting-sort scatter of an undirected pair stream into CSR rows — the
@@ -115,6 +243,7 @@ class Graph {
   /// with add_edge). Returns the number of edges actually added.
   std::size_t add_edges(std::span<const std::pair<NodeId, NodeId>> edges);
 
+  /// Explicit or block-implied adjacency; neighbors(u).contains(v).
   bool has_edge(NodeId u, NodeId v) const;
 
   /// Add all C(|nodes|,2) edges among `nodes` (ids must be distinct).
@@ -167,18 +296,19 @@ class Graph {
   bool has_implicit_blocks() const { return !blocks_.empty(); }
   bool in_implicit_block(NodeId v) const;
 
-  /// Explicit neighbors of v, sorted ascending. Throws when v is covered by
-  /// an implicit block: iterating only the explicit list would silently
-  /// miss block neighbors — such callers must use for_each_neighbor (or
-  /// explicit_neighbors when they really mean the explicit part). The span
-  /// stays valid while this graph, or any copy sharing its CSR, is
+  /// All neighbours of v, explicit and block-implied, in ascending order.
+  /// The view stays valid while this graph, or any copy sharing its CSR, is
   /// neither mutated nor destroyed.
-  std::span<const NodeId> neighbors(NodeId v) const;
+  NeighborsView neighbors(NodeId v) const {
+    check_node(v);
+    return NeighborsView(*adj_, blocks_, v);
+  }
 
   /// The explicit adjacency list alone, block members included. Callers own
   /// the responsibility of also consulting implicit_blocks().
   std::span<const NodeId> explicit_neighbors(NodeId v) const {
-    return neighbors_unchecked(v);
+    check_node(v);
+    return adj_->row(v);
   }
 
   /// The explicit adjacency as one CSR, shared by every copy of this graph
@@ -188,38 +318,15 @@ class Graph {
   std::shared_ptr<const Csr> shared_csr() const { return adj_; }
 
   std::size_t explicit_degree(NodeId v) const {
-    return neighbors_unchecked(v).size();
+    return explicit_neighbors(v).size();
   }
-  std::size_t implicit_degree(NodeId v) const;
-  std::size_t degree(NodeId v) const {
-    return explicit_degree(v) + implicit_degree(v);
-  }
+  /// Explicit + block-implied neighbours of v.
+  std::size_t degree(NodeId v) const { return neighbors(v).size(); }
   std::size_t max_degree() const;
 
-  /// Visit every neighbor of v (explicit and block-implied) in ascending id
-  /// order. This is the one neighbor cursor all block-aware consumers
-  /// share; on a block-free graph it degenerates to the plain sorted list.
-  template <class Fn>
-  void for_each_neighbor(NodeId v, Fn&& fn) const {
-    const auto ex = neighbors_unchecked(v);
-    if (blocks_.empty()) {
-      for (NodeId u : ex) fn(u);
-      return;
-    }
-    std::size_t i = 0;
-    NodeId cur = kNoNode;  // kNoNode = "before the first neighbor"
-    while (true) {
-      NodeId next = i < ex.size() ? ex[i] : kNoNode;
-      for (const auto& b : blocks_) {
-        const NodeId c = b.neighbor_after(v, cur);
-        if (c < next) next = c;
-      }
-      if (next == kNoNode) break;
-      fn(next);
-      cur = next;
-      if (i < ex.size() && ex[i] == next) ++i;
-    }
-  }
+  /// Sum of degree(w) over w < v, for v <= num_nodes(), in O(|blocks|) —
+  /// the prefix cost edge-tiled sharding balances on.
+  std::uint64_t degree_prefix(NodeId v) const;
 
   /// A copy with every implicit block expanded into explicit adjacency —
   /// the reference representation for the small-n bit-identity contracts.
@@ -259,11 +366,6 @@ class Graph {
 
  private:
   void check_node(NodeId v) const;
-
-  std::span<const NodeId> neighbors_unchecked(NodeId v) const {
-    check_node(v);
-    return adj_->row(v);
-  }
 
   /// Replace the CSR by its row-wise sorted union with `batch` (rows
   /// sorted, duplicates allowed). Returns the number of edges added.

@@ -1,6 +1,8 @@
 #include "graph/io.hpp"
 
+#include <algorithm>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -35,10 +37,61 @@ void write_edge_list(std::ostream& os, const Graph& g) {
   }
 }
 
+namespace {
+
+[[noreturn]] void read_error(const char* why, std::size_t lineno) {
+  throw InvariantError("read_edge_list: " + std::string(why) + " at line " +
+                       std::to_string(lineno));
+}
+
+/// The block contract (implicit.hpp): blocks are edge-disjoint from each
+/// other and from the explicit edges. Then every node's merged cursor
+/// visits degree(v) neighbours; a shared edge makes it visit fewer, since
+/// the merge yields each neighbour once. Throws at the later of the records
+/// that define a shared edge.
+void expect_edge_disjoint_blocks(const Graph& g,
+                                 std::span<const std::size_t> block_line,
+                                 const EdgeList& edges,
+                                 std::span<const std::size_t> edge_line) {
+  const auto& blocks = g.implicit_blocks();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto nb = g.neighbors(v);
+    if (static_cast<std::size_t>(std::distance(nb.begin(), nb.end())) ==
+        nb.size()) {
+      continue;
+    }
+    for (const NodeId u : nb) {
+      std::size_t sources = 0, line = 0;
+      for (std::size_t i = 0; i < blocks.size(); ++i) {
+        if (!blocks[i].is_edge(v, u)) continue;
+        ++sources;
+        line = std::max(line, block_line[i]);
+      }
+      const auto row = g.explicit_neighbors(v);
+      if (std::binary_search(row.begin(), row.end(), u)) {
+        ++sources;
+        for (std::size_t j = 0; j < edges.size(); ++j) {
+          if (edges[j] == std::pair(v, u) || edges[j] == std::pair(u, v)) {
+            line = std::max(line, edge_line[j]);
+            break;
+          }
+        }
+      }
+      if (sources > 1) {
+        read_error("implicit block overlaps another block or an explicit edge",
+                   line);
+      }
+    }
+  }
+}
+
+}  // namespace
+
 Graph read_edge_list(std::istream& is) {
   std::string line;
   Graph g;
   EdgeList edges;
+  std::vector<std::size_t> edge_line, block_line;
   bool have_n = false;
   std::size_t lineno = 0;
   while (std::getline(is, line)) {
@@ -47,10 +100,7 @@ Graph read_edge_list(std::istream& is) {
     std::istringstream ss(line);
     char kind = 0;
     ss >> kind;
-    auto fail = [&](const char* why) {
-      throw InvariantError("read_edge_list: " + std::string(why) + " at line " +
-                           std::to_string(lineno));
-    };
+    auto fail = [&](const char* why) { read_error(why, lineno); };
     if (kind == 'n') {
       std::size_t n = 0;
       if (!(ss >> n)) fail("bad node count");
@@ -89,6 +139,7 @@ Graph read_edge_list(std::istream& is) {
       } catch (const InvariantError&) {
         fail("invalid block parameters");
       }
+      block_line.push_back(lineno);
     } else if (kind == 'e') {
       std::size_t u = 0, v = 0;
       if (!have_n) fail("'e' before 'n'");
@@ -96,12 +147,16 @@ Graph read_edge_list(std::istream& is) {
         fail("bad edge line");
       }
       edges.emplace_back(u, v);
+      edge_line.push_back(lineno);
     } else {
       fail("unknown record kind");
     }
   }
   CLB_EXPECT(have_n, "read_edge_list: missing 'n' line");
   g.add_edges(edges);
+  if (!block_line.empty()) {
+    expect_edge_disjoint_blocks(g, block_line, edges, edge_line);
+  }
   return g;
 }
 

@@ -22,7 +22,8 @@ namespace congestlb::graph {
 void write_edge_list(std::ostream& os, const Graph& g);
 
 /// Parse the format produced by write_edge_list. Throws InvariantError on
-/// malformed input.
+/// malformed input, including a block that shares an edge with another
+/// block or with an explicit edge (checked only when there are blocks).
 Graph read_edge_list(std::istream& is);
 
 /// Options for DOT rendering.

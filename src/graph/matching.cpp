@@ -110,9 +110,9 @@ Matching max_bipartite_matching(const Graph& g, std::span<const NodeId> left,
 
   std::vector<std::vector<std::size_t>> adj(left.size());
   for (std::size_t i = 0; i < left.size(); ++i) {
-    g.for_each_neighbor(left[i], [&](NodeId nb) {
+    for (NodeId nb : g.neighbors(left[i])) {
       if (rpos[nb] != 0) adj[i].push_back(rpos[nb] - 1);
-    });
+    }
   }
   HopcroftKarp hk(left.size(), right.size(), std::move(adj));
   Matching m;
@@ -143,14 +143,13 @@ Matching greedy_matching(const Graph& g, std::span<const NodeId> left,
   std::vector<bool> used_right(g.num_nodes(), false);
   Matching m;
   for (NodeId u : left) {
-    bool matched = false;
-    g.for_each_neighbor(u, [&](NodeId nb) {
-      if (!matched && rpos[nb] != 0 && !used_right[nb]) {
+    for (NodeId nb : g.neighbors(u)) {
+      if (rpos[nb] != 0 && !used_right[nb]) {
         used_right[nb] = true;
         m.pairs.emplace_back(u, nb);
-        matched = true;
+        break;
       }
-    });
+    }
   }
   return m;
 }

@@ -39,9 +39,7 @@ class BnBSolver {
       const NodeId v = order_[i];
       weight_[i] = g.weight(v);
       CLB_EXPECT(weight_[i] >= 0, "branch-and-bound requires nonnegative weights");
-      g.for_each_neighbor(v, [&](NodeId nb) {
-        words::set_bit(adj_row(i), pos_[nb]);
-      });
+      for (NodeId nb : g.neighbors(v)) words::set_bit(adj_row(i), pos_[nb]);
     }
     cand_stack_.assign((n_ + 1) * nw_, 0);
     cover_cand_.assign(nw_, 0);

@@ -45,7 +45,7 @@ IsSolution solve_brute_force(const graph::Graph& g) {
     st.weight[v] = g.weight(v);
     CLB_EXPECT(st.weight[v] >= 0, "brute force requires nonnegative weights");
     total += st.weight[v];
-    g.for_each_neighbor(v, [&](graph::NodeId nb) { st.adj[v] |= 1ULL << nb; });
+    for (graph::NodeId nb : g.neighbors(v)) st.adj[v] |= 1ULL << nb;
   }
   const std::uint64_t all =
       n == 64 ? ~0ULL : ((1ULL << n) - 1);

@@ -30,18 +30,18 @@ IsSolution greedy_core(const graph::Graph& g, Better better,
     picked.push_back(best);
     // Remove best and its alive neighbors.
     std::vector<NodeId> removed{best};
-    g.for_each_neighbor(best, [&](NodeId nb) {
+    for (NodeId nb : g.neighbors(best)) {
       if (alive[nb]) removed.push_back(nb);
-    });
+    }
     for (NodeId r : removed) {
       alive[r] = 0;
       --remaining;
     }
     if (dynamic_degree) {
       for (NodeId r : removed) {
-        g.for_each_neighbor(r, [&](NodeId nb) {
+        for (NodeId nb : g.neighbors(r)) {
           if (alive[nb] && deg[nb] > 0) --deg[nb];
-        });
+        }
       }
     }
   }

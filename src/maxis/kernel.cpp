@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
@@ -13,17 +14,6 @@
 namespace congestlb::maxis {
 
 namespace {
-
-/// Merged (explicit + implicit-block) neighbor list of v. On a block-free
-/// graph this is the adjacency list itself (no copy); with blocks present
-/// it fills and returns `scratch` via the shared neighbor cursor.
-std::span<const NodeId> merged_neighbors(const graph::Graph& g, NodeId v,
-                                         std::vector<NodeId>& scratch) {
-  if (!g.has_implicit_blocks()) return g.neighbors(v);
-  scratch.clear();
-  g.for_each_neighbor(v, [&](NodeId u) { scratch.push_back(u); });
-  return scratch;
-}
 
 /// Mutable word-matrix view of the shrinking instance. All rule predicates
 /// are word operations on adjacency rows over the *original* vertex ids;
@@ -42,9 +32,9 @@ class Reducer {
       weight_[v] = g.weight(v);
       CLB_EXPECT(weight_[v] >= 0, "kernelize requires nonnegative weights");
       words::set_bit(alive_.data(), v);
-      // Through the merged cursor, not the explicit list: block-covered
-      // vertices have implicit neighbors the dense row must include.
-      g.for_each_neighbor(v, [&](NodeId u) { words::set_bit(row(v), u); });
+      // The merged view, not the explicit list: block-covered vertices
+      // have implicit neighbors the dense row must include.
+      for (NodeId u : g.neighbors(v)) words::set_bit(row(v), u);
       // Seeded from the materialized row (not g.degree) so the cache is
       // exactly the row popcount it replaces, whatever the input held.
       deg_[v] = words::popcount(row(v), nw_);
@@ -160,11 +150,10 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
   // common case touches O(1) of each list instead of hashing all of it;
   // only vertices whose samples collide get the full comparison.
   if ((rules & kRuleTwin) != 0) {
-    std::vector<NodeId> scratch_a, scratch_b;
     std::vector<std::pair<std::uint64_t, NodeId>> sig;
     sig.reserve(n);
     for (NodeId v = 0; v < n; ++v) {
-      const auto nb = merged_neighbors(g, v, scratch_a);
+      const auto nb = g.neighbors(v);
       const std::size_t d = nb.size();
       // The pipeline's twin pass skips degree-0 vertices, so mirror that
       // (and keep nb[d-1] in range when the degree rules are masked off).
@@ -186,9 +175,8 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
       // them.
       for (std::size_t i = lo; i < hi; ++i) {
         for (std::size_t j = i + 1; j < hi; ++j) {
-          if (std::ranges::equal(
-                  merged_neighbors(g, sig[i].second, scratch_a),
-                  merged_neighbors(g, sig[j].second, scratch_b))) {
+          if (std::ranges::equal(g.neighbors(sig[i].second),
+                                 g.neighbors(sig[j].second))) {
             return true;
           }
         }
@@ -200,11 +188,10 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
   // Domination and simplicial, restricted (like the pipeline) to vertices
   // with degree <= cap. `mark` holds N[u] for the subset tests.
   if ((rules & (kRuleDomination | kRuleSimplicial)) != 0) {
-    std::vector<NodeId> scratch;
     std::vector<std::uint32_t> mark(n, 0);
     std::uint32_t stamp = 0;
     for (NodeId u = 0; u < n; ++u) {
-      const auto nu = merged_neighbors(g, u, scratch);
+      const auto nu = g.neighbors(u);
       if (nu.empty() || nu.size() > cap) continue;
       ++stamp;
       mark[u] = stamp;
@@ -215,12 +202,12 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
       if ((rules & kRuleDomination) != 0) {
         for (const NodeId v : nu) {
           if (g.weight(v) < g.weight(u)) continue;
-          if (g.degree(v) > nu.size() + 1) continue;  // too big for N[u]
-          bool inside = true;
-          g.for_each_neighbor(v, [&](NodeId x) {
-            if (mark[x] != stamp) inside = false;
-          });
-          if (inside) return true;
+          const auto nv = g.neighbors(v);
+          if (nv.size() > nu.size() + 1) continue;  // too big for N[u]
+          if (std::all_of(nv.begin(), nv.end(),
+                          [&](NodeId x) { return mark[x] == stamp; })) {
+            return true;
+          }
         }
       }
 
@@ -234,9 +221,9 @@ bool any_rule_applicable(const graph::Graph& g, std::size_t cap,
             break;
           }
         }
-        for (std::size_t i = 0; take && i + 1 < nu.size(); ++i) {
-          for (std::size_t j = i + 1; j < nu.size(); ++j) {
-            if (!g.has_edge(nu[i], nu[j])) {
+        for (auto i = nu.begin(); take && i != nu.end(); ++i) {
+          for (auto j = std::next(i); j != nu.end(); ++j) {
+            if (!g.has_edge(*i, *j)) {
               take = false;
               break;
             }

@@ -45,9 +45,9 @@ class ComponentContext {
       weight_[i] = g.weight(v);
       CLB_EXPECT(weight_[i] >= 0,
                  "solver engine requires nonnegative weights");
-      g.for_each_neighbor(v, [&](NodeId nb) {
+      for (NodeId nb : g.neighbors(v)) {
         words::set_bit(adj_.data() + i * nw_, pos_[nb]);
-      });
+      }
     }
     build_clique_partition();
   }

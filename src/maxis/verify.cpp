@@ -41,15 +41,16 @@ Weight clique_partition_upper_bound(const graph::Graph& g) {
     clique.assign(1, seed);
     assigned[seed] = 1;
     Weight best = g.weight(seed);
-    g.for_each_neighbor(seed, [&](const NodeId u) {
-      if (assigned[u]) return;
-      for (std::size_t i = 1; i < clique.size(); ++i) {
-        if (!g.has_edge(u, clique[i])) return;
+    for (const NodeId u : g.neighbors(seed)) {
+      if (assigned[u] ||
+          !std::all_of(clique.begin() + 1, clique.end(),
+                       [&](NodeId c) { return g.has_edge(u, c); })) {
+        continue;
       }
       clique.push_back(u);
       assigned[u] = 1;
       best = std::max(best, g.weight(u));
-    });
+    }
     bound += best;
   }
   return bound;

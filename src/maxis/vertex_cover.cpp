@@ -13,10 +13,13 @@ bool is_vertex_cover(const graph::Graph& g, std::span<const NodeId> nodes) {
     CLB_EXPECT(v < g.num_nodes(), "vertex cover: node out of range");
     in[v] = true;
   }
-  for (auto [u, v] : graph::edge_list(g)) {
-    if (!in[u] && !in[v]) return false;
+  // C covers every edge iff V \ C is independent — a check that handles
+  // implicit blocks arithmetically instead of listing their edges.
+  std::vector<NodeId> rest;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!in[v]) rest.push_back(v);
   }
-  return true;
+  return g.is_independent_set(rest);
 }
 
 VcSolution checked_cover(const graph::Graph& g, std::vector<NodeId> nodes) {

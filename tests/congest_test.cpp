@@ -13,7 +13,6 @@
 
 #include "congest/message.hpp"
 #include "congest/network.hpp"
-#include "congest/topology.hpp"
 #include "graph/graph.hpp"
 #include "support/expect.hpp"
 
@@ -410,17 +409,20 @@ TEST(Network, OutputsVectorCoversAllNodes) {
   EXPECT_EQ(sel.size(), 3u);  // all nonzero
 }
 
-TEST(Topology, BuildBorrowsTheGraphCsr) {
+TEST(Network, BorrowsTheGraphCsr) {
   graph::Graph g = triangle();
   g.set_weight(1, 4);
-  const auto topo = Topology::build(g);
-  EXPECT_EQ(topo->neighbors.data(), g.csr().targets.data());
-  EXPECT_EQ(topo->offsets.data(), g.csr().offsets.data());
-  EXPECT_EQ(topo->weights[1], 4);
+  const long owners = g.shared_csr().use_count();
+  const Network net(g, [](graph::NodeId id, const NodeInfo&) {
+    return std::make_unique<EchoProgram>(id);
+  }, echo_cfg());
+  // The network holds the graph's CSR itself, not a copy of it.
+  EXPECT_EQ(g.shared_csr().use_count(), owners + 1);
+  EXPECT_EQ(net.info(1).weight, 4);
 }
 
 TEST(Network, SurvivesSourceGraphMutationAndDestruction) {
-  // Topology::build borrows the graph's CSR; mutating or destroying the
+  // A Network borrows the graph's CSR; mutating or destroying the
   // graph afterwards must neither change nor invalidate what the network
   // runs on (the sanitizer build checks the second half).
   const auto make = [] {

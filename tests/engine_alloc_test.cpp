@@ -201,7 +201,7 @@ TEST(EngineAlloc, HybridIndexedInboxReadsAllocateNothing) {
   Network net(g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<IndexedProbeFlood>();
   }, cfg);
-  ASSERT_TRUE(net.topology().has_implicit());
+  ASSERT_TRUE(g.has_implicit_blocks());
 
   net.run_rounds(8);
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <deque>
 #include <iterator>
@@ -23,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/traffic.hpp"
+#include "support/expect.hpp"
 #include "support/rng.hpp"
 
 namespace congestlb {
@@ -73,6 +75,94 @@ TEST_P(FuzzSweep, EdgeListRoundTripOnRandomGraphs) {
     graph::write_edge_list(ss, g);
     ASSERT_TRUE(graph::read_edge_list(ss) == g);
   }
+}
+
+/// A random block mix over dedicated id ranges: an anti-matching grid whose
+/// rows may also be clique blocks, a hub in several one-node bicliques whose
+/// partner ranges may also be cliques (so many nodes sit in >= 2 blocks),
+/// uncovered ids before, between and after the blocks, and random explicit
+/// edges anywhere that no block already implies.
+graph::Graph random_block_mix(Rng& rng) {
+  const std::size_t lead = rng.below(4);
+  const std::size_t rows = 2 + rng.below(3);
+  const std::size_t row_len = 2 + rng.below(4);
+  const std::size_t stride = row_len + rng.below(2);
+  const graph::NodeId grid_end = lead + (rows - 1) * stride + row_len;
+  const graph::NodeId hub = grid_end + rng.below(3);
+  const std::size_t partners = 1 + rng.below(4);
+  const std::size_t part_len = 2 + rng.below(3);
+  const graph::NodeId first_part = hub + 1 + rng.below(2);
+  const std::size_t n = first_part + partners * part_len + rng.below(5);
+
+  graph::Graph g(n);
+  g.set_implicit_block_threshold(1);
+  g.add_anti_matching_grid(lead, stride, rows, row_len);
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (rng.below(2) == 0) continue;
+    std::vector<graph::NodeId> row(row_len);
+    for (std::size_t c = 0; c < row_len; ++c) row[c] = lead + i * stride + c;
+    g.add_clique(row);
+  }
+  for (std::size_t p = 0; p < partners; ++p) {
+    const graph::NodeId b0 = first_part + p * part_len;
+    g.add_implicit_block(
+        graph::ImplicitBlock::biclique(hub, hub + 1, b0, b0 + part_len));
+    if (rng.below(2) == 0) {
+      g.add_implicit_block(graph::ImplicitBlock::clique(b0, b0 + part_len));
+    }
+  }
+  graph::EdgeList extra;
+  for (std::size_t e = rng.below(2 * n); e > 0; --e) {
+    const graph::NodeId u = rng.below(n), v = rng.below(n);
+    if (u != v && !g.has_edge(u, v)) extra.emplace_back(u, v);
+  }
+  g.add_edges(extra);
+  return g;
+}
+
+/// The merged view of `g` against its materialized twin: size, every
+/// select, full iteration, adjacency, degree and the shard prefix cost.
+void expect_view_matches_twin(const graph::Graph& g) {
+  const graph::Graph dense = g.materialized();
+  const std::size_t n = g.num_nodes();
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const auto want = dense.explicit_neighbors(v);
+    const graph::NeighborsView nb = g.neighbors(v);
+    ASSERT_EQ(nb.size(), want.size()) << "node " << v;
+    ASSERT_EQ(g.degree(v), want.size()) << "node " << v;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(nb[i], want[i]) << "node " << v << " slot " << i;
+    }
+    EXPECT_THROW(nb[want.size()], InvariantError) << "node " << v;
+    ASSERT_TRUE(std::equal(nb.begin(), nb.end(), want.begin(), want.end()))
+        << "node " << v;
+    for (graph::NodeId u = 0; u < n; ++u) {
+      ASSERT_EQ(g.has_edge(v, u), dense.has_edge(v, u))
+          << "pair " << v << ' ' << u;
+    }
+  }
+  for (graph::NodeId v = 0; v <= n; ++v) {
+    ASSERT_EQ(g.degree_prefix(v), dense.degree_prefix(v)) << "prefix " << v;
+  }
+  for (std::size_t shards : {1, 3, 8}) {
+    ASSERT_EQ(congest::edge_tiled_shards(g, shards),
+              congest::edge_tiled_shards(dense, shards));
+  }
+}
+
+TEST_P(FuzzSweep, MergedNeighborViewMatchesMaterializedTwin) {
+  Rng rng(GetParam() + 150);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    const graph::Graph g = random_block_mix(rng);
+    ASSERT_TRUE(g.has_implicit_blocks());
+    expect_view_matches_twin(g);
+    // A valid mix passes the reader's edge-disjointness check.
+    std::stringstream ss;
+    graph::write_edge_list(ss, g);
+    ASSERT_TRUE(graph::read_edge_list(ss) == g);
+  }
+  expect_view_matches_twin(graph::Graph(1 + rng.below(6)));  // edgeless
 }
 
 TEST_P(FuzzSweep, BitsetMatchesReferenceVectorBool) {

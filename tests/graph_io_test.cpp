@@ -132,5 +132,40 @@ TEST(EdgeListText, RejectsMalformedBlockRecords) {
   }
 }
 
+/// The error read_edge_list throws on `text`, or "" when it parses.
+std::string read_error(const std::string& text) {
+  std::stringstream ss(text);
+  try {
+    read_edge_list(ss);
+  } catch (const InvariantError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(EdgeListText, RejectsBlocksThatShareAnEdge) {
+  // Two copies of one clique: node 0 would count degree 4 for 2 neighbours.
+  EXPECT_NE(read_error("n 4\nb clique 0 3\nb clique 0 3\n")
+                .find("overlaps another block or an explicit edge at line 3"),
+            std::string::npos);
+  // Overlapping blocks of different kinds.
+  EXPECT_NE(read_error("n 6\nb biclique 0 2 2 4\nb clique 1 3\n").find(
+                "at line 3"),
+            std::string::npos);
+}
+
+TEST(EdgeListText, RejectsExplicitCopiesOfBlockEdges) {
+  // {0, 1} is both a block edge and an explicit one: 5 edges for 4.
+  EXPECT_NE(read_error("n 4\nb clique 0 3\ne 0 1\ne 2 3\n")
+                .find("overlaps another block or an explicit edge at line 3"),
+            std::string::npos);
+  // The explicit copy may come first; the block record is then the later.
+  EXPECT_NE(read_error("n 4\ne 2 3\ne 1 2\nb clique 0 3\n").find(
+                "at line 4"),
+            std::string::npos);
+  // Disjoint blocks and edges still parse.
+  EXPECT_EQ(read_error("n 6\nb clique 0 3\nb clique 3 6\ne 2 3\n"), "");
+}
+
 }  // namespace
 }  // namespace congestlb::graph

@@ -161,7 +161,6 @@ TEST(GraphImplicit, ThresholdGatesRecording) {
     EXPECT_TRUE(h.in_implicit_block(v));
     EXPECT_EQ(h.degree(v), 3u);
     EXPECT_EQ(h.explicit_degree(v), 0u);
-    EXPECT_EQ(h.implicit_degree(v), 3u);
   }
   EXPECT_TRUE(h.has_edge(0, 3));
   EXPECT_FALSE(h.has_edge(0, 4));
@@ -176,14 +175,17 @@ TEST(GraphImplicit, NonContiguousCliqueStaysExplicit) {
   EXPECT_EQ(g.num_explicit_edges(), 6u);
 }
 
-TEST(GraphImplicit, NeighborsThrowsOnBlockMembers) {
+TEST(GraphImplicit, NeighborsMergeBlockMembers) {
   Graph g(6);
   g.set_implicit_block_threshold(1);
   std::vector<NodeId> clique{1, 2, 3};
   g.add_clique(clique);
-  EXPECT_THROW(g.neighbors(2), InvariantError);
-  EXPECT_NO_THROW(g.neighbors(0));  // uncovered node is fine
-  EXPECT_NO_THROW(g.explicit_neighbors(2));
+  g.add_edge(2, 5);
+  const auto nb = g.neighbors(2);
+  EXPECT_EQ(std::vector<NodeId>(nb.begin(), nb.end()),
+            (std::vector<NodeId>{1, 3, 5}));
+  EXPECT_TRUE(g.neighbors(0).empty());  // uncovered node: its row alone
+  EXPECT_EQ(g.explicit_neighbors(2).size(), 1u);
   EXPECT_THROW(edge_list(g), InvariantError);
 }
 
@@ -213,10 +215,10 @@ TEST(GraphImplicit, MaterializedMatchesExplicitTwin) {
   }
   EXPECT_EQ(blocked.max_degree(), dense.max_degree());
 
-  // for_each_neighbor merges explicit + block edges in ascending order.
+  // neighbors() merges explicit + block edges in ascending order.
   for (NodeId v = 0; v < 20; ++v) {
-    std::vector<NodeId> merged;
-    blocked.for_each_neighbor(v, [&](NodeId u) { merged.push_back(u); });
+    const auto nb = blocked.neighbors(v);
+    const std::vector<NodeId> merged(nb.begin(), nb.end());
     const auto want = dense.neighbors(v);
     EXPECT_EQ(merged, std::vector<NodeId>(want.begin(), want.end()))
         << "node " << v;

@@ -169,15 +169,13 @@ TEST(ImplicitEngine, BitIdenticalToMaterializedAcrossThreads) {
 TEST(ImplicitEngine, NeighborsViewMatchesMaterializedSpans) {
   const graph::Graph blocked = mixed_graph(99, 20);
   const graph::Graph dense = blocked.materialized();
-  const auto bt = Topology::build(blocked);
-  const auto dt = Topology::build(dense);
-  ASSERT_TRUE(bt->has_implicit());
-  for (graph::NodeId v = 0; v < bt->n; ++v) {
-    ASSERT_EQ(bt->total_degree(v), dt->degree(v)) << "node " << v;
-    NeighborsView hv(bt.get(), v, bt->total_degree(v));
-    NeighborsView dv(dt->neighbors.data() + dt->offsets[v], dt->degree(v));
+  ASSERT_TRUE(blocked.has_implicit_blocks());
+  for (graph::NodeId v = 0; v < blocked.num_nodes(); ++v) {
+    ASSERT_EQ(blocked.degree(v), dense.explicit_degree(v)) << "node " << v;
+    const NeighborsView hv = blocked.neighbors(v);
+    const NeighborsView dv = dense.neighbors(v);
     ASSERT_EQ(hv.size(), dv.size());
-    // Indexed access (neighbor_at) and iteration (neighbor_after chain).
+    // Indexed access (the bracketed select) and iteration (the cursor).
     for (std::size_t i = 0; i < hv.size(); ++i) {
       ASSERT_EQ(hv[i], dv[i]) << "node " << v << " slot " << i;
     }
@@ -187,22 +185,22 @@ TEST(ImplicitEngine, NeighborsViewMatchesMaterializedSpans) {
   }
   // Shard boundaries balance on the same merged costs.
   for (std::size_t shards : {1, 2, 5, 16}) {
-    EXPECT_EQ(edge_tiled_shards(*bt, shards), edge_tiled_shards(*dt, shards));
+    EXPECT_EQ(edge_tiled_shards(blocked, shards),
+              edge_tiled_shards(dense, shards));
   }
 }
 
-/// Every merged-set select of the hybrid topology of `blocked` equals the
-/// CSR entry of its materialized twin, for every node and every slot.
+/// Every merged-set select of the blocked graph equals the CSR entry of its
+/// materialized twin, for every node and every slot.
 void expect_selects_match_materialized(const graph::Graph& blocked) {
-  const auto bt = Topology::build(blocked);
-  const auto dt = Topology::build(blocked.materialized());
-  ASSERT_TRUE(bt->has_implicit());
-  for (graph::NodeId v = 0; v < bt->n; ++v) {
-    const auto dense = dt->neighbors_of(v);
-    ASSERT_EQ(bt->total_degree(v), dense.size()) << "node " << v;
-    for (std::size_t s = 0; s < dense.size(); ++s) {
-      ASSERT_EQ(bt->neighbor_at(v, s), dense[s])
-          << "node " << v << " slot " << s;
+  const graph::Graph dense = blocked.materialized();
+  ASSERT_TRUE(blocked.has_implicit_blocks());
+  for (graph::NodeId v = 0; v < blocked.num_nodes(); ++v) {
+    const auto want = dense.explicit_neighbors(v);
+    const NeighborsView got = blocked.neighbors(v);
+    ASSERT_EQ(got.size(), want.size()) << "node " << v;
+    for (std::size_t s = 0; s < want.size(); ++s) {
+      ASSERT_EQ(got[s], want[s]) << "node " << v << " slot " << s;
     }
   }
 }
@@ -256,24 +254,26 @@ TEST(ImplicitEngine, NeighborAtMatchesMaterializedOnMultiBlockNodes) {
 }
 
 TEST(ImplicitEngine, NeighborAtRejectsSlotPastMergedDegree) {
-  // The blocked topology and its materialized twin reject the same slots,
-  // through Topology::neighbor_at and NeighborsView indexing alike.
+  // The blocked graph and its materialized twin reject the same slots,
+  // through Graph::neighbors and the engine's NodeInfo::neighbors alike.
   const graph::Graph blocked = mixed_graph(7, 10);
-  const auto bt = Topology::build(blocked);
-  const auto dt = Topology::build(blocked.materialized());
-  ASSERT_TRUE(bt->has_implicit());
-  ASSERT_FALSE(dt->has_implicit());
-  for (graph::NodeId v = 0; v < bt->n; ++v) {
-    const std::size_t d = bt->total_degree(v);
-    ASSERT_EQ(dt->total_degree(v), d) << "node " << v;
-    EXPECT_THROW(bt->neighbor_at(v, d), InvariantError) << "node " << v;
-    EXPECT_THROW(bt->neighbor_at(v, d + 7), InvariantError) << "node " << v;
-    EXPECT_THROW(dt->neighbor_at(v, d), InvariantError) << "node " << v;
-    EXPECT_THROW(dt->neighbor_at(v, d + 7), InvariantError) << "node " << v;
-    const NeighborsView hv(bt.get(), v, d);
-    const NeighborsView dv(dt->neighbors.data() + dt->offsets[v], d);
-    EXPECT_THROW(hv[d], InvariantError) << "node " << v;
-    EXPECT_THROW(dv[d], InvariantError) << "node " << v;
+  const graph::Graph dense = blocked.materialized();
+  ASSERT_TRUE(blocked.has_implicit_blocks());
+  ASSERT_FALSE(dense.has_implicit_blocks());
+  const auto factory = [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<MixFlood>(1);
+  };
+  const Network bnet(blocked, factory);
+  const Network dnet(dense, factory);
+  for (graph::NodeId v = 0; v < blocked.num_nodes(); ++v) {
+    const std::size_t d = blocked.degree(v);
+    ASSERT_EQ(dense.degree(v), d) << "node " << v;
+    EXPECT_THROW(blocked.neighbors(v)[d], InvariantError) << "node " << v;
+    EXPECT_THROW(blocked.neighbors(v)[d + 7], InvariantError) << "node " << v;
+    EXPECT_THROW(dense.neighbors(v)[d], InvariantError) << "node " << v;
+    EXPECT_THROW(dense.neighbors(v)[d + 7], InvariantError) << "node " << v;
+    EXPECT_THROW(bnet.info(v).neighbors[d], InvariantError) << "node " << v;
+    EXPECT_THROW(dnet.info(v).neighbors[d], InvariantError) << "node " << v;
   }
 }
 

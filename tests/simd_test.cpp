@@ -33,7 +33,6 @@
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
-#include "congest/topology.hpp"
 #include "graph/generators.hpp"
 #include "maxis/bitset.hpp"
 #include "maxis/parallel_bnb.hpp"
@@ -522,11 +521,11 @@ std::vector<std::pair<graph::NodeId, graph::NodeId>> node_sharded(
 }
 
 std::size_t max_shard_slots(
-    const congest::Topology& topo,
+    const graph::Graph& g,
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& shards) {
   std::size_t worst = 0;
   for (auto [begin, end] : shards) {
-    const std::size_t slots = topo.offsets[end] - topo.offsets[begin];
+    const std::size_t slots = g.csr().offsets[end] - g.csr().offsets[begin];
     worst = worst > slots ? worst : slots;
   }
   return worst;
@@ -538,10 +537,9 @@ std::size_t max_shard_slots(
 /// into shard 0.
 TEST(EdgeTiledShards, StarGadgetBalancesHubShard) {
   const auto g = graph::star_graph(1024);
-  const auto topo = congest::Topology::build(g);
   constexpr std::size_t kShards = 8;
 
-  const auto tiled = congest::edge_tiled_shards(*topo, kShards);
+  const auto tiled = congest::edge_tiled_shards(g, kShards);
   ASSERT_EQ(tiled.size(), kShards);
   // Contiguous cover of [0, n).
   graph::NodeId expect_begin = 0;
@@ -552,23 +550,22 @@ TEST(EdgeTiledShards, StarGadgetBalancesHubShard) {
   }
   EXPECT_EQ(expect_begin, g.num_nodes());
 
-  const std::size_t tiled_worst = max_shard_slots(*topo, tiled);
+  const std::size_t tiled_worst = max_shard_slots(g, tiled);
   const std::size_t node_worst =
-      max_shard_slots(*topo, node_sharded(g.num_nodes(), kShards));
+      max_shard_slots(g, node_sharded(g.num_nodes(), kShards));
   EXPECT_EQ(tiled_worst, 1023u);  // hub degree: one shard owns just the hub
   EXPECT_EQ(node_worst, 1150u);   // hub + 127 leaves land together
   EXPECT_LT(tiled_worst, node_worst);
 
-  // Pure function of (topology, num_shards).
-  EXPECT_EQ(tiled, congest::edge_tiled_shards(*topo, kShards));
+  // Pure function of (graph, num_shards).
+  EXPECT_EQ(tiled, congest::edge_tiled_shards(g, kShards));
 }
 
 /// Degree-0-heavy graphs: the +1 node cost keeps the compute phase
 /// balanced instead of serializing all isolated nodes into one shard.
 TEST(EdgeTiledShards, IsolatedNodesSpreadAcrossShards) {
   const graph::Graph g(1000);  // no edges at all
-  const auto topo = congest::Topology::build(g);
-  const auto tiled = congest::edge_tiled_shards(*topo, 8);
+  const auto tiled = congest::edge_tiled_shards(g, 8);
   std::size_t worst_nodes = 0;
   for (auto [begin, end] : tiled) {
     worst_nodes = std::max<std::size_t>(worst_nodes, end - begin);
@@ -584,9 +581,8 @@ TEST(EdgeTiledShards, RandomTopologiesContiguousCoverProperty) {
                                      std::size_t size) -> std::optional<std::string> {
     Rng rng(seed);
     const auto g = testing::random_topology(rng, 8 * size);
-    const auto topo = congest::Topology::build(g);
     const std::size_t num_shards = 1 + rng.below(2 * size + 2);
-    const auto tiled = congest::edge_tiled_shards(*topo, num_shards);
+    const auto tiled = congest::edge_tiled_shards(g, num_shards);
     if (tiled.size() != num_shards) return std::string("wrong shard count");
     graph::NodeId expect_begin = 0;
     for (auto [begin, end] : tiled) {
@@ -595,8 +591,10 @@ TEST(EdgeTiledShards, RandomTopologiesContiguousCoverProperty) {
       }
       expect_begin = end;
     }
-    if (expect_begin != topo->n) return std::string("shards do not cover n");
-    if (tiled != congest::edge_tiled_shards(*topo, num_shards)) {
+    if (expect_begin != g.num_nodes()) {
+      return std::string("shards do not cover n");
+    }
+    if (tiled != congest::edge_tiled_shards(g, num_shards)) {
       return std::string("partition not deterministic");
     }
     return std::nullopt;
