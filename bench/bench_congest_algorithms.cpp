@@ -10,17 +10,11 @@
 #include <iostream>
 
 #include "comm/instances.hpp"
-#include "congest/algorithms/aggregate.hpp"
-#include "congest/algorithms/bfs_tree.hpp"
-#include "congest/algorithms/coloring.hpp"
 #include "congest/algorithms/greedy_mis.hpp"
-#include "congest/algorithms/leader_election.hpp"
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
 #include "congest/network.hpp"
-#include "graph/algorithms.hpp"
-#include "graph/generators.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "support/rng.hpp"
@@ -149,46 +143,6 @@ int main() {
     std::cout << "  (the fast local algorithm misses the gap; the exact one "
                  "decides it but pays Theta(m) rounds — the paper's "
                  "trade-off.)\n";
-  }
-
-  clb::print_heading(std::cout,
-                     "primitive round complexity vs topology (rounds; "
-                     "D = diameter)");
-  {
-    Table t({"graph", "n", "D", "bfs-levels", "leader", "aggregate",
-             "coloring"});
-    struct Shape {
-      const char* name;
-      clb::graph::Graph g;
-    };
-    clb::Rng grng(11);
-    Shape shapes[] = {
-        {"path", clb::graph::path_graph(64)},
-        {"cycle", clb::graph::cycle_graph(64)},
-        {"star", clb::graph::star_graph(64)},
-        {"gnp(0.1)", clb::graph::gnp_random_connected(grng, 64, 0.1)},
-        {"complete", clb::graph::complete_graph(32)},
-    };
-    for (auto& s : shapes) {
-      const std::size_t d = clb::graph::diameter(s.g);
-      auto rounds_of = [&](const clb::congest::ProgramFactory& f,
-                           std::size_t bits) {
-        clb::congest::NetworkConfig cfg;
-        cfg.bits_per_edge = bits;
-        cfg.max_rounds = 100'000;
-        clb::congest::Network net(s.g, f, cfg);
-        return net.run().rounds;
-      };
-      t.row(s.name, s.g.num_nodes(), d,
-            rounds_of(clb::congest::bfs_level_factory(0), 0),
-            rounds_of(clb::congest::leader_election_factory(), 0),
-            rounds_of(clb::congest::aggregate_weight_factory(0),
-                      clb::congest::aggregate_required_bits(s.g.num_nodes())),
-            rounds_of(clb::congest::random_coloring_factory(), 0));
-    }
-    t.print(std::cout);
-    std::cout << "  (bfs/aggregate track D; leader is Theta(n) by its "
-                 "termination rule; coloring is O(log n) w.h.p.)\n";
   }
 
   std::cout << "\nCONGEST algorithm experiments completed.\n";

@@ -18,14 +18,12 @@
 // every shape marked `gate` — the largest stress shapes, where search and
 // bound work dominate and the engine's advantages (arena search, two-tier
 // bound, warm-start certificates on YES instances) compound — or the
-// bench exits nonzero. The gate was 3x when both solvers ran scalar word
-// loops; with the SIMD dispatch layer both get absolutely faster, but the
-// seed's single tree over full-width rows (~158 words at ell20) gains far
-// more from the vector kernels than the engine's kernelized components,
-// so the ratio compresses (ell20: 3.9x scalar -> 2.9x avx512) even though
-// the engine itself sped up. 2.5x keeps the architectural claim gated in
-// the shipping configuration on any dispatch level; the SIMD win itself
-// is gated separately by the words-kernel rows below.
+// bench exits nonzero. The ratio moves with word-loop speed, because the
+// seed searches one tree over full-width rows (~158 words at ell20) and
+// the engine searches kernelized components: 2.5x was set when AVX-512
+// kernels sped the seed up; with the plain loops the medians read
+// ~5.4-6.4x (docs/SOLVER.md). The words/* rows below time the word loops
+// themselves against the checked-in baseline.
 // The median is the gate statistic because per-solve
 // ratios split into a NO band and a much faster YES band; it is robust to
 // scheduler noise on shared runners where a min or mean is not. Shapes at
@@ -53,7 +51,6 @@
 #include "maxis/parallel_bnb.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 #include "support/table.hpp"
 
 namespace clb = congestlb;
@@ -119,33 +116,24 @@ double median(std::vector<double> v) {
   return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2;
 }
 
-// ------------------------------------------------ SIMD word kernel rows --
-
-/// Full-run gate on the nw=4096 synthetic row: the vector variant of the
-/// solver's intersect+popcount kernel must hold this median speedup over
-/// scalar on SIMD-capable hardware.
-constexpr double kWordsKernelGate = 1.5;
+// ------------------------------------------------------ word-loop rows --
 
 struct WordsRow {
   std::string name;
-  std::string variant;
   std::size_t nw = 0;
   double ns_per_pass = 0;  ///< one and_rows + and_popcount over the row
-  bool gate = false;
 };
 
-/// Time `passes` rounds of the BnB inner-loop kernel pair (candidate-row
-/// intersection plus the clique-cover domination probe) on nw-word rows
-/// under a forced dispatch level. Returns ns per pass.
-double time_words_pass(clb::simd::Level level, std::size_t nw,
-                       std::size_t passes) {
+/// Time `passes` rounds of the BnB inner-loop pair (candidate-row
+/// intersection plus the clique-cover domination probe) on nw-word rows.
+/// Returns ns per pass.
+double time_words_pass(std::size_t nw, std::size_t passes) {
   clb::Rng rng(42);
   std::vector<std::uint64_t> a(nw), b(nw), dst(nw);
   for (std::size_t w = 0; w < nw; ++w) {
     a[w] = rng.next();
     b[w] = rng.next() | rng.next();
   }
-  const clb::simd::ScopedLevel forced(level);
   std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t p = 0; p < passes; ++p) {
@@ -162,53 +150,19 @@ double time_words_pass(clb::simd::Level level, std::size_t nw,
 }
 
 /// words/intersect-popcount rows: the gadget-shaped row width (what the
-/// claim-check solves above actually use, reported ungated — at a dozen
-/// words the dispatch indirection roughly cancels the vector win) and a
-/// wide synthetic row where the vector kernels must pay off (gated in full
-/// runs). Median over `trials` interleaved scalar/vector measurements.
-std::vector<WordsRow> words_kernel_rows(std::size_t gadget_nw, bool smoke,
-                                        double* gate_speedup) {
+/// claim-check solves above actually use) and a wide synthetic row.
+/// Median over `trials` measurements.
+std::vector<WordsRow> words_rows(std::size_t gadget_nw, bool smoke) {
   const std::size_t trials = smoke ? 3 : 9;
   const std::size_t passes = smoke ? 2'000 : 20'000;
-  const clb::simd::Level best = clb::simd::best_level();
   std::vector<WordsRow> rows;
-  *gate_speedup = 0;
-  struct Shape {
-    std::size_t nw;
-    bool gate;
-  };
-  const Shape shapes[] = {{gadget_nw, false}, {4096, true}};
-  for (const auto& s : shapes) {
-    std::vector<double> scalar_ns, vec_ns;
+  for (const std::size_t nw : {gadget_nw, std::size_t{4096}}) {
+    std::vector<double> ns;
     for (std::size_t t = 0; t < trials; ++t) {
-      scalar_ns.push_back(
-          time_words_pass(clb::simd::Level::kScalar, s.nw, passes));
-      if (best != clb::simd::Level::kScalar) {
-        vec_ns.push_back(time_words_pass(best, s.nw, passes));
-      }
+      ns.push_back(time_words_pass(nw, passes));
     }
-    WordsRow scalar;
-    scalar.name = "words/intersect-popcount-nw" + std::to_string(s.nw);
-    scalar.variant = "scalar";
-    scalar.nw = s.nw;
-    scalar.ns_per_pass = median(scalar_ns);
-    scalar.gate = false;
-    rows.push_back(scalar);
-    if (!vec_ns.empty()) {
-      WordsRow vec = scalar;
-      vec.variant = clb::simd::level_name(best);
-      vec.ns_per_pass = median(vec_ns);
-      vec.gate = s.gate;
-      rows.push_back(vec);
-      if (s.gate) {
-        // Median of per-trial ratios, robust to one noisy measurement.
-        std::vector<double> ratios;
-        for (std::size_t t = 0; t < trials; ++t) {
-          ratios.push_back(scalar_ns[t] / vec_ns[t]);
-        }
-        *gate_speedup = median(ratios);
-      }
-    }
+    rows.push_back(
+        {"words/intersect-popcount-nw" + std::to_string(nw), nw, median(ns)});
   }
   return rows;
 }
@@ -304,26 +258,19 @@ int main() {
   }
   tbl.print(std::cout);
 
-  // SIMD word-kernel rows: scalar vs the best dispatch level on the
-  // largest gadget row width seen above, plus the gated wide synthetic
-  // row (active level: the CLB_SIMD-resolved default for this run).
+  // Word-loop rows on the largest gadget row width seen above, plus the
+  // wide synthetic row.
   std::size_t max_n = 0;
   for (const Row& r : rows) max_n = std::max(max_n, r.n);
-  double words_gate_speedup = 0;
-  const auto words_rows = words_kernel_rows(
-      clb::maxis::words::row_words(std::max<std::size_t>(max_n, 64)), smoke,
-      &words_gate_speedup);
+  const auto word_rows = words_rows(
+      clb::maxis::words::row_words(std::max<std::size_t>(max_n, 64)), smoke);
   std::cout << "\n";
-  clb::Table wt({"kernel", "variant", "words", "ns/pass"});
-  for (const auto& w : words_rows) {
-    wt.add_row({w.name, w.variant, std::to_string(w.nw),
+  clb::Table wt({"kernel", "words", "ns/pass"});
+  for (const auto& w : word_rows) {
+    wt.add_row({w.name, std::to_string(w.nw),
                 clb::fmt_double(w.ns_per_pass, 1)});
   }
   wt.print(std::cout);
-  if (words_gate_speedup > 0) {
-    std::cout << "  simd words speedup (nw=4096, median of trials): "
-              << clb::fmt_double(words_gate_speedup, 2) << "x vs scalar\n";
-  }
 
   // ---- BENCH_maxis.json -------------------------------------------------
   double min_gate_speedup = std::numeric_limits<double>::infinity();
@@ -377,14 +324,12 @@ int main() {
       jw.kv("ns_per_solve", r.engine_mt_ns / solves);
       jw.end_object();
     }
-    for (const auto& w : words_rows) {
+    for (const auto& w : word_rows) {
       jw.begin_object();
       jw.kv("name", w.name);
-      jw.kv("variant", w.variant);
       jw.kv("threads", std::uint64_t{1});
       jw.kv("words", static_cast<std::uint64_t>(w.nw));
       jw.kv("ns_per_solve", w.ns_per_pass);
-      jw.kv("gate", w.gate);
       jw.end_object();
     }
     jw.end_array();
@@ -394,18 +339,6 @@ int main() {
     jw.kv("statistic", "median_per_solve_speedup");
     jw.kv("applies", any_gate && !smoke);
     if (any_gate) jw.kv("min_median_speedup", min_gate_speedup);
-    jw.end_object();
-    jw.key("simd_gate");
-    jw.begin_object();
-    jw.kv("factor", kWordsKernelGate);
-    jw.kv("statistic", "median_words_pass_speedup_nw4096");
-    jw.kv("simd_level",
-          std::string(clb::simd::level_name(clb::simd::best_level())));
-    jw.kv("applies",
-          !smoke && clb::simd::best_level() != clb::simd::Level::kScalar);
-    if (words_gate_speedup > 0) {
-      jw.kv("median_speedup", words_gate_speedup);
-    }
     jw.end_object();
     jw.end_object();
     out << "\n";
@@ -424,12 +357,6 @@ int main() {
   if (!smoke && any_gate && min_gate_speedup < kSpeedupGate) {
     std::cerr << "\nFAILED: min gated median speedup " << min_gate_speedup
               << " < " << kSpeedupGate << "x\n";
-    return 1;
-  }
-  if (!smoke && clb::simd::best_level() != clb::simd::Level::kScalar &&
-      words_gate_speedup < kWordsKernelGate) {
-    std::cerr << "\nFAILED: SIMD words-kernel median speedup "
-              << words_gate_speedup << " < " << kWordsKernelGate << "x\n";
     return 1;
   }
   std::cout << (smoke ? "\nsmoke run: OPT agreement and determinism "

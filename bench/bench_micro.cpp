@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the hot substrates: Reed-Solomon
 // encoding, Hopcroft-Karp on the Figure-2 anti-matchings, branch-and-bound
 // on gadget instances, gadget construction itself, blackboard posting, the
-// message codec, the engine's reverse-slot map / bulk graph build, and raw
-// CONGEST round throughput.
+// message codec, the solver's word loops, the engine's delivery
+// accounting, reverse-slot map / bulk graph build, and raw CONGEST round
+// throughput.
 //
 // A custom main (bottom of file) mirrors the console run into
 // BENCH_micro.json — google-benchmark's own JSON format — so CI can archive
@@ -25,11 +26,11 @@
 #include "graph/matching.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/structured_solver.hpp"
+#include "maxis/bitset.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/rng.hpp"
-#include "support/simd.hpp"
 
 namespace clb = congestlb;
 
@@ -342,40 +343,44 @@ void BM_MessageCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageCodec);
 
-// ------------------------------------------------ SIMD kernel variants --
-// One row per (kernel, level) for every level this build + CPU supports,
-// registered dynamically in main (BM_SimdDeliverAccount/scalar,
-// BM_SimdDeliverAccount/avx2, ...). The scalar rows double as the portable
-// baseline that check_bench_regression.py holds the fallback path to.
+// ------------------------------------------------------ word loops --
 
-/// Bulk delivery accounting over 16Ki directed slots (the network.cpp
-/// unobserved fast path: delivered count, bits total, per-slot bits).
-void BM_SimdDeliverAccount(benchmark::State& state, clb::simd::Level level) {
+/// Unicast delivery accounting over 16Ki directed slots: the per-slot pass
+/// Network::run_shard makes over its out-slots after each round (delivered
+/// count, bits total, per-slot delivered bits), on the send arena's layout
+/// of presence bytes beside Messages.
+void BM_DeliverAccount(benchmark::State& state) {
   constexpr std::size_t kSlots = 16384;
-  std::vector<std::uint8_t> kinds(kSlots);
-  std::vector<std::uint32_t> bits(kSlots);
+  std::vector<std::uint8_t> sent(kSlots);
+  std::vector<clb::congest::Message> msgs(kSlots);
   std::vector<std::uint64_t> acc(kSlots, 0);
   clb::Rng rng(11);
   for (std::size_t i = 0; i < kSlots; ++i) {
-    kinds[i] = rng.chance(0.8) ? 1 : 0;
-    bits[i] = kinds[i] != 0 ? 16 : 0;
+    sent[i] = rng.chance(0.8) ? 1 : 0;
+    msgs[i].bits = 16;
   }
-  const clb::simd::ScopedLevel forced(level);
-  const clb::simd::Kernels& k = clb::simd::kernels();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(k.count_nonzero_u8(kinds.data(), kSlots));
-    benchmark::DoNotOptimize(k.sum_u32(bits.data(), kSlots));
-    k.accumulate_u32_to_u64(acc.data(), bits.data(), kSlots);
+    std::uint64_t delivered = 0;
+    std::uint64_t bits_delivered = 0;
+    for (std::size_t e = 0; e < kSlots; ++e) {
+      const std::uint64_t s = sent[e] != 0;
+      const std::uint64_t bits = msgs[e].bits & (0 - s);
+      delivered += s;
+      bits_delivered += bits;
+      acc[e] += bits;
+    }
+    benchmark::DoNotOptimize(delivered);
+    benchmark::DoNotOptimize(bits_delivered);
     benchmark::DoNotOptimize(acc.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kSlots));
 }
+BENCHMARK(BM_DeliverAccount);
 
 /// Candidate-row intersection + clique-cover domination probe on 4096-word
 /// rows (the BnB inner loop at scale).
-void BM_SimdIntersectPopcount(benchmark::State& state,
-                              clb::simd::Level level) {
+void BM_WordsIntersectPopcount(benchmark::State& state) {
   constexpr std::size_t kWords = 4096;
   clb::Rng rng(42);
   std::vector<std::uint64_t> a(kWords), b(kWords), dst(kWords);
@@ -383,46 +388,30 @@ void BM_SimdIntersectPopcount(benchmark::State& state,
     a[w] = rng.next();
     b[w] = rng.next() | rng.next();
   }
-  const clb::simd::ScopedLevel forced(level);
-  const clb::simd::Kernels& k = clb::simd::kernels();
   for (auto _ : state) {
-    k.and_rows(dst.data(), a.data(), b.data(), kWords);
-    benchmark::DoNotOptimize(k.and_popcount(dst.data(), b.data(), kWords));
+    clb::maxis::words::and_rows(dst.data(), a.data(), b.data(), kWords);
+    benchmark::DoNotOptimize(
+        clb::maxis::words::and_popcount(dst.data(), b.data(), kWords));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWords));
 }
+BENCHMARK(BM_WordsIntersectPopcount);
 
 /// First-set-bit scan over a mostly-empty 4096-word row (the branching
 /// vertex pick on a sparse candidate set).
-void BM_SimdFirstBitScan(benchmark::State& state, clb::simd::Level level) {
+void BM_WordsFirstBitScan(benchmark::State& state) {
   constexpr std::size_t kWords = 4096;
   std::vector<std::uint64_t> row(kWords, 0);
   row[kWords - 3] = 1ULL << 17;
-  const clb::simd::ScopedLevel forced(level);
-  const clb::simd::Kernels& k = clb::simd::kernels();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(k.first_bit(row.data(), kWords, kWords * 64));
+    benchmark::DoNotOptimize(
+        clb::maxis::words::first_bit(row.data(), kWords, kWords * 64));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kWords));
 }
-
-/// Register one row per supported level for each SIMD kernel bench.
-void register_simd_benchmarks() {
-  using clb::simd::Level;
-  for (Level level : {Level::kScalar, Level::kAvx2, Level::kAvx512}) {
-    if (!clb::simd::level_supported(level)) continue;
-    const std::string suffix = clb::simd::level_name(level);
-    benchmark::RegisterBenchmark(("BM_SimdDeliverAccount/" + suffix).c_str(),
-                                 BM_SimdDeliverAccount, level);
-    benchmark::RegisterBenchmark(
-        ("BM_SimdIntersectPopcount/" + suffix).c_str(),
-        BM_SimdIntersectPopcount, level);
-    benchmark::RegisterBenchmark(("BM_SimdFirstBitScan/" + suffix).c_str(),
-                                 BM_SimdFirstBitScan, level);
-  }
-}
+BENCHMARK(BM_WordsFirstBitScan);
 
 }  // namespace
 
@@ -441,7 +430,6 @@ int main(int argc, char** argv) {
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }
-  register_simd_benchmarks();
   int args_count = static_cast<int>(args.size());
   benchmark::Initialize(&args_count, args.data());
   if (benchmark::ReportUnrecognizedArguments(args_count, args.data())) {

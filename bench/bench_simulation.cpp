@@ -43,7 +43,6 @@
 #include "sim/reduction.hpp"
 #include "support/alloc_hook.hpp"
 #include "support/json.hpp"
-#include "support/simd.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -479,16 +478,10 @@ std::pair<std::vector<ScaleRow>, bool> scale_section(bool smoke) {
   return {std::move(rows), ok};
 }
 
-// ------------------------------- message codec and SIMD deliver kernels --
+// ------------------------------ message codec and delivery accounting --
 
-/// The vector layer's hot-path speedup gate: in a full run on SIMD-capable
-/// hardware, the deliver kernel row must beat the scalar reference by this
-/// factor or the bench exits nonzero.
-constexpr double kSimdKernelGate = 1.5;
-
-struct SimdKernelRow {
+struct KernelRow {
   std::string name;
-  std::string variant;  ///< "scalar", the vector level run, or "" (level-free)
   std::size_t slots = 0;
   std::size_t rounds = 0;
   double ns_per_round = 0;
@@ -499,7 +492,7 @@ struct SimdKernelRow {
 /// the programs run, without the engine around it. The widths mirror the
 /// universal algorithm's multi-field payloads (ids, weights, flags at
 /// arbitrary bit offsets); their 170 bits fill all three inline words.
-SimdKernelRow measure_message_codec(std::size_t slots, std::size_t rounds) {
+KernelRow measure_message_codec(std::size_t slots, std::size_t rounds) {
   static constexpr std::size_t kWidths[] = {16, 7, 33, 12, 64, 5, 24, 9};
   std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
@@ -519,7 +512,7 @@ SimdKernelRow measure_message_codec(std::size_t slots, std::size_t rounds) {
   const auto t1 = std::chrono::steady_clock::now();
   if (sink == 0xDEAD) std::cout << "";  // keep the encoded words observable
 
-  SimdKernelRow row;
+  KernelRow row;
   row.name = "message-codec/multifield";
   row.slots = slots;
   row.rounds = rounds;
@@ -527,36 +520,35 @@ SimdKernelRow measure_message_codec(std::size_t slots, std::size_t rounds) {
   return row;
 }
 
-/// One simulated round of bulk delivery accounting over `slots` directed
-/// slots: delivered count over the kind bytes, delivered-bits total, and
-/// the per-slot bits accumulation — exactly the fast path network.cpp runs
-/// per shard per round.
-SimdKernelRow measure_deliver_kernel(clb::simd::Level level,
-                                     std::size_t slots, std::size_t rounds) {
-  std::vector<std::uint8_t> kinds(slots);
-  std::vector<std::uint32_t> bits(slots);
+/// One simulated round of unicast delivery accounting over `slots`
+/// directed slots: the per-slot pass network.cpp runs per shard per round
+/// (delivered count, delivered-bits total, per-slot bits), on the send
+/// arena's layout of presence bytes beside Messages.
+KernelRow measure_deliver_account(std::size_t slots, std::size_t rounds) {
+  std::vector<std::uint8_t> sent(slots);
+  std::vector<clb::congest::Message> msgs(slots);
   std::vector<std::uint64_t> acc(slots, 0);
   clb::Rng rng(11);
   for (std::size_t i = 0; i < slots; ++i) {
-    kinds[i] = rng.chance(0.8) ? 1 : 0;
-    bits[i] = kinds[i] != 0 ? 16 : 0;
+    sent[i] = rng.chance(0.8) ? 1 : 0;
+    msgs[i].bits = 16;
   }
 
-  const clb::simd::ScopedLevel forced(level);
-  const clb::simd::Kernels& k = clb::simd::kernels();
   std::uint64_t sink = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t r = 0; r < rounds; ++r) {
-    sink += k.count_nonzero_u8(kinds.data(), slots);
-    sink += k.sum_u32(bits.data(), slots);
-    k.accumulate_u32_to_u64(acc.data(), bits.data(), slots);
+    for (std::size_t e = 0; e < slots; ++e) {
+      const std::uint64_t s = sent[e] != 0;
+      const std::uint64_t bits = msgs[e].bits & (0 - s);
+      sink += s + bits;
+      acc[e] += bits;
+    }
   }
   const auto t1 = std::chrono::steady_clock::now();
-  if (sink == 0xDEAD) std::cout << "";
+  if (sink + acc[slots / 2] == 0xDEAD) std::cout << "";
 
-  SimdKernelRow row;
+  KernelRow row;
   row.name = "deliver-account/bulk";
-  row.variant = clb::simd::level_name(level);
   row.slots = slots;
   row.rounds = rounds;
   row.ns_per_round = elapsed_ns(t0, t1) / static_cast<double>(rounds);
@@ -565,9 +557,8 @@ SimdKernelRow measure_deliver_kernel(clb::simd::Level level,
 
 /// Runs the engine-throughput suite and writes BENCH_simulation.json,
 /// folding the scaling-curve rows into the entries array so one file
-/// carries the whole engine perf record. Returns false when the full-run
-/// SIMD kernel gate fails.
-bool engine_throughput_section(std::size_t timed_rounds,
+/// carries the whole engine perf record.
+void engine_throughput_section(std::size_t timed_rounds,
                                std::size_t mis_repeats,
                                const std::vector<ScaleRow>& scale_rows) {
   clb::print_heading(std::cout,
@@ -614,22 +605,13 @@ bool engine_throughput_section(std::size_t timed_rounds,
     }
   }
 
-  // Hot-path kernel rows: the level-free message codec, then the deliver
-  // kernel under the scalar table and the best level this build + CPU
-  // supports (one variant when the machine is scalar-only). Slot count
-  // matches the gnp-1024 flood's directed slots, so the rows are read in
-  // the same units as flood/gnp-1024.
+  // Hot-path kernel rows: the message codec and the delivery accounting.
+  // Slot count matches the gnp-1024 flood's directed slots, so the rows are
+  // read in the same units as flood/gnp-1024.
   const std::size_t kernel_slots = 2 * gnp.num_edges();
-  const std::size_t kernel_rounds = timed_rounds;
-  const clb::simd::Level best = clb::simd::best_level();
-  std::vector<SimdKernelRow> kernel_rows;
-  kernel_rows.push_back(measure_message_codec(kernel_slots, kernel_rounds));
-  for (const clb::simd::Level level :
-       {clb::simd::Level::kScalar, best}) {
-    kernel_rows.push_back(
-        measure_deliver_kernel(level, kernel_slots, kernel_rounds));
-    if (best == clb::simd::Level::kScalar) break;  // one variant only
-  }
+  const std::vector<KernelRow> kernel_rows = {
+      measure_message_codec(kernel_slots, timed_rounds),
+      measure_deliver_account(kernel_slots, timed_rounds)};
 
   Table t({"workload", "n", "edges", "threads", "ns/round", "messages/s",
            "bits/s", "allocs/round"});
@@ -644,10 +626,9 @@ bool engine_throughput_section(std::size_t timed_rounds,
   std::cout << "  (allocs/round counts heap allocations via the counting "
                "allocator; steady-state flood must be 0)\n";
 
-  Table kt({"kernel", "variant", "slots", "ns/round"});
+  Table kt({"kernel", "slots", "ns/round"});
   for (const auto& r : kernel_rows) {
-    kt.add_row({r.name, r.variant.empty() ? "-" : r.variant,
-                std::to_string(r.slots),
+    kt.add_row({r.name, std::to_string(r.slots),
                 clb::fmt_double(r.ns_per_round, 0)});
   }
   std::cout << "\n";
@@ -678,7 +659,6 @@ bool engine_throughput_section(std::size_t timed_rounds,
   for (const auto& r : kernel_rows) {
     jw.begin_object();
     jw.kv("name", r.name);
-    if (!r.variant.empty()) jw.kv("variant", r.variant);
     jw.kv("threads", std::uint64_t{1});
     jw.kv("slots", static_cast<std::uint64_t>(r.slots));
     jw.kv("rounds", static_cast<std::uint64_t>(r.rounds));
@@ -717,21 +697,6 @@ bool engine_throughput_section(std::size_t timed_rounds,
       jw.end_object();
     }
   }
-  // Scalar-vs-SIMD delta per kernel row (both variants measured in this
-  // same run, unlike the frozen seed references above).
-  for (const auto& scalar : kernel_rows) {
-    if (scalar.variant != "scalar") continue;
-    for (const auto& vec : kernel_rows) {
-      if (vec.name != scalar.name || vec.variant == "scalar") continue;
-      jw.begin_object();
-      jw.kv("name", scalar.name);
-      jw.kv("simd_level", vec.variant);
-      jw.kv("scalar_ns_per_round", scalar.ns_per_round);
-      jw.kv("ns_per_round", vec.ns_per_round);
-      jw.kv("improvement", scalar.ns_per_round / vec.ns_per_round);
-      jw.end_object();
-    }
-  }
   jw.end_array();
   // The engine.* counters/histograms accumulated by every traced/* run —
   // the machine-readable side of docs/OBSERVABILITY.md's overhead table.
@@ -762,35 +727,6 @@ bool engine_throughput_section(std::size_t timed_rounds,
                 << "%\n";
     }
   }
-
-  // SIMD kernel gate: on SIMD-capable hardware the vector variant of the
-  // deliver row must hold kSimdKernelGate over scalar.
-  // Full runs only — smoke windows on shared CI runners are too noisy,
-  // and scalar-only machines have nothing to compare (their fallback is
-  // instead held to the baseline by check_bench_regression.py).
-  bool simd_gate_ok = true;
-  if (best != clb::simd::Level::kScalar) {
-    double best_speedup = 0;
-    for (const auto& scalar : kernel_rows) {
-      if (scalar.variant != "scalar") continue;
-      for (const auto& vec : kernel_rows) {
-        if (vec.name != scalar.name || vec.variant == "scalar") continue;
-        const double speedup = scalar.ns_per_round / vec.ns_per_round;
-        best_speedup = std::max(best_speedup, speedup);
-        std::cout << "  simd speedup, " << scalar.name << " ("
-                  << vec.variant << "): " << clb::fmt_double(speedup, 2)
-                  << "x vs scalar\n";
-      }
-    }
-    const bool smoke = std::getenv("CLB_BENCH_SMOKE") != nullptr;
-    if (!smoke && best_speedup < kSimdKernelGate) {
-      std::cerr << "FAILED: best SIMD kernel speedup "
-                << clb::fmt_double(best_speedup, 2) << "x < "
-                << kSimdKernelGate << "x gate\n";
-      simd_gate_ok = false;
-    }
-  }
-  return simd_gate_ok;
 }
 
 }  // namespace
@@ -928,16 +864,11 @@ int main() {
   // and its rows fold into BENCH_simulation.json below.
   const bool smoke = std::getenv("CLB_BENCH_SMOKE") != nullptr;
   const auto [scale_rows, scale_ok] = scale_section(smoke);
-  const bool simd_gate_ok =
-      engine_throughput_section(/*timed_rounds=*/smoke ? 64 : 512,
-                                /*mis_repeats=*/smoke ? 2 : 8, scale_rows);
+  engine_throughput_section(/*timed_rounds=*/smoke ? 64 : 512,
+                            /*mis_repeats=*/smoke ? 2 : 8, scale_rows);
 
   if (!scale_ok) {
     std::cerr << "\nFAILED: scaling-curve resident-set gate not met\n";
-    return 1;
-  }
-  if (!simd_gate_ok) {
-    std::cerr << "\nFAILED: SIMD kernel speedup gate not met\n";
     return 1;
   }
   std::cout << "\nSimulation experiments completed.\n";

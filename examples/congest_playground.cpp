@@ -10,16 +10,11 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "congest/algorithms/aggregate.hpp"
-#include "congest/algorithms/bfs_tree.hpp"
-#include "congest/algorithms/coloring.hpp"
 #include "congest/algorithms/greedy_mis.hpp"
-#include "congest/algorithms/leader_election.hpp"
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
 #include "congest/network.hpp"
-#include "graph/algorithms.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -93,48 +88,5 @@ int main(int argc, char** argv) {
                "beating ratio 1/2 costs\nOmega(n/log^3 n) rounds, beating 3/4 "
                "costs Omega(n^2/log^3 n).\n";
 
-  // Bonus: the other CONGEST primitives on the same graph.
-  std::cout << "\nother primitives (same graph, diameter "
-            << clb::graph::diameter(g) << "):\n";
-  clb::Table prim({"primitive", "rounds", "result"});
-  {
-    clb::congest::NetworkConfig cfg;
-    cfg.seed = seed;
-    clb::congest::Network net(g, clb::congest::bfs_level_factory(0), cfg);
-    const auto stats = net.run();
-    std::int64_t max_level = 0;
-    for (auto lv : net.outputs()) max_level = std::max(max_level, lv);
-    prim.row("bfs-levels (root 0)", stats.rounds,
-             "eccentricity " + std::to_string(max_level - 1));
-  }
-  {
-    clb::congest::NetworkConfig cfg;
-    cfg.seed = seed;
-    clb::congest::Network net(g, clb::congest::leader_election_factory(), cfg);
-    const auto stats = net.run();
-    prim.row("leader-election", stats.rounds,
-             "leader " + std::to_string(net.selected_nodes().at(0)));
-  }
-  {
-    clb::congest::NetworkConfig cfg;
-    cfg.seed = seed;
-    cfg.bits_per_edge = clb::congest::aggregate_required_bits(n);
-    clb::congest::Network net(g, clb::congest::aggregate_weight_factory(0),
-                              cfg);
-    const auto stats = net.run();
-    prim.row("aggregate-total-weight", stats.rounds,
-             "total " + std::to_string(net.program(0).output()));
-  }
-  {
-    clb::congest::NetworkConfig cfg;
-    cfg.seed = seed;
-    clb::congest::Network net(g, clb::congest::random_coloring_factory(), cfg);
-    const auto stats = net.run();
-    std::int64_t max_color = 0;
-    for (auto col : net.outputs()) max_color = std::max(max_color, col);
-    prim.row("random-(deg+1)-coloring", stats.rounds,
-             std::to_string(max_color) + " colors");
-  }
-  prim.print(std::cout);
   return 0;
 }

@@ -12,10 +12,10 @@ allocation fails on memory long before it fails on time), and
 google-benchmark's own JSON (a "benchmarks" array, timing in
 real_time + time_unit — the BENCH_micro.json format). Entries are matched
 by (name, variant, threads) — or (name, variant, n) for the scale
-schema — where variant distinguishes rows measured under different kernel
-implementations (the SIMD dispatch levels: "scalar", "avx2", "avx512") —
-each variant is compared against its own baseline independently, so a vector-kernel speedup can never mask
-a scalar-fallback regression or vice versa. The
+schema — where variant distinguishes rows of one workload measured under
+different configurations (the scale rows' "serial" and "mt4" runs) —
+each variant is compared against its own baseline independently, so a
+gain in one configuration can never mask a regression in another. The
 check fails (exit 1) when any matched entry's metric exceeds
 factor * baseline (default 2x), or when a steady-state flood workload
 reports nonzero allocations per round. Individual entries present on only

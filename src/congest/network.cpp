@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/expect.hpp"
-#include "support/simd.hpp"
 
 namespace congestlb::congest {
 
@@ -152,10 +151,7 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     a.msgs.resize(slots);
   }
   dbits_.assign(slots, 0);
-  if (!bcast_) {
-    out_bits_.assign(slots, 0);
-    reverse_slot_ = reverse_slots(*csr_);
-  }
+  if (!bcast_) reverse_slot_ = reverse_slots(*csr_);
 
   Rng seeder(config_.seed);
   infos_.reserve(n);
@@ -266,19 +262,21 @@ void Network::compute_shard(std::size_t shard) {
     }
     if (bcast_) return;
 
-    // Unicast: each out-slot reaches one receiver, so the accounting is
-    // three bulk SIMD passes over the shard's contiguous slot range.
-    // Message bits are bounded by bits_per_edge (O(log n)) — far below 32
-    // bits of count.
+    // Unicast: each out-slot reaches one receiver, so the accounting is one
+    // pass over the shard's contiguous slot range. It is branch-free (an
+    // empty slot's stale bits are masked to 0) and sums into locals, which
+    // the stores to dbits_ cannot alias.
+    std::uint64_t delivered = 0;
+    std::uint64_t bits_delivered = 0;
     for (std::size_t e = lo; e < hi; ++e) {
-      out_bits_[e] =
-          out.sent[e] ? static_cast<std::uint32_t>(out.msgs[e].bits) : 0;
+      const std::uint64_t sent = out.sent[e] != 0;
+      const std::uint64_t bits = out.msgs[e].bits & (0 - sent);
+      delivered += sent;
+      bits_delivered += bits;
+      dbits_[e] += bits;
     }
-    const simd::Kernels& k = simd::kernels();
-    sc.delivered += k.count_nonzero_u8(out.sent.data() + lo, hi - lo);
-    sc.bits_delivered += k.sum_u32(out_bits_.data() + lo, hi - lo);
-    k.accumulate_u32_to_u64(dbits_.data() + lo, out_bits_.data() + lo,
-                            hi - lo);
+    sc.delivered += delivered;
+    sc.bits_delivered += bits_delivered;
   } catch (...) {
     shard_error_[shard] = std::current_exception();
   }

@@ -425,9 +425,6 @@ class Network {
   Arena arena_[2];
   std::size_t cur_ = 0;
   std::vector<std::uint64_t> dbits_;  ///< delivered bits per out-slot
-  /// Unicast scratch: this round's bits per out-slot (0 for empty slots), so
-  /// message/bit counters and dbits_ accumulate as bulk SIMD passes.
-  std::vector<std::uint32_t> out_bits_;
 
   ThreadPool pool_;
   std::size_t num_shards_ = 1;

@@ -1,7 +1,6 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <queue>
 
 #include "support/expect.hpp"
@@ -73,28 +72,6 @@ std::size_t diameter(const Graph& g) {
     }
   }
   return diam;
-}
-
-std::vector<std::size_t> greedy_coloring(const Graph& g) {
-  std::vector<NodeId> order(g.num_nodes());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-    return g.degree(a) > g.degree(b) || (g.degree(a) == g.degree(b) && a < b);
-  });
-  std::vector<std::size_t> color(g.num_nodes(), kInfiniteDistance);
-  std::vector<bool> taken;
-  for (NodeId v : order) {
-    taken.assign(g.degree(v) + 1, false);
-    for (NodeId nb : g.neighbors(v)) {
-      if (color[nb] != kInfiniteDistance && color[nb] < taken.size()) {
-        taken[color[nb]] = true;
-      }
-    }
-    std::size_t c = 0;
-    while (taken[c]) ++c;
-    color[v] = c;
-  }
-  return color;
 }
 
 }  // namespace congestlb::graph

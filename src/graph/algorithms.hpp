@@ -28,9 +28,4 @@ std::vector<std::size_t> connected_components(const Graph& g);
 /// Exact diameter via n BFS runs. Requires a connected non-empty graph.
 std::size_t diameter(const Graph& g);
 
-/// Greedy (first-fit, descending-degree order) proper coloring. Returns the
-/// color of every node; uses at most max_degree+1 colors. Used as a cheap
-/// clique-cover heuristic on complements and for test baselines.
-std::vector<std::size_t> greedy_coloring(const Graph& g);
-
 }  // namespace congestlb::graph

@@ -15,24 +15,15 @@
 #include <vector>
 
 #include "support/expect.hpp"
-#include "support/simd.hpp"
 
 namespace congestlb::maxis {
 
 /// Word-row kernels: every function operates on rows of `nw` 64-bit words
 /// representing a fixed-capacity bitset of n <= 64*nw bits. Callers
 /// guarantee bounds; these are the hot inner loops of the exact solver.
-///
-/// Rows of at least kSimdDispatchWords words route through the runtime
-/// SIMD dispatch table (support/simd.hpp, CLB_SIMD override); shorter rows
-/// keep the inline scalar loop — below one AVX-512 register's worth the
-/// indirect call costs more than it saves. Both paths are exact bitwise
-/// ops, so results are identical by construction (enforced by
-/// tests/simd_test.cpp).
+/// The loops are plain word arithmetic; the build enables the hardware
+/// popcount instruction where the target has one (src/CMakeLists.txt).
 namespace words {
-
-/// Dispatch threshold in words (512 bits — one AVX-512 register).
-inline constexpr std::size_t kSimdDispatchWords = 8;
 
 /// Words needed for an n-bit row.
 inline std::size_t row_words(std::size_t n) { return (n + 63) / 64; }
@@ -62,27 +53,18 @@ inline void fill_prefix(std::uint64_t* row, std::size_t n, std::size_t nw) {
 /// dst = a & b (dst may alias a or b).
 inline void and_rows(std::uint64_t* dst, const std::uint64_t* a,
                      const std::uint64_t* b, std::size_t nw) {
-  if (nw >= kSimdDispatchWords) {
-    simd::kernels().and_rows(dst, a, b, nw);
-    return;
-  }
   for (std::size_t w = 0; w < nw; ++w) dst[w] = a[w] & b[w];
 }
 
 /// dst = a & ~b (dst may alias a or b).
 inline void and_not_rows(std::uint64_t* dst, const std::uint64_t* a,
                          const std::uint64_t* b, std::size_t nw) {
-  if (nw >= kSimdDispatchWords) {
-    simd::kernels().and_not_rows(dst, a, b, nw);
-    return;
-  }
   for (std::size_t w = 0; w < nw; ++w) dst[w] = a[w] & ~b[w];
 }
 
 /// Index of the lowest set bit; `none` if the row is empty.
 inline std::size_t first_bit(const std::uint64_t* row, std::size_t nw,
                              std::size_t none) {
-  if (nw >= kSimdDispatchWords) return simd::kernels().first_bit(row, nw, none);
   for (std::size_t w = 0; w < nw; ++w) {
     if (row[w]) {
       return w * 64 + static_cast<std::size_t>(__builtin_ctzll(row[w]));
@@ -92,7 +74,6 @@ inline std::size_t first_bit(const std::uint64_t* row, std::size_t nw,
 }
 
 inline std::size_t popcount(const std::uint64_t* row, std::size_t nw) {
-  if (nw >= kSimdDispatchWords) return simd::kernels().popcount(row, nw);
   std::size_t c = 0;
   for (std::size_t w = 0; w < nw; ++w) {
     c += static_cast<std::size_t>(__builtin_popcountll(row[w]));
@@ -104,7 +85,6 @@ inline std::size_t popcount(const std::uint64_t* row, std::size_t nw) {
 /// cover's "how many candidates does this vertex dominate" probe.
 inline std::size_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
                                 std::size_t nw) {
-  if (nw >= kSimdDispatchWords) return simd::kernels().and_popcount(a, b, nw);
   std::size_t c = 0;
   for (std::size_t w = 0; w < nw; ++w) {
     c += static_cast<std::size_t>(__builtin_popcountll(a[w] & b[w]));

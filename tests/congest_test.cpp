@@ -1,9 +1,11 @@
 // CONGEST simulator core: message bit-packing, bandwidth enforcement,
 // synchronous delivery semantics, determinism, broadcast restriction, the
-// message observer hook, and run statistics.
+// message observer hook, run statistics, and the edge-tiled shard partition
+// of the parallel round.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -13,8 +15,11 @@
 
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "property_harness.hpp"
 #include "support/expect.hpp"
+#include "support/rng.hpp"
 
 namespace congestlb::congest {
 namespace {
@@ -593,6 +598,108 @@ TEST(Network, OversendThrowsFromSendBeforeDelivery) {
   EXPECT_THROW(net.run(), InvariantError);
   EXPECT_EQ(net.rounds_executed(), 0u);
   EXPECT_EQ(net.stats().messages_sent, 0u);
+}
+
+// --------------------------------------------------- edge-tiled sharding --
+
+/// The equal-node split that edge tiling replaced, kept here as the
+/// comparison baseline for the load-balance test.
+std::vector<std::pair<graph::NodeId, graph::NodeId>> node_sharded(
+    std::size_t n, std::size_t num_shards) {
+  std::vector<std::pair<graph::NodeId, graph::NodeId>> out;
+  const std::size_t base = n / num_shards;
+  const std::size_t extra = n % num_shards;
+  graph::NodeId begin = 0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const graph::NodeId end =
+        begin + static_cast<graph::NodeId>(base + (s < extra ? 1 : 0));
+    out.emplace_back(begin, end);
+    begin = end;
+  }
+  return out;
+}
+
+std::size_t max_shard_slots(
+    const graph::Graph& g,
+    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& shards) {
+  std::size_t worst = 0;
+  for (auto [begin, end] : shards) {
+    const std::size_t slots = g.csr().offsets[end] - g.csr().offsets[begin];
+    worst = worst > slots ? worst : slots;
+  }
+  return worst;
+}
+
+/// The star gadget is the worst case for the old equal-node split: the hub
+/// drags its whole shard. Edge tiling must give the hub a shard of its own
+/// (1023 slots, the per-shard optimum) where node sharding piles 1150 slots
+/// into shard 0.
+TEST(EdgeTiledShards, StarGadgetBalancesHubShard) {
+  const auto g = graph::star_graph(1024);
+  constexpr std::size_t kShards = 8;
+
+  const auto tiled = congest::edge_tiled_shards(g, kShards);
+  ASSERT_EQ(tiled.size(), kShards);
+  // Contiguous cover of [0, n).
+  graph::NodeId expect_begin = 0;
+  for (auto [begin, end] : tiled) {
+    EXPECT_EQ(begin, expect_begin);
+    EXPECT_LE(begin, end);
+    expect_begin = end;
+  }
+  EXPECT_EQ(expect_begin, g.num_nodes());
+
+  const std::size_t tiled_worst = max_shard_slots(g, tiled);
+  const std::size_t node_worst =
+      max_shard_slots(g, node_sharded(g.num_nodes(), kShards));
+  EXPECT_EQ(tiled_worst, 1023u);  // hub degree: one shard owns just the hub
+  EXPECT_EQ(node_worst, 1150u);   // hub + 127 leaves land together
+  EXPECT_LT(tiled_worst, node_worst);
+
+  // Pure function of (graph, num_shards).
+  EXPECT_EQ(tiled, congest::edge_tiled_shards(g, kShards));
+}
+
+/// Degree-0-heavy graphs: the +1 node cost keeps the compute phase
+/// balanced instead of serializing all isolated nodes into one shard.
+TEST(EdgeTiledShards, IsolatedNodesSpreadAcrossShards) {
+  const graph::Graph g(1000);  // no edges at all
+  const auto tiled = congest::edge_tiled_shards(g, 8);
+  std::size_t worst_nodes = 0;
+  for (auto [begin, end] : tiled) {
+    worst_nodes = std::max<std::size_t>(worst_nodes, end - begin);
+  }
+  EXPECT_LE(worst_nodes, 1000 / 8 + 1);
+}
+
+/// Structural invariants on random topologies and shard counts: exact
+/// shard count, contiguous cover, determinism, and never worse than the
+/// old node split by more than one node's cost.
+TEST(EdgeTiledShards, RandomTopologiesContiguousCoverProperty) {
+  const testing::Property prop = [&](std::uint64_t seed,
+                                     std::size_t size) -> std::optional<std::string> {
+    Rng rng(seed);
+    const auto g = testing::random_topology(rng, 8 * size);
+    const std::size_t num_shards = 1 + rng.below(2 * size + 2);
+    const auto tiled = congest::edge_tiled_shards(g, num_shards);
+    if (tiled.size() != num_shards) return std::string("wrong shard count");
+    graph::NodeId expect_begin = 0;
+    for (auto [begin, end] : tiled) {
+      if (begin != expect_begin || end < begin) {
+        return std::string("shards not a contiguous cover");
+      }
+      expect_begin = end;
+    }
+    if (expect_begin != g.num_nodes()) {
+      return std::string("shards do not cover n");
+    }
+    if (tiled != congest::edge_tiled_shards(g, num_shards)) {
+      return std::string("partition not deterministic");
+    }
+    return std::nullopt;
+  };
+  auto failure = testing::check_seeds(prop, 0x51D0'0009, 40, 10);
+  EXPECT_FALSE(failure.has_value()) << failure->describe();
 }
 
 }  // namespace

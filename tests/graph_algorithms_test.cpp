@@ -1,11 +1,10 @@
-// BFS distances, connectivity, diameter, greedy coloring.
+// BFS distances, connectivity, diameter.
 
 #include <gtest/gtest.h>
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
 #include "support/expect.hpp"
-#include "support/rng.hpp"
 
 namespace congestlb::graph {
 namespace {
@@ -79,35 +78,6 @@ TEST(Diameter, CompleteGraphIsOne) {
 TEST(Diameter, DisconnectedThrows) {
   Graph g(2);
   EXPECT_THROW(diameter(g), InvariantError);
-}
-
-TEST(Coloring, ProperOnRandomGraphs) {
-  Rng rng(3);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 2 + rng.below(30);
-    Graph g(n);
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = u + 1; v < n; ++v) {
-        if (rng.chance(0.3)) g.add_edge(u, v);
-      }
-    }
-    const auto color = greedy_coloring(g);
-    std::size_t max_color = 0;
-    for (auto [u, v] : edge_list(g)) {
-      EXPECT_NE(color[u], color[v]);
-    }
-    for (NodeId v = 0; v < n; ++v) max_color = std::max(max_color, color[v]);
-    EXPECT_LE(max_color, g.max_degree());
-  }
-}
-
-TEST(Coloring, CliqueNeedsNColors) {
-  Graph g(6);
-  std::vector<NodeId> all{0, 1, 2, 3, 4, 5};
-  g.add_clique(all);
-  const auto color = greedy_coloring(g);
-  std::set<std::size_t> used(color.begin(), color.end());
-  EXPECT_EQ(used.size(), 6u);
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 // cursors. This suite pins the contract that licenses all of it: on the
 // SAME graph, blocked and materialized representations must produce
 // identical RunStats, program outputs, per-edge traffic, and observer
-// transcripts — for every thread count. (The CI build matrix re-runs this
-// binary under each CLB_SIMD level, covering the SIMD axis.)
+// transcripts — for every thread count.
 
 #include <gtest/gtest.h>
 

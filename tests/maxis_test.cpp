@@ -73,6 +73,61 @@ TEST(Bitset, BoundsChecked) {
   EXPECT_THROW(b &= other, InvariantError);
 }
 
+/// Random row mixing all-zero, sparse, uniform and dense words, so
+/// first_bit hits both early-exit and full-scan paths.
+std::vector<std::uint64_t> random_row(Rng& rng, std::size_t nw) {
+  std::vector<std::uint64_t> row(nw);
+  for (auto& w : row) {
+    switch (rng.below(4)) {
+      case 0: w = 0; break;
+      case 1: w = rng.next(); break;
+      case 2: w = rng.next() & rng.next() & rng.next(); break;
+      default: w = rng.next() | rng.next(); break;
+    }
+  }
+  return row;
+}
+
+/// The words:: loops against a bit-at-a-time reference, on short rows
+/// and on one 4096-word row (the large-component case).
+TEST(WordLoops, MatchBitAtATimeReference) {
+  Rng rng(0x51D0'0002);
+  std::vector<std::size_t> sizes;
+  for (std::size_t nw = 1; nw <= 20; ++nw) sizes.push_back(nw);
+  sizes.push_back(4096);
+  for (const std::size_t nw : sizes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const auto a = random_row(rng, nw);
+      const auto b = random_row(rng, nw);
+      const std::size_t bits = 64 * nw;
+      std::vector<std::uint64_t> ref_and(nw, 0), ref_andnot(nw, 0);
+      std::size_t ref_pop = 0, ref_and_pop = 0, ref_first = bits;
+      for (std::size_t i = 0; i < bits; ++i) {
+        const bool x = words::test_bit(a.data(), i);
+        const bool y = words::test_bit(b.data(), i);
+        if (x && y) words::set_bit(ref_and.data(), i);
+        if (x && !y) words::set_bit(ref_andnot.data(), i);
+        ref_pop += x;
+        ref_and_pop += x && y;
+        if (x && ref_first == bits) ref_first = i;
+      }
+      SCOPED_TRACE("nw=" + std::to_string(nw));
+      std::vector<std::uint64_t> got(nw);
+      words::and_rows(got.data(), a.data(), b.data(), nw);
+      EXPECT_EQ(got, ref_and);
+      words::and_not_rows(got.data(), a.data(), b.data(), nw);
+      EXPECT_EQ(got, ref_andnot);
+      EXPECT_EQ(words::popcount(a.data(), nw), ref_pop);
+      EXPECT_EQ(words::and_popcount(a.data(), b.data(), nw), ref_and_pop);
+      EXPECT_EQ(words::first_bit(a.data(), nw, bits), ref_first);
+      // dst aliasing a source, as the solver's in-place narrowing does.
+      got = a;
+      words::and_rows(got.data(), got.data(), b.data(), nw);
+      EXPECT_EQ(got, ref_and);
+    }
+  }
+}
+
 // ------------------------------------------------------------------ verify --
 
 TEST(Verify, CheckedAcceptsAndSorts) {

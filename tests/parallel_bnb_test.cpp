@@ -297,6 +297,30 @@ TEST(SolverEngine, DisconnectedComponentsCompose) {
   EXPECT_EQ(res.solution.weight, 3 + 6 + 7);
 }
 
+TEST(SolverEngine, WideRookGraphHitsAnalyticOpt) {
+  // The k x k rook's graph (cells adjacent iff they share a row or a
+  // column) is one component that no kernel rule touches: no vertex is
+  // simplicial, dominated or a twin. Its independent sets are partial
+  // permutations, so OPT = k. At k = 23 the search runs on 529-node,
+  // 9-word rows.
+  constexpr graph::NodeId kSide = 23;
+  graph::Graph g(kSide * kSide);
+  graph::EdgeList edges;
+  for (graph::NodeId r = 0; r < kSide; ++r) {
+    for (graph::NodeId c = 0; c < kSide; ++c) {
+      for (graph::NodeId o = c + 1; o < kSide; ++o) {
+        edges.emplace_back(r * kSide + c, r * kSide + o);  // same row
+        edges.emplace_back(c * kSide + r, o * kSide + r);  // same column
+      }
+    }
+  }
+  g.add_edges(edges);
+  const EngineResult res = solve_maxis(g);
+  EXPECT_EQ(res.components, 1u);
+  EXPECT_EQ(res.kernel_nodes, std::size_t{kSide} * kSide);
+  EXPECT_EQ(res.solution.weight, kSide);
+}
+
 TEST(SolverEngine, NegativeWeightRejected) {
   graph::Graph g(2);
   g.set_weight(0, -2);
