@@ -3,8 +3,8 @@
 // gap sandwiches (alg weight <= OPT <= clique-partition upper bound) over
 // the paper's gadget instances and the interconnect traffic workloads.
 //
-// Writes BENCH_approx.json (clb-bench-v1, one entry per instance x
-// variant; schema shared with the campaign checks and pinned by
+// Writes BENCH_approx.json (one row per instance x variant, in the one
+// bench row shape; shared with the campaign checks and pinned by
 // tests/approx_bench_golden_test.cpp) and prints the gap-sandwich table
 // that EXPERIMENTS.md reproduces. Exits nonzero when any row's contract
 // fails — the measured KKSS ratio must be <= 1 + eps on every instance

@@ -21,8 +21,6 @@
 #include "campaign/campaign.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/report.hpp"
-#include "obs/export.hpp"
-#include "obs/metrics.hpp"
 #include "support/json.hpp"
 #include "support/table.hpp"
 
@@ -116,34 +114,27 @@ int main() {
             << clb::fmt_double(speedup, 2) << "x\n";
 
   {
-    std::ofstream out("BENCH_campaign.json");
-    clb::JsonWriter jw(out);
-    jw.begin_object();
-    jw.kv("schema", "clb-bench-v1");
-    jw.kv("benchmark", "campaign");
-    jw.kv("sweep", smoke ? "smoke" : "paper");
-    jw.key("entries");
-    jw.begin_array();
+    std::vector<clb::BenchRow> entries;
     for (const Row& r : rows) {
-      jw.begin_object();
-      jw.kv("name", r.name);
-      jw.kv("threads", static_cast<std::uint64_t>(r.threads));
-      jw.kv("wall_ms", r.wall_ms);
-      jw.kv("jobs_run", static_cast<std::uint64_t>(r.jobs_run));
-      jw.kv("jobs_resumed", static_cast<std::uint64_t>(r.jobs_resumed));
-      jw.kv("cache_hits", r.cache_hits);
-      jw.kv("cache_misses", r.cache_misses);
-      jw.kv("retries", r.retries);
-      jw.kv("jobs_quarantined", static_cast<std::uint64_t>(r.jobs_quarantined));
-      jw.kv("jobs_blocked", static_cast<std::uint64_t>(r.jobs_blocked));
-      jw.end_object();
+      entries.push_back(
+          {r.name,
+           {{"threads", std::uint64_t{r.threads}}},
+           {{"wall_ms", r.wall_ms},
+            {"jobs_run", std::uint64_t{r.jobs_run}},
+            {"jobs_resumed", std::uint64_t{r.jobs_resumed}},
+            {"cache_hits", r.cache_hits},
+            {"cache_misses", r.cache_misses},
+            {"retries", r.retries},
+            {"jobs_quarantined", std::uint64_t{r.jobs_quarantined}},
+            {"jobs_blocked", std::uint64_t{r.jobs_blocked}}}});
     }
-    jw.end_array();
-    jw.kv("cold_ms", cold_ms);
-    jw.kv("warm_ms", warm_ms);
-    jw.kv("warm_speedup", speedup);
-    jw.end_object();
-    out << "\n";
+    std::ofstream out("BENCH_campaign.json");
+    clb::write_bench_json(out, "campaign", entries, [&](clb::JsonWriter& jw) {
+      jw.kv("sweep", smoke ? "smoke" : "paper");
+      jw.kv("cold_ms", cold_ms);
+      jw.kv("warm_ms", warm_ms);
+      jw.kv("warm_speedup", speedup);
+    });
   }
   std::cout << "  wrote BENCH_campaign.json (" << rows.size()
             << " entries)\n";

@@ -22,8 +22,10 @@
 // seed searches one tree over full-width rows (~158 words at ell20) and
 // the engine searches kernelized components: 2.5x was set when AVX-512
 // kernels sped the seed up; with the plain loops the medians read
-// ~5.4-6.4x (docs/SOLVER.md). The words/* rows below time the word loops
-// themselves against the checked-in baseline.
+// ~5.4-6.4x (docs/SOLVER.md). The ratio mostly tracks how fast the seed
+// solver runs, so the full run's engine/* rows are also held to absolute
+// times in the checked-in baseline (nightly solver-bench job). The word
+// loops themselves are timed in bench_micro (BM_Words*).
 // The median is the gate statistic because per-solve
 // ratios split into a NO band and a much faster YES band; it is robust to
 // scheduler noise on shared runners where a min or mean is not. Shapes at
@@ -46,7 +48,6 @@
 #include "comm/instances.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/params.hpp"
-#include "maxis/bitset.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "maxis/parallel_bnb.hpp"
 #include "support/json.hpp"
@@ -114,57 +115,6 @@ double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
   const std::size_t m = v.size() / 2;
   return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2;
-}
-
-// ------------------------------------------------------ word-loop rows --
-
-struct WordsRow {
-  std::string name;
-  std::size_t nw = 0;
-  double ns_per_pass = 0;  ///< one and_rows + and_popcount over the row
-};
-
-/// Time `passes` rounds of the BnB inner-loop pair (candidate-row
-/// intersection plus the clique-cover domination probe) on nw-word rows.
-/// Returns ns per pass.
-double time_words_pass(std::size_t nw, std::size_t passes) {
-  clb::Rng rng(42);
-  std::vector<std::uint64_t> a(nw), b(nw), dst(nw);
-  for (std::size_t w = 0; w < nw; ++w) {
-    a[w] = rng.next();
-    b[w] = rng.next() | rng.next();
-  }
-  std::uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t p = 0; p < passes; ++p) {
-    clb::maxis::words::and_rows(dst.data(), a.data(), b.data(), nw);
-    sink += clb::maxis::words::and_popcount(dst.data(), b.data(), nw);
-    a[sink % nw] ^= sink;  // keep passes data-dependent, defeat hoisting
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  if (sink == 0xDEAD) std::cout << "";
-  return static_cast<double>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                 .count()) /
-         static_cast<double>(passes);
-}
-
-/// words/intersect-popcount rows: the gadget-shaped row width (what the
-/// claim-check solves above actually use) and a wide synthetic row.
-/// Median over `trials` measurements.
-std::vector<WordsRow> words_rows(std::size_t gadget_nw, bool smoke) {
-  const std::size_t trials = smoke ? 3 : 9;
-  const std::size_t passes = smoke ? 2'000 : 20'000;
-  std::vector<WordsRow> rows;
-  for (const std::size_t nw : {gadget_nw, std::size_t{4096}}) {
-    std::vector<double> ns;
-    for (std::size_t t = 0; t < trials; ++t) {
-      ns.push_back(time_words_pass(nw, passes));
-    }
-    rows.push_back(
-        {"words/intersect-popcount-nw" + std::to_string(nw), nw, median(ns)});
-  }
-  return rows;
 }
 
 }  // namespace
@@ -258,20 +208,6 @@ int main() {
   }
   tbl.print(std::cout);
 
-  // Word-loop rows on the largest gadget row width seen above, plus the
-  // wide synthetic row.
-  std::size_t max_n = 0;
-  for (const Row& r : rows) max_n = std::max(max_n, r.n);
-  const auto word_rows = words_rows(
-      clb::maxis::words::row_words(std::max<std::size_t>(max_n, 64)), smoke);
-  std::cout << "\n";
-  clb::Table wt({"kernel", "words", "ns/pass"});
-  for (const auto& w : word_rows) {
-    wt.add_row({w.name, std::to_string(w.nw),
-                clb::fmt_double(w.ns_per_pass, 1)});
-  }
-  wt.print(std::cout);
-
   // ---- BENCH_maxis.json -------------------------------------------------
   double min_gate_speedup = std::numeric_limits<double>::infinity();
   bool any_gate = false;
@@ -282,66 +218,42 @@ int main() {
     }
   }
   {
-    std::ofstream out("BENCH_maxis.json");
-    clb::JsonWriter jw(out);
-    jw.begin_object();
-    jw.kv("schema", "clb-bench-v1");
-    jw.kv("benchmark", "maxis_solver_engine");
-    jw.kv("solver_version", std::string(clb::maxis::kSolverVersion));
-    jw.kv("smoke", smoke);
-    jw.key("entries");
-    jw.begin_array();
+    std::vector<clb::BenchRow> entries;
     for (const Row& r : rows) {
       const double solves = static_cast<double>(r.solves);
-      jw.begin_object();
-      jw.kv("name", "seed-bnb/" + r.shape);
-      jw.kv("n", static_cast<std::uint64_t>(r.n));
-      jw.kv("edges", static_cast<std::uint64_t>(r.edges));
-      jw.kv("threads", std::uint64_t{1});
-      jw.kv("solves", static_cast<std::uint64_t>(r.solves));
-      jw.kv("ns_per_solve", r.seed_ns / solves);
-      jw.kv("search_nodes", r.seed_search_nodes);
-      jw.end_object();
-      jw.begin_object();
-      jw.kv("name", "engine/" + r.shape);
-      jw.kv("n", static_cast<std::uint64_t>(r.n));
-      jw.kv("edges", static_cast<std::uint64_t>(r.edges));
-      jw.kv("threads", std::uint64_t{1});
-      jw.kv("solves", static_cast<std::uint64_t>(r.solves));
-      jw.kv("ns_per_solve", r.engine_ns / solves);
-      jw.kv("search_nodes", r.engine_search_nodes);
-      jw.kv("kernel_nodes", static_cast<std::uint64_t>(r.kernel_nodes));
-      jw.kv("kernel_decided", r.kernel_decided);
-      jw.kv("median_speedup_vs_seed", r.median_speedup);
-      jw.kv("gate", r.gate);
-      jw.end_object();
-      jw.begin_object();
-      jw.kv("name", "engine/" + r.shape);
-      jw.kv("n", static_cast<std::uint64_t>(r.n));
-      jw.kv("edges", static_cast<std::uint64_t>(r.edges));
-      jw.kv("threads", std::uint64_t{4});
-      jw.kv("solves", static_cast<std::uint64_t>(r.solves));
-      jw.kv("ns_per_solve", r.engine_mt_ns / solves);
-      jw.end_object();
+      auto add = [&](std::string name, std::uint64_t threads,
+                     clb::BenchRow::Fields metrics) {
+        metrics.insert(metrics.begin(), {{"n", std::uint64_t{r.n}},
+                                         {"edges", std::uint64_t{r.edges}},
+                                         {"solves", std::uint64_t{r.solves}}});
+        entries.push_back(
+            {std::move(name), {{"threads", threads}}, std::move(metrics)});
+      };
+      add("seed-bnb/" + r.shape, 1,
+          {{"ns_per_solve", r.seed_ns / solves},
+           {"search_nodes", r.seed_search_nodes}});
+      add("engine/" + r.shape, 1,
+          {{"ns_per_solve", r.engine_ns / solves},
+           {"search_nodes", r.engine_search_nodes},
+           {"kernel_nodes", std::uint64_t{r.kernel_nodes}},
+           {"kernel_decided", r.kernel_decided},
+           {"median_speedup_vs_seed", r.median_speedup},
+           {"gate", r.gate}});
+      add("engine/" + r.shape, 4, {{"ns_per_solve", r.engine_mt_ns / solves}});
     }
-    for (const auto& w : word_rows) {
-      jw.begin_object();
-      jw.kv("name", w.name);
-      jw.kv("threads", std::uint64_t{1});
-      jw.kv("words", static_cast<std::uint64_t>(w.nw));
-      jw.kv("ns_per_solve", w.ns_per_pass);
-      jw.end_object();
-    }
-    jw.end_array();
-    jw.key("gate");
-    jw.begin_object();
-    jw.kv("factor", kSpeedupGate);
-    jw.kv("statistic", "median_per_solve_speedup");
-    jw.kv("applies", any_gate && !smoke);
-    if (any_gate) jw.kv("min_median_speedup", min_gate_speedup);
-    jw.end_object();
-    jw.end_object();
-    out << "\n";
+    std::ofstream out("BENCH_maxis.json");
+    clb::write_bench_json(
+        out, "maxis_solver_engine", entries, [&](clb::JsonWriter& jw) {
+          jw.kv("solver_version", clb::maxis::kSolverVersion);
+          jw.kv("smoke", smoke);
+          jw.key("gate");
+          jw.begin_object();
+          jw.kv("factor", kSpeedupGate);
+          jw.kv("statistic", "median_per_solve_speedup");
+          jw.kv("applies", any_gate && !smoke);
+          if (any_gate) jw.kv("min_median_speedup", min_gate_speedup);
+          jw.end_object();
+        });
   }
   std::cout << "\n  wrote BENCH_maxis.json (" << rows.size()
             << " shapes)\n";

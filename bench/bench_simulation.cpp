@@ -16,7 +16,9 @@
 // itself (ns/round, messages/s, bits/s, allocations/round) on the standard
 // shapes, serial and parallel, and writes BENCH_simulation.json — the
 // machine-readable perf record that scripts/check_bench_regression.py
-// compares against bench/baselines/ in CI (see docs/PERFORMANCE.md).
+// compares against bench/baselines/ in CI (see docs/PERFORMANCE.md). The
+// scaling-curve section writes BENCH_scale.json. The kernel loops under
+// the engine (message codec, delivery accounting) are timed in bench_micro.
 
 #include <algorithm>
 #include <chrono>
@@ -92,21 +94,6 @@ class SteadyFlood final : public clb::congest::NodeProgram {
 
  private:
   std::size_t heard_ = 0;
-};
-
-/// ns/round of the pre-rewrite (seed) engine on the same shapes, same
-/// machine, same SteadyFlood workload and 512-round window — measured from
-/// the last pre-rewrite commit with a one-off bench harness (median of
-/// three runs; the raw runs spread about ±10%). Kept here so every
-/// BENCH_simulation.json records the serial improvement factor vs seed.
-struct SeedReference {
-  const char* name;
-  double ns_per_round;
-};
-constexpr SeedReference kSeedReference[] = {
-    {"flood/cycle-1024", 586000.0},
-    {"flood/gnp-1024", 2755000.0},
-    {"flood/gadget-linear-t3", 261000.0},
 };
 
 struct EngineRow {
@@ -366,9 +353,8 @@ constexpr double kRssGateFraction = 0.10;
 
 /// The G_xbar scaling curve: n from 1e4 up to CLB_SCALE_MAX_N (default
 /// 1e6; CLB_BENCH_SMOKE caps the default at 1e4). Writes BENCH_scale.json
-/// (schema clb-scale-v1) and returns the rows for BENCH_simulation.json.
-/// Returns ok=false when the resident-set gate fails.
-std::pair<std::vector<ScaleRow>, bool> scale_section(bool smoke) {
+/// and returns false when the resident-set gate fails.
+bool scale_section(bool smoke) {
   clb::print_heading(std::cout,
                      "G_xbar scaling curve (implicit grids; "
                      "see BENCH_scale.json)");
@@ -441,126 +427,40 @@ std::pair<std::vector<ScaleRow>, bool> scale_section(bool smoke) {
     }
   }
 
-  std::ofstream out("BENCH_scale.json");
-  clb::JsonWriter jw(out);
-  jw.begin_object();
-  jw.kv("schema", "clb-scale-v1");
-  jw.kv("benchmark", "scale_gxbar");
-  jw.kv("max_n", static_cast<std::uint64_t>(max_n));
-  jw.key("entries");
-  jw.begin_array();
+  std::vector<clb::BenchRow> entries;
   for (const auto& r : rows) {
-    jw.begin_object();
-    jw.kv("name", r.name);
-    jw.kv("variant", r.variant);
-    jw.kv("n", static_cast<std::uint64_t>(r.n));
-    jw.kv("t", static_cast<std::uint64_t>(r.t));
-    jw.kv("threads", static_cast<std::uint64_t>(r.threads));
-    jw.kv("rounds", static_cast<std::uint64_t>(r.rounds));
-    jw.kv("explicit_edges", static_cast<std::uint64_t>(r.explicit_edges));
-    jw.kv("implicit_edges", r.implicit_edges);
-    jw.kv("blocks", static_cast<std::uint64_t>(r.blocks));
-    jw.kv("build_ms", r.build_ms);
-    jw.kv("ns_per_round", r.ns_per_round);
-    jw.kv("messages_per_s", r.messages_per_s);
-    jw.kv("bits_per_s", r.bits_per_s);
-    jw.kv("peak_rss_bytes", static_cast<std::uint64_t>(r.peak_rss_bytes));
-    jw.kv("rss_delta_bytes", static_cast<std::uint64_t>(r.rss_delta_bytes));
-    jw.kv("materialized_edge_bytes", r.materialized_edge_bytes);
-    jw.kv("rss_vs_materialized",
-          static_cast<double>(r.rss_delta_bytes) / r.materialized_edge_bytes);
-    jw.end_object();
+    // The name carries only the target size; the realized n is a dim.
+    entries.push_back(
+        {r.name,
+         {{"variant", r.variant},
+          {"n", std::uint64_t{r.n}},
+          {"threads", std::uint64_t{r.threads}}},
+         {{"t", std::uint64_t{r.t}},
+          {"rounds", std::uint64_t{r.rounds}},
+          {"explicit_edges", std::uint64_t{r.explicit_edges}},
+          {"implicit_edges", r.implicit_edges},
+          {"blocks", std::uint64_t{r.blocks}},
+          {"build_ms", r.build_ms},
+          {"ns_per_round", r.ns_per_round},
+          {"messages_per_s", r.messages_per_s},
+          {"bits_per_s", r.bits_per_s},
+          {"peak_rss_bytes", std::uint64_t{r.peak_rss_bytes}},
+          {"rss_delta_bytes", std::uint64_t{r.rss_delta_bytes}},
+          {"materialized_edge_bytes", r.materialized_edge_bytes},
+          {"rss_vs_materialized", static_cast<double>(r.rss_delta_bytes) /
+                                      r.materialized_edge_bytes}}});
   }
-  jw.end_array();
-  jw.end_object();
-  out << "\n";
+  std::ofstream out("BENCH_scale.json");
+  clb::write_bench_json(out, "scale_gxbar", entries, [&](clb::JsonWriter& jw) {
+    jw.kv("max_n", std::uint64_t{max_n});
+  });
   std::cout << "  wrote BENCH_scale.json (" << rows.size() << " entries)\n";
-  return {std::move(rows), ok};
+  return ok;
 }
 
-// ------------------------------ message codec and delivery accounting --
-
-struct KernelRow {
-  std::string name;
-  std::size_t slots = 0;
-  std::size_t rounds = 0;
-  double ns_per_round = 0;
-};
-
-/// One simulated round of message encoding: every directed slot writes one
-/// multi-field message through MessageWriter::put and finish() — the codec
-/// the programs run, without the engine around it. The widths mirror the
-/// universal algorithm's multi-field payloads (ids, weights, flags at
-/// arbitrary bit offsets); their 170 bits fill all three inline words.
-KernelRow measure_message_codec(std::size_t slots, std::size_t rounds) {
-  static constexpr std::size_t kWidths[] = {16, 7, 33, 12, 64, 5, 24, 9};
-  std::uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t s = 0; s < slots; ++s) {
-      clb::congest::MessageWriter w;
-      std::size_t f = 0;
-      for (std::size_t width : kWidths) {
-        w.put((s * 0x9E3779B97F4A7C15ULL + f++) &
-                  (width == 64 ? ~0ULL : (1ULL << width) - 1),
-              width);
-      }
-      const clb::congest::Message m = std::move(w).finish();
-      sink += m.data.words()[m.data.num_words() - 1];
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  if (sink == 0xDEAD) std::cout << "";  // keep the encoded words observable
-
-  KernelRow row;
-  row.name = "message-codec/multifield";
-  row.slots = slots;
-  row.rounds = rounds;
-  row.ns_per_round = elapsed_ns(t0, t1) / static_cast<double>(rounds);
-  return row;
-}
-
-/// One simulated round of unicast delivery accounting over `slots`
-/// directed slots: the per-slot pass network.cpp runs per shard per round
-/// (delivered count, delivered-bits total, per-slot bits), on the send
-/// arena's layout of presence bytes beside Messages.
-KernelRow measure_deliver_account(std::size_t slots, std::size_t rounds) {
-  std::vector<std::uint8_t> sent(slots);
-  std::vector<clb::congest::Message> msgs(slots);
-  std::vector<std::uint64_t> acc(slots, 0);
-  clb::Rng rng(11);
-  for (std::size_t i = 0; i < slots; ++i) {
-    sent[i] = rng.chance(0.8) ? 1 : 0;
-    msgs[i].bits = 16;
-  }
-
-  std::uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (std::size_t e = 0; e < slots; ++e) {
-      const std::uint64_t s = sent[e] != 0;
-      const std::uint64_t bits = msgs[e].bits & (0 - s);
-      sink += s + bits;
-      acc[e] += bits;
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  if (sink + acc[slots / 2] == 0xDEAD) std::cout << "";
-
-  KernelRow row;
-  row.name = "deliver-account/bulk";
-  row.slots = slots;
-  row.rounds = rounds;
-  row.ns_per_round = elapsed_ns(t0, t1) / static_cast<double>(rounds);
-  return row;
-}
-
-/// Runs the engine-throughput suite and writes BENCH_simulation.json,
-/// folding the scaling-curve rows into the entries array so one file
-/// carries the whole engine perf record.
+/// Runs the engine-throughput suite and writes BENCH_simulation.json.
 void engine_throughput_section(std::size_t timed_rounds,
-                               std::size_t mis_repeats,
-                               const std::vector<ScaleRow>& scale_rows) {
+                               std::size_t mis_repeats) {
   clb::print_heading(std::cout,
                      "engine throughput (ns/round; see BENCH_simulation.json)");
 
@@ -605,14 +505,6 @@ void engine_throughput_section(std::size_t timed_rounds,
     }
   }
 
-  // Hot-path kernel rows: the message codec and the delivery accounting.
-  // Slot count matches the gnp-1024 flood's directed slots, so the rows are
-  // read in the same units as flood/gnp-1024.
-  const std::size_t kernel_slots = 2 * gnp.num_edges();
-  const std::vector<KernelRow> kernel_rows = {
-      measure_message_codec(kernel_slots, timed_rounds),
-      measure_deliver_account(kernel_slots, timed_rounds)};
-
   Table t({"workload", "n", "edges", "threads", "ns/round", "messages/s",
            "bits/s", "allocs/round"});
   for (const auto& r : rows) {
@@ -626,94 +518,31 @@ void engine_throughput_section(std::size_t timed_rounds,
   std::cout << "  (allocs/round counts heap allocations via the counting "
                "allocator; steady-state flood must be 0)\n";
 
-  Table kt({"kernel", "slots", "ns/round"});
-  for (const auto& r : kernel_rows) {
-    kt.add_row({r.name, std::to_string(r.slots),
-                clb::fmt_double(r.ns_per_round, 0)});
-  }
-  std::cout << "\n";
-  kt.print(std::cout);
-
-  std::ofstream out("BENCH_simulation.json");
-  clb::JsonWriter jw(out);
-  jw.begin_object();
-  jw.kv("schema", "clb-bench-v1");
-  jw.kv("benchmark", "simulation_engine");
-  jw.kv("alloc_hook", clb::allochook::hook_active());
-  jw.kv("trace_compiled_in", clb::obs::trace_compiled_in());
-  jw.key("entries");
-  jw.begin_array();
+  std::vector<clb::BenchRow> entries;
   for (const auto& r : rows) {
-    jw.begin_object();
-    jw.kv("name", r.name);
-    jw.kv("n", static_cast<std::uint64_t>(r.n));
-    jw.kv("edges", static_cast<std::uint64_t>(r.edges));
-    jw.kv("threads", static_cast<std::uint64_t>(r.threads));
-    jw.kv("rounds", static_cast<std::uint64_t>(r.rounds));
-    jw.kv("ns_per_round", r.ns_per_round);
-    jw.kv("messages_per_s", r.messages_per_s);
-    jw.kv("bits_per_s", r.bits_per_s);
-    jw.kv("allocs_per_round", r.allocs_per_round);
-    jw.end_object();
+    entries.push_back({r.name,
+                       {{"threads", std::uint64_t{r.threads}}},
+                       {{"n", std::uint64_t{r.n}},
+                        {"edges", std::uint64_t{r.edges}},
+                        {"rounds", std::uint64_t{r.rounds}},
+                        {"ns_per_round", r.ns_per_round},
+                        {"messages_per_s", r.messages_per_s},
+                        {"bits_per_s", r.bits_per_s},
+                        {"allocs_per_round", r.allocs_per_round}}});
   }
-  for (const auto& r : kernel_rows) {
-    jw.begin_object();
-    jw.kv("name", r.name);
-    jw.kv("threads", std::uint64_t{1});
-    jw.kv("slots", static_cast<std::uint64_t>(r.slots));
-    jw.kv("rounds", static_cast<std::uint64_t>(r.rounds));
-    jw.kv("ns_per_round", r.ns_per_round);
-    jw.end_object();
-  }
-  // The G_xbar scaling rows (implicit-grid topologies, n up to 1e6; full
-  // detail in BENCH_scale.json) repeated here so BENCH_simulation.json
-  // stays the one-stop engine perf record the roadmap asks for.
-  for (const auto& r : scale_rows) {
-    jw.begin_object();
-    jw.kv("name", r.name);
-    jw.kv("variant", r.variant);
-    jw.kv("n", static_cast<std::uint64_t>(r.n));
-    jw.kv("edges", static_cast<std::uint64_t>(r.explicit_edges));
-    jw.kv("implicit_edges", r.implicit_edges);
-    jw.kv("threads", static_cast<std::uint64_t>(r.threads));
-    jw.kv("rounds", static_cast<std::uint64_t>(r.rounds));
-    jw.kv("ns_per_round", r.ns_per_round);
-    jw.kv("messages_per_s", r.messages_per_s);
-    jw.kv("bits_per_s", r.bits_per_s);
-    jw.kv("peak_rss_bytes", static_cast<std::uint64_t>(r.peak_rss_bytes));
-    jw.end_object();
-  }
-  jw.end_array();
-  jw.key("seed_comparison");
-  jw.begin_array();
-  for (const auto& ref : kSeedReference) {
-    for (const auto& r : rows) {
-      if (r.threads != 1 || r.name != ref.name) continue;
-      jw.begin_object();
-      jw.kv("name", ref.name);
-      jw.kv("seed_ns_per_round", ref.ns_per_round);
-      jw.kv("ns_per_round", r.ns_per_round);
-      jw.kv("improvement", ref.ns_per_round / r.ns_per_round);
-      jw.end_object();
-    }
-  }
-  jw.end_array();
-  // The engine.* counters/histograms accumulated by every traced/* run —
-  // the machine-readable side of docs/OBSERVABILITY.md's overhead table.
-  jw.key("metrics");
-  clb::obs::append_metrics(jw, traced_metrics);
-  jw.end_object();
-  out << "\n";
+  std::ofstream out("BENCH_simulation.json");
+  clb::write_bench_json(
+      out, "simulation_engine", entries, [&](clb::JsonWriter& jw) {
+        jw.kv("alloc_hook", clb::allochook::hook_active());
+        jw.kv("trace_compiled_in", clb::obs::trace_compiled_in());
+        // The engine.* counters/histograms accumulated by every traced/*
+        // run — the machine-readable side of docs/OBSERVABILITY.md's
+        // overhead table.
+        jw.key("metrics");
+        clb::obs::append_metrics(jw, traced_metrics);
+      });
   std::cout << "  wrote BENCH_simulation.json (" << rows.size()
             << " entries)\n";
-  for (const auto& ref : kSeedReference) {
-    for (const auto& r : rows) {
-      if (r.threads != 1 || r.name != ref.name) continue;
-      std::cout << "  serial vs seed engine, " << ref.name << ": "
-                << clb::fmt_double(ref.ns_per_round / r.ns_per_round, 1)
-                << "x faster\n";
-    }
-  }
   // Tracing overhead vs the matching untraced row, for docs/OBSERVABILITY.md.
   for (const auto& r : rows) {
     if (r.name.rfind("traced/", 0) != 0) continue;
@@ -859,13 +688,12 @@ int main() {
   }
 
   // Small shapes when CLB_BENCH_SMOKE is set (the CI smoke job); full
-  // windows otherwise. The scale section runs first (its rows are RSS
-  // measurements, best taken before the throughput section's allocations)
-  // and its rows fold into BENCH_simulation.json below.
+  // windows otherwise. The scale section runs first: its rows are RSS
+  // measurements, best taken before the throughput section's allocations.
   const bool smoke = std::getenv("CLB_BENCH_SMOKE") != nullptr;
-  const auto [scale_rows, scale_ok] = scale_section(smoke);
+  const bool scale_ok = scale_section(smoke);
   engine_throughput_section(/*timed_rounds=*/smoke ? 64 : 512,
-                            /*mis_repeats=*/smoke ? 2 : 8, scale_rows);
+                            /*mis_repeats=*/smoke ? 2 : 8);
 
   if (!scale_ok) {
     std::cerr << "\nFAILED: scaling-curve resident-set gate not met\n";

@@ -4,34 +4,38 @@
 Usage:
     scripts/check_bench_regression.py <measured.json> <baseline.json> [--factor F]
 
-Three input schemas are understood: clb-bench-v1 (an "entries" array,
-timing in ns_per_round / ns_per_solve), clb-scale-v1 (the BENCH_scale.json scaling-curve format: "entries" keyed
-by (name, variant, n), timing in ns_per_round plus a peak_rss_bytes
-memory gate held to the same factor — a leaked O(implicit edges)
-allocation fails on memory long before it fails on time), and
-google-benchmark's own JSON (a "benchmarks" array, timing in
-real_time + time_unit — the BENCH_micro.json format). Entries are matched
-by (name, variant, threads) — or (name, variant, n) for the scale
-schema — where variant distinguishes rows of one workload measured under
-different configurations (the scale rows' "serial" and "mt4" runs) —
-each variant is compared against its own baseline independently, so a
-gain in one configuration can never mask a regression in another. The
-check fails (exit 1) when any matched entry's metric exceeds
-factor * baseline (default 2x), or when a steady-state flood workload
-reports nonzero allocations per round. Individual entries present on only
-one side are reported but do not fail the check, so adding or renaming
-workloads does not require a lockstep baseline update — but when *every*
-baseline row is missing from the measured run, the comparison is vacuous
-(wrong file, renamed family, empty run) and the check fails rather than
-passing on zero comparisons. A file that matches *neither* schema — no
-"benchmarks" and no "entries" array, or a clb document declaring an
-unknown "schema" marker — is a hard error (exit 2), never a silent pass:
-a renamed baseline key must break CI, not disable it.
+Every bench document has one row shape. The clb benches write it directly
+(schema clb-bench-v2, support/json.hpp's write_bench_json):
 
-The baseline in bench/baselines/ is deliberately generous: it exists to
-catch order-of-magnitude engine regressions on shared CI runners, not to
-police noise. Refresh it from a Release run when the engine genuinely gets
-faster (see docs/PERFORMANCE.md).
+    {"schema": "clb-bench-v2", "benchmark": ...,
+     "entries": [{"name": ..., "dims": {...}, "metrics": {...}}, ...], ...}
+
+bench_micro writes google-benchmark's own JSON (a "benchmarks" array);
+the loader turns each iteration row into the same shape, with real_time
+normalized to metrics.ns_per_iteration. A measured row is joined to its
+baseline row by (name, dims): dims is the configuration the row was
+measured under (threads, variant, the realized n of a scale row), so a
+gain in one configuration can never mask a regression in another.
+
+The rules are one table keyed by metric name (_RULES):
+  - timing (ns_per_round, ns_per_solve, ns_per_iteration) and
+    peak_rss_bytes fail when measured > factor * baseline (default 2x);
+  - allocs_per_round must be 0 on flood/* rows (steady-state flood);
+  - retries, jobs_quarantined and jobs_blocked must be 0 (a bench runs
+    with no chaos injected, so any of them means real work failed).
+
+Rows present on only one side are reported but do not fail the check, so
+adding or renaming workloads does not need a lockstep baseline update. But
+when *no* baseline row matches a measured row, the comparison is vacuous
+(wrong file, renamed family, emptied run) and the check fails (exit 1). A
+file that is not a bench document this checker understands — neither a
+"benchmarks" array nor a clb-bench-v2 "entries" array of {name, dims,
+metrics} rows — is a hard error (exit 2), never a silent pass.
+
+The baselines in bench/baselines/ are deliberately generous: they exist to
+catch order-of-magnitude regressions on shared CI runners, not to police
+noise. Refresh one from a Release run when the code genuinely gets faster
+(see docs/PERFORMANCE.md).
 """
 
 import argparse
@@ -39,23 +43,23 @@ import json
 import sys
 
 
+_SCHEMA = "clb-bench-v2"
+
 # google-benchmark time_unit values, normalized to nanoseconds.
 _TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
-# The clb schema markers this checker understands; documents that declare
-# a different one are from a future (or foreign) writer and must not be
-# silently compared. The scale schema (BENCH_scale.json) keys by problem
-# size n instead of worker threads and additionally carries a
-# peak_rss_bytes gate; everything else is shared.
-_CLB_SCHEMA = "clb-bench-v1"
-_SCALE_SCHEMA = "clb-scale-v1"
-_CLB_SCHEMAS = (_CLB_SCHEMA, _SCALE_SCHEMA)
-
-# Key dimension per schema: which entry field joins a measured row to its
-# baseline row alongside (name, variant).
-_SCHEMA_DIM = {
-    _CLB_SCHEMA: "threads",
-    _SCALE_SCHEMA: "n",
+# Metric name -> rule. ("factor",): measured must not exceed --factor x
+# the baseline row's value. ("zero", prefix): measured must be 0 on every
+# measured row whose name starts with prefix, baseline or not.
+_RULES = {
+    "ns_per_round": ("factor",),
+    "ns_per_solve": ("factor",),
+    "ns_per_iteration": ("factor",),
+    "peak_rss_bytes": ("factor",),
+    "allocs_per_round": ("zero", "flood/"),
+    "retries": ("zero", ""),
+    "jobs_quarantined": ("zero", ""),
+    "jobs_blocked": ("zero", ""),
 }
 
 
@@ -63,71 +67,53 @@ class SchemaError(Exception):
     """The input file is not a bench JSON this checker understands."""
 
 
-def load_entries(path):
+def _gbench_row(e):
+    ns = e.get("real_time")
+    if ns is not None:
+        ns *= _TIME_UNIT_NS.get(e.get("time_unit", "ns"), 1.0)
+    return {"name": e.get("name", "?"), "dims": {},
+            "metrics": {"ns_per_iteration": ns}}
+
+
+def load_rows(path):
+    """{(name, dims): row} for every row of the document at `path`."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level is not a JSON object")
-    entries = {}
-    if "benchmarks" in doc:
-        # google-benchmark's own JSON (BENCH_micro.json): one row per
-        # benchmark run; skip aggregate rows (mean/median/stddev) so only
-        # raw iterations are compared. The time metric is real_time in
-        # time_unit; normalize to ns under the clb metric name so the
-        # comparison below is schema-agnostic.
-        for e in doc.get("benchmarks", []):
-            if e.get("run_type", "iteration") != "iteration":
-                continue
-            ns = e.get("real_time")
-            if ns is not None:
-                ns *= _TIME_UNIT_NS.get(e.get("time_unit", "ns"), 1.0)
-            entries[(e.get("name", "?"), "", 1)] = {
-                "name": e.get("name", "?"),
-                "ns_per_round": ns,
-            }
-        return entries
-    if "entries" not in doc:
-        # A document with neither array is from an unknown schema (renamed
-        # keys, truncated write, wrong file). Silently returning zero
-        # entries here used to make the whole comparison vacuous — and the
-        # vacuous-pass guard below never fires when the *baseline* is the
-        # empty side. Fail loudly instead.
+    if isinstance(doc.get("benchmarks"), list):
+        # google-benchmark (BENCH_micro.json): aggregate rows (mean,
+        # median, stddev) are skipped so only raw iterations compare.
+        rows = [_gbench_row(e) for e in doc["benchmarks"]
+                if isinstance(e, dict)
+                and e.get("run_type", "iteration") == "iteration"]
+    elif "entries" in doc:
+        if doc.get("schema") != _SCHEMA:
+            raise SchemaError(
+                f"{path}: declares schema {doc.get('schema')!r}; this "
+                f"checker only understands {_SCHEMA!r}")
+        rows = doc["entries"]
+        if not isinstance(rows, list):
+            raise SchemaError(f"{path}: 'entries' is not an array")
+    else:
         raise SchemaError(
             f"{path}: unrecognized bench schema — expected a 'benchmarks' "
-            f"(google-benchmark) or 'entries' ({_CLB_SCHEMA}) array; "
-            f"found top-level keys {sorted(doc)}")
-    declared = doc.get("schema", _CLB_SCHEMA)
-    if declared not in _CLB_SCHEMAS:
-        raise SchemaError(
-            f"{path}: declares schema {declared!r}; this checker only "
-            f"understands {_CLB_SCHEMAS!r}")
-    if not isinstance(doc["entries"], list):
-        raise SchemaError(f"{path}: 'entries' is not an array")
-    # The scale schema scales by problem size n, not worker threads — the
-    # third key component follows the schema so a small-n row never
-    # silently compares against a million-node baseline.
-    dim = _SCHEMA_DIM[declared]
-    for e in doc["entries"]:
-        if not isinstance(e, dict):
-            raise SchemaError(f"{path}: entry {e!r} is not an object")
-        # Entries are keyed by (name, variant, threads|n); rows
-        # from newer bench families (e.g. BENCH_campaign.json) may omit
-        # the third component or carry no ns_per_round at all — key them
-        # anyway so they show up as "new", never as a crash. The declared
-        # dim is stashed on the entry (underscore key: never a bench
-        # field) so reporting below names the right axis.
-        e["_dim"] = dim
-        entries[(e.get("name", "?"), e.get("variant", ""),
-                 e.get(dim, 1))] = e
-    return entries
+            f"(google-benchmark) or 'entries' ({_SCHEMA}) array; found "
+            f"top-level keys {sorted(doc)}")
+    keyed = {}
+    for r in rows:
+        if not (isinstance(r, dict) and isinstance(r.get("name"), str)
+                and isinstance(r.get("dims"), dict)
+                and isinstance(r.get("metrics"), dict)):
+            raise SchemaError(
+                f"{path}: entry {r!r} is not a {{name, dims, metrics}} row")
+        keyed[(r["name"], tuple(sorted(r["dims"].items())))] = r
+    return keyed
 
 
-def metric_ns(entry):
-    """The entry's timing metric: ns_per_round or ns_per_solve."""
-    for field in ("ns_per_round", "ns_per_solve"):
-        if field in entry and entry[field] is not None:
-            return entry[field]
-    return None
+def describe(key):
+    name, dims = key
+    return name + "".join(f" {k}={v}" for k, v in dims)
 
 
 def main():
@@ -135,82 +121,61 @@ def main():
     parser.add_argument("measured")
     parser.add_argument("baseline")
     parser.add_argument("--factor", type=float, default=2.0,
-                        help="fail when measured ns/round > factor * baseline")
+                        help="fail when a timing or memory metric exceeds "
+                             "factor * baseline")
     args = parser.parse_args()
 
     try:
-        measured = load_entries(args.measured)
-        baseline = load_entries(args.baseline)
+        measured = load_rows(args.measured)
+        baseline = load_rows(args.baseline)
     except SchemaError as err:
         print(f"Benchmark regression check FAILED: {err}", file=sys.stderr)
         return 2
 
     failures = []
-    compared = 0
-    comparable = 0
+    matched = 0
     for key, base in sorted(baseline.items()):
-        base_ns = metric_ns(base)
-        if base_ns is None:
-            continue
-        comparable += 1
         got = measured.get(key)
         if got is None:
-            print(f"note: baseline entry {key} missing from measured run")
+            print(f"note: baseline entry {describe(key)} missing from "
+                  f"measured run")
             continue
-        got_ns = metric_ns(got)
-        if got_ns is None:
-            print(f"note: entry {key} carries no timing metric; skipping")
-            continue
-        compared += 1
-        ratio = got_ns / base_ns
-        status = "ok"
-        if got_ns > args.factor * base_ns:
-            status = "REGRESSION"
-            failures.append(
-                f"{key}: {got_ns:.0f} ns vs baseline "
-                f"{base_ns:.0f} ({ratio:.2f}x > {args.factor}x)")
-        # Memory gate (scale schema): peak resident set is held to the
-        # same factor as timing. A leaked O(implicit edges) allocation
-        # shows up here long before it shows up as time.
-        base_rss = base.get("peak_rss_bytes")
-        got_rss = got.get("peak_rss_bytes")
-        if base_rss and got_rss and got_rss > args.factor * base_rss:
-            status = "REGRESSION"
-            failures.append(
-                f"{key}: peak RSS {got_rss} B vs baseline {base_rss} "
-                f"({got_rss / base_rss:.2f}x > {args.factor}x)")
-        variant = f" [{key[1]}]" if key[1] else ""
-        dim = base.get("_dim", "threads")
-        print(f"{key[0]}{variant} ({dim}={key[2]}): {got_ns:.0f} ns, "
-              f"{ratio:.2f}x baseline -> {status}")
-    if comparable > 0 and compared == 0:
+        matched += 1
+        for metric, base_v in sorted(base["metrics"].items()):
+            got_v = got["metrics"].get(metric)
+            if _RULES.get(metric) != ("factor",) or not base_v or got_v is None:
+                continue
+            ratio = got_v / base_v
+            status = "ok"
+            if got_v > args.factor * base_v:
+                status = "REGRESSION"
+                failures.append(
+                    f"{describe(key)}: {metric} {got_v:.0f} vs baseline "
+                    f"{base_v:.0f} ({ratio:.2f}x > {args.factor}x)")
+            print(f"{describe(key)}: {metric} {got_v:.0f}, "
+                  f"{ratio:.2f}x baseline -> {status}")
+    if baseline and matched == 0:
         failures.append(
             f"no baseline entry matched the measured run "
-            f"(0 of {comparable} compared) -- wrong file or renamed family?")
+            f"(0 of {len(baseline)} matched) -- wrong file or renamed family?")
 
     for key, got in sorted(measured.items()):
         if key not in baseline:
-            print(f"note: new entry {key} has no baseline yet")
-        if key[0].startswith("flood/") and got.get("allocs_per_round", 0) > 0:
-            failures.append(
-                f"{key}: steady-state flood allocated "
-                f"{got['allocs_per_round']} times/round (must be 0)")
-        # Fault-domain gate (campaign entries): a bench runs with no chaos
-        # injected, so any retry, quarantined, or blocked job means real
-        # work failed — never acceptable in a green run, whatever the
-        # timings look like.
-        for fault in ("retries", "jobs_quarantined", "jobs_blocked"):
-            if got.get(fault, 0) > 0:
+            print(f"note: new entry {describe(key)} has no baseline yet")
+        for metric, value in sorted(got["metrics"].items()):
+            rule = _RULES.get(metric)
+            if rule and rule[0] == "zero" and key[0].startswith(rule[1]) \
+                    and value:
                 failures.append(
-                    f"{key}: {fault} = {got[fault]} in a chaos-free bench "
-                    f"run (must be 0)")
+                    f"{describe(key)}: {metric} = {value} (must be 0)")
 
     if failures:
         print("\nBenchmark regression check FAILED:", file=sys.stderr)
         for f in failures:
             print(f"  - {f}", file=sys.stderr)
         return 1
-    print(f"\nBenchmark regression check passed ({compared} entries compared).")
+    print(f"\nBenchmark regression check passed ({matched} entries "
+          f"compared).")
     return 0
 
 

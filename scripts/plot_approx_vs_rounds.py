@@ -53,21 +53,21 @@ def load_points(path):
     """[(variant, rounds, ratio, instance)] from a BENCH_approx document."""
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("schema") != "clb-bench-v1" or "entries" not in doc:
-        raise SystemExit(f"{path}: not a clb-bench-v1 BENCH_approx document")
+    if doc.get("schema") != "clb-bench-v2" or "entries" not in doc:
+        raise SystemExit(f"{path}: not a clb-bench-v2 BENCH_approx document")
     points = []
     for e in doc["entries"]:
-        rounds = e.get("rounds", 0)
-        weight = e.get("alg_weight", 0)
+        m = e.get("metrics", {})
+        rounds = m.get("rounds", 0)
         # Certified optimum when the exact solver reached it; the clique
         # upper bound otherwise (ratio is then a lower estimate).
-        opt = e.get("opt_exact", -1)
+        opt = m.get("opt_exact", -1)
         if opt is None or opt < 0:
-            opt = e.get("opt_upper", 0)
+            opt = m.get("opt_upper", 0)
         if rounds <= 0 or opt <= 0:
             continue
-        points.append((e.get("variant", "?"), rounds, weight / opt,
-                       e.get("name", "?")))
+        points.append((e.get("dims", {}).get("variant", "?"), rounds,
+                       m.get("alg_weight", 0) / opt, e.get("name", "?")))
     if not points:
         raise SystemExit(f"{path}: no plottable entries")
     return points
@@ -191,8 +191,9 @@ class SvgPlot:
 
     def scatter(self, px, py, color):
         self.parts.append(
-            f'<circle cx="{self.x(px):.1f}" cy="{self.y(py):.1f}" r="4.5" '
-            f'fill="{color}" fill-opacity="0.75" stroke="{color}"/>')
+            f'<circle class="point" cx="{self.x(px):.1f}" '
+            f'cy="{self.y(py):.1f}" r="4.5" fill="{color}" '
+            f'fill-opacity="0.75" stroke="{color}"/>')
 
     def polyline(self, pts, color, dash="6,4"):
         coords = " ".join(

@@ -146,36 +146,29 @@ std::vector<ApproxBenchRow> measure_blackboard_rows(const graph::Graph& g,
 void write_approx_bench_json(std::ostream& os,
                              const std::vector<ApproxBenchRow>& rows,
                              std::string_view sweep) {
-  JsonWriter jw(os);
-  jw.begin_object();
-  jw.kv("schema", "clb-bench-v1");
-  jw.kv("benchmark", "approx");
-  jw.kv("sweep", sweep);
-  jw.key("entries");
-  jw.begin_array();
+  std::vector<BenchRow> out;
+  out.reserve(rows.size());
   for (const ApproxBenchRow& r : rows) {
-    jw.begin_object();
-    jw.kv("name", r.name);
-    jw.kv("variant", r.variant);
-    jw.kv("threads", std::uint64_t{1});
-    jw.kv("nodes", r.nodes);
-    jw.kv("edges", r.edges);
-    jw.kv("eps_num", static_cast<std::uint64_t>(r.eps_num));
-    jw.kv("eps_den", static_cast<std::uint64_t>(r.eps_den));
-    jw.kv("rounds", r.rounds);
-    jw.kv("round_bound", r.round_bound);
-    jw.kv("bits", r.bits);
-    jw.kv("bit_budget", r.bit_budget);
-    jw.kv("alg_weight", r.alg_weight);
-    jw.kv("opt_exact", r.opt_exact);
-    jw.kv("opt_upper", r.opt_upper);
-    jw.kv("holds", r.holds);
-    jw.kv("ns_per_round", r.ns_per_round);
-    jw.end_object();
+    out.push_back(
+        {r.name,
+         {{"variant", r.variant}, {"threads", std::uint64_t{1}}},
+         {{"nodes", r.nodes},
+          {"edges", r.edges},
+          {"eps_num", std::uint64_t{r.eps_num}},
+          {"eps_den", std::uint64_t{r.eps_den}},
+          {"rounds", r.rounds},
+          {"round_bound", r.round_bound},
+          {"bits", r.bits},
+          {"bit_budget", r.bit_budget},
+          {"alg_weight", r.alg_weight},
+          {"opt_exact", r.opt_exact},
+          {"opt_upper", r.opt_upper},
+          {"holds", r.holds},
+          {"ns_per_round", r.ns_per_round}}});
   }
-  jw.end_array();
-  jw.end_object();
-  os << "\n";
+  write_bench_json(os, "approx", out, [&](JsonWriter& jw) {
+    jw.kv("sweep", sweep);
+  });
 }
 
 void render_gap_sandwich(std::ostream& os,

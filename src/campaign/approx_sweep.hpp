@@ -73,9 +73,9 @@ std::vector<ApproxBenchRow> measure_blackboard_rows(const graph::Graph& g,
                                                     std::size_t players,
                                                     std::uint64_t seed);
 
-/// Serialize rows as a clb-bench-v1 document (the BENCH_approx.json
-/// schema; scripts/check_bench_regression.py and the golden test both
-/// consume this exact shape).
+/// Serialize rows as a BENCH_approx.json document through
+/// write_bench_json (dims: variant, threads). The regression checker and
+/// the golden test both consume this exact shape.
 void write_approx_bench_json(std::ostream& os,
                              const std::vector<ApproxBenchRow>& rows,
                              std::string_view sweep);

@@ -81,17 +81,6 @@ inline std::size_t popcount(const std::uint64_t* row, std::size_t nw) {
   return c;
 }
 
-/// popcount(a & b) without materializing the intersection — the clique
-/// cover's "how many candidates does this vertex dominate" probe.
-inline std::size_t and_popcount(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t nw) {
-  std::size_t c = 0;
-  for (std::size_t w = 0; w < nw; ++w) {
-    c += static_cast<std::size_t>(__builtin_popcountll(a[w] & b[w]));
-  }
-  return c;
-}
-
 }  // namespace words
 
 class Bitset {

@@ -144,6 +144,39 @@ JsonWriter& JsonWriter::value(int v) {
   return value(static_cast<std::int64_t>(v));
 }
 
+// -------------------------------------------------------------- BenchRow --
+
+void write_bench_json(std::ostream& os, std::string_view benchmark,
+                      const std::vector<BenchRow>& rows,
+                      const std::function<void(JsonWriter&)>& trailer) {
+  JsonWriter jw(os);
+  const auto fields = [&jw](std::string_view k, const BenchRow::Fields& f) {
+    jw.key(k);
+    jw.begin_object();
+    for (const auto& [name, v] : f) {
+      jw.key(name);
+      std::visit([&jw](const auto& x) { jw.value(x); }, v);
+    }
+    jw.end_object();
+  };
+  jw.begin_object();
+  jw.kv("schema", "clb-bench-v2");
+  jw.kv("benchmark", benchmark);
+  jw.key("entries");
+  jw.begin_array();
+  for (const BenchRow& r : rows) {
+    jw.begin_object();
+    jw.kv("name", r.name);
+    fields("dims", r.dims);
+    fields("metrics", r.metrics);
+    jw.end_object();
+  }
+  jw.end_array();
+  if (trailer) trailer(jw);
+  jw.end_object();
+  os << "\n";
+}
+
 // --------------------------------------------------------------- JsonValue --
 
 namespace {

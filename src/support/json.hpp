@@ -4,7 +4,9 @@
 // Benches emit BENCH_*.json files (see docs/PERFORMANCE.md) so the perf
 // trajectory of the simulator can be tracked across PRs by scripts instead
 // of by scraping stdout tables. The writer handles nesting, commas, and
-// string escaping; values are emitted in insertion order.
+// string escaping; values are emitted in insertion order. Every bench that
+// writes its own BENCH_*.json goes through write_bench_json, so all of them
+// share one row shape.
 //
 // The parser (parse_json) exists for the campaign subsystem: sweep specs
 // and resumable run manifests (docs/CAMPAIGN.md) are JSON documents the
@@ -17,11 +19,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace congestlb {
@@ -66,6 +70,27 @@ class JsonWriter {
   std::vector<bool> has_element_;
   bool after_key_ = false;
 };
+
+/// One row of a BENCH_*.json document. `dims` is the configuration the row
+/// was measured under (threads, variant, ...), and
+/// scripts/check_bench_regression.py joins a measured row to its baseline
+/// row on name + dims. `metrics` is what was measured.
+struct BenchRow {
+  using Value =
+      std::variant<std::string, std::uint64_t, std::int64_t, double, bool>;
+  using Fields = std::vector<std::pair<std::string, Value>>;
+
+  std::string name;
+  Fields dims;
+  Fields metrics;
+};
+
+/// Writes {"schema": "clb-bench-v2", "benchmark", "entries": [{name, dims,
+/// metrics}...]}; `trailer`, when set, appends further top-level members
+/// after the entries (run settings, summary statistics, embedded metrics).
+void write_bench_json(std::ostream& os, std::string_view benchmark,
+                      const std::vector<BenchRow>& rows,
+                      const std::function<void(JsonWriter&)>& trailer = {});
 
 /// A parsed JSON document node. Numbers remember whether their token was
 /// integral so u64/i64 round-trip exactly (campaign hashes and seeds do not
