@@ -27,6 +27,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -192,6 +194,26 @@ EngineRow measure_runs(const std::string& name, const clb::graph::Graph& g,
   row.bits_per_s = static_cast<double>(bits) * 1e9 / ns;
   row.allocs_per_round =
       static_cast<double>(allocs) / static_cast<double>(rounds);
+  return row;
+}
+
+/// One full universal-program reduction as an engine row: ns/round spreads
+/// the whole run_linear_reduction call (instantiation, network build,
+/// rounds, board posts, local solves) over its rounds.
+EngineRow reduction_row(const std::string& name, std::size_t edges,
+                        const clb::sim::ReductionReport& rep, double ns,
+                        std::uint64_t allocs) {
+  EngineRow row;
+  row.name = name;
+  row.n = rep.n;
+  row.edges = edges;
+  row.threads = 1;
+  row.rounds = rep.rounds;
+  row.ns_per_round = ns / static_cast<double>(rep.rounds);
+  row.messages_per_s = static_cast<double>(rep.net_stats.messages_sent) * 1e9 / ns;
+  row.bits_per_s = static_cast<double>(rep.net_stats.bits_sent) * 1e9 / ns;
+  row.allocs_per_round =
+      static_cast<double>(allocs) / static_cast<double>(rep.rounds);
   return row;
 }
 
@@ -458,9 +480,11 @@ bool scale_section(bool smoke) {
   return ok;
 }
 
-/// Runs the engine-throughput suite and writes BENCH_simulation.json.
+/// Runs the engine-throughput suite and writes BENCH_simulation.json,
+/// after the rows already timed in `rows`.
 void engine_throughput_section(std::size_t timed_rounds,
-                               std::size_t mis_repeats) {
+                               std::size_t mis_repeats,
+                               std::vector<EngineRow> rows) {
   clb::print_heading(std::cout,
                      "engine throughput (ns/round; see BENCH_simulation.json)");
 
@@ -470,7 +494,6 @@ void engine_throughput_section(std::size_t timed_rounds,
   const auto params = clb::lb::GadgetParams::for_linear_separation(3, 1);
   const auto gadget = clb::lb::LinearConstruction(params, 3).fixed_graph();
 
-  std::vector<EngineRow> rows;
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
     rows.push_back(measure_flood("flood/cycle-1024", cycle, threads,
                                  timed_rounds));
@@ -568,6 +591,9 @@ int main() {
                      "linear family, universal exact algorithm (both branches)");
   Table t({"algorithm", "branch", "n", "t", "rounds", "cut", "board bits",
            "budget T*2|cut|*B", "bits<=budget", "decided", "correct"});
+  // The t = 3 YES run is timed as BENCH_simulation.json's
+  // reduction/universal-linear-t3 row.
+  std::vector<EngineRow> reduction_rows;
   for (std::size_t tp : {2, 3}) {
     const auto p = clb::lb::GadgetParams::for_linear_separation(tp, 1);
     const clb::lb::LinearConstruction c(p, tp);
@@ -581,10 +607,19 @@ int main() {
               ? clb::comm::make_uniquely_intersecting(p.k, tp, rng, 0.3)
               : clb::comm::make_pairwise_disjoint(p.k, tp, rng, 0.3);
       clb::comm::Blackboard board(tp);
+      const auto a0 = clb::allochook::allocation_count();
+      const auto t0 = std::chrono::steady_clock::now();
       const auto rep = clb::sim::run_linear_reduction(
           c, inst, clb::congest::universal_maxis_factory(exact_solver()),
           board, cfg);
+      const double ns = elapsed_ns(t0, std::chrono::steady_clock::now());
+      const auto allocs = clb::allochook::allocation_count() - a0;
       add_row(t, "universal-exact", intersecting ? "YES" : "NO", rep);
+      if (tp == 3 && intersecting) {
+        reduction_rows.push_back(reduction_row(
+            "reduction/universal-linear-t3", c.instantiate(inst).num_edges(),
+            rep, ns, allocs));
+      }
     }
   }
 
@@ -693,7 +728,8 @@ int main() {
   const bool smoke = std::getenv("CLB_BENCH_SMOKE") != nullptr;
   const bool scale_ok = scale_section(smoke);
   engine_throughput_section(/*timed_rounds=*/smoke ? 64 : 512,
-                            /*mis_repeats=*/smoke ? 2 : 8);
+                            /*mis_repeats=*/smoke ? 2 : 8,
+                            std::move(reduction_rows));
 
   if (!scale_ok) {
     std::cerr << "\nFAILED: scaling-curve resident-set gate not met\n";

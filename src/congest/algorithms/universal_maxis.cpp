@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "support/expect.hpp"
-#include "support/hash.hpp"
 #include "support/math.hpp"
 
 namespace congestlb::congest {
@@ -13,55 +12,6 @@ namespace congestlb::congest {
 namespace {
 
 constexpr std::size_t kWeightBits = 32;
-
-struct Token {
-  bool is_edge = false;
-  std::uint64_t a = 0;  ///< node id / edge endpoint u
-  std::uint64_t b = 0;  ///< degree / edge endpoint v
-  std::uint64_t w = 0;  ///< weight (node tokens only)
-};
-
-/// Open-addressing set of edge keys (linear probing, power-of-two table,
-/// at most half full). Memory stays O(keys); the table doubles as it fills.
-class EdgeKeySet {
- public:
-  /// Insert `key` (an edge key u * n + v < n^2, so never kEmpty); false
-  /// if it was already present.
-  bool insert(std::uint64_t key) {
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    if (!place(key)) return false;
-    ++size_;
-    return true;
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-  bool place(std::uint64_t key) {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash_mix64(key) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == key) return false;
-      if (slots_[i] == kEmpty) {
-        slots_[i] = key;
-        return true;
-      }
-    }
-  }
-
-  void grow() {
-    const std::vector<std::uint64_t> old = std::exchange(
-        slots_, std::vector<std::uint64_t>(
-                    std::max<std::size_t>(16, 2 * slots_.size()), kEmpty));
-    for (std::uint64_t key : old) {
-      if (key != kEmpty) place(key);
-    }
-  }
-
-  std::vector<std::uint64_t> slots_;
-  std::size_t size_ = 0;
-};
 
 class UniversalMaxIsProgram final : public NodeProgram {
  public:
@@ -82,13 +32,12 @@ class UniversalMaxIsProgram final : public NodeProgram {
     // Forward one not-yet-sent token per neighbor.
     for (std::size_t s = 0; s < info.neighbors.size(); ++s) {
       if (cursor_[s] >= tokens_.size()) continue;
-      const Token& tok = tokens_[cursor_[s]++];
-      // Type bit, a and b in one LSB-first put: the same payload as three
-      // separate puts, since both ids are < 2^id_bits_.
+      const std::uint64_t tok = tokens_[cursor_[s]++];
+      // One put of the head word carries the same bits as separate puts
+      // of the type bit, a and b, since both ids are < 2^id_bits_.
       MessageWriter w;
-      w.put((tok.is_edge ? 1 : 0) | tok.a << 1 | tok.b << (1 + id_bits_),
-            head_bits());
-      if (!tok.is_edge) w.put(tok.w, kWeightBits);
+      w.put(tok, head_bits());
+      if ((tok & 1) == 0) w.put(weight_[field_a(tok)], kWeightBits);
       outbox.send(s, std::move(w).finish());
     }
   }
@@ -118,11 +67,12 @@ class UniversalMaxIsProgram final : public NodeProgram {
     cursor_.assign(info.neighbors.size(), 0);
     node_known_.assign(info.n, false);
     weight_.assign(info.n, 0);
+    edge_known_.assign((info.n * (info.n - 1) / 2 + 63) / 64, 0);
     // Seed with own node token and incident edge tokens.
     add_node_token(info.id, info.neighbors.size(),
                    static_cast<std::uint64_t>(info.weight));
     for (NodeId nb : info.neighbors) {
-      add_edge_token(info, std::min<std::uint64_t>(info.id, nb),
+      add_edge_token(std::min<std::uint64_t>(info.id, nb),
                      std::max<std::uint64_t>(info.id, nb));
     }
   }
@@ -130,31 +80,46 @@ class UniversalMaxIsProgram final : public NodeProgram {
   /// Width of a token's type bit plus its two id fields.
   std::size_t head_bits() const { return 1 + 2 * id_bits_; }
 
+  // A token is the head word it is sent as: bit 0 is set for an edge
+  // token, then id_bits_ bits of a (node id / edge endpoint u) and id_bits_
+  // bits of b (degree / edge endpoint v). A node token's weight is
+  // weight_[a].
+  std::uint64_t field_a(std::uint64_t tok) const {
+    return (tok >> 1) & ((std::uint64_t{1} << id_bits_) - 1);
+  }
+  std::uint64_t field_b(std::uint64_t tok) const {
+    return tok >> (1 + id_bits_);
+  }
+
   void add_node_token(std::uint64_t id, std::uint64_t deg, std::uint64_t w) {
     if (node_known_[id]) return;
     node_known_[id] = true;
     degree_sum_ += deg;
     weight_[id] = w;
     ++num_nodes_known_;
-    tokens_.push_back(Token{false, id, deg, w});
+    tokens_.push_back(id << 1 | deg << (1 + id_bits_));
   }
 
-  void add_edge_token(const NodeInfo& info, std::uint64_t u, std::uint64_t v) {
-    const std::uint64_t key = u * info.n + v;
-    if (!edge_known_.insert(key)) return;
-    tokens_.push_back(Token{true, u, v, 0});
+  /// Edge (u, v), u < v, is bit C(v, 2) + u of edge_known_.
+  void add_edge_token(std::uint64_t u, std::uint64_t v) {
+    const std::uint64_t bit = v * (v - 1) / 2 + u;
+    std::uint64_t& word = edge_known_[bit / 64];
+    const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+    if ((word & mask) != 0) return;
+    word |= mask;
+    ++num_edges_known_;
+    tokens_.push_back(1 | u << 1 | v << (1 + id_bits_));
   }
 
   void ingest(const NodeInfo& info, const Message& msg) {
     MessageReader r(msg);
     const std::uint64_t head = r.get(head_bits());
-    const bool is_edge = (head & 1) != 0;
-    const std::uint64_t a = (head >> 1) & ((1ULL << id_bits_) - 1);
-    const std::uint64_t b = head >> (1 + id_bits_);
+    const std::uint64_t a = field_a(head);
+    const std::uint64_t b = field_b(head);
     CLB_EXPECT(a < info.n && b < info.n, "universal-maxis: bad token ids");
-    if (is_edge) {
+    if ((head & 1) != 0) {
       CLB_EXPECT(a < b, "universal-maxis: edge token endpoints out of order");
-      add_edge_token(info, a, b);
+      add_edge_token(a, b);
     } else {
       add_node_token(a, b, r.get(kWeightBits));
     }
@@ -162,16 +127,16 @@ class UniversalMaxIsProgram final : public NodeProgram {
 
   void try_finish(const NodeInfo& info) {
     if (have_solution_ || num_nodes_known_ < info.n) return;
-    if (edge_known_.size() * 2 != degree_sum_) return;
+    if (num_edges_known_ * 2 != degree_sum_) return;
     // Reconstruct and solve.
     graph::Graph g(info.n);
     for (NodeId v = 0; v < info.n; ++v) {
       g.set_weight(v, static_cast<graph::Weight>(weight_[v]));
     }
     graph::EdgeList edges;
-    edges.reserve(edge_known_.size());
-    for (const Token& tok : tokens_) {
-      if (tok.is_edge) edges.emplace_back(tok.a, tok.b);
+    edges.reserve(num_edges_known_);
+    for (std::uint64_t tok : tokens_) {
+      if ((tok & 1) != 0) edges.emplace_back(field_a(tok), field_b(tok));
     }
     g.add_edges(edges);
     const auto solution = solver_(g);
@@ -190,12 +155,13 @@ class UniversalMaxIsProgram final : public NodeProgram {
   LocalMaxIsSolver solver_;
   bool initialized_ = false;
   std::size_t id_bits_ = 0;
-  std::vector<Token> tokens_;
+  std::vector<std::uint64_t> tokens_;
   std::vector<std::size_t> cursor_;
   std::vector<bool> node_known_;
   std::vector<std::uint64_t> weight_;
-  EdgeKeySet edge_known_;
+  std::vector<std::uint64_t> edge_known_;  ///< bitmap over pairs u < v
   std::size_t num_nodes_known_ = 0;
+  std::size_t num_edges_known_ = 0;
   std::uint64_t degree_sum_ = 0;  ///< over known node tokens
   bool have_solution_ = false;
   bool in_set_ = false;

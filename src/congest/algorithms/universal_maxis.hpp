@@ -14,6 +14,13 @@
 // (sim::ReductionDriver): it decides the gap predicate exactly, so the
 // simulated players always answer promise disjointness correctly — at a cut
 // cost the Theorem 5 accounting makes visible.
+//
+// Per-node memory: a bitmap of known edges over the pairs u < v, C(n, 2)/8
+// bytes, plus 8 B per token (each token is the 64-bit head word it is sent
+// as), n + m tokens once the graph is known. A hash set of edge keys at
+// most half full costs 16 B or more per known edge, so the bitmap is the
+// smaller whenever m >= n^2/256 — every caller in this repository: the
+// lower-bound gadgets and G(n, p >= 0.15) at n up to a few hundred.
 
 #pragma once
 

@@ -227,6 +227,39 @@ TEST(Universal, RoundsScaleWithGraphSize) {
   EXPECT_LE(stats.rounds, 4 * (g.num_edges() + g.num_nodes()));
 }
 
+TEST(Universal, DenseGraphsReconstructExactly) {
+  // Known edges are bits of a bitmap over pairs u < v. Complete graphs set
+  // every bit (C(12, 2) = 66 crosses a word boundary), and a path's last
+  // edge (n - 2, n - 1) is the highest bit.
+  auto expect_exact = [](const graph::Graph& g) {
+    NetworkConfig cfg;
+    cfg.bits_per_edge = universal_required_bits(g.num_nodes(), 8);
+    Network net(g, universal_maxis_factory(exact_solver()), cfg);
+    const auto stats = net.run();
+    ASSERT_TRUE(stats.all_finished) << "n = " << g.num_nodes();
+    const auto sel = net.selected_nodes();
+    EXPECT_TRUE(g.is_independent_set(sel));
+    EXPECT_EQ(g.weight_of(sel), maxis::solve_exact(g).weight)
+        << "n = " << g.num_nodes();
+  };
+  for (std::size_t n : {2, 3, 12, 33}) {
+    graph::Graph g(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      g.set_weight(v, static_cast<graph::Weight>(1 + v % 8));
+    }
+    for (graph::NodeId u = 0; u < n; ++u) {
+      for (graph::NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
+    }
+    expect_exact(g);
+  }
+  graph::Graph path(33);
+  for (graph::NodeId v = 0; v + 1 < path.num_nodes(); ++v) {
+    path.set_weight(v, static_cast<graph::Weight>(1 + v % 5));
+    path.add_edge(v, v + 1);
+  }
+  expect_exact(path);
+}
+
 TEST(Universal, RejectsTooSmallBandwidth) {
   graph::Graph g(4);
   g.add_edge(0, 1);

@@ -145,7 +145,7 @@ TEST(EngineAlloc, EnabledTracingStaysAllocationFree) {
 }
 
 /// Broadcast-only flood that reads its inbox by index at the front, middle
-/// and back — on a hybrid topology each read is a Topology::neighbor_at
+/// and back — on a hybrid topology each read is a NeighborsView::operator[]
 /// select over the node's merged sources.
 class IndexedProbeFlood final : public NodeProgram {
  public:
@@ -174,7 +174,8 @@ class IndexedProbeFlood final : public NodeProgram {
 TEST(EngineAlloc, HybridIndexedInboxReadsAllocateNothing) {
   // Implicit blocks: a 4 x 8 anti-matching grid whose rows are also clique
   // blocks (grid nodes merge two sources), a hub in more bicliques than
-  // neighbor_at gathers on its stack, and random explicit edges.
+  // NeighborsView::operator[] gathers on its stack, and random explicit
+  // edges.
   graph::Graph g(96);
   g.set_implicit_block_threshold(1);
   g.add_anti_matching_grid(0, 8, 4, 8);

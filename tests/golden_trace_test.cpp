@@ -12,6 +12,12 @@
 //
 // (run from the build directory; the file is written in-tree via the
 // CLB_GOLDEN_DIR compile definition, so commit the result).
+//
+// The trace stops after three rounds and carries no payloads, so a second
+// test pins whole runs: a digest of every blackboard entry (player, charged
+// bits, payload bytes, tag), the round count and the selected set of full
+// universal-program reductions, against constants recorded from the code
+// before the program's token state was compacted.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +25,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "comm/blackboard.hpp"
 #include "comm/instances.hpp"
@@ -29,6 +37,7 @@
 #include "maxis/branch_and_bound.hpp"
 #include "obs/trace.hpp"
 #include "sim/reduction.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
 
 #ifndef CLB_GOLDEN_DIR
@@ -116,6 +125,61 @@ TEST(GoldenTrace, Theorem5ReductionMatchesByteForByte) {
            << want.size()
            << ". If the change is intentional, regenerate with "
               "CLB_UPDATE_GOLDEN=1 ./tests/golden_trace_test and commit.";
+  }
+}
+
+/// Digest of one full universal-program reduction on G_xbar: every board
+/// entry, then the round count, then the selected set.
+std::uint64_t full_run_digest(std::size_t t, bool intersecting,
+                              std::uint64_t seed) {
+  const auto p = lb::GadgetParams::for_linear_separation(t, 1);
+  const lb::LinearConstruction c(p, t);
+  Rng rng(seed);
+  const auto inst = intersecting
+                        ? comm::make_uniquely_intersecting(p.k, t, rng)
+                        : comm::make_pairwise_disjoint(p.k, t, rng);
+  comm::Blackboard board(t);
+  congest::NetworkConfig cfg;
+  cfg.bits_per_edge = congest::universal_required_bits(
+      c.num_nodes(), static_cast<graph::Weight>(p.ell));
+  // Every node solves the same reconstructed graph; keep its answer.
+  std::vector<graph::NodeId> selected;
+  const auto rep = sim::run_linear_reduction(
+      c, inst,
+      congest::universal_maxis_factory([&selected](const graph::Graph& g) {
+        selected = maxis::solve_exact(g).nodes;
+        return selected;
+      }),
+      board, cfg);
+  EXPECT_TRUE(rep.algorithm_finished);
+  EXPECT_TRUE(rep.correct);
+  std::uint64_t h = hash_mix64(t);
+  for (const comm::BoardEntry e : board.transcript()) {
+    h = hash_combine(h, e.player);
+    h = hash_combine(h, e.bits);
+    h = hash_combine(h, fnv1a64({reinterpret_cast<const char*>(e.data.data()),
+                                 e.data.size()}));
+    h = hash_combine(h, fnv1a64(e.tag));
+  }
+  h = hash_combine(h, rep.rounds);
+  h = hash_combine(h, selected.size());
+  for (graph::NodeId v : selected) h = hash_combine(h, v);
+  return h;
+}
+
+TEST(GoldenTranscript, FullUniversalRunsMatchPinnedDigests) {
+  struct Case {
+    std::size_t t;
+    bool intersecting;
+    std::uint64_t digest;
+  };
+  for (const Case& k : {Case{2, true, 0xdf17176bcf86c70fULL},
+                        Case{2, false, 0xe53e1c19db8d76d9ULL},
+                        Case{3, true, 0xd2d6862068056b3bULL}}) {
+    const std::uint64_t got = full_run_digest(k.t, k.intersecting, kGoldenSeed);
+    EXPECT_EQ(got, k.digest) << "t=" << k.t
+                             << (k.intersecting ? " YES" : " NO") << " digest 0x"
+                             << std::hex << got;
   }
 }
 

@@ -236,9 +236,9 @@ TEST(ImplicitEngine, NeighborAtMatchesMaterializedOnMultiBlockNodes) {
     SCOPED_TRACE(seed);
     expect_selects_match_materialized(mixed_graph(seed, 40));
   }
-  // A hub in more blocks than neighbor_at gathers on its stack (12 one-node
-  // bicliques), whose partners also share row cliques, plus explicit edges
-  // on both sides of the block ids.
+  // A hub in more blocks than NeighborsView::operator[] gathers on its
+  // stack (12 one-node bicliques), whose partners also share row cliques,
+  // plus explicit edges on both sides of the block ids.
   graph::Graph hub(40);
   hub.set_implicit_block_threshold(1);
   for (graph::NodeId i = 0; i < 12; ++i) {
