@@ -29,25 +29,20 @@ class UniversalMaxIsProgram final : public NodeProgram {
     }
     try_finish(info);
 
-    // Forward one not-yet-sent token per neighbor.
-    for (std::size_t s = 0; s < info.neighbors.size(); ++s) {
-      if (cursor_[s] >= tokens_.size()) continue;
-      const std::uint64_t tok = tokens_[cursor_[s]++];
-      // One put of the head word carries the same bits as separate puts
-      // of the type bit, a and b, since both ids are < 2^id_bits_.
-      MessageWriter w;
-      w.put(tok, head_bits());
-      if ((tok & 1) == 0) w.put(weight_[field_a(tok)], kWeightBits);
-      outbox.send(s, std::move(w).finish());
-    }
+    // Broadcast the next not-yet-sent token to every neighbor. (An isolated
+    // node's send_all is a no-op, so its cursor runs out in one round.)
+    if (cursor_ >= tokens_.size()) return;
+    const std::uint64_t tok = tokens_[cursor_++];
+    // One put of the head word carries the same bits as separate puts of
+    // the type bit, a and b, since both ids are < 2^id_bits_.
+    MessageWriter w;
+    w.put(tok, head_bits());
+    if ((tok & 1) == 0) w.put(weight_[field_a(tok)], kWeightBits);
+    outbox.send_all(std::move(w).finish());
   }
 
   bool finished() const override {
-    if (!have_solution_) return false;
-    for (std::size_t c : cursor_) {
-      if (c < tokens_.size()) return false;
-    }
-    return true;
+    return have_solution_ && cursor_ >= tokens_.size();
   }
 
   std::int64_t output() const override { return in_set_ ? 1 : 0; }
@@ -64,7 +59,6 @@ class UniversalMaxIsProgram final : public NodeProgram {
     CLB_EXPECT(info.weight >= 0 &&
                    static_cast<std::uint64_t>(info.weight) < (1ULL << kWeightBits),
                "universal-maxis: weight does not fit token field");
-    cursor_.assign(info.neighbors.size(), 0);
     node_known_.assign(info.n, false);
     weight_.assign(info.n, 0);
     edge_known_.assign((info.n * (info.n - 1) / 2 + 63) / 64, 0);
@@ -156,7 +150,7 @@ class UniversalMaxIsProgram final : public NodeProgram {
   bool initialized_ = false;
   std::size_t id_bits_ = 0;
   std::vector<std::uint64_t> tokens_;
-  std::vector<std::size_t> cursor_;
+  std::size_t cursor_ = 0;  ///< next token to broadcast
   std::vector<bool> node_known_;
   std::vector<std::uint64_t> weight_;
   std::vector<std::uint64_t> edge_known_;  ///< bitmap over pairs u < v

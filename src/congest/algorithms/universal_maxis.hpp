@@ -4,11 +4,15 @@
 // in O(n^2) CONGEST rounds (making the quadratic lower bound of Theorem 2
 // nearly tight). This program realizes that upper bound for MaxIS: every
 // node gossips "node tokens" (id, degree, weight) and "edge tokens" (u, v),
-// one token per edge per round; once a node has all n node tokens and all
-// sum(deg)/2 edge tokens it reconstructs the graph, runs a pluggable exact
-// (or approximate) solver locally, and outputs its own membership bit.
+// broadcasting one token per round to all its neighbors in the order it
+// learned them; once a node has all n node tokens and all sum(deg)/2 edge
+// tokens it reconstructs the graph, runs a pluggable exact (or
+// approximate) solver locally, and outputs its own membership bit.
 // Because every node reconstructs the same graph and the solver is
-// deterministic, outputs are globally consistent.
+// deterministic, outputs are globally consistent. Every neighbor receives
+// the same message each round, so this is a CONGEST-Broadcast algorithm:
+// it runs unchanged under NetworkConfig::broadcast_only, and on a unicast
+// network its send_all stores each round's token once.
 //
 // It is also the honest end-to-end algorithm for the reduction pipeline
 // (sim::ReductionDriver): it decides the gap predicate exactly, so the
@@ -17,10 +21,11 @@
 //
 // Per-node memory: a bitmap of known edges over the pairs u < v, C(n, 2)/8
 // bytes, plus 8 B per token (each token is the 64-bit head word it is sent
-// as), n + m tokens once the graph is known. A hash set of edge keys at
-// most half full costs 16 B or more per known edge, so the bitmap is the
-// smaller whenever m >= n^2/256 — every caller in this repository: the
-// lower-bound gadgets and G(n, p >= 0.15) at n up to a few hundred.
+// as), n + m tokens once the graph is known, and one cursor: the next
+// token to broadcast. A hash set of edge keys at most half full costs 16 B
+// or more per known edge, so the bitmap is the smaller whenever
+// m >= n^2/256 — every caller in this repository: the lower-bound gadgets
+// and G(n, p >= 0.15) at n up to a few hundred.
 
 #pragma once
 

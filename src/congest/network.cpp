@@ -44,30 +44,35 @@ void Outbox::send(std::size_t slot, const Message& msg) {
     CLB_EXPECT(slot == sent_count_,
                "broadcast network: sends must cover neighbor slots once "
                "each, in ascending order");
-    if (kind_[0] != 0) {
+    if (kind_[0] != kSlotEmpty) {
       CLB_EXPECT(msgs_[0].bits == msg.bits && msgs_[0].data == msg.data,
                  "broadcast network requires identical messages to all "
                  "neighbors in a round");
     } else {
       msgs_[0] = msg;
-      kind_[0] = 1;
+      kind_[0] = kSlotOwn;
     }
     ++sent_count_;
     return;
   }
-  CLB_EXPECT(kind_[slot] == 0, "Outbox: one message per neighbor per round");
+  CLB_EXPECT(kind_[slot] == kSlotEmpty,
+             "Outbox: one message per neighbor per round");
   msgs_[slot] = msg;  // copy-assign reuses the arena slot's capacity
-  kind_[slot] = 1;
+  kind_[slot] = kSlotOwn;
 }
 
 void Outbox::send_all(const Message& msg) {
-  if (bcast_) {
-    if (count_ == 0) return;
-    send(0, msg);
-    sent_count_ = count_;
-    return;
+  if (count_ == 0) return;
+  send(0, msg);
+  if (!bcast_) {
+    // The message is stored once, in slot 0; the other slots refer to it.
+    for (std::size_t i = 1; i < count_; ++i) {
+      CLB_EXPECT(kind_[i] == kSlotEmpty,
+                 "Outbox: one message per neighbor per round");
+      kind_[i] = kSlotAsFirst;
+    }
   }
-  for (std::size_t i = 0; i < count_; ++i) send(i, msg);
+  sent_count_ = count_;
 }
 
 // ----------------------------------------------------------------- Network --
@@ -152,6 +157,22 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
   }
   dbits_.assign(slots, 0);
   if (!bcast_) reverse_slot_ = reverse_slots(*csr_);
+  if (!config_.owner.empty()) {
+    CLB_EXPECT(!hybrid, "an owner table requires a materialized topology");
+    CLB_EXPECT(config_.owner.size() == n,
+               "Network: owner table must have one entry per node");
+    observe_cut_only_ = true;
+    const graph::Csr& csr = *csr_;
+    for (NodeId u = 0; u < n; ++u) {
+      for (std::size_t d = csr.offsets[u]; d < csr.offsets[u + 1]; ++d) {
+        const NodeId v = csr.targets[d];
+        if (config_.owner[u] != config_.owner[v]) {
+          cut_slots_.push_back({bcast_ ? u : d, u, v});
+        }
+      }
+    }
+    config_.owner = {};  // read only here; the caller's table may go away
+  }
 
   Rng seeder(config_.seed);
   infos_.reserve(n);
@@ -237,16 +258,38 @@ void Network::compute_shard(std::size_t shard) {
                                                       bits_per_edge_)
                              : Outbox(sent, msgs, fan, bits_per_edge_);
       programs_[v]->round(info, inbox(v, in), outbox, node_rng_[v]);
-      if (bcast_ && outbox.broadcast_sends() != 0) {
+      if (outbox.broadcast_sends() != 0) {
         CLB_EXPECT(outbox.broadcast_sends() == fan,
                    "broadcast network requires all-or-none fan-out "
                    "(partial sends need per-edge slots)");
-        // The one out-slot reaches all `fan` neighbors; its delivered-bits
-        // counter takes the bits once.
+        // One message, stored once, reaches all `fan` neighbors. A
+        // broadcast network's one out-slot counts its bits once; a unicast
+        // sender's out-slots (kSlotAsFirst past the first) each count them.
         const std::uint64_t bits = msgs->bits;
         sc.delivered += fan;
         sc.bits_delivered += bits * fan;
-        dbits_[v] += bits;
+        if (bcast_) {
+          dbits_[v] += bits;
+        } else {
+          std::uint64_t* db = dbits_.data() + first_slot(v);
+          for (std::size_t i = 0; i < fan; ++i) db[i] += bits;
+        }
+      } else if (!bcast_) {
+        // Per-slot sends (no kSlotAsFirst slot): one branch-free pass over
+        // v's out-slots, an empty slot's stale bits masked to 0, summed
+        // into locals that the stores to dbits_ cannot alias.
+        std::uint64_t delivered = 0;
+        std::uint64_t bits_delivered = 0;
+        std::uint64_t* db = dbits_.data() + first_slot(v);
+        for (std::size_t i = 0; i < fan; ++i) {
+          const std::uint64_t present = sent[i] != kSlotEmpty;
+          const std::uint64_t bits = msgs[i].bits & (0 - present);
+          delivered += present;
+          bits_delivered += bits;
+          db[i] += bits;
+        }
+        sc.delivered += delivered;
+        sc.bits_delivered += bits_delivered;
       }
       if (trace_round_ && trace_sends_) {
         std::size_t s = 0;
@@ -260,23 +303,6 @@ void Network::compute_shard(std::size_t shard) {
         }
       }
     }
-    if (bcast_) return;
-
-    // Unicast: each out-slot reaches one receiver, so the accounting is one
-    // pass over the shard's contiguous slot range. It is branch-free (an
-    // empty slot's stale bits are masked to 0) and sums into locals, which
-    // the stores to dbits_ cannot alias.
-    std::uint64_t delivered = 0;
-    std::uint64_t bits_delivered = 0;
-    for (std::size_t e = lo; e < hi; ++e) {
-      const std::uint64_t sent = out.sent[e] != 0;
-      const std::uint64_t bits = out.msgs[e].bits & (0 - sent);
-      delivered += sent;
-      bits_delivered += bits;
-      dbits_[e] += bits;
-    }
-    sc.delivered += delivered;
-    sc.bits_delivered += bits_delivered;
   } catch (...) {
     shard_error_[shard] = std::current_exception();
   }
@@ -311,18 +337,32 @@ void Network::observe_shard(std::size_t shard) {
 }
 
 void Network::notify_observer() {
-  // Canonical order, independent of num_threads: every delivery in
-  // (sender, neighbor-ascending) order. On a hybrid topology this expands
-  // each broadcast over the merged neighbor cursor — O(total degree):
-  // observers are a small-n contract tool.
+  // Canonical order, independent of num_threads: deliveries in (sender,
+  // neighbor-ascending) order.
   const std::size_t round = stats_.rounds;
   const Arena& out = arena_[cur_];
+  const auto message = [&](NodeId u, std::size_t o) -> const Message& {
+    return out.msgs[out.sent[o] == kSlotAsFirst ? first_slot(u) : o];
+  };
+  if (observe_cut_only_) {
+    for (const CutSlot& c : cut_slots_) {
+      if (out.sent[c.slot] != kSlotEmpty) {
+        config_.on_message(round, c.from, c.to, message(c.from, c.slot));
+      }
+    }
+    return;
+  }
+  // Every delivery. On a hybrid topology this expands each broadcast over
+  // the merged neighbor cursor — O(total degree): observers are a small-n
+  // contract tool.
   const std::size_t stride = bcast_ ? 0 : 1;
   for (NodeId u = 0; u < infos_.size(); ++u) {
     std::size_t o = first_slot(u);
-    if (bcast_ && out.sent[o] == 0) continue;
+    if (bcast_ && out.sent[o] == kSlotEmpty) continue;
     for (const NodeId v : infos_[u].neighbors) {
-      if (out.sent[o]) config_.on_message(round, u, v, out.msgs[o]);
+      if (out.sent[o] != kSlotEmpty) {
+        config_.on_message(round, u, v, message(u, o));
+      }
       o += stride;
     }
   }

@@ -17,6 +17,10 @@
 // message sent in round r is delivered, unmodified, at the start of round
 // r+1. Edge traffic, RunStats bit counters, and the on_message observer
 // therefore all see the same traffic, so blackboard charging is exact.
+// Given a per-node owner table (NetworkConfig::owner, the reduction
+// driver's player partition), the observer sees exactly the deliveries
+// that cross between two owners: the network lists those out-slots once,
+// at construction, and visits only them each round.
 //
 // Engine layout (the hot path is allocation-free after warm-up):
 //  - the network borrows the graph's immutable CSR (holding its shared_ptr,
@@ -30,6 +34,11 @@
 //    offsets[v]; a broadcast network — a graph with implicit blocks, or
 //    broadcast_only — gives it a single out-slot at v that every neighbor
 //    reads, so per-round memory is O(n) however many edges blocks imply;
+//  - a presence byte is kSlotEmpty, kSlotOwn (the slot holds its message),
+//    or — unicast send_all only — kSlotAsFirst: the message is the one in
+//    the sender's first out-slot. A broadcast on a unicast network thus
+//    stores its message once, not once per neighbor; every reader of the
+//    arena (Inbox, the accounting, the observer, the tracer) resolves it;
 //  - a unicast receiver finds its message in O(1) through a reverse-slot
 //    map built at construction: for directed slot d = offsets[v] + i with
 //    u = targets[d], reverse_slot[d] is v's position in u's sorted row, so
@@ -74,6 +83,12 @@ namespace congestlb::congest {
 using graph::NeighborsView;
 using graph::NodeId;
 
+/// Presence states of a send-arena out-slot (see the file comment).
+inline constexpr std::uint8_t kSlotEmpty = 0;
+inline constexpr std::uint8_t kSlotOwn = 1;
+/// Unicast send_all: the message sits in the sender's first out-slot.
+inline constexpr std::uint8_t kSlotAsFirst = 2;
+
 /// What a node statically knows about itself and its surroundings — its own
 /// id, weight, the ids of its neighbors, and n (standard KT1-style knowledge
 /// plus n, as assumed by the paper's constructions where nodes know the
@@ -92,7 +107,8 @@ struct NodeInfo {
 /// NodeInfo::neighbors[i]. A view that reads the previous round's send
 /// arena in place — nothing is copied to the receiver — walking the
 /// receiver's NeighborsView and mapping each neighbor u to the out-slot u
-/// wrote: `offsets[u] + reverse[i]` on a unicast network, `u` itself on a
+/// wrote: `offsets[u] + reverse[i]` on a unicast network (or `offsets[u]`,
+/// u's first out-slot, when that slot is kSlotAsFirst), `u` itself on a
 /// broadcast network (reverse == nullptr). Elements behave like
 /// std::optional<Message> (contextual bool, has_value(), *, ->) so
 /// algorithm code reads naturally.
@@ -163,8 +179,12 @@ class Inbox {
 
  private:
   Slot slot(NodeId u, std::size_t i) const {
-    const std::size_t o = reverse_ != nullptr ? offsets_[u] + reverse_[i] : u;
-    return Slot(msgs_ + o, sent_[o] != 0);
+    if (reverse_ == nullptr) return Slot(msgs_ + u, sent_[u] != kSlotEmpty);
+    const std::size_t first = offsets_[u];
+    const std::size_t o = first + reverse_[i];
+    const std::uint8_t state = sent_[o];
+    return Slot(msgs_ + (state == kSlotAsFirst ? first : o),
+                state != kSlotEmpty);
   }
 
   NeighborsView neighbors_;
@@ -210,18 +230,25 @@ class Outbox {
   /// at most cap_bits bits).
   void send(std::size_t slot, const Message& msg);
 
-  /// Queue the same message to every neighbor (broadcast).
+  /// Queue the same message to every neighbor (broadcast). The message is
+  /// stored once, in slot 0; on a unicast view the other slots are marked
+  /// kSlotAsFirst. Mixing send and send_all in one round throws (one
+  /// message per neighbor per round); with no neighbors this is a no-op.
   void send_all(const Message& msg);
 
   std::size_t size() const { return count_; }
-  bool has(std::size_t slot) const { return kind_[bcast_ ? 0 : slot] != 0; }
+  bool has(std::size_t slot) const {
+    return kind_[bcast_ ? 0 : slot] != kSlotEmpty;
+  }
   const Message& message(std::size_t slot) const {
-    return msgs_[bcast_ ? 0 : slot];
+    return msgs_[bcast_ || kind_[slot] == kSlotAsFirst ? 0 : slot];
   }
 
-  /// Broadcast mode only: how many sends the program issued this round.
-  /// The engine requires 0 or size() — one out-slot per node cannot
-  /// represent partial fan-out.
+  /// How many neighbor slots this round's broadcast covers: in broadcast
+  /// mode the sends issued, on a unicast view size() after a send_all and 0
+  /// otherwise. The engine requires 0 or size() — one out-slot per node
+  /// cannot represent partial fan-out — and accounts a nonzero count as
+  /// one message reaching every neighbor.
   std::size_t broadcast_sends() const { return sent_count_; }
 
  private:
@@ -231,8 +258,10 @@ class Outbox {
   Message* msgs_ = nullptr;
   std::size_t count_ = 0;
   std::size_t cap_bits_ = kUnlimitedBits;
-  bool bcast_ = false;          ///< broadcast view
-  std::size_t sent_count_ = 0;  ///< sends issued (broadcast mode only)
+  bool bcast_ = false;  ///< broadcast view
+  /// Broadcast view: sends issued. Unicast view: count_ once send_all ran,
+  /// else 0 (per-slot sends are not counted).
+  std::size_t sent_count_ = 0;
 };
 
 /// A per-node distributed program. The simulator calls round() once per
@@ -279,11 +308,18 @@ struct NetworkConfig {
   /// knob. Programs of distinct nodes run concurrently and must not share
   /// mutable state behind the simulator's back.
   std::size_t num_threads = 1;
-  /// Observer invoked for every message at delivery time (round, from, to,
-  /// msg). Used by sim::ReductionDriver to charge cut-crossing messages to
-  /// the communication blackboard (Theorem 5's simulation). Invoked
-  /// serially in a canonical order regardless of num_threads.
+  /// Observer invoked at delivery time (round, from, to, msg) for every
+  /// message, or — with an owner table — for every message that crosses
+  /// between two owners. Invoked serially in the canonical (sender,
+  /// neighbor-ascending) order regardless of num_threads.
   std::function<void(std::size_t, NodeId, NodeId, const Message&)> on_message;
+  /// Optional per-node owner table (owner[v] for every node), used by
+  /// sim's reduction driver to charge cut-crossing messages to the
+  /// communication blackboard (Theorem 5's simulation). When set, the
+  /// constructor lists the out-slots (u, v) with owner[u] != owner[v] once
+  /// and on_message observes only those deliveries. Read only by the
+  /// constructor; requires a materialized topology.
+  std::span<const std::size_t> owner;
   /// Round-level tracer (obs/trace.hpp); null = no tracing. Not owned; must
   /// outlive the Network. The engine binds per-shard staging buffers at
   /// construction and records round begin/end, sends, and deliveries —
@@ -391,8 +427,9 @@ class Network {
   /// deliver events and metric observations in receiver order.
   void observe_shard(std::size_t shard);
 
-  /// Invoke config_.on_message for this round's deliveries in the canonical
-  /// (sender, neighbor-ascending) order — identical for every num_threads.
+  /// Invoke config_.on_message for this round's deliveries (all of them,
+  /// or those on cut_slots_) in the canonical (sender, neighbor-ascending)
+  /// order — identical for every num_threads.
   void notify_observer();
 
   /// Rethrow the first (by shard index) exception captured during a phase.
@@ -425,6 +462,17 @@ class Network {
   Arena arena_[2];
   std::size_t cur_ = 0;
   std::vector<std::uint64_t> dbits_;  ///< delivered bits per out-slot
+
+  /// An out-slot whose deliveries cross between two owners.
+  struct CutSlot {
+    std::size_t slot;
+    NodeId from;
+    NodeId to;
+  };
+  /// Built from NetworkConfig::owner (empty without one), in canonical
+  /// (sender, neighbor-ascending) order.
+  std::vector<CutSlot> cut_slots_;
+  bool observe_cut_only_ = false;  ///< an owner table was given
 
   ThreadPool pool_;
   std::size_t num_shards_ = 1;

@@ -31,6 +31,8 @@ ReductionReport run_reduction(
     graph::Weight yes_weight, graph::Weight no_bound) {
   CLB_EXPECT(!cfg.on_message,
              "reduction driver installs its own message observer");
+  CLB_EXPECT(cfg.owner.empty(),
+             "reduction driver installs its own owner table");
   CLB_EXPECT(board.num_players() == inst.t,
              "blackboard player count must match the instance");
 
@@ -42,22 +44,22 @@ ReductionReport run_reduction(
   rep.no_bound = no_bound;
   rep.ground_truth_disjoint = inst.answer_is_disjoint();
 
-  // Owners are looked up once per node here, not twice per delivery.
+  // Owners are looked up once per node here, not per delivery.
   std::vector<std::size_t> owner_of(gx.num_nodes());
   for (graph::NodeId v = 0; v < owner_of.size(); ++v) owner_of[v] = owner(v);
 
   // The simulation argument: cut-crossing messages go on the blackboard,
-  // charged to the owner of the sending node. The observer fires per
-  // delivery, which is every message sent.
+  // charged to the owner of the sending node. Given the owner table, the
+  // network lists the cut out-slots once and calls the observer only for
+  // their deliveries; messages internal to one player are simulated for
+  // free and never reach it.
   std::uint64_t observed_cut_bits = 0;
+  cfg.owner = owner_of;
   cfg.on_message = [&board, &rep, &observed_cut_bits, &owner_of](
                        std::size_t round, graph::NodeId from,
                        graph::NodeId to, const congest::Message& msg) {
-    const std::size_t po = owner_of[from];
-    const std::size_t pd = owner_of[to];
-    if (po == pd) return;  // internal to one player: simulated for free
-    board.post_cut_message(po, {msg.data.data(), msg.data.size()}, msg.bits,
-                           from, to);
+    board.post_cut_message(owner_of[from], {msg.data.data(), msg.data.size()},
+                           msg.bits, from, to);
     observed_cut_bits += msg.bits;
     if (rep.cut_bits_per_round.size() <= round) {
       rep.cut_bits_per_round.resize(round + 1, 0);

@@ -67,8 +67,9 @@ struct ReductionReport {
 };
 
 /// Simulate `factory`'s program on G_xbar for the linear family. The
-/// network bandwidth comes from cfg (0 = auto); cfg.on_message must be
-/// empty (the driver installs its own observer).
+/// network bandwidth comes from cfg (0 = auto); cfg.on_message and
+/// cfg.owner must be empty (the driver installs its own observer and the
+/// players' owner table).
 ReductionReport run_linear_reduction(const lb::LinearConstruction& c,
                                      const comm::PromiseInstance& inst,
                                      const congest::ProgramFactory& factory,

@@ -1,9 +1,9 @@
 // The CONGEST-Broadcast restriction (paper introduction: the model of [11],
 // where a node must send the SAME O(log n)-bit message to all neighbors).
 // All our node programs turn out to be broadcast algorithms — the MIS
-// routines send_all by construction, and the universal gossip advances all
-// neighbor cursors in lockstep — so they run unchanged under the strict
-// checker, and a broadcast algorithm's output cannot depend on the mode.
+// routines and the universal gossip send_all by construction — so they run
+// unchanged under the strict checker, and a broadcast algorithm's output
+// cannot depend on the mode.
 // (Genuinely personalized traffic is covered by
 // congest_test.cpp/BroadcastModeRejectsPersonalizedMessages.)
 
@@ -104,9 +104,11 @@ struct BroadcastRun {
 };
 
 BroadcastRun run_mode(const graph::Graph& g, const ProgramFactory& factory,
-                      bool broadcast_only, std::size_t threads) {
+                      std::size_t bits_per_edge, bool broadcast_only,
+                      std::size_t threads) {
   BroadcastRun rec;
   NetworkConfig cfg;
+  cfg.bits_per_edge = bits_per_edge;
   cfg.broadcast_only = broadcast_only;
   cfg.num_threads = threads;
   cfg.seed = 5;
@@ -130,17 +132,36 @@ TEST(Broadcast, SameResultAsUnicastForBroadcastAlgorithms) {
   // lifted. broadcast_only switches the engine to one out-slot per node, so
   // this also pins that layout against the per-edge one: identical
   // RunStats, outputs, observer transcripts and per-edge bits, for every
-  // thread count.
+  // thread count. The universal program needs a connected graph and its
+  // token width (bits_per_edge 0 is the auto budget).
   Rng rng(7);
   auto g = graph::gnp_random(rng, 35, 0.2);
-  for (const ProgramFactory& factory :
-       {greedy_mis_factory(), luby_mis_factory()}) {
-    const BroadcastRun unicast = run_mode(g, factory, false, 1);
+  auto connected = graph::gnp_random_connected(rng, 24, 0.25);
+  const ProgramFactory universal =
+      universal_maxis_factory([](const graph::Graph& gg) {
+        return maxis::solve_exact(gg).nodes;
+      });
+  const struct {
+    const graph::Graph* g;
+    ProgramFactory factory;
+    std::size_t bits_per_edge;
+  } cases[] = {
+      {&g, greedy_mis_factory(), 0},
+      {&g, luby_mis_factory(), 0},
+      {&connected, universal,
+       universal_required_bits(connected.num_nodes(), 1)},
+  };
+  for (const auto& c : cases) {
+    const BroadcastRun unicast =
+        run_mode(*c.g, c.factory, c.bits_per_edge, false, 1);
     ASSERT_GT(unicast.stats.messages_sent, 0u);
+    ASSERT_TRUE(unicast.stats.all_finished);
     for (std::size_t threads : {1, 2, 8}) {
-      EXPECT_EQ(run_mode(g, factory, false, threads), unicast)
+      EXPECT_EQ(run_mode(*c.g, c.factory, c.bits_per_edge, false, threads),
+                unicast)
           << "unicast threads=" << threads;
-      EXPECT_EQ(run_mode(g, factory, true, threads), unicast)
+      EXPECT_EQ(run_mode(*c.g, c.factory, c.bits_per_edge, true, threads),
+                unicast)
           << "broadcast_only threads=" << threads;
     }
   }
@@ -187,10 +208,10 @@ TEST(Broadcast, PartialFanOutRejected) {
 }
 
 TEST(Broadcast, UniversalGossipIsBroadcastCompatible) {
-  // The token pipeline advances all neighbor cursors in lockstep over the
-  // same token list, so every neighbor receives the identical message each
-  // round — the universal algorithm is in fact a CONGEST-Broadcast
-  // algorithm, and the strict broadcast checker accepts it.
+  // Each round a node broadcasts the next token of its one token list with
+  // send_all, so every neighbor receives the identical message — the
+  // universal algorithm is a CONGEST-Broadcast algorithm, and the strict
+  // broadcast checker accepts it.
   Rng rng(3);
   auto g = graph::gnp_random_connected(rng, 12, 0.4);
   NetworkConfig cfg;

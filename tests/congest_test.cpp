@@ -1,7 +1,8 @@
 // CONGEST simulator core: message bit-packing, bandwidth enforcement,
 // synchronous delivery semantics, determinism, broadcast restriction, the
-// message observer hook, run statistics, and the edge-tiled shard partition
-// of the parallel round.
+// stored-once unicast send_all, the message observer hook and its owner
+// table, run statistics, and the edge-tiled shard partition of the parallel
+// round.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "comm/instances.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "lowerbound/linear_family.hpp"
+#include "obs/trace.hpp"
 #include "property_harness.hpp"
 #include "support/expect.hpp"
 #include "support/rng.hpp"
@@ -598,6 +604,264 @@ TEST(Network, OversendThrowsFromSendBeforeDelivery) {
   EXPECT_THROW(net.run(), InvariantError);
   EXPECT_EQ(net.rounds_executed(), 0u);
   EXPECT_EQ(net.stats().messages_sent, 0u);
+}
+
+// ------------------------------------------------ stored-once send_all --
+
+/// Sends one (id, round)-dependent payload of varying width to every
+/// neighbor on the rounds where (id + round) % 3 != 0, for `rounds_to_run`
+/// rounds, and folds every received payload and its slot into its output.
+/// `use_send_all` picks send_all or its twin, one send per slot.
+class BroadcastTwin final : public NodeProgram {
+ public:
+  BroadcastTwin(bool use_send_all, std::size_t rounds_to_run)
+      : use_send_all_(use_send_all), rounds_to_run_(rounds_to_run) {}
+
+  void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
+             Rng&) override {
+    std::uint64_t slot = 0;
+    for (const auto& m : inbox) {
+      if (m) {
+        MessageReader r(*m);
+        const std::uint64_t id = r.get(16);
+        digest_ = digest_ * 1'000'003 + id * 131 + r.get(m->bits - 16) + slot;
+      }
+      ++slot;
+    }
+    const std::size_t r = round_++;
+    if (r >= rounds_to_run_ || (info.id + r) % 3 == 0) return;
+    const Message m = std::move(MessageWriter()
+                                    .put(info.id & 0xFFFF, 16)
+                                    .put(r & 0xFF, 8 + (info.id + r) % 5))
+                          .finish();
+    if (use_send_all_) {
+      outbox.send_all(m);
+    } else {
+      for (std::size_t i = 0; i < outbox.size(); ++i) outbox.send(i, m);
+    }
+  }
+  bool finished() const override { return round_ > rounds_to_run_; }
+  std::int64_t output() const override {
+    return static_cast<std::int64_t>(digest_);
+  }
+
+ private:
+  bool use_send_all_;
+  std::size_t rounds_to_run_;
+  std::size_t round_ = 0;
+  std::uint64_t digest_ = 0;
+};
+
+struct FullDelivery {
+  std::size_t round;
+  graph::NodeId from;
+  graph::NodeId to;
+  std::size_t bits;
+  std::vector<std::byte> data;
+
+  friend bool operator==(const FullDelivery&, const FullDelivery&) = default;
+};
+
+/// Everything observable about one run, tracer events included.
+struct TwinRun {
+  RunStats stats;
+  std::vector<std::int64_t> outputs;
+  std::vector<std::uint64_t> edge_bits;  ///< bits_on_edge, every edge
+  std::vector<FullDelivery> transcript;
+  std::vector<obs::TraceEvent> events;
+
+  friend bool operator==(const TwinRun&, const TwinRun&) = default;
+};
+
+TwinRun run_twin(const graph::Graph& g, bool use_send_all,
+                 std::size_t threads,
+                 std::span<const std::size_t> owner = {}) {
+  TwinRun rec;
+  obs::Tracer tracer({.capacity = std::size_t{1} << 16});
+  NetworkConfig cfg;
+  cfg.bits_per_edge = 32;
+  cfg.num_threads = threads;
+  cfg.tracer = &tracer;
+  cfg.owner = owner;
+  cfg.on_message = [&rec](std::size_t round, graph::NodeId from,
+                          graph::NodeId to, const Message& m) {
+    rec.transcript.push_back(
+        {round, from, to, m.bits,
+         std::vector<std::byte>(m.data.begin(), m.data.end())});
+  };
+  Network net(g, [use_send_all](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<BroadcastTwin>(use_send_all, 7);
+  }, cfg);
+  rec.stats = net.run();
+  rec.outputs = net.outputs();
+  for (const auto& [u, v] : graph::edge_list(g)) {
+    rec.edge_bits.push_back(net.bits_on_edge(u, v));
+  }
+  rec.events = tracer.events();
+  EXPECT_EQ(tracer.dropped(), 0u);
+  return rec;
+}
+
+/// G_xbar of the linear family at t = 3 (n = 90) and its player partition.
+struct Gadget {
+  graph::Graph g;
+  std::vector<std::size_t> owner;
+};
+
+Gadget linear_gadget() {
+  const auto p = lb::GadgetParams::for_linear_separation(3, 1);
+  const lb::LinearConstruction c(p, 3);
+  Rng rng(5);
+  Gadget out{c.instantiate(comm::make_uniquely_intersecting(p.k, 3, rng, 0.3)),
+             {}};
+  for (graph::NodeId v = 0; v < out.g.num_nodes(); ++v) {
+    out.owner.push_back(c.owner(v));
+  }
+  return out;
+}
+
+TEST(SendAll, StoredOnceMatchesPerSlotSends) {
+  // A unicast send_all stores its message once and marks the other
+  // out-slots kSlotAsFirst. Receivers, the accounting, the observer and the
+  // tracer must all see exactly what one send per slot produces.
+  Rng rng(41);
+  const graph::Graph gnp = graph::gnp_random_connected(rng, 60, 0.15);
+  const graph::Graph gadget = linear_gadget().g;
+  for (const graph::Graph* g : {&gnp, &gadget}) {
+    const TwinRun want = run_twin(*g, /*use_send_all=*/false, 1);
+    ASSERT_GT(want.stats.messages_sent, 0u);
+    ASSERT_FALSE(want.events.empty());
+    for (std::size_t threads : {1, 2, 8}) {
+      EXPECT_EQ(run_twin(*g, true, threads), want)
+          << "n=" << g->num_nodes() << " threads=" << threads;
+    }
+  }
+}
+
+TEST(SendAll, OwnerTableObservesExactlyTheCut) {
+  // With an owner table the observer sees the deliveries between two
+  // owners — the full transcript filtered, in the same order — and nothing
+  // else about the run changes. Broadcast-only networks list the same cut.
+  const Gadget gx = linear_gadget();
+  std::vector<FullDelivery> cut;
+  for (const FullDelivery& d : run_twin(gx.g, false, 1).transcript) {
+    if (gx.owner[d.from] != gx.owner[d.to]) cut.push_back(d);
+  }
+  ASSERT_FALSE(cut.empty());
+  for (bool use_send_all : {false, true}) {
+    for (std::size_t threads : {1, 2, 8}) {
+      const TwinRun all = run_twin(gx.g, use_send_all, threads);
+      TwinRun observed = run_twin(gx.g, use_send_all, threads, gx.owner);
+      EXPECT_EQ(observed.transcript, cut)
+          << "send_all=" << use_send_all << " threads=" << threads;
+      observed.transcript = all.transcript;
+      EXPECT_EQ(observed, all);
+    }
+  }
+  std::vector<FullDelivery> seen;
+  NetworkConfig cfg;
+  cfg.bits_per_edge = 32;
+  cfg.broadcast_only = true;
+  cfg.owner = gx.owner;
+  cfg.on_message = [&seen](std::size_t round, graph::NodeId from,
+                           graph::NodeId to, const Message& m) {
+    seen.push_back({round, from, to, m.bits,
+                    std::vector<std::byte>(m.data.begin(), m.data.end())});
+  };
+  Network bcast(gx.g, [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<BroadcastTwin>(true, 7);
+  }, cfg);
+  bcast.run();
+  EXPECT_EQ(seen, cut);
+}
+
+TEST(SendAll, OwnerTableValidated) {
+  const auto factory = [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<BroadcastTwin>(true, 1);
+  };
+  const std::vector<std::size_t> short_table = {0, 1};
+  NetworkConfig cfg;
+  cfg.owner = short_table;
+  EXPECT_THROW(Network(triangle(), factory, cfg), InvariantError);
+
+  graph::Graph blocked(3);
+  blocked.set_implicit_block_threshold(1);
+  blocked.add_clique(std::vector<graph::NodeId>{0, 1, 2});
+  ASSERT_TRUE(blocked.has_implicit_blocks());
+  const std::vector<std::size_t> table = {0, 1, 1};
+  cfg.owner = table;
+  EXPECT_THROW(Network(blocked, factory, cfg), InvariantError);
+}
+
+/// Runs `body` on an owning three-slot outbox and returns the error text
+/// it throws ("" if it does not throw).
+template <typename Body>
+std::string outbox_error(Body body) {
+  Outbox out(3);
+  try {
+    body(out);
+  } catch (const InvariantError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SendAll, MixingWithSendThrows) {
+  const Message m = std::move(MessageWriter().put(5, 4)).finish();
+  const std::string kOnePerSlot = "one message per neighbor per round";
+  for (std::size_t first : {0, 2}) {
+    EXPECT_NE(outbox_error([&](Outbox& out) {
+                out.send(first, m);
+                out.send_all(m);
+              }).find(kOnePerSlot),
+              std::string::npos)
+        << "send(" << first << ") then send_all";
+    EXPECT_NE(outbox_error([&](Outbox& out) {
+                out.send_all(m);
+                out.send(first, m);
+              }).find(kOnePerSlot),
+              std::string::npos)
+        << "send_all then send(" << first << ")";
+  }
+  EXPECT_NE(outbox_error([&](Outbox& out) {
+              out.send_all(m);
+              out.send_all(m);
+            }).find(kOnePerSlot),
+            std::string::npos);
+
+  // A stored-once broadcast reads back as the message on every slot.
+  Outbox out(3);
+  out.send_all(m);
+  EXPECT_EQ(out.broadcast_sends(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(out.has(i));
+    EXPECT_EQ(out.message(i).bits, 4u);
+    EXPECT_EQ(&out.message(i), &out.message(0));
+  }
+}
+
+TEST(SendAll, DegreeZeroIsANoOp) {
+  Outbox none(0);
+  EXPECT_NO_THROW(none.send_all(std::move(MessageWriter().put(1, 1)).finish()));
+  EXPECT_EQ(none.broadcast_sends(), 0u);
+
+  // Node 3 is isolated; its send_all reaches nobody and counts nothing.
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  NetworkConfig cfg;
+  cfg.bits_per_edge = 32;
+  Network net(g, [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<BroadcastTwin>(true, 3);
+  }, cfg);
+  Network twin(g, [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<BroadcastTwin>(false, 3);
+  }, cfg);
+  const RunStats stats = net.run();
+  EXPECT_EQ(stats, twin.run());
+  EXPECT_GT(stats.messages_sent, 0u);
+  EXPECT_EQ(net.outputs(), twin.outputs());
+  EXPECT_EQ(net.program(3).output(), 0);
 }
 
 // --------------------------------------------------- edge-tiled sharding --

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
@@ -97,6 +98,44 @@ TEST(LinearReduction, BlackboardChargesOnlyCutTraffic) {
   EXPECT_EQ(board.transcript()[0].tag, "msg 3->27");
   EXPECT_EQ(board.transcript()[1].tag, "msg 3->28");
   EXPECT_EQ(board.transcript()[2].tag, "msg 3->29");
+}
+
+TEST(LinearReduction, ObserverCallsAreTheCutPostsOnly) {
+  // The driver hands the network its owner table, so the observer runs
+  // once per cut delivery — once per board entry — not once per message.
+  // A twin network with the same owner table and a counting observer
+  // counts those calls; cut_accounting_exact still compares the posted
+  // bits against bits_on_edge over cut_edges(), a tally of its own.
+  const std::size_t t = 2;
+  const auto p = lb::GadgetParams::for_linear_separation(t, 1, 3);
+  const lb::LinearConstruction c(p, t);
+  Rng rng(11);
+  const auto inst = comm::make_uniquely_intersecting(p.k, t, rng, 0.4);
+  const auto factory = congest::universal_maxis_factory(exact_solver());
+  const auto cfg =
+      universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell));
+  comm::Blackboard board(t);
+  const auto rep = run_linear_reduction(c, inst, factory, board, cfg);
+  ASSERT_TRUE(rep.correct);
+  EXPECT_TRUE(rep.cut_accounting_exact);
+
+  const graph::Graph gx = c.instantiate(inst);
+  std::vector<std::size_t> owner(gx.num_nodes());
+  for (graph::NodeId v = 0; v < owner.size(); ++v) owner[v] = c.owner(v);
+  std::uint64_t calls = 0;
+  std::uint64_t bits = 0;
+  auto counted = cfg;
+  counted.owner = owner;
+  counted.on_message = [&](std::size_t, graph::NodeId, graph::NodeId,
+                           const congest::Message& m) {
+    ++calls;
+    bits += m.bits;
+  };
+  congest::Network net(gx, factory, counted);
+  EXPECT_EQ(net.run(), rep.net_stats);
+  EXPECT_EQ(calls, rep.blackboard_entries);
+  EXPECT_EQ(bits, rep.blackboard_bits);
+  EXPECT_LT(calls, rep.net_stats.messages_sent);
 }
 
 TEST(LinearReduction, ReusedBoardReportsThisRunOnly) {
@@ -195,6 +234,21 @@ TEST(Reduction, RejectsForeignObserver) {
   congest::NetworkConfig cfg;
   cfg.on_message = [](std::size_t, graph::NodeId, graph::NodeId,
                       const congest::Message&) {};
+  EXPECT_THROW(run_linear_reduction(c, inst,
+                                    congest::weighted_greedy_factory(), board,
+                                    cfg),
+               InvariantError);
+}
+
+TEST(Reduction, RejectsForeignOwnerTable) {
+  const auto p = lb::GadgetParams::for_linear_separation(2, 1, 3);
+  const lb::LinearConstruction c(p, 2);
+  Rng rng(3);
+  const auto inst = comm::make_pairwise_disjoint(p.k, 2, rng, 0.3);
+  comm::Blackboard board(2);
+  const std::vector<std::size_t> owner(c.num_nodes(), 0);
+  congest::NetworkConfig cfg;
+  cfg.owner = owner;
   EXPECT_THROW(run_linear_reduction(c, inst,
                                     congest::weighted_greedy_factory(), board,
                                     cfg),
