@@ -37,10 +37,9 @@ struct Row {
   std::size_t jobs_resumed = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  // Fault-domain counters (campaign/supervise.hpp). A bench run executes
+  // Fault-domain counters (campaign/campaign.hpp). A bench run executes
   // with no chaos injected, so any nonzero value means real jobs failed;
   // check_bench_regression.py fails the gate on them.
-  std::uint64_t retries = 0;
   std::size_t jobs_quarantined = 0;
   std::size_t jobs_blocked = 0;
 };
@@ -65,7 +64,6 @@ Row run_once(const cmp::CampaignSpec& spec, const std::string& name,
   r.jobs_resumed = result.jobs_resumed;
   r.cache_hits = result.cache.hits();
   r.cache_misses = result.cache.misses;
-  r.retries = result.retries;
   r.jobs_quarantined = result.jobs_quarantined;
   r.jobs_blocked = result.jobs_blocked;
   return r;
@@ -124,7 +122,6 @@ int main() {
             {"jobs_resumed", std::uint64_t{r.jobs_resumed}},
             {"cache_hits", r.cache_hits},
             {"cache_misses", r.cache_misses},
-            {"retries", r.retries},
             {"jobs_quarantined", std::uint64_t{r.jobs_quarantined}},
             {"jobs_blocked", std::uint64_t{r.jobs_blocked}}}});
     }

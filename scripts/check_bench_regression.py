@@ -21,8 +21,8 @@ The rules are one table keyed by metric name (_RULES):
   - timing (ns_per_round, ns_per_solve, ns_per_iteration) and
     peak_rss_bytes fail when measured > factor * baseline (default 2x);
   - allocs_per_round must be 0 on flood/* rows (steady-state flood);
-  - retries, jobs_quarantined and jobs_blocked must be 0 (a bench runs
-    with no chaos injected, so any of them means real work failed).
+  - jobs_quarantined and jobs_blocked must be 0 (a bench runs with no
+    chaos injected, so any of them means real work failed).
 
 Rows present on only one side are reported but do not fail the check, so
 adding or renaming workloads does not need a lockstep baseline update. But
@@ -57,7 +57,6 @@ _RULES = {
     "ns_per_iteration": ("factor",),
     "peak_rss_bytes": ("factor",),
     "allocs_per_round": ("zero", "flood/"),
-    "retries": ("zero", ""),
     "jobs_quarantined": ("zero", ""),
     "jobs_blocked": ("zero", ""),
 }

@@ -9,23 +9,6 @@ cd "$(dirname "$0")/.."
 CAMPAIGN_MANIFEST=campaign.json
 CAMPAIGN_CACHE=.clb-cache
 
-# An interrupted reproduction must not strand torn campaign artifacts: on
-# SIGINT/SIGTERM, audit and repair the cache tree and drop any half-written
-# manifest debris, so the next invocation resumes from a consistent state
-# (the campaign step below uses `resume`, so completed work is kept).
-cleanup_partial() {
-  status=$?
-  trap - INT TERM
-  echo "interrupted -- repairing partial campaign state" >&2
-  if [ -x build/tools/clb ]; then
-    build/tools/clb campaign fsck --repair \
-      --cache-dir "$CAMPAIGN_CACHE" --manifest "$CAMPAIGN_MANIFEST" || true
-  fi
-  rm -f "$CAMPAIGN_MANIFEST.tmp" "$CAMPAIGN_MANIFEST.intent"
-  exit "$status"
-}
-trap cleanup_partial INT TERM
-
 cmake -B build -G Ninja
 cmake --build build
 
@@ -39,8 +22,9 @@ for b in build/bench/*; do
   fi
 done
 
-# The paper campaign, resumable: a previous partial manifest (e.g. from an
-# interrupted run) is picked up instead of recomputed.
+# The paper campaign, resumable: an interrupted reproduction needs no
+# cleanup. The cache slots are checksummed, the manifest is written by
+# tmp + rename, and `resume` keeps the work a previous run finished.
 build/tools/clb campaign resume paper --threads "$(nproc)" \
   --cache-dir "$CAMPAIGN_CACHE" --manifest "$CAMPAIGN_MANIFEST" \
   2>&1 | tee campaign_output.txt

@@ -72,14 +72,7 @@ std::string ContentCache::hex_key(std::uint64_t key) {
 
 std::string ContentCache::slot_path(std::string_view kind,
                                     std::uint64_t key) const {
-  return dir_ + "/" + std::string(kind) + "/" + hex_key(key) +
-         std::string(kSlotSuffix);
-}
-
-bool ContentCache::valid_slot_file(const std::string& path,
-                                   std::string_view kind,
-                                   std::string_view hex16) {
-  return read_slot(path, kind, hex16).has_value();
+  return dir_ + "/" + std::string(kind) + "/" + hex_key(key) + ".clbc";
 }
 
 std::optional<std::string> ContentCache::load(std::string_view kind,
@@ -121,34 +114,21 @@ void ContentCache::store(std::string_view kind, std::uint64_t key,
   fs::create_directories(dir_ + "/" + std::string(kind), ec);
   if (ec) return;  // disk tier is best-effort; the memory tier still holds it
   const std::string path = slot_path(kind, key);
-  const std::string intent = path + std::string(kIntentSuffix);
-  const std::string tmp =
-      path + std::string(kTmpInfix) + hex_key(key);
-  // Write-ahead intent: created before the mutation starts, removed only
-  // after the rename lands. A crash in between leaves the intent behind,
-  // telling fsck "whatever tmp/slot state you find here is mid-write".
-  {
-    std::ofstream mark(intent, std::ios::binary | std::ios::trunc);
-    if (!mark) return;
-    mark << kind << "/" << hex_key(key) << "\n";
-  }
+  // The tmp name depends only on the key, so a tmp a kill strands here is
+  // truncated and renamed by the next store of the same key.
+  const std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      fs::remove(intent, ec);
-      return;
-    }
+    if (!out) return;
     out << header_line(kind, hex_key(key), payload) << "\n" << payload;
     if (!out.good()) {
       out.close();
       fs::remove(tmp, ec);
-      fs::remove(intent, ec);
       return;
     }
   }
   fs::rename(tmp, path, ec);
   if (ec) fs::remove(tmp, ec);
-  fs::remove(intent, ec);
 }
 
 CacheStats ContentCache::stats() const {

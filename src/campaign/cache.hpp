@@ -10,24 +10,18 @@
 //
 // Two tiers: an in-process map (hits are free) backed by an optional
 // on-disk store under a cache directory (default `.clb-cache/`). Disk slots
-// are one file per artifact, `<dir>/<kind>/<hex16>.clbc`, written via a
-// temp-file rename so a killed campaign never leaves a torn slot, and
-// prefixed with a header line that is verified on load — a corrupt or
-// foreign file demotes to a miss instead of poisoning the run. The header
-// carries the payload's byte count and FNV-1a digest, so *any* torn slot
-// (truncated payload, bit rot, a stray kill between write and rename that
-// something later moved into place) is detected — without the digest, a
-// truncated integer payload like "123" -> "12" would round-trip as a valid
-// but wrong artifact.
+// are one file per artifact, `<dir>/<kind>/<hex16>.clbc`, written to
+// `<hex16>.clbc.tmp` and renamed into place, and prefixed with a header
+// line that is verified on load — a corrupt or foreign file demotes to a
+// miss instead of poisoning the run. The header carries the payload's byte
+// count and FNV-1a digest, so *any* torn slot (truncated payload, bit rot)
+// is detected — without the digest, a truncated integer payload like
+// "123" -> "12" would round-trip as a valid but wrong artifact.
 //
-// Crash-recovery audit (docs/ROBUSTNESS.md): every disk mutation is
-// bracketed by a write-ahead intent marker (`<slot>.intent`) created before
-// the temp file and removed after the rename. A crash can therefore leave
-// only states `clb campaign fsck` can classify: a dangling intent (crash
-// mid-write; the tmp and intent are garbage), an orphaned tmp (pre-intent
-// era or interrupted cleanup), or a torn slot (fails header/digest
-// verification). All three demote to a miss at load time; fsck --repair
-// deletes them so the directory returns to exactly the valid-slots state.
+// A killed campaign needs no repair step (docs/ROBUSTNESS.md): a torn slot
+// loads as a miss and is rewritten, and a tmp stranded by the kill carries
+// its key's name, so the resumed run's store of that key truncates it and
+// renames it into place.
 //
 // The cache is shared by concurrent scheduler workers; all operations take
 // one internal mutex. That is deliberate cheapness: campaign jobs are
@@ -80,19 +74,6 @@ class ContentCache {
 
   /// "<hex16>" — the slot name for a key, also used in manifests.
   static std::string hex_key(std::uint64_t key);
-
-  /// Full verification of a disk slot file at `path` claiming to hold
-  /// (kind, hex16): header magic, kind, key, payload size, and payload
-  /// digest must all match. This is exactly the rule load() applies;
-  /// exposed so `clb campaign fsck` classifies slots the same way the
-  /// runtime does. Returns false for unreadable files.
-  static bool valid_slot_file(const std::string& path, std::string_view kind,
-                              std::string_view hex16);
-
-  /// Filename suffixes of the on-disk protocol, shared with fsck.
-  static constexpr std::string_view kSlotSuffix = ".clbc";
-  static constexpr std::string_view kIntentSuffix = ".intent";
-  static constexpr std::string_view kTmpInfix = ".tmp.";
 
  private:
   std::string slot_path(std::string_view kind, std::uint64_t key) const;

@@ -1,6 +1,8 @@
 #include "campaign/campaign.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -10,8 +12,9 @@
 #include <string>
 #include <utility>
 
+#include <unistd.h>  // environ
+
 #include "campaign/scheduler.hpp"
-#include "campaign/supervise.hpp"
 #include "maxis/parallel_bnb.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -291,6 +294,38 @@ std::uint64_t parse_hex(const std::string& s, std::string_view what) {
 
 }  // namespace
 
+std::optional<ChaosConfig> chaos_from_env() {
+  constexpr std::string_view kPrefix = "CLB_CHAOS_";
+  constexpr std::string_view kKill = "CLB_CHAOS_KILL_AFTER_JOBS";
+  constexpr std::string_view kPoison = "CLB_CHAOS_POISON";
+  std::optional<ChaosConfig> c;
+  for (char** env = environ; *env != nullptr; ++env) {
+    const std::string_view entry(*env);
+    if (!entry.starts_with(kPrefix)) continue;
+    const std::size_t eq = entry.find('=');
+    const std::string_view name = entry.substr(0, eq);
+    const std::string value(
+        eq == std::string_view::npos ? "" : entry.substr(eq + 1));
+    if (!c.has_value()) c.emplace();
+    if (name == kKill) {
+      errno = 0;
+      char* end = nullptr;
+      const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
+      CLB_EXPECT(!value.empty() && value[0] != '-' && *end == '\0' &&
+                     errno == 0 && v <= INT64_MAX,
+                 "chaos: malformed CLB_CHAOS_KILL_AFTER_JOBS");
+      c->kill_after_jobs = static_cast<std::int64_t>(v);
+    } else if (name == kPoison) {
+      c->poison_substring = value;
+    } else {
+      throw InvariantError("chaos: unknown variable " + std::string(name) +
+                           " (known: CLB_CHAOS_KILL_AFTER_JOBS, "
+                           "CLB_CHAOS_POISON)");
+    }
+  }
+  return c;
+}
+
 const JobRecord* CampaignResult::find(std::string_view id) const {
   for (const JobRecord& r : records) {
     if (r.id == id) return &r;
@@ -414,14 +449,17 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
   // dependents read it before running. Plain bytes are safe: the scheduler
   // orders every dependency completion before its dependent starts
   // (deps_left_ acq_rel in scheduler.cpp).
-  Supervisor supervisor(opts.retry, spec.seed, opts.chaos);
   std::vector<std::uint8_t> poisoned(n, 0);
+  const std::string poison =
+      opts.chaos.has_value() ? opts.chaos->poison_substring : std::string();
+  const std::int64_t kill_after =
+      opts.chaos.has_value() ? opts.chaos->kill_after_jobs : -1;
+  std::atomic<std::int64_t> jobs_finished{0};
 
   obs::Counter* m_exec = nullptr;
   obs::Counter* m_replay = nullptr;
   obs::Counter* m_holds = nullptr;
   obs::Counter* m_violated = nullptr;
-  obs::Counter* m_retried = nullptr;
   obs::Counter* m_quarantined = nullptr;
   obs::Counter* m_blocked = nullptr;
   obs::Histogram* m_wall = nullptr;
@@ -431,7 +469,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
     m_replay = &opts.metrics->counter("campaign.jobs.replayed");
     m_holds = &opts.metrics->counter("campaign.checks.holds");
     m_violated = &opts.metrics->counter("campaign.checks.violated");
-    m_retried = &opts.metrics->counter("campaign.jobs.retried");
     m_quarantined = &opts.metrics->counter("campaign.jobs.quarantined");
     m_blocked = &opts.metrics->counter("campaign.jobs.blocked");
     m_wall = &opts.metrics->histogram("campaign.job_wall_us",
@@ -467,14 +504,11 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
         poisoned[ei] = 1;
         if (m_blocked != nullptr) m_blocked->inc(w);
       } else {
-        JobRecord work;
-        const auto body = [&] {
-          // Every attempt starts from a clean record so a half-filled
-          // record from a failed try cannot leak into the retry.
-          work = JobRecord{};
-          work.id = e.id;
-          work.inputs_hash = e.inputs_hash;
-          work.stage = std::string(stage_name(e.stage));
+        JobRecord work = rec;
+        try {
+          if (!poison.empty() && e.id.find(poison) != std::string::npos) {
+            throw InvariantError("chaos: poisoned job");
+          }
           switch (e.stage) {
             case Stage::kBuild: {
               auto payload = cache.load("gadget", e.inputs_hash);
@@ -554,26 +588,27 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
               break;
             }
           }
-        };
-        const SuperviseOutcome so = supervisor.supervise(e.id, body);
-        if (so.ok) {
           rec = std::move(work);
           if (m_exec != nullptr) m_exec->inc(w);
-          // Verdict metrics only for attempts that stuck — a retried check
-          // must not double-count its holds/violated tally.
           if (e.stage == Stage::kCheck && opts.metrics != nullptr) {
             (rec.outcome.holds ? m_holds : m_violated)->inc(w);
           }
-        } else {
+        } catch (const std::exception& ex) {
+          // A job is a pure function of its inputs, so a retry would throw
+          // again: quarantine on the first throw. `rec` never saw the
+          // half-filled `work`, so no partial outcome reaches the manifest.
           rec.verdict = "quarantined";
-          rec.diagnostic = so.diagnostic;
+          rec.diagnostic = ex.what();
           poisoned[ei] = 1;
           if (m_quarantined != nullptr) m_quarantined->inc(w);
         }
-        rec.attempts = so.attempts;
-        rec.backoff_us = so.backoff_total_us;
-        if (m_retried != nullptr && so.attempts > 1) {
-          m_retried->add(so.attempts - 1, w);
+        if (kill_after >= 0 &&
+            jobs_finished.fetch_add(1, std::memory_order_acq_rel) + 1 >=
+                kill_after) {
+          // Simulated SIGKILL: no unwinding, no destructors, no manifest
+          // write — whatever a cache store was mid-way through stays torn
+          // on disk, exactly the state a resume must cope with.
+          std::_Exit(137);
         }
       }
     }
@@ -644,7 +679,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
     ++res.checks;
     if (r.verdict == "holds") ++res.checks_holding;
   }
-  res.retries = supervisor.retries();
   // A degraded campaign never claims success: quarantined or blocked jobs
   // veto all_hold even when every check that did run holds.
   res.all_hold = res.complete && res.checks_holding == res.checks &&
@@ -720,8 +754,6 @@ void write_manifest(std::ostream& os, const CampaignResult& result,
       w.kv("wall_ms", r.wall_ms);
       w.kv("cache_hit", r.cache_hit);
       w.kv("resumed", r.resumed);
-      w.kv("attempts", static_cast<std::uint64_t>(r.attempts));
-      w.kv("backoff_us", r.backoff_us);
       if (!r.diagnostic.empty()) w.kv("diagnostic", r.diagnostic);
     }
     w.end_object();
@@ -733,7 +765,6 @@ void write_manifest(std::ostream& os, const CampaignResult& result,
     w.kv("threads", static_cast<std::uint64_t>(result.threads));
     w.kv("jobs_run", static_cast<std::uint64_t>(result.jobs_run));
     w.kv("jobs_resumed", static_cast<std::uint64_t>(result.jobs_resumed));
-    w.kv("retries", result.retries);
     w.kv("wall_ms", result.total_wall_ms);
     w.key("cache");
     w.begin_object();
@@ -801,10 +832,6 @@ ParsedManifest read_manifest(std::string_view json_text) {
     if (const JsonValue* v = j.find("wall_ms")) r.wall_ms = v->as_double();
     if (const JsonValue* v = j.find("cache_hit")) r.cache_hit = v->as_bool();
     if (const JsonValue* v = j.find("resumed")) r.resumed = v->as_bool();
-    if (const JsonValue* v = j.find("attempts")) {
-      r.attempts = static_cast<std::size_t>(v->as_u64());
-    }
-    if (const JsonValue* v = j.find("backoff_us")) r.backoff_us = v->as_u64();
     if (const JsonValue* v = j.find("diagnostic")) {
       r.diagnostic = v->as_string();
     }

@@ -17,25 +17,51 @@
 // volatile fields (wall times, cache hits, thread count) live behind
 // ManifestWriteOptions::include_volatile and are excluded from the
 // canonical form that the bit-identity tests compare.
+//
+// Fault domain (docs/ROBUSTNESS.md): every job is a pure function of its
+// inputs, so a job that throws would throw again on a retry. It is
+// quarantined on its first throw and its dependents are blocked; a killed
+// process resumes from the checksummed cache slots and the last manifest
+// without a repair step.
 
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "campaign/cache.hpp"
 #include "campaign/jobs.hpp"
 #include "campaign/manifest.hpp"
-#include "campaign/supervise.hpp"
 
 namespace congestlb::obs {
 class MetricsRegistry;
 }
 
 namespace congestlb::campaign {
+
+/// The test seam of the fault paths: poison jobs and a simulated kill.
+struct ChaosConfig {
+  /// Job ids containing this substring throw before their body runs — the
+  /// poison job that must end up quarantined. Empty = no poison.
+  std::string poison_substring;
+  /// _Exit(137) after this many executed jobs finish (success or
+  /// quarantine), simulating SIGKILL mid-campaign: destructors are skipped,
+  /// so in-flight cache writes tear like a real kill. < 0 = never.
+  std::int64_t kill_after_jobs = -1;
+};
+
+/// Environment contract (used by tests/chaos_harness_test and
+/// scripts/chaos_campaign.py to attack a live `clb campaign run`):
+///   CLB_CHAOS_KILL_AFTER_JOBS=N   kill_after_jobs
+///   CLB_CHAOS_POISON=substr       poison_substring
+/// Returns nullopt when neither is set. Throws InvariantError on a malformed
+/// value and on any other set CLB_CHAOS_* name: a chaos-config typo must not
+/// silently run a non-chaotic campaign.
+std::optional<ChaosConfig> chaos_from_env();
 
 struct RunOptions {
   std::size_t threads = 1;
@@ -53,9 +79,7 @@ struct RunOptions {
   /// flagged approximate — approximate results are never cached and never
   /// honored on resume, so a later run with more budget replaces them.
   std::uint64_t job_deadline_ms = 0;
-  /// Retry/quarantine discipline for failing jobs (campaign/supervise.hpp).
-  RetryPolicy retry;
-  /// Deterministic fault injection for tests and the chaos harness.
+  /// Poison jobs and a simulated kill, for tests and the chaos harness.
   std::optional<ChaosConfig> chaos;
 };
 
@@ -64,7 +88,7 @@ struct JobRecord {
   std::uint64_t inputs_hash = 0;
   std::string stage;    ///< "build" | "solve-yes" | "solve-no" | "check"
   /// "built" | "opt" | "holds" | "violated", or the fault verdicts:
-  /// "quarantined" (failed every retry) | "blocked" (a dependency was
+  /// "quarantined" (the job threw) | "blocked" (a dependency was
   /// quarantined or blocked, so this job never ran). Fault verdicts are
   /// canonical — a degraded campaign is visibly degraded in the manifest —
   /// but match() never honors them on resume, so the jobs re-run.
@@ -74,9 +98,7 @@ struct JobRecord {
   bool resumed = false;    ///< carried/replayed from a prior manifest
   bool cache_hit = false;  ///< served from the content cache
   double wall_ms = 0;
-  std::size_t attempts = 1;      ///< supervisor tries consumed
-  std::uint64_t backoff_us = 0;  ///< total scheduled retry backoff
-  std::string diagnostic;        ///< last failure (fault verdicts only)
+  std::string diagnostic;  ///< what the job threw (fault verdicts only)
 };
 
 struct CampaignResult {
@@ -95,7 +117,6 @@ struct CampaignResult {
   bool all_hold = false;
   std::size_t jobs_quarantined = 0;  ///< verdict == "quarantined"
   std::size_t jobs_blocked = 0;      ///< verdict == "blocked"
-  std::uint64_t retries = 0;         ///< supervisor retry attempts, total
   CacheStats cache;
   double total_wall_ms = 0;
   std::size_t threads = 1;
@@ -105,7 +126,7 @@ struct CampaignResult {
 
 /// Execute the campaign. `prior` (e.g. read_manifest of a partial run)
 /// enables resume; pass nullptr for a fresh run. Throws InvariantError on
-/// spec problems; job-level errors propagate after the DAG drains.
+/// spec problems; a job that throws is quarantined, not rethrown.
 CampaignResult run_campaign(const CampaignSpec& spec, const RunOptions& opts,
                             const std::map<std::string, JobRecord>* prior =
                                 nullptr);

@@ -137,16 +137,12 @@ void print_campaign_summary(std::ostream& os, const CampaignResult& result) {
     os << ", " << result.cache.invalid << " invalid slots";
   }
   os << "\n";
-  if (result.retries > 0 || result.jobs_quarantined > 0 ||
-      result.jobs_blocked > 0) {
-    os << "faults: " << result.retries << " retries, "
-       << result.jobs_quarantined << " quarantined, " << result.jobs_blocked
-       << " blocked\n";
+  if (result.jobs_quarantined > 0 || result.jobs_blocked > 0) {
+    os << "faults: " << result.jobs_quarantined << " quarantined, "
+       << result.jobs_blocked << " blocked\n";
     for (const JobRecord& r : result.records) {
       if (r.verdict == "quarantined") {
-        os << "  quarantined " << r.id << " after " << r.attempts
-           << (r.attempts == 1 ? " attempt" : " attempts") << ": "
-           << r.diagnostic << "\n";
+        os << "  quarantined " << r.id << ": " << r.diagnostic << "\n";
       }
     }
   }

@@ -1,4 +1,4 @@
-// Cooperative cancellation and deterministic retry backoff.
+// Cooperative cancellation.
 //
 // DeadlineToken is the cancellation primitive the campaign runtime threads
 // through long-running work (docs/ROBUSTNESS.md): the owner arms it with a
@@ -14,12 +14,6 @@
 // stops at its next poll and returns its best incumbent so far (flagged
 // approximate), which keeps every partial result certified — the token only
 // decides *when* to stop, never *what* the answer is.
-//
-// backoff_delay_us is the retry half: a pure function (seed, attempt) ->
-// delay, so a campaign's retry schedule is part of its deterministic
-// contract — byte-identical across worker counts and resume histories, with
-// the jitter drawn from the same splitmix64 mixing every other structural
-// seed uses (support/hash.hpp), not from any global RNG state.
 
 #pragma once
 
@@ -80,15 +74,5 @@ class DeadlineToken {
   bool armed_ = false;
   Clock::time_point deadline_{};
 };
-
-/// Jittered exponential backoff delay before retry `attempt` (0-based: the
-/// delay taken after the first failure is attempt 0). The envelope is
-/// base_us * 2^attempt capped at cap_us; the returned delay is drawn
-/// uniformly from [envelope/2, envelope] with jitter derived from
-/// hash_mix(seed, attempt) — a pure function, so a job's retry schedule is
-/// identical across thread counts, processes, and resume histories.
-/// Requires base_us >= 1 and cap_us >= base_us.
-std::uint64_t backoff_delay_us(std::uint64_t seed, std::size_t attempt,
-                               std::uint64_t base_us, std::uint64_t cap_us);
 
 }  // namespace congestlb

@@ -2,14 +2,12 @@
 //
 // Seeded choices that must not depend on iteration order — blackboard_mis's
 // per-phase lottery keys, the traffic workloads' per-node draws, the
-// campaign supervisor's backoff jitter and chaos verdicts, message
-// checksums (congest/message.hpp) — are derived by hashing their
-// coordinates rather than by advancing a shared generator, so a refactor of
-// the loop that asks cannot silently change them and break seed-based
-// repros. These helpers turn a tuple of integers into a high-quality 64-bit
-// hash (a chain of splitmix64 finalizers) and into a uniform double in
-// [0,1), with no generator state involved: hash_mix(seed, a, b, c) is a
-// pure function.
+// campaign's per-job seeds, message checksums (congest/message.hpp) — are
+// derived by hashing their coordinates rather than by advancing a shared
+// generator, so a refactor of the loop that asks cannot silently change
+// them and break seed-based repros. These helpers turn a tuple of integers
+// into a high-quality 64-bit hash (a chain of splitmix64 finalizers), with
+// no generator state involved: hash_mix(seed, a, b, c) is a pure function.
 
 #pragma once
 
@@ -38,11 +36,6 @@ inline std::uint64_t hash_mix(std::uint64_t first, Rest... rest) {
   std::uint64_t h = hash_mix64(first);
   ((h = hash_combine(h, static_cast<std::uint64_t>(rest))), ...);
   return h;
-}
-
-/// Map a hash to a uniform double in [0,1) (53 mantissa bits).
-inline double hash_to_unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 /// FNV-1a over a byte string. The campaign cache (campaign/cache.hpp) keys

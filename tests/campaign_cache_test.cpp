@@ -96,6 +96,63 @@ TEST(ContentCache, CorruptSlotDemotesToMiss) {
   EXPECT_EQ(s.hits(), 0u);
 }
 
+TEST(ContentCache, SlotTruncatedAtEveryByteIsInvalid) {
+  // The checksummed v2 header makes every torn slot a miss: no strict
+  // prefix of a valid slot file loads, so a kill at any byte of a write
+  // costs a rebuild, never a wrong artifact.
+  ScratchDir scratch("truncate_slot");
+  const fs::path slot = scratch.path / "gadget" /
+                        (cmp::ContentCache::hex_key(42) + ".clbc");
+  {
+    cmp::ContentCache writer(scratch.path.string());
+    writer.store("gadget", 42, "linear 2 1 3\n0 1\n1 2\n");
+  }
+  std::string full;
+  {
+    std::ifstream in(slot, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    full = os.str();
+  }
+  ASSERT_GT(full.size(), 0u);
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    {
+      std::ofstream out(slot, std::ios::binary | std::ios::trunc);
+      out << full.substr(0, len);
+    }
+    cmp::ContentCache reader(scratch.path.string());
+    EXPECT_EQ(reader.load("gadget", 42), std::nullopt)
+        << "a slot truncated to " << len << "/" << full.size()
+        << " bytes loaded";
+    EXPECT_EQ(reader.stats().invalid, 1u) << len;
+  }
+}
+
+TEST(ContentCache, StrandedTmpIsReplacedByTheNextStore) {
+  // A kill between writing a slot's tmp and renaming it strands
+  // `<hex16>.clbc.tmp`. The tmp name depends only on the key, so the next
+  // store of that key truncates it and renames it into place.
+  ScratchDir scratch("stranded_tmp");
+  const fs::path dir = scratch.path / "opt";
+  const fs::path slot = dir / (cmp::ContentCache::hex_key(7) + ".clbc");
+  fs::create_directories(dir);
+  {
+    std::ofstream out(slot.string() + ".tmp", std::ios::binary);
+    out << "clb-cache v2 opt 0000000000000007 a much longer torn payload";
+  }
+  cmp::ContentCache cache(scratch.path.string());
+  EXPECT_EQ(cache.load("opt", 7), std::nullopt);
+  cache.store("opt", 7, "12");
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path(), slot);
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  cmp::ContentCache reader(scratch.path.string());
+  EXPECT_EQ(reader.load("opt", 7), "12");
+}
+
 TEST(ContentCache, HexKeyIsStableSixteenDigits) {
   EXPECT_EQ(cmp::ContentCache::hex_key(0), "0000000000000000");
   EXPECT_EQ(cmp::ContentCache::hex_key(0xdeadbeefull), "00000000deadbeef");

@@ -2,13 +2,13 @@
 // via CLB_TOOL_PATH by tools/CMakeLists.txt) as a subprocess, kills it
 // mid-campaign through the CLB_CHAOS_KILL_AFTER_JOBS environment contract
 // (_Exit(137) skips destructors, so in-flight cache writes tear exactly
-// like a real SIGKILL), and pins the recovery invariant end to end:
+// like a real SIGKILL), and pins the recovery invariant end to end, with
+// no repair step:
 //
-//   kill at job N  ->  `campaign fsck --repair` exits 0
-//                  ->  `campaign resume` exits 0
+//   kill at job N  ->  `campaign resume` exits 0
 //                  ->  the canonical manifest is byte-identical to an
-//                      undisturbed run's, and a final fsck finds zero
-//                      orphaned artifacts.
+//                      undisturbed run's, and every file left in the cache
+//                      tree is a slot, `<kind>/<hex16>.clbc`.
 //
 // scripts/chaos_campaign.py runs the same loop at randomized kill points
 // (200 locally, 25 in CI); this test keeps a deterministic ladder of kill
@@ -23,8 +23,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace fs = std::filesystem;
 
@@ -68,13 +70,18 @@ int run_campaign(const std::string& env, const std::string& action,
   return run_cmd(cmd.str());
 }
 
-int run_fsck(const fs::path& cache_dir, const fs::path& manifest,
-             bool repair) {
-  std::ostringstream cmd;
-  cmd << "'" << CLB_TOOL_PATH << "' campaign fsck --cache-dir "
-      << quoted(cache_dir) << " --manifest " << quoted(manifest)
-      << (repair ? " --repair" : "") << " >/dev/null 2>&1";
-  return run_cmd(cmd.str());
+/// Regular files under `cache_dir` that are not `<kind>/<hex16>.clbc`: a
+/// resume must leave none, whatever tmp the kill stranded.
+std::vector<std::string> stray_cache_files(const fs::path& cache_dir) {
+  static const std::regex slot("[a-z0-9_-]+/[0-9a-f]{16}\\.clbc");
+  std::vector<std::string> stray;
+  for (const auto& entry : fs::recursive_directory_iterator(cache_dir)) {
+    if (!entry.is_regular_file()) continue;
+    const std::string rel =
+        entry.path().lexically_relative(cache_dir).generic_string();
+    if (!std::regex_match(rel, slot)) stray.push_back(rel);
+  }
+  return stray;
 }
 
 std::string slurp(const fs::path& p) {
@@ -115,21 +122,19 @@ TEST(ChaosHarness, KilledCampaignsResumeToByteIdenticalManifest) {
     }
     ASSERT_EQ(killed, 137) << tag << ": _Exit(137) contract broken";
 
-    // The audit must leave a consistent tree (exit 0 == repaired clean)...
-    EXPECT_EQ(run_fsck(cache_dir, manifest, /*repair=*/true), 0) << tag;
-    // ... resume must complete from whatever survived ...
+    // Resume must complete from whatever survived, converging to the
+    // byte-identical canonical manifest with only slots left behind.
     ASSERT_EQ(run_campaign("", "resume", cache_dir, manifest), 0) << tag;
-    // ... converging to the byte-identical canonical manifest, with zero
-    // orphaned cache artifacts left behind.
     EXPECT_EQ(slurp(manifest), reference) << tag;
-    EXPECT_EQ(run_fsck(cache_dir, manifest, /*repair=*/false), 0) << tag;
+    EXPECT_EQ(stray_cache_files(cache_dir), std::vector<std::string>{})
+        << tag;
   }
 }
 
 TEST(ChaosHarness, KillDuringResumeStillConverges) {
   // Crash-on-recovery: the first run is killed, the *resume* is killed
   // too, and only the third attempt runs to completion. Recovery must
-  // compose — fsck + resume is idempotent, not single-shot.
+  // compose — resume is idempotent, not single-shot.
   ScratchDir scratch("double_kill");
   const fs::path ref_manifest = scratch.path / "ref.json";
   ASSERT_EQ(run_campaign("", "run", scratch.path / "cache-ref", ref_manifest),
@@ -141,14 +146,12 @@ TEST(ChaosHarness, KillDuringResumeStillConverges) {
   ASSERT_EQ(run_campaign("CLB_CHAOS_KILL_AFTER_JOBS=4", "run", cache_dir,
                          manifest),
             137);
-  EXPECT_EQ(run_fsck(cache_dir, manifest, true), 0);
   ASSERT_EQ(run_campaign("CLB_CHAOS_KILL_AFTER_JOBS=5", "resume", cache_dir,
                          manifest),
             137);
-  EXPECT_EQ(run_fsck(cache_dir, manifest, true), 0);
   ASSERT_EQ(run_campaign("", "resume", cache_dir, manifest), 0);
   EXPECT_EQ(slurp(manifest), reference);
-  EXPECT_EQ(run_fsck(cache_dir, manifest, false), 0);
+  EXPECT_EQ(stray_cache_files(cache_dir), std::vector<std::string>{});
 }
 
 TEST(ChaosHarness, InjectedFailuresDegradeButResumeRecovers) {
@@ -163,10 +166,8 @@ TEST(ChaosHarness, InjectedFailuresDegradeButResumeRecovers) {
 
   const fs::path cache_dir = scratch.path / "cache";
   const fs::path manifest = scratch.path / "campaign.json";
-  // --retries 0: poison jobs quarantine on their first failure, keeping
-  // the degraded run fast.
   ASSERT_EQ(run_campaign("CLB_CHAOS_POISON=/solve-no", "run", cache_dir,
-                         manifest, "--threads 2 --canonical --retries 0"),
+                         manifest),
             1)
       << "a degraded campaign must exit nonzero";
   // The degraded manifest is canonical and visibly degraded.
@@ -181,14 +182,20 @@ TEST(ChaosHarness, InjectedFailuresDegradeButResumeRecovers) {
   }
   ASSERT_EQ(run_campaign("", "resume", cache_dir, manifest), 0);
   EXPECT_EQ(slurp(manifest), reference);
+  EXPECT_EQ(stray_cache_files(cache_dir), std::vector<std::string>{});
 }
 
 TEST(ChaosHarness, MalformedChaosEnvRefusesToRun) {
-  // A chaos config typo must not silently run a non-chaotic campaign.
+  // A chaos config typo must not silently run a non-chaotic campaign:
+  // neither a malformed value nor a misspelled variable name.
   ScratchDir scratch("typo");
-  EXPECT_NE(run_campaign("CLB_CHAOS_KILL_AFTER_JOBS=soon", "run",
-                         scratch.path / "cache", scratch.path / "m.json"),
-            0);
+  for (const char* env :
+       {"CLB_CHAOS_KILL_AFTER_JOBS=soon", "CLB_CHAOS_KILL_AFTER_JOB=3"}) {
+    EXPECT_NE(run_campaign(env, "run", scratch.path / "cache",
+                           scratch.path / "m.json"),
+              0)
+        << env;
+  }
 }
 
 #else  // _WIN32

@@ -11,13 +11,10 @@
 //                                   trace_event file (chrome://tracing or
 //                                   ui.perfetto.dev)
 //   clb protocols <k> <t>           disjointness protocol costs vs CKS bound
-//   clb campaign run|resume|status|fsck [paper|smoke|<spec.json>] [options]
+//   clb campaign run|resume|status [paper|smoke|<spec.json>] [options]
 //                                   execute a sweep campaign (docs/CAMPAIGN.md);
 //                                   resume re-runs only missing jobs of the
-//                                   manifest, status reads the manifest back,
-//                                   fsck audits the cache/manifest for crash
-//                                   debris (docs/ROBUSTNESS.md), --repair
-//                                   deletes what it classifies
+//                                   manifest, status reads the manifest back
 //   clb version                     print the library version
 //   clb help                        list every subcommand
 //
@@ -39,7 +36,6 @@
 #include "campaign/campaign.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/report.hpp"
-#include "campaign/supervise.hpp"
 #include "comm/lower_bound.hpp"
 #include "comm/protocols.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
@@ -68,10 +64,9 @@ void print_usage(std::ostream& os) {
         "  clb simulate <t> <seed> <yes|no>\n"
         "  clb trace <t> <seed> <yes|no> [chrome.json] [canonical.txt]\n"
         "  clb protocols <k> <t>\n"
-        "  clb campaign run|resume|status|fsck [paper|smoke|<spec.json>]\n"
+        "  clb campaign run|resume|status [paper|smoke|<spec.json>]\n"
         "      [--threads N] [--cache-dir DIR] [--manifest FILE]\n"
-        "      [--max-jobs N] [--canonical] [--deadline-ms N] [--retries N]\n"
-        "      [--repair] [--report FILE]\n"
+        "      [--max-jobs N] [--canonical] [--deadline-ms N]\n"
         "  clb version\n"
         "  clb help\n";
 }
@@ -406,52 +401,46 @@ std::optional<clb::campaign::CampaignSpec> load_spec(const std::string& arg) {
   return clb::campaign::parse_campaign_spec_text(text.str());
 }
 
-/// Atomic manifest write with a write-ahead intent marker, mirroring the
-/// cache slot protocol so `clb campaign fsck` can classify a crash at any
-/// byte: intent -> tmp -> rename -> remove intent.
+/// Manifest write by tmp + rename, so a kill leaves either the previous
+/// manifest or the new one, never a torn one. A failed write or rename
+/// removes its tmp.
 bool write_manifest_atomic(const std::string& path,
                            const clb::campaign::CampaignResult& result,
                            const clb::campaign::ManifestWriteOptions& wopts) {
   namespace fs = std::filesystem;
-  const std::string intent = path + ".intent";
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream mark(intent, std::ios::trunc);
-    if (!mark) return false;
-    mark << "manifest\n";
-  }
+  std::error_code ec;
+  bool ok = false;
   {
     std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    clb::campaign::write_manifest(out, result, wopts);
-    if (!out.good()) return false;
+    if (out) {
+      clb::campaign::write_manifest(out, result, wopts);
+      out.close();
+      ok = !out.fail();
+    }
   }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return false;
-  fs::remove(intent, ec);
-  return true;
+  if (ok) {
+    fs::rename(tmp, path, ec);
+    ok = !ec;
+  }
+  if (!ok) fs::remove(tmp, ec);
+  return ok;
 }
 
 int cmd_campaign(int argc, char** argv) {
   if (argc < 1) return usage();
   const std::string action = argv[0];
-  if (action != "run" && action != "resume" && action != "status" &&
-      action != "fsck") {
-    return bad_arg("campaign action (run|resume|status|fsck)", argv[0]);
+  if (action != "run" && action != "resume" && action != "status") {
+    return bad_arg("campaign action (run|resume|status)", argv[0]);
   }
 
   std::string spec_arg = "paper";
   std::string manifest_path = "campaign.json";
   std::string cache_dir = ".clb-cache";
-  std::string report_path;
   std::uint64_t threads = 1;
   std::uint64_t max_jobs = 0;
   std::uint64_t deadline_ms = 0;
-  std::uint64_t retries = 0;
-  bool have_retries = false;
   bool canonical = false;
-  bool repair = false;
   bool have_positional = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -470,11 +459,6 @@ int cmd_campaign(int argc, char** argv) {
       const auto v = parse_u64(value());
       if (!v) return bad_arg("--deadline-ms", argv[i]);
       deadline_ms = *v;
-    } else if (a == "--retries") {
-      const auto v = parse_u64(value());
-      if (!v) return bad_arg("--retries", argv[i]);
-      retries = *v;
-      have_retries = true;
     } else if (a == "--cache-dir") {
       const char* v = value();
       if (v == nullptr) return bad_arg("--cache-dir", a.c_str());
@@ -483,14 +467,8 @@ int cmd_campaign(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return bad_arg("--manifest", a.c_str());
       manifest_path = v;
-    } else if (a == "--report") {
-      const char* v = value();
-      if (v == nullptr) return bad_arg("--report", a.c_str());
-      report_path = v;
     } else if (a == "--canonical") {
       canonical = true;
-    } else if (a == "--repair") {
-      repair = true;
     } else if (!a.empty() && a[0] == '-') {
       return bad_arg("campaign option", argv[i]);
     } else if (!have_positional) {
@@ -499,46 +477,6 @@ int cmd_campaign(int argc, char** argv) {
     } else {
       return bad_arg("campaign argument", argv[i]);
     }
-  }
-
-  if (action == "fsck") {
-    clb::campaign::FsckOptions fopts;
-    fopts.repair = repair;
-    const auto report =
-        clb::campaign::fsck_campaign(cache_dir, manifest_path, fopts);
-    clb::Table tbl({"field", "value"});
-    tbl.row("cache dir", cache_dir);
-    tbl.row("manifest", manifest_path);
-    tbl.row("slots scanned", report.slots_scanned);
-    tbl.row("slots valid", report.slots_valid);
-    tbl.row("issues", report.issues.size());
-    tbl.row("repaired", report.repaired);
-    tbl.row("clean", report.clean());
-    tbl.print(std::cout);
-    for (const auto& issue : report.issues) {
-      std::cout << "  " << clb::campaign::to_string(issue.kind) << " "
-                << issue.path << " (" << issue.detail << ")"
-                << (issue.repaired ? " [repaired]" : "") << "\n";
-    }
-    if (!report_path.empty()) {
-      std::ofstream out(report_path, std::ios::trunc);
-      if (!out) {
-        std::cerr << "cannot write fsck report '" << report_path << "'\n";
-        return 1;
-      }
-      clb::campaign::write_fsck_report(out, report);
-      std::cout << "report: " << report_path << "\n";
-    }
-    // Exit 0 when the directory is consistent — either it was clean, or
-    // --repair removed every classified artifact (a second fsck is clean).
-    std::size_t outstanding = 0;
-    for (const auto& issue : report.issues) {
-      if (issue.kind != clb::campaign::FsckIssue::Kind::kForeignFile &&
-          !issue.repaired) {
-        ++outstanding;
-      }
-    }
-    return outstanding == 0 ? 0 : 1;
   }
 
   if (action == "status") {
@@ -551,10 +489,8 @@ int cmd_campaign(int argc, char** argv) {
     text << in.rdbuf();
     const auto m = clb::campaign::read_manifest(text.str());
     std::size_t checks = 0, holding = 0, pending_hint = 0;
-    std::uint64_t total_retries = 0;
     for (const auto& [id, rec] : m.records) {
       (void)id;
-      if (rec.attempts > 1) total_retries += rec.attempts - 1;
       if (rec.stage != "check") continue;
       ++checks;
       if (rec.verdict == "holds") ++holding;
@@ -568,7 +504,6 @@ int cmd_campaign(int argc, char** argv) {
     tbl.row("jobs missing", pending_hint);
     tbl.row("checks holding",
             std::to_string(holding) + " / " + std::to_string(checks));
-    tbl.row("retries", total_retries);
     tbl.row("quarantined", m.jobs_quarantined);
     tbl.row("blocked", m.jobs_blocked);
     tbl.row("complete", m.complete);
@@ -577,10 +512,6 @@ int cmd_campaign(int argc, char** argv) {
     for (const auto& [id, rec] : m.records) {
       if (rec.verdict != "quarantined" && rec.verdict != "blocked") continue;
       std::cout << "  " << rec.verdict << " " << id;
-      if (rec.verdict == "quarantined") {
-        std::cout << " after " << rec.attempts
-                  << (rec.attempts == 1 ? " attempt" : " attempts");
-      }
       if (!rec.diagnostic.empty()) std::cout << ": " << rec.diagnostic;
       std::cout << "\n";
     }
@@ -602,12 +533,9 @@ int cmd_campaign(int argc, char** argv) {
   opts.max_jobs = static_cast<std::size_t>(max_jobs);
   opts.metrics = &metrics;
   opts.job_deadline_ms = deadline_ms;
-  if (have_retries) {
-    opts.retry.max_attempts = static_cast<std::size_t>(retries) + 1;
-  }
-  // The CLB_CHAOS_* environment contract (campaign/supervise.hpp) is how
-  // the chaos harness attacks a live run: injected failures, poison jobs,
-  // and a simulated SIGKILL after N jobs.
+  // The CLB_CHAOS_* environment contract (campaign/campaign.hpp) is how
+  // the chaos harness attacks a live run: poison jobs and a simulated
+  // SIGKILL after N jobs.
   opts.chaos = clb::campaign::chaos_from_env();
 
   std::map<std::string, clb::campaign::JobRecord> prior;
