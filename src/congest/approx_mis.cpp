@@ -124,7 +124,7 @@ class ApproxMisProgram final : public NodeProgram {
     }
 
     if (final_state && announced_final_ && neighbors_sticky_final() &&
-        cursors_drained()) {
+        cursor_drained(info)) {
       finished_ = true;
       return;
     }
@@ -155,7 +155,6 @@ class ApproxMisProgram final : public NodeProgram {
     CLB_EXPECT(info.weight >= 0 && static_cast<std::uint64_t>(info.weight) <
                                        (1ULL << kWeightBits),
                "approx-mis: weight does not fit token field");
-    cursor_.assign(info.neighbors.size(), 0);
     sticky_.assign(info.neighbors.size(), 0);
     fresh_status_.assign(info.neighbors.size(), 0);
     fresh_valid_.assign(info.neighbors.size(), 0);
@@ -429,11 +428,9 @@ class ApproxMisProgram final : public NodeProgram {
     return true;
   }
 
-  bool cursors_drained() const {
-    for (std::size_t c : cursor_) {
-      if (c < tokens_.size()) return false;
-    }
-    return true;
+  /// Every token has gone out (an isolated node has nothing to send).
+  bool cursor_drained(const NodeInfo& info) const {
+    return info.neighbors.empty() || cursor_ >= tokens_.size();
   }
 
   std::uint64_t wire_status() const {
@@ -455,24 +452,23 @@ class ApproxMisProgram final : public NodeProgram {
     const std::uint64_t chk = fold_checksum(
         (static_cast<std::uint64_t>(info.id) << 2) | status,
         kFrameChecksumBits);
-    for (std::size_t s = 0; s < info.neighbors.size(); ++s) {
-      MessageWriter w;
-      w.put(status, 2);
-      w.put(chk, kFrameChecksumBits);
-      std::size_t sent = 0;
-      while (sent < tokens_per_round_ && cursor_[s] < tokens_.size()) {
-        const Token& tok = tokens_[cursor_[s]++];
-        w.put(1, 1);
-        w.put(static_cast<std::uint64_t>(tok.kind), 2);
-        w.put(tok.a, id_bits_);
-        w.put(tok.b, b_bits_);
-        w.put(tok.w, kWeightBits);
-        w.put(token_checksum(tok), kTokenChecksumBits);
-        ++sent;
-      }
-      if (w.bits() < info.bits_per_edge) w.put(0, 1);  // terminator
-      outbox.send(s, std::move(w).finish());
+    // Every neighbor gets the same frame: one broadcast per round.
+    MessageWriter w;
+    w.put(status, 2);
+    w.put(chk, kFrameChecksumBits);
+    std::size_t sent = 0;
+    while (sent < tokens_per_round_ && cursor_ < tokens_.size()) {
+      const Token& tok = tokens_[cursor_++];
+      w.put(1, 1);
+      w.put(static_cast<std::uint64_t>(tok.kind), 2);
+      w.put(tok.a, id_bits_);
+      w.put(tok.b, b_bits_);
+      w.put(tok.w, kWeightBits);
+      w.put(token_checksum(tok), kTokenChecksumBits);
+      ++sent;
     }
+    if (w.bits() < info.bits_per_edge) w.put(0, 1);  // terminator
+    outbox.send_all(std::move(w).finish());
   }
 
   // --- state --------------------------------------------------------------
@@ -488,7 +484,7 @@ class ApproxMisProgram final : public NodeProgram {
   std::size_t sigma_ = 1;
 
   std::vector<Token> tokens_;
-  std::vector<std::size_t> cursor_;
+  std::size_t cursor_ = 0;  ///< next token to broadcast
   std::vector<std::uint8_t> node_known_;
   std::vector<std::uint64_t> degree_;
   std::vector<std::uint64_t> weight_;

@@ -16,7 +16,9 @@
 // output is an independent set. Frames and tokens carry fold_checksum
 // fields; the engine delivers them intact, and the bits stay because they
 // are part of the message layout — dropping them would change every
-// message size and hence the recorded round and bit counts.
+// message size and hence the recorded round and bit counts. Every round a
+// node sends one frame (its status and its next tokens) to all neighbors,
+// so the program is a CONGEST-Broadcast algorithm.
 //
 // Bandwidth scaling makes the LOCAL/CONGEST separation quantitative: with
 // approx_mis_local_bits() per edge every token moves one hop per round and

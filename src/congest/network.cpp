@@ -157,22 +157,8 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
   }
   dbits_.assign(slots, 0);
   if (!bcast_) reverse_slot_ = reverse_slots(*csr_);
-  if (!config_.owner.empty()) {
-    CLB_EXPECT(!hybrid, "an owner table requires a materialized topology");
-    CLB_EXPECT(config_.owner.size() == n,
-               "Network: owner table must have one entry per node");
-    observe_cut_only_ = true;
-    const graph::Csr& csr = *csr_;
-    for (NodeId u = 0; u < n; ++u) {
-      for (std::size_t d = csr.offsets[u]; d < csr.offsets[u + 1]; ++d) {
-        const NodeId v = csr.targets[d];
-        if (config_.owner[u] != config_.owner[v]) {
-          cut_slots_.push_back({bcast_ ? u : d, u, v});
-        }
-      }
-    }
-    config_.owner = {};  // read only here; the caller's table may go away
-  }
+  CLB_EXPECT(config_.owner.empty() || config_.owner.size() == n,
+             "Network: owner table must have one entry per node");
 
   Rng seeder(config_.seed);
   infos_.reserve(n);
@@ -190,6 +176,22 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     infos_.push_back(info);
     node_rng_.push_back(seeder.fork());
   }
+  if (config_.on_message) {
+    // The observed deliveries: out-slots (u, v) whose ends have different
+    // owners. Without an owner table every node is its own owner, so every
+    // delivery is listed.
+    const std::span<const std::size_t> owner = config_.owner;
+    for (NodeId u = 0; u < n; ++u) {
+      std::size_t slot = first_slot(u);
+      for (const NodeId v : infos_[u].neighbors) {
+        if (owner.empty() || owner[u] != owner[v]) {
+          cut_slots_.push_back({slot, u, v});
+        }
+        if (!bcast_) ++slot;
+      }
+    }
+  }
+  config_.owner = {};  // read only here; the caller's table may go away
   for (NodeId v = 0; v < n; ++v) {
     programs_.push_back(factory(v, infos_[v]));
     CLB_EXPECT(programs_.back() != nullptr, "Network: factory returned null");
@@ -337,34 +339,15 @@ void Network::observe_shard(std::size_t shard) {
 }
 
 void Network::notify_observer() {
-  // Canonical order, independent of num_threads: deliveries in (sender,
-  // neighbor-ascending) order.
+  // Canonical order, independent of num_threads: cut_slots_ is listed in
+  // (sender, neighbor-ascending) order.
   const std::size_t round = stats_.rounds;
   const Arena& out = arena_[cur_];
-  const auto message = [&](NodeId u, std::size_t o) -> const Message& {
-    return out.msgs[out.sent[o] == kSlotAsFirst ? first_slot(u) : o];
-  };
-  if (observe_cut_only_) {
-    for (const CutSlot& c : cut_slots_) {
-      if (out.sent[c.slot] != kSlotEmpty) {
-        config_.on_message(round, c.from, c.to, message(c.from, c.slot));
-      }
-    }
-    return;
-  }
-  // Every delivery. On a hybrid topology this expands each broadcast over
-  // the merged neighbor cursor — O(total degree): observers are a small-n
-  // contract tool.
-  const std::size_t stride = bcast_ ? 0 : 1;
-  for (NodeId u = 0; u < infos_.size(); ++u) {
-    std::size_t o = first_slot(u);
-    if (bcast_ && out.sent[o] == kSlotEmpty) continue;
-    for (const NodeId v : infos_[u].neighbors) {
-      if (out.sent[o] != kSlotEmpty) {
-        config_.on_message(round, u, v, message(u, o));
-      }
-      o += stride;
-    }
+  for (const CutSlot& c : cut_slots_) {
+    const std::uint8_t state = out.sent[c.slot];
+    if (state == kSlotEmpty) continue;
+    const std::size_t o = state == kSlotAsFirst ? first_slot(c.from) : c.slot;
+    config_.on_message(round, c.from, c.to, out.msgs[o]);
   }
 }
 

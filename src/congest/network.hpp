@@ -17,10 +17,14 @@
 // message sent in round r is delivered, unmodified, at the start of round
 // r+1. Edge traffic, RunStats bit counters, and the on_message observer
 // therefore all see the same traffic, so blackboard charging is exact.
-// Given a per-node owner table (NetworkConfig::owner, the reduction
-// driver's player partition), the observer sees exactly the deliveries
-// that cross between two owners: the network lists those out-slots once,
-// at construction, and visits only them each round.
+// The observer has one path: the network lists the observed out-slots once,
+// at construction, and visits only them each round. Given a per-node owner
+// table (NetworkConfig::owner, the reduction driver's player partition)
+// those are exactly the deliveries that cross between two owners; without
+// one every node is its own owner and every delivery is listed. The list
+// walks each node's merged neighbors, so it works on implicit-block
+// topologies too, but it costs O(observed deliveries) memory: an observer
+// is a small-n tool, and an unobserved network builds no list at all.
 //
 // Engine layout (the hot path is allocation-free after warm-up):
 //  - the network borrows the graph's immutable CSR (holding its shared_ptr,
@@ -309,16 +313,18 @@ struct NetworkConfig {
   /// mutable state behind the simulator's back.
   std::size_t num_threads = 1;
   /// Observer invoked at delivery time (round, from, to, msg) for every
-  /// message, or — with an owner table — for every message that crosses
-  /// between two owners. Invoked serially in the canonical (sender,
-  /// neighbor-ascending) order regardless of num_threads.
+  /// message that crosses between two owners (see `owner`; with no owner
+  /// table, every message). Invoked serially in the canonical (sender,
+  /// neighbor-ascending) order regardless of num_threads. The constructor
+  /// lists the observed out-slots once, so an observer costs O(observed
+  /// deliveries) memory on any topology — a small-n tool.
   std::function<void(std::size_t, NodeId, NodeId, const Message&)> on_message;
   /// Optional per-node owner table (owner[v] for every node), used by
   /// sim's reduction driver to charge cut-crossing messages to the
-  /// communication blackboard (Theorem 5's simulation). When set, the
-  /// constructor lists the out-slots (u, v) with owner[u] != owner[v] once
-  /// and on_message observes only those deliveries. Read only by the
-  /// constructor; requires a materialized topology.
+  /// communication blackboard (Theorem 5's simulation): on_message observes
+  /// only the deliveries (u, v) with owner[u] != owner[v]. Empty means
+  /// every node is its own owner. Read only by the constructor, on
+  /// materialized and implicit-block topologies alike.
   std::span<const std::size_t> owner;
   /// Round-level tracer (obs/trace.hpp); null = no tracing. Not owned; must
   /// outlive the Network. The engine binds per-shard staging buffers at
@@ -427,9 +433,9 @@ class Network {
   /// deliver events and metric observations in receiver order.
   void observe_shard(std::size_t shard);
 
-  /// Invoke config_.on_message for this round's deliveries (all of them,
-  /// or those on cut_slots_) in the canonical (sender, neighbor-ascending)
-  /// order — identical for every num_threads.
+  /// Invoke config_.on_message for this round's deliveries on cut_slots_,
+  /// in the canonical (sender, neighbor-ascending) order — identical for
+  /// every num_threads.
   void notify_observer();
 
   /// Rethrow the first (by shard index) exception captured during a phase.
@@ -463,16 +469,15 @@ class Network {
   std::size_t cur_ = 0;
   std::vector<std::uint64_t> dbits_;  ///< delivered bits per out-slot
 
-  /// An out-slot whose deliveries cross between two owners.
+  /// An observed out-slot: its deliveries cross between two owners.
   struct CutSlot {
-    std::size_t slot;
+    std::size_t slot;  ///< the out-slot (u on a broadcast network)
     NodeId from;
     NodeId to;
   };
-  /// Built from NetworkConfig::owner (empty without one), in canonical
-  /// (sender, neighbor-ascending) order.
+  /// Built from NetworkConfig::owner when an observer is installed (empty
+  /// otherwise), in canonical (sender, neighbor-ascending) order.
   std::vector<CutSlot> cut_slots_;
-  bool observe_cut_only_ = false;  ///< an owner table was given
 
   ThreadPool pool_;
   std::size_t num_shards_ = 1;

@@ -1,9 +1,9 @@
 // The CONGEST-Broadcast restriction (paper introduction: the model of [11],
 // where a node must send the SAME O(log n)-bit message to all neighbors).
 // All our node programs turn out to be broadcast algorithms — the MIS
-// routines and the universal gossip send_all by construction — so they run
-// unchanged under the strict checker, and a broadcast algorithm's output
-// cannot depend on the mode.
+// routines, the universal gossip and approx_mis's per-round frame send_all
+// by construction — so they run unchanged under the strict checker, and a
+// broadcast algorithm's output cannot depend on the mode.
 // (Genuinely personalized traffic is covered by
 // congest_test.cpp/BroadcastModeRejectsPersonalizedMessages.)
 
@@ -17,8 +17,10 @@
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
+#include "congest/approx_mis.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "delivery_log.hpp"
 #include "graph/generators.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "support/expect.hpp"
@@ -84,16 +86,6 @@ TEST_P(BroadcastMisSweep, WeightedGreedyRunsUnderBroadcastRestriction) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BroadcastMisSweep,
                          ::testing::Values(11, 12, 13, 14, 15));
 
-struct Delivery {
-  std::size_t round;
-  graph::NodeId from;
-  graph::NodeId to;
-  std::size_t bits;
-  std::vector<std::byte> data;
-
-  friend bool operator==(const Delivery&, const Delivery&) = default;
-};
-
 struct BroadcastRun {
   RunStats stats;
   std::vector<graph::NodeId> selected;
@@ -112,12 +104,7 @@ BroadcastRun run_mode(const graph::Graph& g, const ProgramFactory& factory,
   cfg.broadcast_only = broadcast_only;
   cfg.num_threads = threads;
   cfg.seed = 5;
-  cfg.on_message = [&rec](std::size_t round, graph::NodeId from,
-                          graph::NodeId to, const Message& m) {
-    rec.transcript.push_back(
-        {round, from, to, m.bits,
-         std::vector<std::byte>(m.data.begin(), m.data.end())});
-  };
+  cfg.on_message = log_deliveries(rec.transcript);
   Network net(g, factory, cfg);
   rec.stats = net.run();
   rec.selected = net.selected_nodes();
@@ -133,14 +120,15 @@ TEST(Broadcast, SameResultAsUnicastForBroadcastAlgorithms) {
   // this also pins that layout against the per-edge one: identical
   // RunStats, outputs, observer transcripts and per-edge bits, for every
   // thread count. The universal program needs a connected graph and its
-  // token width (bits_per_edge 0 is the auto budget).
+  // token width, approx_mis its frame width (bits_per_edge 0 is the auto
+  // budget).
   Rng rng(7);
   auto g = graph::gnp_random(rng, 35, 0.2);
   auto connected = graph::gnp_random_connected(rng, 24, 0.25);
-  const ProgramFactory universal =
-      universal_maxis_factory([](const graph::Graph& gg) {
-        return maxis::solve_exact(gg).nodes;
-      });
+  auto small = graph::gnp_random(rng, 14, 0.3, 5);
+  const LocalMaxIsSolver exact = [](const graph::Graph& gg) {
+    return maxis::solve_exact(gg).nodes;
+  };
   const struct {
     const graph::Graph* g;
     ProgramFactory factory;
@@ -148,8 +136,10 @@ TEST(Broadcast, SameResultAsUnicastForBroadcastAlgorithms) {
   } cases[] = {
       {&g, greedy_mis_factory(), 0},
       {&g, luby_mis_factory(), 0},
-      {&connected, universal,
+      {&connected, universal_maxis_factory(exact),
        universal_required_bits(connected.num_nodes(), 1)},
+      {&small, approx_mis_factory(exact),
+       approx_mis_local_bits(small.num_nodes(), 5)},
   };
   for (const auto& c : cases) {
     const BroadcastRun unicast =

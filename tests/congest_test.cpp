@@ -19,6 +19,7 @@
 #include "comm/instances.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "delivery_log.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "lowerbound/linear_family.hpp"
@@ -652,22 +653,12 @@ class BroadcastTwin final : public NodeProgram {
   std::uint64_t digest_ = 0;
 };
 
-struct FullDelivery {
-  std::size_t round;
-  graph::NodeId from;
-  graph::NodeId to;
-  std::size_t bits;
-  std::vector<std::byte> data;
-
-  friend bool operator==(const FullDelivery&, const FullDelivery&) = default;
-};
-
 /// Everything observable about one run, tracer events included.
 struct TwinRun {
   RunStats stats;
   std::vector<std::int64_t> outputs;
   std::vector<std::uint64_t> edge_bits;  ///< bits_on_edge, every edge
-  std::vector<FullDelivery> transcript;
+  std::vector<Delivery> transcript;
   std::vector<obs::TraceEvent> events;
 
   friend bool operator==(const TwinRun&, const TwinRun&) = default;
@@ -683,12 +674,7 @@ TwinRun run_twin(const graph::Graph& g, bool use_send_all,
   cfg.num_threads = threads;
   cfg.tracer = &tracer;
   cfg.owner = owner;
-  cfg.on_message = [&rec](std::size_t round, graph::NodeId from,
-                          graph::NodeId to, const Message& m) {
-    rec.transcript.push_back(
-        {round, from, to, m.bits,
-         std::vector<std::byte>(m.data.begin(), m.data.end())});
-  };
+  cfg.on_message = log_deliveries(rec.transcript);
   Network net(g, [use_send_all](graph::NodeId, const NodeInfo&) {
     return std::make_unique<BroadcastTwin>(use_send_all, 7);
   }, cfg);
@@ -743,8 +729,8 @@ TEST(SendAll, OwnerTableObservesExactlyTheCut) {
   // owners — the full transcript filtered, in the same order — and nothing
   // else about the run changes. Broadcast-only networks list the same cut.
   const Gadget gx = linear_gadget();
-  std::vector<FullDelivery> cut;
-  for (const FullDelivery& d : run_twin(gx.g, false, 1).transcript) {
+  std::vector<Delivery> cut;
+  for (const Delivery& d : run_twin(gx.g, false, 1).transcript) {
     if (gx.owner[d.from] != gx.owner[d.to]) cut.push_back(d);
   }
   ASSERT_FALSE(cut.empty());
@@ -758,16 +744,12 @@ TEST(SendAll, OwnerTableObservesExactlyTheCut) {
       EXPECT_EQ(observed, all);
     }
   }
-  std::vector<FullDelivery> seen;
+  std::vector<Delivery> seen;
   NetworkConfig cfg;
   cfg.bits_per_edge = 32;
   cfg.broadcast_only = true;
   cfg.owner = gx.owner;
-  cfg.on_message = [&seen](std::size_t round, graph::NodeId from,
-                           graph::NodeId to, const Message& m) {
-    seen.push_back({round, from, to, m.bits,
-                    std::vector<std::byte>(m.data.begin(), m.data.end())});
-  };
+  cfg.on_message = log_deliveries(seen);
   Network bcast(gx.g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<BroadcastTwin>(true, 7);
   }, cfg);
@@ -776,8 +758,11 @@ TEST(SendAll, OwnerTableObservesExactlyTheCut) {
 }
 
 TEST(SendAll, OwnerTableValidated) {
+  // A table needs one entry per node. Implicit blocks take one like any
+  // topology: a blocked triangle observes the cut its materialized twin
+  // observes under broadcast_only.
   const auto factory = [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<BroadcastTwin>(true, 1);
+    return std::make_unique<BroadcastTwin>(true, 7);
   };
   const std::vector<std::size_t> short_table = {0, 1};
   NetworkConfig cfg;
@@ -789,8 +774,20 @@ TEST(SendAll, OwnerTableValidated) {
   blocked.add_clique(std::vector<graph::NodeId>{0, 1, 2});
   ASSERT_TRUE(blocked.has_implicit_blocks());
   const std::vector<std::size_t> table = {0, 1, 1};
-  cfg.owner = table;
-  EXPECT_THROW(Network(blocked, factory, cfg), InvariantError);
+  const auto observed_cut = [&](const graph::Graph& g) {
+    std::vector<Delivery> log;
+    NetworkConfig c;
+    c.bits_per_edge = 32;
+    c.broadcast_only = true;
+    c.owner = table;
+    c.on_message = log_deliveries(log);
+    Network(g, factory, c).run();
+    return log;
+  };
+  const std::vector<Delivery> want = observed_cut(blocked.materialized());
+  ASSERT_FALSE(want.empty());
+  for (const Delivery& d : want) EXPECT_NE(table[d.from], table[d.to]);
+  EXPECT_EQ(observed_cut(blocked), want);
 }
 
 /// Runs `body` on an owning three-slot outbox and returns the error text

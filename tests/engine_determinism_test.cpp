@@ -17,31 +17,19 @@
 #include "congest/algorithms/luby_mis.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
-#include "congest/transcript.hpp"
+#include "delivery_log.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
 
 namespace congestlb::congest {
 namespace {
 
-/// A transcript entry extended with the payload bytes, so the comparison
-/// covers corrupted-message contents, not just (round, from, to, bits).
-struct FullEntry {
-  std::size_t round;
-  graph::NodeId from;
-  graph::NodeId to;
-  std::size_t bits;
-  std::vector<std::byte> data;
-
-  friend bool operator==(const FullEntry&, const FullEntry&) = default;
-};
-
 /// Everything observable about one run.
 struct RunRecord {
   RunStats stats;
   std::vector<std::int64_t> outputs;
   std::vector<std::uint64_t> edge_bits;  ///< bits_on_edge per edge-list edge
-  std::vector<FullEntry> transcript;
+  std::vector<Delivery> transcript;  ///< payload bytes included
 };
 
 /// Floods its id for a fixed number of rounds (fuzz_test's workload).
@@ -75,12 +63,7 @@ RunRecord run_once(const graph::Graph& g, const ProgramFactory& factory,
                    NetworkConfig cfg, std::size_t num_threads) {
   RunRecord rec;
   cfg.num_threads = num_threads;
-  cfg.on_message = [&rec](std::size_t round, graph::NodeId from,
-                          graph::NodeId to, const Message& msg) {
-    rec.transcript.push_back(
-        {round, from, to, msg.bits,
-         std::vector<std::byte>(msg.data.begin(), msg.data.end())});
-  };
+  cfg.on_message = log_deliveries(rec.transcript);
   Network net(g, factory, cfg);
   rec.stats = net.run();
   rec.outputs = net.outputs();

@@ -19,6 +19,7 @@
 #include "comm/instances.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
+#include "delivery_log.hpp"
 #include "graph/graph.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/params.hpp"
@@ -32,21 +33,11 @@
 namespace congestlb::congest {
 namespace {
 
-struct FullEntry {
-  std::size_t round;
-  graph::NodeId from;
-  graph::NodeId to;
-  std::size_t bits;
-  std::vector<std::byte> data;
-
-  friend bool operator==(const FullEntry&, const FullEntry&) = default;
-};
-
 struct RunRecord {
   RunStats stats;
   std::vector<std::int64_t> outputs;
   std::vector<std::uint64_t> edge_bits;
-  std::vector<FullEntry> transcript;
+  std::vector<Delivery> transcript;
 
   friend bool operator==(const RunRecord&, const RunRecord&) = default;
 };
@@ -97,12 +88,7 @@ RunRecord run_once(const graph::Graph& g,
   cfg.num_threads = num_threads;
   cfg.bits_per_edge = 32;
   cfg.broadcast_only = true;
-  cfg.on_message = [&rec](std::size_t round, graph::NodeId from,
-                          graph::NodeId to, const Message& msg) {
-    rec.transcript.push_back(
-        {round, from, to, msg.bits,
-         std::vector<std::byte>(msg.data.begin(), msg.data.end())});
-  };
+  cfg.on_message = log_deliveries(rec.transcript);
   Network net(
       g,
       [rounds](graph::NodeId, const NodeInfo&) {

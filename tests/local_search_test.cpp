@@ -1,13 +1,8 @@
 // Local-search MaxIS improvement: dominance over the start, 2-swap
-// optimality consequences, interaction with greedy and exact solvers, and
-// the transcript recorder (bundled here: both are auxiliary quality tools).
+// optimality consequences, interaction with greedy and exact solvers.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
-#include "congest/algorithms/greedy_mis.hpp"
-#include "congest/transcript.hpp"
 #include "graph/generators.hpp"
 #include "maxis/brute_force.hpp"
 #include "maxis/greedy.hpp"
@@ -101,44 +96,3 @@ TEST(LocalSearch, FixpointOfExactSolutionIsItself) {
 
 }  // namespace
 }  // namespace congestlb::maxis
-
-namespace congestlb::congest {
-namespace {
-
-TEST(Transcript, RecordsEveryMessageAndExportsCsv) {
-  Rng rng(5);
-  auto g = graph::gnp_random(rng, 20, 0.2);
-  TranscriptRecorder recorder;
-  NetworkConfig cfg;
-  cfg.on_message = recorder.observer();
-  Network net(g, greedy_mis_factory(), cfg);
-  const auto stats = net.run();
-  EXPECT_EQ(recorder.num_messages(), stats.messages_sent);
-  EXPECT_EQ(recorder.total_bits(), stats.bits_sent);
-
-  const auto per_round = recorder.bits_per_round();
-  std::size_t sum = 0;
-  for (auto b : per_round) sum += b;
-  EXPECT_EQ(sum, stats.bits_sent);
-
-  std::ostringstream os;
-  recorder.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("round,from,to,bits"), std::string::npos);
-  // Header + one line per message.
-  EXPECT_EQ(static_cast<std::size_t>(
-                std::count(csv.begin(), csv.end(), '\n')),
-            recorder.num_messages() + 1);
-}
-
-TEST(Transcript, EmptyRunProducesEmptyLog) {
-  TranscriptRecorder recorder;
-  EXPECT_EQ(recorder.num_messages(), 0u);
-  EXPECT_TRUE(recorder.bits_per_round().empty());
-  std::ostringstream os;
-  recorder.write_csv(os);
-  EXPECT_EQ(os.str(), "round,from,to,bits\n");
-}
-
-}  // namespace
-}  // namespace congestlb::congest

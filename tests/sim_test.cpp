@@ -138,6 +138,45 @@ TEST(LinearReduction, ObserverCallsAreTheCutPostsOnly) {
   EXPECT_LT(calls, rep.net_stats.messages_sent);
 }
 
+TEST(LinearReduction, BlockedGadgetPostsTheMaterializedBoard) {
+  // G_xbar with its inter-copy anti-matchings and cliques as implicit
+  // blocks runs the broadcast engine; the driver's owner table lists its
+  // cut over the merged neighbors. The board must be the materialized
+  // broadcast_only twin's, entry for entry.
+  const std::size_t t = 3;
+  const auto p = lb::GadgetParams::for_linear_separation(t, 1);
+  const lb::LinearConstruction plain(p, t);
+  lb::BuildOptions opts;
+  opts.implicit_threshold = 1;
+  const lb::LinearConstruction blocked(p, t, opts);
+  ASSERT_TRUE(blocked.fixed_graph().has_implicit_blocks());
+  Rng rng(5);
+  const auto inst = comm::make_uniquely_intersecting(p.k, t, rng, 0.3);
+  const auto factory = congest::universal_maxis_factory(exact_solver());
+  auto cfg = universal_cfg(plain.num_nodes(), static_cast<graph::Weight>(p.ell));
+  comm::Blackboard blocked_board(t);
+  const auto rep = run_linear_reduction(blocked, inst, factory,
+                                        blocked_board, cfg);
+  cfg.broadcast_only = true;
+  comm::Blackboard twin_board(t);
+  const auto twin = run_linear_reduction(plain, inst, factory, twin_board, cfg);
+  EXPECT_TRUE(rep.correct);
+  EXPECT_TRUE(rep.cut_accounting_exact);
+  EXPECT_EQ(rep.net_stats, twin.net_stats);
+  ASSERT_GT(rep.blackboard_entries, 0u);
+  ASSERT_EQ(rep.blackboard_entries, twin.blackboard_entries);
+  const auto got = blocked_board.transcript();
+  const auto want = twin_board.transcript();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const comm::BoardEntry a = got[i];
+    const comm::BoardEntry b = want[i];
+    ASSERT_EQ(a.player, b.player) << "entry " << i;
+    ASSERT_EQ(a.bits, b.bits) << "entry " << i;
+    ASSERT_EQ(a.tag, b.tag) << "entry " << i;
+    ASSERT_TRUE(std::ranges::equal(a.data, b.data)) << "entry " << i;
+  }
+}
+
 TEST(LinearReduction, ReusedBoardReportsThisRunOnly) {
   // Every run on a shared board must report what a fresh board reports:
   // its own posts, checked against its own budget.
