@@ -1,9 +1,8 @@
 // Google-benchmark microbenchmarks for the hot substrates: Reed-Solomon
 // encoding, Hopcroft-Karp on the Figure-2 anti-matchings, branch-and-bound
 // on gadget instances, gadget construction itself, blackboard posting, the
-// message codec, the solver's word loops, the engine's delivery
-// accounting, reverse-slot map / bulk graph build, and raw CONGEST round
-// throughput.
+// message codec, the solver's word loops, bulk graph build, and raw
+// CONGEST round throughput.
 //
 // A custom main (bottom of file) mirrors the console run into
 // BENCH_micro.json — google-benchmark's own JSON format — so CI can archive
@@ -145,20 +144,6 @@ void BM_PromiseInstanceGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PromiseInstanceGeneration)->Arg(1024)->Arg(16384);
-
-void BM_TopologyBuild(benchmark::State& state) {
-  // The reverse-slot map a unicast Network builds at construction
-  // (network.hpp).
-  clb::Rng rng(3);
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto g = clb::graph::gnp_random_connected(rng, n, 8.0 / static_cast<double>(n));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(clb::congest::reverse_slots(g.csr()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(g.num_edges()));
-}
-BENCHMARK(BM_TopologyBuild)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_BulkGraphBuild(benchmark::State& state) {
   // Batch add_edges (one counting-sort scatter into a fresh CSR) on a gnp
@@ -344,39 +329,6 @@ void BM_MessageCodec(benchmark::State& state) {
 BENCHMARK(BM_MessageCodec);
 
 // ------------------------------------------------------ word loops --
-
-/// Unicast delivery accounting over 16Ki directed slots: the per-slot pass
-/// Network::run_shard makes over its out-slots after each round (delivered
-/// count, bits total, per-slot delivered bits), on the send arena's layout
-/// of presence bytes beside Messages.
-void BM_DeliverAccount(benchmark::State& state) {
-  constexpr std::size_t kSlots = 16384;
-  std::vector<std::uint8_t> sent(kSlots);
-  std::vector<clb::congest::Message> msgs(kSlots);
-  std::vector<std::uint64_t> acc(kSlots, 0);
-  clb::Rng rng(11);
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    sent[i] = rng.chance(0.8) ? 1 : 0;
-    msgs[i].bits = 16;
-  }
-  for (auto _ : state) {
-    std::uint64_t delivered = 0;
-    std::uint64_t bits_delivered = 0;
-    for (std::size_t e = 0; e < kSlots; ++e) {
-      const std::uint64_t s = sent[e] != 0;
-      const std::uint64_t bits = msgs[e].bits & (0 - s);
-      delivered += s;
-      bits_delivered += bits;
-      acc[e] += bits;
-    }
-    benchmark::DoNotOptimize(delivered);
-    benchmark::DoNotOptimize(bits_delivered);
-    benchmark::DoNotOptimize(acc.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kSlots));
-}
-BENCHMARK(BM_DeliverAccount);
 
 /// The two row loops SubtreeSearch runs, on 4096-word rows (the BnB inner
 /// loop at scale): and_not_rows narrows the candidates on an include

@@ -319,7 +319,6 @@ ScaleRow measure_scale(const std::string& name, const std::string& variant,
 
   clb::congest::NetworkConfig cfg;
   cfg.bits_per_edge = 16;
-  cfg.broadcast_only = true;
   cfg.max_rounds = 100'000'000;
   cfg.num_threads = threads;
   clb::congest::Network net(
@@ -356,10 +355,10 @@ ScaleRow measure_scale(const std::string& name, const std::string& variant,
   row.bits_per_s = static_cast<double>(s1.bits_sent - s0.bits_sent) * 1e9 / ns;
   row.peak_rss_bytes = process_peak_rss_bytes();
   row.rss_delta_bytes = rss1 > rss0 ? rss1 - rss0 : 0;
-  // What the engine topology alone would cost with every block expanded:
-  // 2 directed slots per undirected edge, each a NodeId target plus a
-  // u32 reverse-slot entry. Deliberately excludes the per-slot message
-  // arenas, so the <10% gate below is conservative.
+  // What expanding every block would cost, priced at 8 B per directed
+  // slot (2 per undirected edge), the basis of EXPERIMENTS.md's scale
+  // table. A bare CSR target is 4 B of it, so the <10% gate below holds
+  // resident growth under 20% of a materialized CSR.
   row.materialized_edge_bytes =
       static_cast<double>(row.implicit_edges +
                           static_cast<std::uint64_t>(row.explicit_edges)) *

@@ -10,9 +10,9 @@
 // approximate) solver locally, and outputs its own membership bit.
 // Because every node reconstructs the same graph and the solver is
 // deterministic, outputs are globally consistent. Every neighbor receives
-// the same message each round, so this is a CONGEST-Broadcast algorithm:
-// it runs unchanged under NetworkConfig::broadcast_only, and on a unicast
-// network its send_all stores each round's token once.
+// the same message each round, so this is a CONGEST-Broadcast algorithm,
+// as the engine requires: each round's token is stored once, in the
+// sender's one out-slot.
 //
 // It is also the honest end-to-end algorithm for the reduction pipeline
 // (sim::ReductionDriver): it decides the gap predicate exactly, so the

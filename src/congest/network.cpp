@@ -21,16 +21,8 @@ inline std::uint32_t trnd(std::size_t round) {
 
 // ------------------------------------------------------------------ Outbox --
 
-Outbox::Outbox(std::size_t num_neighbors, std::size_t cap_bits)
-    : own_kind_(num_neighbors, 0),
-      own_msgs_(num_neighbors),
-      kind_(own_kind_.data()),
-      msgs_(own_msgs_.data()),
-      count_(num_neighbors),
-      cap_bits_(cap_bits) {}
-
-void Outbox::send(std::size_t slot, const Message& msg) {
-  CLB_EXPECT(slot < count_, "Outbox: neighbor slot out of range");
+void Outbox::send_all(const Message& msg) {
+  if (fanout_ == 0) return;
   CLB_EXPECT(msg.bits > 0, "Outbox: refusing to send an empty message");
   // The model constraint is checked at send time, so the error surfaces
   // inside the offending program's round() rather than at delivery.
@@ -38,59 +30,12 @@ void Outbox::send(std::size_t slot, const Message& msg) {
              "CONGEST bandwidth exceeded: message of " +
                  std::to_string(msg.bits) + " bits on a " +
                  std::to_string(cap_bits_) + "-bit edge");
-  if (bcast_) {
-    // One slot backs all neighbors: sends must visit the slots in
-    // ascending order, each once, and agree byte for byte.
-    CLB_EXPECT(slot == sent_count_,
-               "broadcast network: sends must cover neighbor slots once "
-               "each, in ascending order");
-    if (kind_[0] != kSlotEmpty) {
-      CLB_EXPECT(msgs_[0].bits == msg.bits && msgs_[0].data == msg.data,
-                 "broadcast network requires identical messages to all "
-                 "neighbors in a round");
-    } else {
-      msgs_[0] = msg;
-      kind_[0] = kSlotOwn;
-    }
-    ++sent_count_;
-    return;
-  }
-  CLB_EXPECT(kind_[slot] == kSlotEmpty,
-             "Outbox: one message per neighbor per round");
-  msgs_[slot] = msg;  // copy-assign reuses the arena slot's capacity
-  kind_[slot] = kSlotOwn;
-}
-
-void Outbox::send_all(const Message& msg) {
-  if (count_ == 0) return;
-  send(0, msg);
-  if (!bcast_) {
-    // The message is stored once, in slot 0; the other slots refer to it.
-    for (std::size_t i = 1; i < count_; ++i) {
-      CLB_EXPECT(kind_[i] == kSlotEmpty,
-                 "Outbox: one message per neighbor per round");
-      kind_[i] = kSlotAsFirst;
-    }
-  }
-  sent_count_ = count_;
+  CLB_EXPECT(*sent_ == 0, "Outbox: one send_all per node per round");
+  *msg_ = msg;  // copy-assign reuses the arena slot's capacity
+  *sent_ = 1;
 }
 
 // ----------------------------------------------------------------- Network --
-
-std::vector<std::uint32_t> reverse_slots(const graph::Csr& csr) {
-  // Iterating senders u in ascending order visits, for each receiver v, the
-  // entries "u appears in v's sorted row" in ascending u — so u's position
-  // in v's row is exactly how many earlier senders were adjacent to v.
-  const std::size_t n = csr.offsets.size() - 1;
-  std::vector<std::uint32_t> reverse(csr.targets.size());
-  std::vector<std::uint32_t> cursor(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    for (std::size_t d = csr.offsets[u]; d < csr.offsets[u + 1]; ++d) {
-      reverse[d] = cursor[csr.targets[d]]++;
-    }
-  }
-  return reverse;
-}
 
 std::vector<std::pair<NodeId, NodeId>> edge_tiled_shards(
     const graph::Graph& g, std::size_t num_shards) {
@@ -137,8 +82,7 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
   bits_per_edge_ = config_.bits_per_edge != 0 ? config_.bits_per_edge
                                               : congest_bandwidth_bits(n);
   CLB_EXPECT(bits_per_edge_ >= 1, "Network: bandwidth must be positive");
-  const bool hybrid = !blocks_.empty();
-  if (hybrid) {
+  if (!blocks_.empty()) {
     // Per-edge trace events and per-delivery metric observations are
     // O(total degree) — the very cost implicit blocks exist to avoid.
     CLB_EXPECT(config_.tracer == nullptr || !config_.tracer->enabled(),
@@ -147,16 +91,13 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
                "engine metrics require a materialized topology");
   }
 
-  // Out-slots: one per node on a broadcast network, one per directed slot
-  // (2m) otherwise. With 10^9+ block-implied edges only the former exists.
-  bcast_ = hybrid || config_.broadcast_only;
-  const std::size_t slots = bcast_ ? n : csr_->targets.size();
+  // One out-slot per node: with 10^9+ block-implied edges, per-round memory
+  // stays O(n).
   for (Arena& a : arena_) {
-    a.sent.assign(slots, 0);
-    a.msgs.resize(slots);
+    a.sent.assign(n, 0);
+    a.msgs.resize(n);
   }
-  dbits_.assign(slots, 0);
-  if (!bcast_) reverse_slot_ = reverse_slots(*csr_);
+  dbits_.assign(n, 0);
   CLB_EXPECT(config_.owner.empty() || config_.owner.size() == n,
              "Network: owner table must have one entry per node");
 
@@ -177,17 +118,15 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     node_rng_.push_back(seeder.fork());
   }
   if (config_.on_message) {
-    // The observed deliveries: out-slots (u, v) whose ends have different
-    // owners. Without an owner table every node is its own owner, so every
-    // delivery is listed.
+    // The observed deliveries: (u, v) whose ends have different owners.
+    // Without an owner table every node is its own owner, so every delivery
+    // is listed.
     const std::span<const std::size_t> owner = config_.owner;
     for (NodeId u = 0; u < n; ++u) {
-      std::size_t slot = first_slot(u);
       for (const NodeId v : infos_[u].neighbors) {
         if (owner.empty() || owner[u] != owner[v]) {
-          cut_slots_.push_back({slot, u, v});
+          cut_edges_.push_back({u, v});
         }
-        if (!bcast_) ++slot;
       }
     }
   }
@@ -234,74 +173,34 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
 }
 
 Inbox Network::inbox(NodeId v, const Arena& arena) const {
-  const std::uint32_t* reverse =
-      bcast_ ? nullptr : reverse_slot_.data() + csr_->offsets[v];
-  return Inbox(infos_[v].neighbors, csr_->offsets.data(), reverse,
-               arena.sent.data(), arena.msgs.data());
+  return Inbox(infos_[v].neighbors, arena.sent.data(), arena.msgs.data());
 }
 
 void Network::compute_shard(std::size_t shard) {
   try {
     const auto [begin, end] = shard_range_[shard];
-    const std::size_t lo = first_slot(begin);
-    const std::size_t hi = first_slot(end);
     Arena& out = arena_[cur_];
     const Arena& in = arena_[cur_ ^ 1];
-    std::fill(out.sent.begin() + lo, out.sent.begin() + hi, 0);
+    std::fill(out.sent.begin() + begin, out.sent.begin() + end, 0);
 
     const std::size_t round = stats_.rounds;
     ShardCounters& sc = shard_[shard];
     for (NodeId v = begin; v < end; ++v) {
       const NodeInfo& info = infos_[v];
       const std::size_t fan = info.neighbors.size();
-      std::uint8_t* sent = out.sent.data() + first_slot(v);
-      Message* msgs = out.msgs.data() + first_slot(v);
-      Outbox outbox = bcast_ ? Outbox::broadcast_view(sent, msgs, fan,
-                                                      bits_per_edge_)
-                             : Outbox(sent, msgs, fan, bits_per_edge_);
+      Outbox outbox(&out.sent[v], &out.msgs[v], fan, bits_per_edge_);
       programs_[v]->round(info, inbox(v, in), outbox, node_rng_[v]);
-      if (outbox.broadcast_sends() != 0) {
-        CLB_EXPECT(outbox.broadcast_sends() == fan,
-                   "broadcast network requires all-or-none fan-out "
-                   "(partial sends need per-edge slots)");
-        // One message, stored once, reaches all `fan` neighbors. A
-        // broadcast network's one out-slot counts its bits once; a unicast
-        // sender's out-slots (kSlotAsFirst past the first) each count them.
-        const std::uint64_t bits = msgs->bits;
-        sc.delivered += fan;
-        sc.bits_delivered += bits * fan;
-        if (bcast_) {
-          dbits_[v] += bits;
-        } else {
-          std::uint64_t* db = dbits_.data() + first_slot(v);
-          for (std::size_t i = 0; i < fan; ++i) db[i] += bits;
-        }
-      } else if (!bcast_) {
-        // Per-slot sends (no kSlotAsFirst slot): one branch-free pass over
-        // v's out-slots, an empty slot's stale bits masked to 0, summed
-        // into locals that the stores to dbits_ cannot alias.
-        std::uint64_t delivered = 0;
-        std::uint64_t bits_delivered = 0;
-        std::uint64_t* db = dbits_.data() + first_slot(v);
-        for (std::size_t i = 0; i < fan; ++i) {
-          const std::uint64_t present = sent[i] != kSlotEmpty;
-          const std::uint64_t bits = msgs[i].bits & (0 - present);
-          delivered += present;
-          bits_delivered += bits;
-          db[i] += bits;
-        }
-        sc.delivered += delivered;
-        sc.bits_delivered += bits_delivered;
-      }
+      if (!outbox.has()) continue;
+      // One message, stored once, reaches all `fan` neighbors.
+      const std::uint64_t bits = outbox.message().bits;
+      sc.delivered += fan;
+      sc.bits_delivered += bits * fan;
+      dbits_[v] += bits;
       if (trace_round_ && trace_sends_) {
-        std::size_t s = 0;
         for (const NodeId w : info.neighbors) {
-          if (outbox.has(s)) {
-            tracer_->emit_shard(0, shard,
-                                {outbox.message(s).bits, trnd(round), tid(v),
-                                 tid(w), obs::EventKind::kSend});
-          }
-          ++s;
+          tracer_->emit_shard(0, shard,
+                              {bits, trnd(round), tid(v), tid(w),
+                               obs::EventKind::kSend});
         }
       }
     }
@@ -339,15 +238,13 @@ void Network::observe_shard(std::size_t shard) {
 }
 
 void Network::notify_observer() {
-  // Canonical order, independent of num_threads: cut_slots_ is listed in
+  // Canonical order, independent of num_threads: cut_edges_ is listed in
   // (sender, neighbor-ascending) order.
   const std::size_t round = stats_.rounds;
   const Arena& out = arena_[cur_];
-  for (const CutSlot& c : cut_slots_) {
-    const std::uint8_t state = out.sent[c.slot];
-    if (state == kSlotEmpty) continue;
-    const std::size_t o = state == kSlotAsFirst ? first_slot(c.from) : c.slot;
-    config_.on_message(round, c.from, c.to, out.msgs[o]);
+  for (const CutEdge& c : cut_edges_) {
+    if (out.sent[c.from] == 0) continue;
+    config_.on_message(round, c.from, c.to, out.msgs[c.from]);
   }
 }
 
@@ -461,17 +358,9 @@ std::uint64_t Network::bits_on_edge(NodeId u, NodeId v) const {
   CLB_EXPECT(u < infos_.size() && v < infos_.size(),
              "bits_on_edge: node id out of range");
   CLB_EXPECT(infos_[u].neighbors.contains(v), "bits_on_edge: no such edge");
-  // Each direction's bits sit in its sender's out-slot counter: the slot of
-  // the receiver in the sender's row (unicast) or the sender's one slot
-  // (broadcast: every bit it sent reached every neighbor).
-  const auto slot = [this](NodeId from, NodeId to) {
-    if (bcast_) return from;
-    const auto row = csr_->row(from);
-    return csr_->offsets[from] +
-           static_cast<std::size_t>(std::ranges::lower_bound(row, to) -
-                                    row.begin());
-  };
-  return dbits_[slot(u, v)] + dbits_[slot(v, u)];
+  // Every bit a node sent reached every neighbor, so each direction's bits
+  // are its sender's counter.
+  return dbits_[u] + dbits_[v];
 }
 
 std::vector<std::int64_t> Network::outputs() const {

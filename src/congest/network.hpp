@@ -1,30 +1,29 @@
-// Synchronous CONGEST-model simulator.
+// Synchronous CONGEST-Broadcast simulator.
 //
 // A Network runs one NodeProgram instance per node of a weighted graph in
 // synchronized rounds. In every round each node reads the messages its
-// neighbors sent in the previous round and may send a (possibly different)
-// message to each neighbor, of at most `bits_per_edge` bits — the O(log n)
-// bandwidth of the CONGEST model, *enforced at send time*: oversending
-// throws from Outbox::send. The simulator records per-edge traffic so the
-// reduction driver (Theorem 5) can charge exactly the cut-crossing bits to a
-// communication blackboard.
-//
-// A CONGEST-Broadcast restriction (the model of [11], discussed in the
-// paper's introduction) is available via Config::broadcast_only: a node must
-// send the same message to all neighbors in a round, or to none.
+// neighbors sent in the previous round and may send one message of at most
+// `bits_per_edge` bits to all its neighbors — the CONGEST-Broadcast model
+// of the paper's introduction, with the O(log n) bandwidth of the CONGEST
+// model *enforced at send time*: oversending throws from Outbox::send_all.
+// Every program in this repository broadcasts, and a broadcast crosses each
+// of the sender's edges, so per-edge traffic — what the reduction driver
+// (Theorem 5) charges to a communication blackboard for the cut edges — is
+// exactly the CONGEST accounting.
 //
 // The model is fault-free, as in Theorem 5's simulation argument: every
 // message sent in round r is delivered, unmodified, at the start of round
 // r+1. Edge traffic, RunStats bit counters, and the on_message observer
 // therefore all see the same traffic, so blackboard charging is exact.
-// The observer has one path: the network lists the observed out-slots once,
-// at construction, and visits only them each round. Given a per-node owner
-// table (NetworkConfig::owner, the reduction driver's player partition)
-// those are exactly the deliveries that cross between two owners; without
-// one every node is its own owner and every delivery is listed. The list
-// walks each node's merged neighbors, so it works on implicit-block
-// topologies too, but it costs O(observed deliveries) memory: an observer
-// is a small-n tool, and an unobserved network builds no list at all.
+// The observer has one path: the network lists the observed deliveries
+// once, at construction, and visits only them each round. Given a per-node
+// owner table (NetworkConfig::owner, the reduction driver's player
+// partition) those are exactly the deliveries that cross between two
+// owners; without one every node is its own owner and every delivery is
+// listed. The list walks each node's merged neighbors, so it works on
+// implicit-block topologies too, but it costs O(observed deliveries)
+// memory: an observer is a small-n tool, and an unobserved network builds
+// no list at all.
 //
 // Engine layout (the hot path is allocation-free after warm-up):
 //  - the network borrows the graph's immutable CSR (holding its shared_ptr,
@@ -32,28 +31,17 @@
 //    implicit-block table. Every node's NodeInfo::neighbors is the graph
 //    layer's merged NeighborsView over those two — the same view
 //    Graph::neighbors returns;
-//  - every node owns a contiguous run of *out-slots* in a double-buffered
-//    send arena (a presence byte + a small-buffer Message per slot). A
-//    unicast network gives node v one out-slot per explicit neighbor, at
-//    offsets[v]; a broadcast network — a graph with implicit blocks, or
-//    broadcast_only — gives it a single out-slot at v that every neighbor
-//    reads, so per-round memory is O(n) however many edges blocks imply;
-//  - a presence byte is kSlotEmpty, kSlotOwn (the slot holds its message),
-//    or — unicast send_all only — kSlotAsFirst: the message is the one in
-//    the sender's first out-slot. A broadcast on a unicast network thus
-//    stores its message once, not once per neighbor; every reader of the
-//    arena (Inbox, the accounting, the observer, the tracer) resolves it;
-//  - a unicast receiver finds its message in O(1) through a reverse-slot
-//    map built at construction: for directed slot d = offsets[v] + i with
-//    u = targets[d], reverse_slot[d] is v's position in u's sorted row, so
-//    the message u -> v sits at out-slot offsets[u] + reverse_slot[d]. A
-//    broadcast network needs no map (the sender's slot is u) and builds
-//    none;
+//  - node v owns one *out-slot*, at index v, in a double-buffered send
+//    arena: a presence byte and a small-buffer Message. Every neighbor of v
+//    reads that one slot, so per-round memory is O(n) however many edges
+//    the graph or its blocks imply, and per-edge bits are the sum of the
+//    two endpoints' per-node counters;
 //  - a round is one phase. Each shard (a contiguous node range) clears its
 //    own out-slots in the current arena, runs its programs — an Inbox
-//    reads the *previous* arena in place at the sender's out-slot, an
-//    Outbox writes the current one — and accounts its own out-slots. The
-//    arenas swap at round end; no message is ever copied to a receiver;
+//    reads the *previous* arena in place at each neighbor's out-slot, an
+//    Outbox writes the sender's slot in the current one — and accounts its
+//    own out-slots. The arenas swap at round end; no message is ever
+//    copied to a receiver;
 //  - NetworkConfig::num_threads > 1 runs the shards in parallel. Writes go
 //    only to a shard's own out-slots and reads come only from the previous
 //    arena, so there is nothing to race on; per-shard counters merge in
@@ -87,12 +75,6 @@ namespace congestlb::congest {
 using graph::NeighborsView;
 using graph::NodeId;
 
-/// Presence states of a send-arena out-slot (see the file comment).
-inline constexpr std::uint8_t kSlotEmpty = 0;
-inline constexpr std::uint8_t kSlotOwn = 1;
-/// Unicast send_all: the message sits in the sender's first out-slot.
-inline constexpr std::uint8_t kSlotAsFirst = 2;
-
 /// What a node statically knows about itself and its surroundings — its own
 /// id, weight, the ids of its neighbors, and n (standard KT1-style knowledge
 /// plus n, as assumed by the paper's constructions where nodes know the
@@ -110,12 +92,9 @@ struct NodeInfo {
 /// Messages received this round: slot i corresponds to
 /// NodeInfo::neighbors[i]. A view that reads the previous round's send
 /// arena in place — nothing is copied to the receiver — walking the
-/// receiver's NeighborsView and mapping each neighbor u to the out-slot u
-/// wrote: `offsets[u] + reverse[i]` on a unicast network (or `offsets[u]`,
-/// u's first out-slot, when that slot is kSlotAsFirst), `u` itself on a
-/// broadcast network (reverse == nullptr). Elements behave like
-/// std::optional<Message> (contextual bool, has_value(), *, ->) so
-/// algorithm code reads naturally.
+/// receiver's NeighborsView and reading each neighbor u's out-slot, u.
+/// Elements behave like std::optional<Message> (contextual bool,
+/// has_value(), *, ->) so algorithm code reads naturally.
 class Inbox {
  public:
   /// One received-message slot; empty when the neighbor sent nothing.
@@ -144,7 +123,7 @@ class Inbox {
     const_iterator(const Inbox* box, NeighborsView::const_iterator nb,
                    std::size_t idx)
         : box_(box), nb_(nb), idx_(idx) {}
-    Slot operator*() const { return box_->slot(*nb_, idx_); }
+    Slot operator*() const { return box_->slot(*nb_); }
     const_iterator& operator++() {
       ++nb_;
       ++idx_;
@@ -159,20 +138,15 @@ class Inbox {
     std::size_t idx_;
   };
 
-  Inbox(NeighborsView neighbors, const std::size_t* offsets,
-        const std::uint32_t* reverse, const std::uint8_t* sent,
+  Inbox(NeighborsView neighbors, const std::uint8_t* sent,
         const Message* msgs)
-      : neighbors_(neighbors),
-        offsets_(offsets),
-        reverse_(reverse),
-        sent_(sent),
-        msgs_(msgs) {}
+      : neighbors_(neighbors), sent_(sent), msgs_(msgs) {}
 
   std::size_t size() const { return neighbors_.size(); }
   bool empty() const { return neighbors_.empty(); }
 
   /// Throws InvariantError when i >= size().
-  Slot operator[](std::size_t i) const { return slot(neighbors_[i], i); }
+  Slot operator[](std::size_t i) const { return slot(neighbors_[i]); }
 
   const_iterator begin() const {
     return const_iterator(this, neighbors_.begin(), 0);
@@ -182,90 +156,40 @@ class Inbox {
   }
 
  private:
-  Slot slot(NodeId u, std::size_t i) const {
-    if (reverse_ == nullptr) return Slot(msgs_ + u, sent_[u] != kSlotEmpty);
-    const std::size_t first = offsets_[u];
-    const std::size_t o = first + reverse_[i];
-    const std::uint8_t state = sent_[o];
-    return Slot(msgs_ + (state == kSlotAsFirst ? first : o),
-                state != kSlotEmpty);
-  }
+  Slot slot(NodeId u) const { return Slot(msgs_ + u, sent_[u] != 0); }
 
   NeighborsView neighbors_;
-  const std::size_t* offsets_;
-  const std::uint32_t* reverse_;  ///< receiver's reverse_slot row, or null
-  const std::uint8_t* sent_;      ///< previous round's presence bytes
-  const Message* msgs_;           ///< previous round's messages
+  const std::uint8_t* sent_;  ///< previous round's presence bytes
+  const Message* msgs_;       ///< previous round's messages
 };
 
-/// Messages to send this round, same slot convention as Inbox. Inside the
-/// engine an Outbox is a view over the per-round send arena; the
-/// `Outbox(num_neighbors)` constructor makes a self-contained one for tests.
-/// The CONGEST bandwidth budget is enforced here, at send time, so an
-/// oversending program fails at the offending send.
+/// This round's message of one sender: a view over the sender's out-slot
+/// in the send arena — one presence byte and one Message, read by every
+/// neighbor. The CONGEST bandwidth budget is enforced here, at send time,
+/// so an oversending program fails at the offending send.
 class Outbox {
  public:
   static constexpr std::size_t kUnlimitedBits = ~static_cast<std::size_t>(0);
 
-  /// Self-contained outbox (owns its slots); used by unit tests.
-  explicit Outbox(std::size_t num_neighbors,
-                  std::size_t cap_bits = kUnlimitedBits);
+  /// `sent`/`msg` are the sender's presence byte and message slot, already
+  /// cleared for this round; `fanout` is its number of neighbors.
+  Outbox(std::uint8_t* sent, Message* msg, std::size_t fanout,
+         std::size_t cap_bits = kUnlimitedBits)
+      : sent_(sent), msg_(msg), fanout_(fanout), cap_bits_(cap_bits) {}
 
-  /// Arena view: `kind`/`msgs` are the engine's presence bytes and message
-  /// slots for one sender, already cleared for this round.
-  Outbox(std::uint8_t* kind, Message* msgs, std::size_t count,
-         std::size_t cap_bits)
-      : kind_(kind), msgs_(msgs), count_(count), cap_bits_(cap_bits) {}
-
-  /// Broadcast view (broadcast networks: implicit blocks or
-  /// NetworkConfig::broadcast_only): one presence byte + one message slot
-  /// backs all `fanout` neighbor slots, since receivers read the sender's
-  /// one slot. Sends must cover the slots in ascending order, each once,
-  /// with identical payloads (CONGEST-Broadcast semantics), and the engine
-  /// requires all-or-none fan-out after the program runs.
-  static Outbox broadcast_view(std::uint8_t* kind, Message* msg,
-                               std::size_t fanout, std::size_t cap_bits) {
-    Outbox ob(kind, msg, fanout, cap_bits);
-    ob.bcast_ = true;
-    return ob;
-  }
-
-  /// Queue a message for neighbor slot `i` (at most one per round per edge,
-  /// at most cap_bits bits).
-  void send(std::size_t slot, const Message& msg);
-
-  /// Queue the same message to every neighbor (broadcast). The message is
-  /// stored once, in slot 0; on a unicast view the other slots are marked
-  /// kSlotAsFirst. Mixing send and send_all in one round throws (one
-  /// message per neighbor per round); with no neighbors this is a no-op.
+  /// Send `msg` (at most cap_bits bits) to every neighbor. One call per
+  /// round: a second throws. With no neighbors this is a no-op.
   void send_all(const Message& msg);
 
-  std::size_t size() const { return count_; }
-  bool has(std::size_t slot) const {
-    return kind_[bcast_ ? 0 : slot] != kSlotEmpty;
-  }
-  const Message& message(std::size_t slot) const {
-    return msgs_[bcast_ || kind_[slot] == kSlotAsFirst ? 0 : slot];
-  }
-
-  /// How many neighbor slots this round's broadcast covers: in broadcast
-  /// mode the sends issued, on a unicast view size() after a send_all and 0
-  /// otherwise. The engine requires 0 or size() — one out-slot per node
-  /// cannot represent partial fan-out — and accounts a nonzero count as
-  /// one message reaching every neighbor.
-  std::size_t broadcast_sends() const { return sent_count_; }
+  /// True once this round's message is stored.
+  bool has() const { return *sent_ != 0; }
+  const Message& message() const { return *msg_; }
 
  private:
-  std::vector<std::uint8_t> own_kind_;  ///< engaged only in owning mode
-  std::vector<Message> own_msgs_;       ///< engaged only in owning mode
-  std::uint8_t* kind_ = nullptr;
-  Message* msgs_ = nullptr;
-  std::size_t count_ = 0;
-  std::size_t cap_bits_ = kUnlimitedBits;
-  bool bcast_ = false;  ///< broadcast view
-  /// Broadcast view: sends issued. Unicast view: count_ once send_all ran,
-  /// else 0 (per-slot sends are not counted).
-  std::size_t sent_count_ = 0;
+  std::uint8_t* sent_;
+  Message* msg_;
+  std::size_t fanout_;
+  std::size_t cap_bits_;
 };
 
 /// A per-node distributed program. The simulator calls round() once per
@@ -305,7 +229,9 @@ struct NetworkConfig {
   std::size_t bits_per_edge = 0;
   std::size_t max_rounds = 1'000'000;
   std::uint64_t seed = 0xC0D1F1EDULL;
-  bool broadcast_only = false;  ///< CONGEST-Broadcast restriction
+  /// Inert: every Network is a broadcast network, and no code reads this.
+  /// Kept only for source compatibility with callers that still set it.
+  bool broadcast_only = false;
   /// Threads of parallelism for the round executor; 0/1 = serial. Every
   /// observable result is bit-identical across all values (the parallel
   /// engine is deterministic by construction), so this is purely a speed
@@ -316,7 +242,7 @@ struct NetworkConfig {
   /// message that crosses between two owners (see `owner`; with no owner
   /// table, every message). Invoked serially in the canonical (sender,
   /// neighbor-ascending) order regardless of num_threads. The constructor
-  /// lists the observed out-slots once, so an observer costs O(observed
+  /// lists the observed deliveries once, so an observer costs O(observed
   /// deliveries) memory on any topology — a small-n tool.
   std::function<void(std::size_t, NodeId, NodeId, const Message&)> on_message;
   /// Optional per-node owner table (owner[v] for every node), used by
@@ -433,7 +359,7 @@ class Network {
   /// deliver events and metric observations in receiver order.
   void observe_shard(std::size_t shard);
 
-  /// Invoke config_.on_message for this round's deliveries on cut_slots_,
+  /// Invoke config_.on_message for this round's deliveries on cut_edges_,
   /// in the canonical (sender, neighbor-ascending) order — identical for
   /// every num_threads.
   void notify_observer();
@@ -444,21 +370,13 @@ class Network {
   /// Node v is terminal: finished or failed.
   bool node_terminal(NodeId v) const;
 
-  /// First out-slot of node v; v's out-slots end where v+1's begin.
-  std::size_t first_slot(NodeId v) const {
-    return bcast_ ? v : csr_->offsets[v];
-  }
-
   /// Node v's view of the messages in `arena`.
   Inbox inbox(NodeId v, const Arena& arena) const;
 
   std::shared_ptr<const graph::Csr> csr_;  ///< the graph's, borrowed
   std::vector<graph::ImplicitBlock> blocks_;
-  /// Unicast only (empty on a broadcast network); see the file comment.
-  std::vector<std::uint32_t> reverse_slot_;
   std::size_t bits_per_edge_;
   NetworkConfig config_;
-  bool bcast_ = false;  ///< broadcast layout: one out-slot per node
   std::vector<NodeInfo> infos_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
   std::vector<Rng> node_rng_;
@@ -467,17 +385,18 @@ class Network {
   /// round's sends, which this round's inboxes read.
   Arena arena_[2];
   std::size_t cur_ = 0;
-  std::vector<std::uint64_t> dbits_;  ///< delivered bits per out-slot
+  /// Bits node v sent so far; each reached every neighbor of v.
+  std::vector<std::uint64_t> dbits_;
 
-  /// An observed out-slot: its deliveries cross between two owners.
-  struct CutSlot {
-    std::size_t slot;  ///< the out-slot (u on a broadcast network)
+  /// An observed delivery: it crosses between two owners. Its message sits
+  /// in the sender's out-slot, `from`.
+  struct CutEdge {
     NodeId from;
     NodeId to;
   };
   /// Built from NetworkConfig::owner when an observer is installed (empty
   /// otherwise), in canonical (sender, neighbor-ascending) order.
-  std::vector<CutSlot> cut_slots_;
+  std::vector<CutEdge> cut_edges_;
 
   ThreadPool pool_;
   std::size_t num_shards_ = 1;
@@ -498,12 +417,6 @@ class Network {
   bool trace_sends_ = false;       ///< tracer_->config().record_sends, cached
   EngineMetrics em_;               ///< all-null when no registry is bound
 };
-
-/// The unicast reverse-slot map of `csr` (see the file comment): for every
-/// directed slot, the receiver's position in the sender's sorted row. O(n +
-/// m) with one counting pass; what a unicast Network builds at
-/// construction.
-std::vector<std::uint32_t> reverse_slots(const graph::Csr& csr);
 
 /// Edge-tiled shard partition: `num_shards` contiguous [begin, end) node
 /// ranges whose boundaries balance per-shard cost, where node v costs

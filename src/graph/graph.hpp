@@ -168,8 +168,7 @@ class NeighborsView {
     return {blocks_, num_blocks_};
   }
 
-  // Packed, since every NodeInfo holds one: row lengths fit 32 bits, as
-  // the engine's reverse-slot map already assumes.
+  // Packed, since every NodeInfo holds one: row lengths fit 32 bits.
   const NodeId* row_ = nullptr;
   const ImplicitBlock* blocks_ = nullptr;  ///< null when no block holds v
   NodeId v_ = 0;

@@ -1,11 +1,9 @@
-// The CONGEST-Broadcast restriction (paper introduction: the model of [11],
-// where a node must send the SAME O(log n)-bit message to all neighbors).
-// All our node programs turn out to be broadcast algorithms — the MIS
-// routines, the universal gossip and approx_mis's per-round frame send_all
-// by construction — so they run unchanged under the strict checker, and a
-// broadcast algorithm's output cannot depend on the mode.
-// (Genuinely personalized traffic is covered by
-// congest_test.cpp/BroadcastModeRejectsPersonalizedMessages.)
+// The CONGEST-Broadcast model (paper introduction: the model of [11],
+// where a node sends the SAME O(log n)-bit message to all neighbors), the
+// only model the engine runs. Every node program here is a broadcast
+// algorithm — the MIS routines, the universal gossip and approx_mis's
+// per-round frame send_all by construction — and its full transcript is
+// identical for every thread count.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +16,10 @@
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
 #include "congest/approx_mis.hpp"
-#include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "delivery_log.hpp"
 #include "graph/generators.hpp"
 #include "maxis/branch_and_bound.hpp"
-#include "support/expect.hpp"
 #include "support/rng.hpp"
 
 namespace congestlb::congest {
@@ -52,9 +48,7 @@ class BroadcastMisSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(BroadcastMisSweep, GreedyRunsUnderBroadcastRestriction) {
   Rng rng(GetParam());
   auto g = graph::gnp_random(rng, 5 + rng.below(30), 0.25);
-  NetworkConfig cfg;
-  cfg.broadcast_only = true;
-  Network net(g, greedy_mis_factory(), cfg);
+  Network net(g, greedy_mis_factory());
   const auto stats = net.run();
   EXPECT_TRUE(stats.all_finished);
   expect_maximal_is(g, net.selected_nodes());
@@ -64,7 +58,6 @@ TEST_P(BroadcastMisSweep, LubyRunsUnderBroadcastRestriction) {
   Rng rng(GetParam() + 500);
   auto g = graph::gnp_random(rng, 5 + rng.below(30), 0.25);
   NetworkConfig cfg;
-  cfg.broadcast_only = true;
   cfg.seed = GetParam();
   Network net(g, luby_mis_factory(), cfg);
   const auto stats = net.run();
@@ -75,9 +68,7 @@ TEST_P(BroadcastMisSweep, LubyRunsUnderBroadcastRestriction) {
 TEST_P(BroadcastMisSweep, WeightedGreedyRunsUnderBroadcastRestriction) {
   Rng rng(GetParam() + 900);
   auto g = graph::gnp_random(rng, 5 + rng.below(30), 0.25, 9);
-  NetworkConfig cfg;
-  cfg.broadcast_only = true;
-  Network net(g, weighted_greedy_factory(), cfg);
+  Network net(g, weighted_greedy_factory());
   const auto stats = net.run();
   EXPECT_TRUE(stats.all_finished);
   expect_maximal_is(g, net.selected_nodes());
@@ -95,13 +86,11 @@ struct BroadcastRun {
   friend bool operator==(const BroadcastRun&, const BroadcastRun&) = default;
 };
 
-BroadcastRun run_mode(const graph::Graph& g, const ProgramFactory& factory,
-                      std::size_t bits_per_edge, bool broadcast_only,
-                      std::size_t threads) {
+BroadcastRun run_threads(const graph::Graph& g, const ProgramFactory& factory,
+                         std::size_t bits_per_edge, std::size_t threads) {
   BroadcastRun rec;
   NetworkConfig cfg;
   cfg.bits_per_edge = bits_per_edge;
-  cfg.broadcast_only = broadcast_only;
   cfg.num_threads = threads;
   cfg.seed = 5;
   cfg.on_message = log_deliveries(rec.transcript);
@@ -114,14 +103,11 @@ BroadcastRun run_mode(const graph::Graph& g, const ProgramFactory& factory,
   return rec;
 }
 
-TEST(Broadcast, SameResultAsUnicastForBroadcastAlgorithms) {
-  // A broadcast algorithm's behavior cannot change when the restriction is
-  // lifted. broadcast_only switches the engine to one out-slot per node, so
-  // this also pins that layout against the per-edge one: identical
-  // RunStats, outputs, observer transcripts and per-edge bits, for every
-  // thread count. The universal program needs a connected graph and its
-  // token width, approx_mis its frame width (bits_per_edge 0 is the auto
-  // budget).
+TEST(Broadcast, SameResultAcrossThreadCounts) {
+  // Identical RunStats, outputs, observer transcripts and per-edge bits
+  // for every thread count. The universal program needs a connected graph
+  // and its token width, approx_mis its frame width (bits_per_edge 0 is
+  // the auto budget).
   Rng rng(7);
   auto g = graph::gnp_random(rng, 35, 0.2);
   auto connected = graph::gnp_random_connected(rng, 24, 0.25);
@@ -142,70 +128,24 @@ TEST(Broadcast, SameResultAsUnicastForBroadcastAlgorithms) {
        approx_mis_local_bits(small.num_nodes(), 5)},
   };
   for (const auto& c : cases) {
-    const BroadcastRun unicast =
-        run_mode(*c.g, c.factory, c.bits_per_edge, false, 1);
-    ASSERT_GT(unicast.stats.messages_sent, 0u);
-    ASSERT_TRUE(unicast.stats.all_finished);
-    for (std::size_t threads : {1, 2, 8}) {
-      EXPECT_EQ(run_mode(*c.g, c.factory, c.bits_per_edge, false, threads),
-                unicast)
-          << "unicast threads=" << threads;
-      EXPECT_EQ(run_mode(*c.g, c.factory, c.bits_per_edge, true, threads),
-                unicast)
-          << "broadcast_only threads=" << threads;
+    const BroadcastRun serial = run_threads(*c.g, c.factory, c.bits_per_edge, 1);
+    ASSERT_GT(serial.stats.messages_sent, 0u);
+    ASSERT_TRUE(serial.stats.all_finished);
+    ASSERT_EQ(serial.transcript.size(), serial.stats.messages_sent);
+    for (std::size_t threads : {2, 8}) {
+      EXPECT_EQ(run_threads(*c.g, c.factory, c.bits_per_edge, threads), serial)
+          << "threads=" << threads;
     }
   }
-}
-
-TEST(Broadcast, PartialFanOutRejected) {
-  // Identical payloads to only some neighbors are not a broadcast: the
-  // CONGEST-Broadcast restriction requires all neighbors or none, on a
-  // materialized graph exactly as on its blocked twin.
-  class FirstNeighborOnly final : public NodeProgram {
-   public:
-    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
-               Rng&) override {
-      if (info.id == 0 && !done_) {
-        outbox.send(0, std::move(MessageWriter().put(1, 8)).finish());
-      }
-      done_ = true;
-    }
-    bool finished() const override { return done_; }
-
-   private:
-    bool done_ = false;
-  };
-  const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<FirstNeighborOnly>();
-  };
-
-  graph::Graph blocked(3);
-  blocked.set_implicit_block_threshold(1);
-  blocked.add_clique(std::vector<graph::NodeId>{0, 1, 2});
-  ASSERT_TRUE(blocked.has_implicit_blocks());
-  const graph::Graph triangle = blocked.materialized();
-
-  NetworkConfig cfg;
-  cfg.broadcast_only = true;
-  Network materialized(triangle, factory, cfg);
-  EXPECT_THROW(materialized.run(), InvariantError);
-  Network twin(blocked, factory, cfg);
-  EXPECT_THROW(twin.run(), InvariantError);
-
-  // Without the restriction the same program is a legal unicast.
-  Network unicast(triangle, factory);
-  EXPECT_EQ(unicast.run().messages_sent, 1u);
 }
 
 TEST(Broadcast, UniversalGossipIsBroadcastCompatible) {
   // Each round a node broadcasts the next token of its one token list with
   // send_all, so every neighbor receives the identical message — the
-  // universal algorithm is a CONGEST-Broadcast algorithm, and the strict
-  // broadcast checker accepts it.
+  // universal algorithm is a CONGEST-Broadcast algorithm.
   Rng rng(3);
   auto g = graph::gnp_random_connected(rng, 12, 0.4);
   NetworkConfig cfg;
-  cfg.broadcast_only = true;
   cfg.bits_per_edge = universal_required_bits(g.num_nodes(), 1);
   Network net(g, universal_maxis_factory([](const graph::Graph& gg) {
                 return maxis::solve_exact(gg).nodes;

@@ -1,8 +1,7 @@
 // CONGEST simulator core: message bit-packing, bandwidth enforcement,
-// synchronous delivery semantics, determinism, broadcast restriction, the
-// stored-once unicast send_all, the message observer hook and its owner
-// table, run statistics, and the edge-tiled shard partition of the parallel
-// round.
+// synchronous delivery semantics, determinism, one send_all per node per
+// round, the message observer hook and its owner table, run statistics, and
+// the edge-tiled shard partition of the parallel round.
 
 #include <gtest/gtest.h>
 
@@ -171,10 +170,7 @@ class EchoProgram final : public NodeProgram {
     }
     ++rounds_seen_;
     if (rounds_seen_ > rounds_to_run_) return;
-    Message m = std::move(MessageWriter().put(info.id, 16)).finish();
-    for (std::size_t s = 0; s < info.neighbors.size(); ++s) {
-      outbox.send(s, m);
-    }
+    outbox.send_all(std::move(MessageWriter().put(info.id, 16)).finish());
   }
   bool finished() const override { return rounds_seen_ > rounds_to_run_; }
   std::int64_t output() const override {
@@ -187,32 +183,15 @@ class EchoProgram final : public NodeProgram {
   std::vector<std::uint64_t> heard_;
 };
 
-/// Sends an oversized message to its first neighbor.
+/// Sends an oversized message to its neighbors.
 class OversizeProgram final : public NodeProgram {
  public:
   void round(const NodeInfo& info, const Inbox&, Outbox& outbox, Rng&) override {
-    if (info.neighbors.empty()) return;
     MessageWriter w;
     for (std::size_t i = 0; i <= info.bits_per_edge; ++i) w.put(1, 1);
-    outbox.send(0, std::move(w).finish());
+    outbox.send_all(std::move(w).finish());
   }
   bool finished() const override { return false; }
-};
-
-/// Sends different messages to different neighbors (illegal in broadcast
-/// mode).
-class PersonalizedProgram final : public NodeProgram {
- public:
-  void round(const NodeInfo& info, const Inbox&, Outbox& outbox, Rng&) override {
-    for (std::size_t s = 0; s < info.neighbors.size(); ++s) {
-      outbox.send(s, std::move(MessageWriter().put(s & 1, 1)).finish());
-    }
-    done_ = true;
-  }
-  bool finished() const override { return done_; }
-
- private:
-  bool done_ = false;
 };
 
 graph::Graph triangle() {
@@ -324,20 +303,9 @@ TEST(Network, MessageObserverSeesEverything) {
   EXPECT_EQ(observed_bits, stats.bits_sent);
 }
 
-TEST(Network, BroadcastModeRejectsPersonalizedMessages) {
-  auto g = triangle();
-  NetworkConfig cfg;
-  cfg.broadcast_only = true;
-  Network net(g, [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<PersonalizedProgram>();
-  }, cfg);
-  EXPECT_THROW(net.run(), InvariantError);
-}
-
 TEST(Network, BroadcastModeAllowsUniformMessages) {
   auto g = triangle();
   NetworkConfig cfg = echo_cfg();
-  cfg.broadcast_only = true;
   Network net(g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<EchoProgram>(1);
   }, cfg);
@@ -542,44 +510,70 @@ TEST(Network, RunAfterRunRoundsRespectsMaxRounds) {
 }
 
 TEST(Outbox, OneMessagePerNeighborPerRound) {
-  Outbox out(2);
-  out.send(0, std::move(MessageWriter().put(1, 1)).finish());
-  EXPECT_THROW(out.send(0, std::move(MessageWriter().put(1, 1)).finish()),
-               InvariantError);
-  EXPECT_THROW(out.send(2, std::move(MessageWriter().put(1, 1)).finish()),
-               InvariantError);
+  // A second send_all in one round throws: one out-slot holds the node's
+  // one message, on a materialized triangle exactly as on a blocked one.
+  class SendAllTwice final : public NodeProgram {
+   public:
+    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
+               Rng&) override {
+      if (info.id == 0 && !done_) {
+        const Message m = std::move(MessageWriter().put(1, 8)).finish();
+        outbox.send_all(m);
+        outbox.send_all(m);
+      }
+      done_ = true;
+    }
+    bool finished() const override { return done_; }
+
+   private:
+    bool done_ = false;
+  };
+  graph::Graph blocked(3);
+  blocked.set_implicit_block_threshold(1);
+  blocked.add_clique(std::vector<graph::NodeId>{0, 1, 2});
+  ASSERT_TRUE(blocked.has_implicit_blocks());
+  const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<SendAllTwice>();
+  };
+  for (const graph::Graph& g : {blocked.materialized(), blocked}) {
+    Network net(g, factory);
+    EXPECT_THROW(net.run(), InvariantError)
+        << "blocked=" << g.has_implicit_blocks();
+  }
+
+  std::uint8_t sent = 0;
+  Message slot;
+  Outbox out(&sent, &slot, 2);
   Message empty;
-  EXPECT_THROW(out.send(1, empty), InvariantError);
+  EXPECT_THROW(out.send_all(empty), InvariantError);
+  EXPECT_FALSE(out.has());
 }
 
 TEST(Outbox, BroadcastEqualityIgnoresPayloadHistory) {
-  // The same 40 bits, written in one field, in two fields, and copied into
-  // a slot that last held a 300-bit heap frame.
-  const Message once = write_fields(kShortFrame);
-  const Message split = write_fields({{0x12345, 20}, {0xABCDE, 20}});
-  Message reused = write_fields(kHeapFrame);
-  reused = once;
-  Message slot = write_fields(kHeapFrame);
-  std::uint8_t kind = 0;
-  Outbox out = Outbox::broadcast_view(&kind, &slot, 3, Outbox::kUnlimitedBits);
-  out.send(0, split);
-  EXPECT_NO_THROW(out.send(1, once));
-  EXPECT_NO_THROW(out.send(2, reused));
-  // A different payload of the same length is still refused.
-  kind = 0;
-  Outbox other =
-      Outbox::broadcast_view(&kind, &slot, 2, Outbox::kUnlimitedBits);
-  other.send(0, once);
-  EXPECT_THROW(other.send(1, write_fields({{0xABCDE12344ULL, 40}})),
-               InvariantError);
+  // The same 40 bits, written in one field or in two, sent into an arena
+  // slot that last held a 300-bit heap frame: the stored message is
+  // exactly the new bits, as a fresh message would be.
+  for (const Message& m :
+       {write_fields(kShortFrame), write_fields({{0x12345, 20}, {0xABCDE, 20}})}) {
+    std::uint8_t sent = 0;
+    Message slot = write_fields(kHeapFrame);
+    Outbox out(&sent, &slot, 3);
+    out.send_all(m);
+    ASSERT_TRUE(out.has());
+    EXPECT_EQ(&out.message(), &slot);
+    expect_layout(out.message(), kShortFrame);
+  }
 }
 
 TEST(Outbox, EnforcesBandwidthAtSendTime) {
-  Outbox out(2, /*cap_bits=*/8);
-  out.send(0, std::move(MessageWriter().put(0xFF, 8)).finish());  // exactly B
-  EXPECT_THROW(out.send(1, std::move(MessageWriter().put(0x1FF, 9)).finish()),
+  std::uint8_t sent = 0;
+  Message slot;
+  Outbox out(&sent, &slot, 2, /*cap_bits=*/8);
+  EXPECT_THROW(out.send_all(std::move(MessageWriter().put(0x1FF, 9)).finish()),
                InvariantError);
-  EXPECT_FALSE(out.has(1)) << "rejected message must not occupy the slot";
+  EXPECT_FALSE(out.has()) << "rejected message must not occupy the slot";
+  out.send_all(std::move(MessageWriter().put(0xFF, 8)).finish());  // exactly B
+  EXPECT_TRUE(out.has());
 }
 
 TEST(Network, OversendThrowsFromSendBeforeDelivery) {
@@ -607,16 +601,15 @@ TEST(Network, OversendThrowsFromSendBeforeDelivery) {
   EXPECT_EQ(net.stats().messages_sent, 0u);
 }
 
-// ------------------------------------------------ stored-once send_all --
+// ------------------------------------------------------------- send_all --
 
 /// Sends one (id, round)-dependent payload of varying width to every
 /// neighbor on the rounds where (id + round) % 3 != 0, for `rounds_to_run`
 /// rounds, and folds every received payload and its slot into its output.
-/// `use_send_all` picks send_all or its twin, one send per slot.
-class BroadcastTwin final : public NodeProgram {
+class VaryingBroadcast final : public NodeProgram {
  public:
-  BroadcastTwin(bool use_send_all, std::size_t rounds_to_run)
-      : use_send_all_(use_send_all), rounds_to_run_(rounds_to_run) {}
+  explicit VaryingBroadcast(std::size_t rounds_to_run)
+      : rounds_to_run_(rounds_to_run) {}
 
   void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
              Rng&) override {
@@ -635,11 +628,7 @@ class BroadcastTwin final : public NodeProgram {
                                     .put(info.id & 0xFFFF, 16)
                                     .put(r & 0xFF, 8 + (info.id + r) % 5))
                           .finish();
-    if (use_send_all_) {
-      outbox.send_all(m);
-    } else {
-      for (std::size_t i = 0; i < outbox.size(); ++i) outbox.send(i, m);
-    }
+    outbox.send_all(m);
   }
   bool finished() const override { return round_ > rounds_to_run_; }
   std::int64_t output() const override {
@@ -647,27 +636,25 @@ class BroadcastTwin final : public NodeProgram {
   }
 
  private:
-  bool use_send_all_;
   std::size_t rounds_to_run_;
   std::size_t round_ = 0;
   std::uint64_t digest_ = 0;
 };
 
 /// Everything observable about one run, tracer events included.
-struct TwinRun {
+struct FullRun {
   RunStats stats;
   std::vector<std::int64_t> outputs;
   std::vector<std::uint64_t> edge_bits;  ///< bits_on_edge, every edge
   std::vector<Delivery> transcript;
   std::vector<obs::TraceEvent> events;
 
-  friend bool operator==(const TwinRun&, const TwinRun&) = default;
+  friend bool operator==(const FullRun&, const FullRun&) = default;
 };
 
-TwinRun run_twin(const graph::Graph& g, bool use_send_all,
-                 std::size_t threads,
+FullRun run_full(const graph::Graph& g, std::size_t threads,
                  std::span<const std::size_t> owner = {}) {
-  TwinRun rec;
+  FullRun rec;
   obs::Tracer tracer({.capacity = std::size_t{1} << 16});
   NetworkConfig cfg;
   cfg.bits_per_edge = 32;
@@ -675,8 +662,8 @@ TwinRun run_twin(const graph::Graph& g, bool use_send_all,
   cfg.tracer = &tracer;
   cfg.owner = owner;
   cfg.on_message = log_deliveries(rec.transcript);
-  Network net(g, [use_send_all](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<BroadcastTwin>(use_send_all, 7);
+  Network net(g, [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<VaryingBroadcast>(7);
   }, cfg);
   rec.stats = net.run();
   rec.outputs = net.outputs();
@@ -706,63 +693,34 @@ Gadget linear_gadget() {
   return out;
 }
 
-TEST(SendAll, StoredOnceMatchesPerSlotSends) {
-  // A unicast send_all stores its message once and marks the other
-  // out-slots kSlotAsFirst. Receivers, the accounting, the observer and the
-  // tracer must all see exactly what one send per slot produces.
-  Rng rng(41);
-  const graph::Graph gnp = graph::gnp_random_connected(rng, 60, 0.15);
-  const graph::Graph gadget = linear_gadget().g;
-  for (const graph::Graph* g : {&gnp, &gadget}) {
-    const TwinRun want = run_twin(*g, /*use_send_all=*/false, 1);
-    ASSERT_GT(want.stats.messages_sent, 0u);
-    ASSERT_FALSE(want.events.empty());
-    for (std::size_t threads : {1, 2, 8}) {
-      EXPECT_EQ(run_twin(*g, true, threads), want)
-          << "n=" << g->num_nodes() << " threads=" << threads;
-    }
-  }
-}
-
 TEST(SendAll, OwnerTableObservesExactlyTheCut) {
   // With an owner table the observer sees the deliveries between two
   // owners — the full transcript filtered, in the same order — and nothing
-  // else about the run changes. Broadcast-only networks list the same cut.
+  // else about the run changes.
   const Gadget gx = linear_gadget();
+  const FullRun want = run_full(gx.g, 1);
+  ASSERT_GT(want.stats.messages_sent, 0u);
+  ASSERT_FALSE(want.events.empty());
   std::vector<Delivery> cut;
-  for (const Delivery& d : run_twin(gx.g, false, 1).transcript) {
+  for (const Delivery& d : want.transcript) {
     if (gx.owner[d.from] != gx.owner[d.to]) cut.push_back(d);
   }
   ASSERT_FALSE(cut.empty());
-  for (bool use_send_all : {false, true}) {
-    for (std::size_t threads : {1, 2, 8}) {
-      const TwinRun all = run_twin(gx.g, use_send_all, threads);
-      TwinRun observed = run_twin(gx.g, use_send_all, threads, gx.owner);
-      EXPECT_EQ(observed.transcript, cut)
-          << "send_all=" << use_send_all << " threads=" << threads;
-      observed.transcript = all.transcript;
-      EXPECT_EQ(observed, all);
-    }
+  for (std::size_t threads : {1, 2, 8}) {
+    EXPECT_EQ(run_full(gx.g, threads), want) << "threads=" << threads;
+    FullRun observed = run_full(gx.g, threads, gx.owner);
+    EXPECT_EQ(observed.transcript, cut) << "threads=" << threads;
+    observed.transcript = want.transcript;
+    EXPECT_EQ(observed, want);
   }
-  std::vector<Delivery> seen;
-  NetworkConfig cfg;
-  cfg.bits_per_edge = 32;
-  cfg.broadcast_only = true;
-  cfg.owner = gx.owner;
-  cfg.on_message = log_deliveries(seen);
-  Network bcast(gx.g, [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<BroadcastTwin>(true, 7);
-  }, cfg);
-  bcast.run();
-  EXPECT_EQ(seen, cut);
 }
 
 TEST(SendAll, OwnerTableValidated) {
   // A table needs one entry per node. Implicit blocks take one like any
   // topology: a blocked triangle observes the cut its materialized twin
-  // observes under broadcast_only.
+  // observes.
   const auto factory = [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<BroadcastTwin>(true, 7);
+    return std::make_unique<VaryingBroadcast>(7);
   };
   const std::vector<std::size_t> short_table = {0, 1};
   NetworkConfig cfg;
@@ -778,7 +736,6 @@ TEST(SendAll, OwnerTableValidated) {
     std::vector<Delivery> log;
     NetworkConfig c;
     c.bits_per_edge = 32;
-    c.broadcast_only = true;
     c.owner = table;
     c.on_message = log_deliveries(log);
     Network(g, factory, c).run();
@@ -790,75 +747,35 @@ TEST(SendAll, OwnerTableValidated) {
   EXPECT_EQ(observed_cut(blocked), want);
 }
 
-/// Runs `body` on an owning three-slot outbox and returns the error text
-/// it throws ("" if it does not throw).
-template <typename Body>
-std::string outbox_error(Body body) {
-  Outbox out(3);
-  try {
-    body(out);
-  } catch (const InvariantError& e) {
-    return e.what();
-  }
-  return "";
-}
-
-TEST(SendAll, MixingWithSendThrows) {
-  const Message m = std::move(MessageWriter().put(5, 4)).finish();
-  const std::string kOnePerSlot = "one message per neighbor per round";
-  for (std::size_t first : {0, 2}) {
-    EXPECT_NE(outbox_error([&](Outbox& out) {
-                out.send(first, m);
-                out.send_all(m);
-              }).find(kOnePerSlot),
-              std::string::npos)
-        << "send(" << first << ") then send_all";
-    EXPECT_NE(outbox_error([&](Outbox& out) {
-                out.send_all(m);
-                out.send(first, m);
-              }).find(kOnePerSlot),
-              std::string::npos)
-        << "send_all then send(" << first << ")";
-  }
-  EXPECT_NE(outbox_error([&](Outbox& out) {
-              out.send_all(m);
-              out.send_all(m);
-            }).find(kOnePerSlot),
-            std::string::npos);
-
-  // A stored-once broadcast reads back as the message on every slot.
-  Outbox out(3);
-  out.send_all(m);
-  EXPECT_EQ(out.broadcast_sends(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(out.has(i));
-    EXPECT_EQ(out.message(i).bits, 4u);
-    EXPECT_EQ(&out.message(i), &out.message(0));
-  }
-}
-
 TEST(SendAll, DegreeZeroIsANoOp) {
-  Outbox none(0);
+  std::uint8_t sent = 0;
+  Message slot;
+  Outbox none(&sent, &slot, 0);
   EXPECT_NO_THROW(none.send_all(std::move(MessageWriter().put(1, 1)).finish()));
-  EXPECT_EQ(none.broadcast_sends(), 0u);
+  EXPECT_FALSE(none.has());
 
-  // Node 3 is isolated; its send_all reaches nobody and counts nothing.
+  // Node 3 is isolated; its send_all reaches nobody and counts nothing:
+  // the run is the one on the path without it.
+  graph::Graph path(3);
+  path.add_edge(0, 1);
+  path.add_edge(1, 2);
   graph::Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   NetworkConfig cfg;
   cfg.bits_per_edge = 32;
-  Network net(g, [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<BroadcastTwin>(true, 3);
-  }, cfg);
-  Network twin(g, [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<BroadcastTwin>(false, 3);
-  }, cfg);
+  const auto factory = [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<VaryingBroadcast>(3);
+  };
+  Network net(g, factory, cfg);
+  Network twin(path, factory, cfg);
   const RunStats stats = net.run();
   EXPECT_EQ(stats, twin.run());
   EXPECT_GT(stats.messages_sent, 0u);
-  EXPECT_EQ(net.outputs(), twin.outputs());
-  EXPECT_EQ(net.program(3).output(), 0);
+  std::vector<std::int64_t> outputs = net.outputs();
+  EXPECT_EQ(outputs.back(), 0);
+  outputs.pop_back();
+  EXPECT_EQ(outputs, twin.outputs());
 }
 
 // --------------------------------------------------- edge-tiled sharding --

@@ -28,14 +28,10 @@
 namespace congestlb::congest {
 namespace {
 
-/// Sends a 16-bit payload to every neighbor, forever — through send_all
-/// (on a unicast network: stored once, the other out-slots kSlotAsFirst),
-/// or with `per_slot` one send per slot; allocation-free per round
-/// (MessageWriter's payload fits the small-buffer inline capacity).
+/// Sends a 16-bit payload to every neighbor, forever; allocation-free per
+/// round (MessageWriter's payload fits the small-buffer inline capacity).
 class SteadyFlood final : public NodeProgram {
  public:
-  explicit SteadyFlood(bool per_slot = false) : per_slot_(per_slot) {}
-
   void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
              Rng&) override {
     std::size_t heard = 0;
@@ -43,14 +39,8 @@ class SteadyFlood final : public NodeProgram {
       if (m) ++heard;
     }
     heard_ += heard;
-    if (info.neighbors.empty()) return;
-    const Message m =
-        std::move(MessageWriter().put(info.id & 0xFFFF, 16)).finish();
-    if (!per_slot_) {
-      outbox.send_all(m);
-      return;
-    }
-    for (std::size_t i = 0; i < outbox.size(); ++i) outbox.send(i, m);
+    outbox.send_all(
+        std::move(MessageWriter().put(info.id & 0xFFFF, 16)).finish());
   }
   bool finished() const override { return false; }
   std::int64_t output() const override {
@@ -58,7 +48,6 @@ class SteadyFlood final : public NodeProgram {
   }
 
  private:
-  bool per_slot_;
   std::size_t heard_ = 0;
 };
 
@@ -70,7 +59,6 @@ TEST(EngineAlloc, HookIsLinked) {
 }
 
 TEST(EngineAlloc, SteadyStateRoundsAllocateNothing) {
-  // Unicast send_all rounds: each sender's message is stored once.
   Rng rng(2024);
   const auto g = graph::gnp_random_connected(rng, 256, 0.05);
   NetworkConfig cfg;
@@ -92,41 +80,34 @@ TEST(EngineAlloc, SteadyStateRoundsAllocateNothing) {
       << " times over 100 steady-state rounds";
 }
 
-TEST(EngineAlloc, PerSlotSendsAndCutObserverAllocateNothing) {
-  // The other two unicast paths: per-slot sends (one branch-free
-  // accounting pass per sender) and send_all rounds observed through an
-  // owner table's cut list, which the constructor built once.
+TEST(EngineAlloc, CutObserverAllocatesNothing) {
+  // send_all rounds observed through an owner table's cut list, which the
+  // constructor built once.
   Rng rng(2024);
   const auto g = graph::gnp_random_connected(rng, 256, 0.05);
   std::vector<std::size_t> owner(g.num_nodes());
   for (graph::NodeId v = 0; v < owner.size(); ++v) owner[v] = v % 3;
-  for (bool per_slot : {true, false}) {
-    std::uint64_t observed = 0;
-    NetworkConfig cfg;
-    cfg.bits_per_edge = 16;
-    cfg.max_rounds = 1'000'000;
-    if (!per_slot) {
-      cfg.owner = owner;
-      cfg.on_message = [&observed](std::size_t, graph::NodeId, graph::NodeId,
-                                   const Message&) { ++observed; };
-    }
-    Network net(g, [per_slot](graph::NodeId, const NodeInfo&) {
-      return std::make_unique<SteadyFlood>(per_slot);
-    }, cfg);
+  std::uint64_t observed = 0;
+  NetworkConfig cfg;
+  cfg.bits_per_edge = 16;
+  cfg.max_rounds = 1'000'000;
+  cfg.owner = owner;
+  cfg.on_message = [&observed](std::size_t, graph::NodeId, graph::NodeId,
+                               const Message&) { ++observed; };
+  Network net(g, [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<SteadyFlood>();
+  }, cfg);
 
-    net.run_rounds(8);
+  net.run_rounds(8);
 
-    const auto before = allochook::allocation_count();
-    net.run_rounds(100);
-    const auto after = allochook::allocation_count();
-    EXPECT_EQ(after - before, 0u)
-        << (per_slot ? "per-slot sends" : "observed send_all") << " allocated "
-        << (after - before) << " times over 100 steady-state rounds";
-    if (!per_slot) {
-      EXPECT_GT(observed, 0u);
-      EXPECT_LT(observed, net.stats().messages_sent);
-    }
-  }
+  const auto before = allochook::allocation_count();
+  net.run_rounds(100);
+  const auto after = allochook::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "observed send_all allocated " << (after - before)
+      << " times over 100 steady-state rounds";
+  EXPECT_GT(observed, 0u);
+  EXPECT_LT(observed, net.stats().messages_sent);
 }
 
 TEST(EngineAlloc, DisabledTracerAndMetricsCostNothing) {
@@ -191,7 +172,7 @@ TEST(EngineAlloc, EnabledTracingStaysAllocationFree) {
   EXPECT_EQ(metrics.counter("engine.rounds").value(), 108u);
 }
 
-/// Broadcast-only flood that reads its inbox by index at the front, middle
+/// Flood that reads its inbox by index at the front, middle
 /// and back — on a hybrid topology each read is a NeighborsView::operator[]
 /// select over the node's merged sources.
 class IndexedProbeFlood final : public NodeProgram {
@@ -244,7 +225,6 @@ TEST(EngineAlloc, HybridIndexedInboxReadsAllocateNothing) {
   }
   NetworkConfig cfg;
   cfg.bits_per_edge = 16;
-  cfg.broadcast_only = true;
   cfg.max_rounds = 1'000'000;
   Network net(g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<IndexedProbeFlood>();

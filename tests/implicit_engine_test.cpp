@@ -1,12 +1,12 @@
 // Bit-identity contract between the hybrid (implicit-block) engine and the
 // materialized engine.
 //
-// A topology carrying ImplicitBlock descriptors runs the broadcast engine:
-// O(n)-per-round arenas, arithmetic delivery counters, NeighborsView
-// cursors. This suite pins the contract that licenses all of it: on the
-// SAME graph, blocked and materialized representations must produce
-// identical RunStats, program outputs, per-edge traffic, and observer
-// transcripts — for every thread count.
+// A topology carrying ImplicitBlock descriptors runs the same O(n)-per-round
+// broadcast engine as a materialized one, but its NeighborsView cursors
+// merge block-implied neighbors arithmetically. This suite pins the
+// contract that licenses it: on the SAME graph, blocked and materialized
+// representations must produce identical RunStats, program outputs,
+// per-edge traffic, and observer transcripts — for every thread count.
 
 #include <gtest/gtest.h>
 
@@ -87,7 +87,6 @@ RunRecord run_once(const graph::Graph& g,
   NetworkConfig cfg;
   cfg.num_threads = num_threads;
   cfg.bits_per_edge = 32;
-  cfg.broadcast_only = true;
   cfg.on_message = log_deliveries(rec.transcript);
   Network net(
       g,
@@ -323,67 +322,6 @@ TEST(ImplicitEngine, QuadraticFamilyBlockedTwinIsBitIdentical) {
     EXPECT_EQ(maxis::solve_exact(fx_blocked).weight,
               maxis::solve_exact(fx_plain).weight);
   }
-}
-
-TEST(ImplicitEngine, HybridRejectsNonUniformSends) {
-  // A program that sends to a single slot violates the broadcast-uniform
-  // requirement of implicit topologies and must trip the engine invariant.
-  class OneSlot final : public NodeProgram {
-   public:
-    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
-               Rng&) override {
-      if (!info.neighbors.empty() && info.id == 0) {
-        outbox.send(0, std::move(MessageWriter().put(1, 8)).finish());
-      }
-      done_ = true;
-    }
-    bool finished() const override { return done_; }
-
-   private:
-    bool done_ = false;
-  };
-
-  graph::Graph g(6);
-  g.set_implicit_block_threshold(1);
-  g.add_clique(std::vector<graph::NodeId>{0, 1, 2, 3, 4, 5});
-  Network net(g, [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<OneSlot>();
-  });
-  EXPECT_THROW(net.run(), InvariantError);
-}
-
-TEST(ImplicitEngine, HybridRejectsDuplicateSendAsBroadcast) {
-  // Sending slot 0 twice is as many sends as neighbors on a triangle, but
-  // not a broadcast: slot 1 never got a message. The one-slot broadcast
-  // arena must reject it as the per-edge arena does.
-  class SlotZeroTwice final : public NodeProgram {
-   public:
-    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
-               Rng&) override {
-      if (info.id == 0 && !done_) {
-        const Message m = std::move(MessageWriter().put(1, 8)).finish();
-        outbox.send(0, m);
-        outbox.send(0, m);
-      }
-      done_ = true;
-    }
-    bool finished() const override { return done_; }
-
-   private:
-    bool done_ = false;
-  };
-
-  graph::Graph g(3);
-  g.set_implicit_block_threshold(1);
-  g.add_clique(std::vector<graph::NodeId>{0, 1, 2});
-  ASSERT_TRUE(g.has_implicit_blocks());
-  const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<SlotZeroTwice>();
-  };
-  Network blocked(g, factory);
-  EXPECT_THROW(blocked.run(), InvariantError);
-  Network materialized(g.materialized(), factory);
-  EXPECT_THROW(materialized.run(), InvariantError);
 }
 
 TEST(ImplicitEngine, HybridRejectsTracingAndMetrics) {

@@ -140,9 +140,8 @@ TEST(LinearReduction, ObserverCallsAreTheCutPostsOnly) {
 
 TEST(LinearReduction, BlockedGadgetPostsTheMaterializedBoard) {
   // G_xbar with its inter-copy anti-matchings and cliques as implicit
-  // blocks runs the broadcast engine; the driver's owner table lists its
-  // cut over the merged neighbors. The board must be the materialized
-  // broadcast_only twin's, entry for entry.
+  // blocks; the driver's owner table lists its cut over the merged
+  // neighbors. The board must be the materialized twin's, entry for entry.
   const std::size_t t = 3;
   const auto p = lb::GadgetParams::for_linear_separation(t, 1);
   const lb::LinearConstruction plain(p, t);
@@ -157,7 +156,6 @@ TEST(LinearReduction, BlockedGadgetPostsTheMaterializedBoard) {
   comm::Blackboard blocked_board(t);
   const auto rep = run_linear_reduction(blocked, inst, factory,
                                         blocked_board, cfg);
-  cfg.broadcast_only = true;
   comm::Blackboard twin_board(t);
   const auto twin = run_linear_reduction(plain, inst, factory, twin_board, cfg);
   EXPECT_TRUE(rep.correct);
