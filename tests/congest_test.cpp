@@ -510,43 +510,18 @@ TEST(Network, RunAfterRunRoundsRespectsMaxRounds) {
 }
 
 TEST(Outbox, OneMessagePerNeighborPerRound) {
-  // A second send_all in one round throws: one out-slot holds the node's
-  // one message, on a materialized triangle exactly as on a blocked one.
-  class SendAllTwice final : public NodeProgram {
-   public:
-    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
-               Rng&) override {
-      if (info.id == 0 && !done_) {
-        const Message m = std::move(MessageWriter().put(1, 8)).finish();
-        outbox.send_all(m);
-        outbox.send_all(m);
-      }
-      done_ = true;
-    }
-    bool finished() const override { return done_; }
-
-   private:
-    bool done_ = false;
-  };
-  graph::Graph blocked(3);
-  blocked.set_implicit_block_threshold(1);
-  blocked.add_clique(std::vector<graph::NodeId>{0, 1, 2});
-  ASSERT_TRUE(blocked.has_implicit_blocks());
-  const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
-    return std::make_unique<SendAllTwice>();
-  };
-  for (const graph::Graph& g : {blocked.materialized(), blocked}) {
-    Network net(g, factory);
-    EXPECT_THROW(net.run(), InvariantError)
-        << "blocked=" << g.has_implicit_blocks();
-  }
-
+  // One out-slot holds the node's one message: a second send_all in the
+  // same round throws, and an empty message is never stored.
   std::uint8_t sent = 0;
   Message slot;
   Outbox out(&sent, &slot, 2);
   Message empty;
   EXPECT_THROW(out.send_all(empty), InvariantError);
   EXPECT_FALSE(out.has());
+  out.send_all(std::move(MessageWriter().put(1, 1)).finish());
+  EXPECT_TRUE(out.has());
+  EXPECT_THROW(out.send_all(std::move(MessageWriter().put(1, 1)).finish()),
+               InvariantError);
 }
 
 TEST(Outbox, BroadcastEqualityIgnoresPayloadHistory) {

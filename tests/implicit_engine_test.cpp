@@ -324,6 +324,39 @@ TEST(ImplicitEngine, QuadraticFamilyBlockedTwinIsBitIdentical) {
   }
 }
 
+TEST(ImplicitEngine, HybridRejectsDuplicateSendAsBroadcast) {
+  // A second send_all in one round throws: one out-slot holds the node's
+  // one message, on a blocked triangle exactly as on a materialized one.
+  class SendAllTwice final : public NodeProgram {
+   public:
+    void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
+               Rng&) override {
+      if (info.id == 0 && !done_) {
+        const Message m = std::move(MessageWriter().put(1, 8)).finish();
+        outbox.send_all(m);
+        outbox.send_all(m);
+      }
+      done_ = true;
+    }
+    bool finished() const override { return done_; }
+
+   private:
+    bool done_ = false;
+  };
+
+  graph::Graph g(3);
+  g.set_implicit_block_threshold(1);
+  g.add_clique(std::vector<graph::NodeId>{0, 1, 2});
+  ASSERT_TRUE(g.has_implicit_blocks());
+  const ProgramFactory factory = [](graph::NodeId, const NodeInfo&) {
+    return std::make_unique<SendAllTwice>();
+  };
+  Network blocked(g, factory);
+  EXPECT_THROW(blocked.run(), InvariantError);
+  Network materialized(g.materialized(), factory);
+  EXPECT_THROW(materialized.run(), InvariantError);
+}
+
 TEST(ImplicitEngine, HybridRejectsTracingAndMetrics) {
   // Per-delivery trace events and metric observations are O(total degree),
   // the cost implicit blocks exist to avoid: both are refused up front.
