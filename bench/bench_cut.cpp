@@ -19,6 +19,7 @@ using clb::Table;
 
 int main() {
   std::cout << "=== bench_cut: cut structure of the constructions ===\n";
+  bool all_hold = true;
 
   clb::print_heading(std::cout, "closed form vs constructed edge set");
   {
@@ -30,11 +31,14 @@ int main() {
           {2, 5, 2}}) {
       const auto p = clb::lb::GadgetParams::from_l_alpha(ell, alpha);
       const clb::lb::LinearConstruction lc(p, tp);
+      const bool linear_match = lc.cut_size() == lc.cut_edges().size();
       t.row("linear", tp, ell, alpha, lc.cut_size(), lc.cut_edges().size(),
-            lc.cut_size() == lc.cut_edges().size());
+            linear_match);
       const clb::lb::QuadraticConstruction qc(p, tp);
+      const bool quadratic_match = qc.cut_size() == qc.cut_edges().size();
       t.row("quadratic", tp, ell, alpha, qc.cut_size(), qc.cut_edges().size(),
-            qc.cut_size() == qc.cut_edges().size());
+            quadratic_match);
+      all_hold = all_hold && linear_match && quadratic_match;
     }
     t.print(std::cout);
   }
@@ -72,6 +76,10 @@ int main() {
     t.print(std::cout);
   }
 
+  if (!all_hold) {
+    std::cout << "\nCLAIM VIOLATION — see tables above.\n";
+    return 1;
+  }
   std::cout << "\nCut experiments completed.\n";
   return 0;
 }

@@ -23,6 +23,7 @@ using clb::Table;
 int main() {
   std::cout << "=== bench_gap_quadratic: Claims 6-7 and Lemma 3 ===\n";
   clb::Rng rng(505);
+  bool all_hold = true;
 
   clb::print_heading(
       std::cout, "C67 — YES >= t(4l+2a), NO <= 3(t+1)l+3at^3 (exact OPT)");
@@ -51,6 +52,7 @@ int main() {
                           clb::maxis::solve_exact(c.instantiate(no)).weight);
       }
       const bool holds = yes_opt >= c.yes_weight() && no_opt <= c.no_bound();
+      all_hold = all_hold && holds;
       t.row(tp, ell, alpha, k, c.num_nodes(), c.string_length(), yes_opt,
             c.yes_weight(), no_opt, c.no_bound(), holds);
     }
@@ -110,6 +112,10 @@ int main() {
     t.print(std::cout);
   }
 
+  if (!all_hold) {
+    std::cout << "\nCLAIM VIOLATION — see tables above.\n";
+    return 1;
+  }
   std::cout << "\nQuadratic gap experiments completed.\n";
   return 0;
 }

@@ -1,8 +1,7 @@
 // Google-benchmark microbenchmarks for the hot substrates: Reed-Solomon
-// encoding, Hopcroft-Karp on the Figure-2 anti-matchings, branch-and-bound
-// on gadget instances, gadget construction itself, blackboard posting, the
-// message codec, the solver's word loops, bulk graph build, and raw
-// CONGEST round throughput.
+// encoding, Hopcroft-Karp on the Figure-2 anti-matchings, gadget
+// construction itself, blackboard posting, the message codec, the solver's
+// word loops, bulk graph build, and the engine's steady-state round.
 //
 // A custom main (bottom of file) mirrors the console run into
 // BENCH_micro.json — google-benchmark's own JSON format — so CI can archive
@@ -18,7 +17,6 @@
 #include "comm/blackboard.hpp"
 #include "comm/exact_cc.hpp"
 #include "comm/instances.hpp"
-#include "congest/algorithms/greedy_mis.hpp"
 #include "congest/message.hpp"
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
@@ -26,7 +24,6 @@
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/structured_solver.hpp"
 #include "maxis/bitset.hpp"
-#include "maxis/branch_and_bound.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/rng.hpp"
@@ -71,19 +68,6 @@ void BM_LinearConstructionBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearConstructionBuild)->Arg(3)->Arg(6)->Arg(10);
 
-void BM_ExactMaxIsOnGadget(benchmark::State& state) {
-  const std::size_t t = static_cast<std::size_t>(state.range(0));
-  const auto p = clb::lb::GadgetParams::for_linear_separation(t, 1);
-  const clb::lb::LinearConstruction c(p, t);
-  clb::Rng rng(5);
-  const auto inst = clb::comm::make_pairwise_disjoint(p.k, t, rng, 0.4);
-  const auto g = c.instantiate(inst);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(clb::maxis::solve_exact(g).weight);
-  }
-}
-BENCHMARK(BM_ExactMaxIsOnGadget)->Arg(2)->Arg(3)->Arg(4);
-
 void BM_BlackboardPost(benchmark::State& state) {
   for (auto _ : state) {
     clb::comm::Blackboard board(4);
@@ -96,23 +80,6 @@ void BM_BlackboardPost(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_BlackboardPost);
-
-void BM_CongestRoundThroughput(benchmark::State& state) {
-  // Greedy MIS on a cycle: measures simulator round overhead.
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  clb::graph::Graph g(n);
-  clb::graph::EdgeList cycle;
-  for (clb::graph::NodeId v = 0; v < n; ++v) {
-    cycle.emplace_back(v, (v + 1) % n);
-  }
-  g.add_edges(cycle);
-  for (auto _ : state) {
-    clb::congest::Network net(g, clb::congest::greedy_mis_factory());
-    const auto stats = net.run();
-    benchmark::DoNotOptimize(stats.rounds);
-  }
-}
-BENCHMARK(BM_CongestRoundThroughput)->Arg(64)->Arg(256)->Arg(1024);
 
 void BM_StructuredSolver(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));

@@ -9,8 +9,8 @@
 // reference curves n/log^3 n and n^2/log^3 n next to the computed bound.
 // Absolute constants are implementation-specific; the *shape* (near-linear
 // vs near-quadratic growth, quadratic >> linear) is the reproduced result.
-// The last table contrasts the lower bounds with the measured O(m) rounds
-// of the universal exact algorithm (the upper bound the paper cites).
+// The last table compares the two bounds at equal n. `clb bounds <eps> <n>`
+// prints the same chain for any other target approximation.
 
 #include <cmath>
 #include <iostream>
@@ -75,27 +75,6 @@ int main() {
       const auto r2 = clb::lb::theorem2_bound(n, eps2);
       t.row(n, clb::fmt_double(r1.rounds, 6), clb::fmt_double(r2.rounds, 3),
             clb::fmt_double(r2.rounds / r1.rounds, 0));
-    }
-    t.print(std::cout);
-  }
-
-  clb::print_heading(
-      std::cout,
-      "context — eps sensitivity (same n, varying target approximation)");
-  {
-    const std::size_t n = 1 << 18;
-    Table t({"target approx", "theorem", "t", "bound rounds"});
-    for (double eps : {0.4, 0.2, 0.1, 0.05}) {
-      const auto rb = clb::lb::theorem1_bound(n, eps);
-      t.row("1/2 + " + clb::fmt_double(eps, 2), "T1",
-            clb::lb::linear_players_for_epsilon(eps),
-            clb::fmt_double(rb.rounds, 6));
-    }
-    for (double eps : {0.2, 0.1, 0.05}) {
-      const auto rb = clb::lb::theorem2_bound(n, eps);
-      t.row("3/4 + " + clb::fmt_double(eps, 2), "T2",
-            clb::lb::quadratic_players_for_epsilon(eps),
-            clb::fmt_double(rb.rounds, 3));
     }
     t.print(std::cout);
   }

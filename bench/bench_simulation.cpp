@@ -355,14 +355,14 @@ ScaleRow measure_scale(const std::string& name, const std::string& variant,
   row.bits_per_s = static_cast<double>(s1.bits_sent - s0.bits_sent) * 1e9 / ns;
   row.peak_rss_bytes = process_peak_rss_bytes();
   row.rss_delta_bytes = rss1 > rss0 ? rss1 - rss0 : 0;
-  // What expanding every block would cost, priced at 8 B per directed
-  // slot (2 per undirected edge), the basis of EXPERIMENTS.md's scale
-  // table. A bare CSR target is 4 B of it, so the <10% gate below holds
-  // resident growth under 20% of a materialized CSR.
+  // What expanding every block would cost, priced as graph::Csr stores
+  // it: one NodeId target per directed slot (2 per undirected edge) plus
+  // n + 1 row offsets. This is the basis of EXPERIMENTS.md's scale table.
   row.materialized_edge_bytes =
       static_cast<double>(row.implicit_edges +
                           static_cast<std::uint64_t>(row.explicit_edges)) *
-      2.0 * (sizeof(clb::graph::NodeId) + sizeof(std::uint32_t));
+          2.0 * sizeof(clb::graph::NodeId) +
+      static_cast<double>(row.n + 1) * sizeof(std::size_t);
   return row;
 }
 

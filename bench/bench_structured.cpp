@@ -36,6 +36,7 @@ double ms(F&& f) {
 int main() {
   std::cout << "=== bench_structured: case-analysis solver vs branch-and-bound ===\n";
   clb::Rng rng(11);
+  bool all_hold = true;
 
   clb::print_heading(std::cout,
                      "head-to-head on pairwise-disjoint instances (NO side)");
@@ -60,8 +61,9 @@ int main() {
       clb::maxis::IsSolution structured;
       const double str_ms =
           ms([&] { structured = clb::lb::solve_linear_structured(c, inst); });
-      t.row(tp, ell, alpha, k, c.num_nodes(), structured.weight,
-            structured.weight == bnb.solution.weight,
+      const bool agree = structured.weight == bnb.solution.weight;
+      all_hold = all_hold && agree;
+      t.row(tp, ell, alpha, k, c.num_nodes(), structured.weight, agree,
             clb::fmt_double(bnb_ms, 2), bnb.search_nodes,
             clb::fmt_double(str_ms, 2),
             clb::fmt_double(bnb_ms / std::max(str_ms, 0.001), 1));
@@ -91,6 +93,7 @@ int main() {
         wn = clb::lb::solve_linear_structured(c, no).weight;
       });
       const bool holds = wy >= c.yes_weight() && wn <= c.no_bound();
+      all_hold = all_hold && holds;
       t.row(tp, ell, alpha, k, c.num_nodes(), wy, c.yes_weight(), wn,
             c.no_bound(), holds, clb::fmt_double(total_ms, 1));
     }
@@ -116,13 +119,19 @@ int main() {
       clb::maxis::IsSolution structured;
       const double str_ms = ms(
           [&] { structured = clb::lb::solve_quadratic_structured(c, inst); });
+      const bool agree = structured.weight == bnb.solution.weight;
+      all_hold = all_hold && agree;
       t.row(tp, ell, k, c.string_length(), c.num_nodes(), structured.weight,
-            structured.weight == bnb.solution.weight,
+            agree,
             clb::fmt_double(bnb_ms, 2), clb::fmt_double(str_ms, 2));
     }
     t.print(std::cout);
   }
 
+  if (!all_hold) {
+    std::cout << "\nCLAIM VIOLATION — see tables above.\n";
+    return 1;
+  }
   std::cout << "\nStructured-solver experiments completed.\n";
   return 0;
 }

@@ -53,6 +53,7 @@ int main() {
   const auto p = clb::lb::GadgetParams::for_linear_separation(t, 1, 3);
   const clb::lb::LinearConstruction c(p, t);
   clb::Rng rng(777);
+  bool all_hold = true;
 
   clb::print_heading(std::cout,
                      "correct-answer frequency vs algorithm failure rate "
@@ -83,6 +84,7 @@ int main() {
     }
     const double single = static_cast<double>(single_ok) / trials;
     const double majority = static_cast<double>(majority_ok) / trials;
+    all_hold = all_hold && accounted;
     table.row(clb::fmt_double(p_fail, 2), clb::fmt_double(single, 3),
               clb::fmt_double(majority, 3), accounted,
               majority >= 2.0 / 3.0);
@@ -91,6 +93,10 @@ int main() {
   std::cout << "  (failures only misclassify the intersecting branch — an "
                "empty IS weighs 0 < YES threshold -> \"disjoint\"; the "
                "accounting never depends on the outcome.)\n";
+  if (!all_hold) {
+    std::cout << "\nCLAIM VIOLATION — see tables above.\n";
+    return 1;
+  }
   std::cout << "\nSuccess-probability experiments completed.\n";
   return 0;
 }

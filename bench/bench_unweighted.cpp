@@ -21,6 +21,7 @@ using clb::Table;
 int main() {
   std::cout << "=== bench_unweighted: Remark 1 conversion ===\n";
   clb::Rng rng(808);
+  bool all_hold = true;
 
   clb::print_heading(std::cout,
                      "OPT preservation on instantiated hard instances (t=2)");
@@ -41,8 +42,10 @@ int main() {
         const auto ex = clb::lb::to_unweighted(g);
         const auto wopt = clb::maxis::solve_exact(g).weight;
         const auto uopt = clb::maxis::solve_exact(ex.graph).weight;
+        const bool equal = wopt == uopt;
+        all_hold = all_hold && equal;
         t.row(ell, k, intersecting ? "YES" : "NO", g.num_nodes(),
-              ex.graph.num_nodes(), wopt, uopt, wopt == uopt);
+              ex.graph.num_nodes(), wopt, uopt, equal);
       }
     }
     t.print(std::cout);
@@ -77,6 +80,10 @@ int main() {
     t.print(std::cout);
   }
 
+  if (!all_hold) {
+    std::cout << "\nCLAIM VIOLATION — see tables above.\n";
+    return 1;
+  }
   std::cout << "\nUnweighted-conversion experiments completed.\n";
   return 0;
 }

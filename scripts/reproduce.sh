@@ -2,7 +2,9 @@
 # Full reproduction: configure, build, run the test suite, every experiment
 # bench, and the paper campaign, capturing outputs at the repository root
 # (test_output.txt, bench_output.txt, campaign_output.txt) — the artifacts
-# EXPERIMENTS.md is written from.
+# EXPERIMENTS.md is written from. The campaign alone prints the P1–P3, C12
+# and C35 tables; each bench prints the other sections, one bench per
+# section (EXPERIMENTS.md names it in the section's header).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

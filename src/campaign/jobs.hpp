@@ -11,9 +11,9 @@
 // The check semantics:
 //   - P1/P2/P3 check Properties 1-3 (witness independence, cross-copy
 //     matching >= ell, <= alpha shared positions);
-//   - Claim12/Claim35 mirror bench_gap_linear's measure(): max exact OPT
-//     over `trials` instance draws per branch, compared against the
-//     closed-form bounds of Claims 1-5.
+//   - Claim12/Claim35 take the max exact OPT over `trials` instance draws
+//     per branch (solve_branch) and compare it against the closed-form
+//     bounds of Claims 1-5.
 
 #pragma once
 
@@ -134,10 +134,10 @@ struct SolveResult {
 };
 
 /// Max exact OPT over `trials` instance draws of one promise branch
-/// (trial seeds hash-derived from `seed`). Densities match
-/// bench_gap_linear: 0.3 intersecting, 0.4 disjoint. `deadline` (may be
-/// null) cooperatively cancels the underlying engine searches; once it has
-/// fired, remaining trials are skipped and the result is approximate.
+/// (trial seeds hash-derived from `seed`). Densities: 0.3 intersecting,
+/// 0.4 disjoint. `deadline` (may be null) cooperatively cancels the
+/// underlying engine searches; once it has fired, remaining trials are
+/// skipped and the result is approximate.
 SolveResult solve_branch(const lb::LinearConstruction& c, bool yes_branch,
                          std::size_t trials, std::uint64_t seed,
                          const DeadlineToken* deadline = nullptr);

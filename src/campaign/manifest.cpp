@@ -243,7 +243,7 @@ CampaignSpec builtin_paper_campaign() {
     spec.sweeps.push_back(std::move(s));
   }
 
-  // Claims 1-2 at t = 2: the 6 bench_gap_linear C12 shapes.
+  // Claims 1-2 at t = 2: the 6 shapes of the C12 table.
   {
     SweepSpec s;
     s.name = "C12";
@@ -254,7 +254,7 @@ CampaignSpec builtin_paper_campaign() {
     spec.sweeps.push_back(std::move(s));
   }
 
-  // Claims 3+5 at general t: the 7 bench_gap_linear C35 shapes.
+  // Claims 3+5 at general t: the 7 shapes of the C35 table.
   {
     SweepSpec s;
     s.name = "C35";

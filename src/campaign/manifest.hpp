@@ -98,8 +98,8 @@ CampaignSpec parse_campaign_spec_text(std::string_view json_text);
 /// shorthand is expanded at parse time).
 void write_campaign_spec(std::ostream& os, const CampaignSpec& spec);
 
-/// The full paper sweep: P1-P3 over 8 gadget shapes, Claims 1-2 over the
-/// 6 bench_gap_linear t=2 shapes, Claims 3+5 over its 7 general-t shapes.
+/// The full paper sweep: P1-P3 over 8 gadget shapes, Claims 1-2 over 6
+/// t=2 shapes (the C12 table), Claims 3+5 over 7 general-t shapes (C35).
 CampaignSpec builtin_paper_campaign();
 
 /// A CI-sized grid: ell in {2,3}, t in {2,3}, alpha = 1.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "maxis/greedy.hpp"
 #include "support/expect.hpp"
 
 namespace congestlb::maxis {
@@ -125,11 +124,6 @@ LocalSearchResult improve_local_search(const graph::Graph& g,
                                        std::vector<NodeId> start,
                                        std::uint64_t max_moves) {
   return LocalSearch(g, std::move(start), max_moves).run();
-}
-
-IsSolution solve_greedy_plus_local_search(const graph::Graph& g) {
-  IsSolution greedy = solve_greedy_weight_degree(g);
-  return improve_local_search(g, std::move(greedy.nodes)).solution;
 }
 
 }  // namespace congestlb::maxis

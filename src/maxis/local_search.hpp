@@ -7,9 +7,8 @@
 //             neighbor is v;
 //   * (1,2):  v in I is replaced by two non-adjacent non-members whose
 //             only IS neighbor is v, when their combined weight is larger.
-// The result dominates the input and is 2-swap-optimal. Used as a
-// strengthening pass over the greedy baselines and as an independent
-// check that the exact solvers leave no easy improvement behind.
+// The result dominates the input and is 2-swap-optimal. The solver engine
+// uses it to strengthen its greedy warm start (parallel_bnb.cpp).
 
 #pragma once
 
@@ -30,9 +29,5 @@ struct LocalSearchResult {
 LocalSearchResult improve_local_search(const graph::Graph& g,
                                        std::vector<NodeId> start,
                                        std::uint64_t max_moves = 1'000'000);
-
-/// Greedy (weight/degree) start + local search: the strongest cheap
-/// heuristic in the library.
-IsSolution solve_greedy_plus_local_search(const graph::Graph& g);
 
 }  // namespace congestlb::maxis

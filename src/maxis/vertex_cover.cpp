@@ -54,39 +54,4 @@ VcSolution solve_vertex_cover_exact(const graph::Graph& g) {
   return sol;
 }
 
-VcSolution solve_vertex_cover_local_ratio(const graph::Graph& g) {
-  std::vector<Weight> residual(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    residual[v] = g.weight(v);
-    CLB_EXPECT(residual[v] >= 0, "local ratio requires nonnegative weights");
-  }
-  for (auto [u, v] : graph::edge_list(g)) {
-    if (residual[u] == 0 || residual[v] == 0) continue;  // already covered
-    const Weight pay = std::min(residual[u], residual[v]);
-    residual[u] -= pay;
-    residual[v] -= pay;
-  }
-  std::vector<NodeId> cover;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    // Zero-weight vertices are free: taking them never hurts and keeps the
-    // cover property independent of tie-breaking.
-    if (residual[v] == 0 && (g.weight(v) > 0 || g.degree(v) > 0)) {
-      cover.push_back(v);
-    }
-  }
-  return checked_cover(g, std::move(cover));
-}
-
-VcSolution solve_vertex_cover_matching(const graph::Graph& g) {
-  std::vector<bool> used(g.num_nodes(), false);
-  std::vector<NodeId> cover;
-  for (auto [u, v] : graph::edge_list(g)) {
-    if (used[u] || used[v]) continue;
-    used[u] = used[v] = true;
-    cover.push_back(u);
-    cover.push_back(v);
-  }
-  return checked_cover(g, std::move(cover));
-}
-
 }  // namespace congestlb::maxis

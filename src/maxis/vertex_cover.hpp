@@ -4,8 +4,7 @@
 // so min-VC weight = total weight - MaxIS weight. The paper's introduction
 // uses VC as the second example of the two-party framework's limits ([4]
 // showed the framework cannot rule out (3/2)-approximations for MVC);
-// bench_baselines measures that ratio on our hard instances. The weighted
-// 2-approximation is Bar-Yehuda & Even's local-ratio algorithm.
+// bench_baselines measures that ratio on our hard instances.
 
 #pragma once
 
@@ -32,15 +31,5 @@ VcSolution cover_from_independent_set(const graph::Graph& g,
 
 /// Exact minimum weighted vertex cover via exact MaxIS (branch and bound).
 VcSolution solve_vertex_cover_exact(const graph::Graph& g);
-
-/// Bar-Yehuda & Even local-ratio 2-approximation for weighted VC: sweep
-/// the edges, on each uncovered edge pay min(residual(u), residual(v)) on
-/// both endpoints, take every vertex whose residual hits zero.
-VcSolution solve_vertex_cover_local_ratio(const graph::Graph& g);
-
-/// Unweighted 2-approximation via greedy maximal matching (both endpoints
-/// of every matched edge). Weights are ignored for selection, included in
-/// the reported weight.
-VcSolution solve_vertex_cover_matching(const graph::Graph& g);
 
 }  // namespace congestlb::maxis

@@ -1,12 +1,11 @@
-// Exact and approximate MaxIS solvers: brute force vs branch-and-bound
-// agreement, greedy guarantees, verifier rejections, budget enforcement.
+// Exact MaxIS solvers: brute force vs branch-and-bound agreement, verifier
+// rejections, budget enforcement.
 
 #include <gtest/gtest.h>
 
 #include "maxis/brute_force.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "maxis/bitset.hpp"
-#include "maxis/greedy.hpp"
 #include "maxis/verify.hpp"
 #include "support/expect.hpp"
 #include "support/rng.hpp"
@@ -247,63 +246,6 @@ TEST(BranchAndBound, CliqueCoverBoundMakesUnionsOfCliquesEasy) {
   const auto res = solve_branch_and_bound(g);
   EXPECT_EQ(res.solution.weight, 20 * 4);
   EXPECT_LT(res.search_nodes, 2000u);
-}
-
-// ------------------------------------------------------------------ greedy --
-
-class GreedySweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(GreedySweep, AllGreediesAreValidAndBelowOpt) {
-  Rng rng(GetParam());
-  auto g = random_graph(rng, 4 + rng.below(16), 0.35, 6);
-  const auto opt = solve_brute_force(g).weight;
-  for (const auto& sol :
-       {solve_greedy_weight_degree(g), solve_greedy_min_degree(g),
-        solve_greedy_max_weight(g)}) {
-    EXPECT_TRUE(g.is_independent_set(sol.nodes));
-    EXPECT_LE(sol.weight, opt);
-    EXPECT_GT(sol.weight, 0);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, GreedySweep,
-                         ::testing::Values(41, 42, 43, 44, 45, 46));
-
-TEST(Greedy, WeightDegreeMeetsTuranStyleBound) {
-  // w/(d+1) greedy achieves at least sum_v w(v)/(deg(v)+1).
-  Rng rng(50);
-  for (int trial = 0; trial < 10; ++trial) {
-    auto g = random_graph(rng, 30, 0.3, 5);
-    double turan = 0;
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      turan += static_cast<double>(g.weight(v)) /
-               static_cast<double>(g.degree(v) + 1);
-    }
-    const auto sol = solve_greedy_weight_degree(g);
-    EXPECT_GE(static_cast<double>(sol.weight) + 1e-9, turan);
-  }
-}
-
-TEST(Greedy, ResultsAreMaximal) {
-  Rng rng(51);
-  auto g = random_graph(rng, 25, 0.3, 4);
-  for (const auto& sol :
-       {solve_greedy_weight_degree(g), solve_greedy_min_degree(g),
-        solve_greedy_max_weight(g)}) {
-    std::vector<bool> in(g.num_nodes(), false);
-    for (auto v : sol.nodes) in[v] = true;
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (in[v]) continue;
-      bool blocked = false;
-      for (auto nb : g.neighbors(v)) {
-        if (in[nb]) {
-          blocked = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(blocked);
-    }
-  }
 }
 
 }  // namespace

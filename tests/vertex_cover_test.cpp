@@ -1,6 +1,5 @@
-// Minimum weighted vertex cover: complement duality with MaxIS, the
-// local-ratio 2-approximation, the matching 2-approximation, and verifier
-// rejections.
+// Minimum weighted vertex cover: complement duality with MaxIS and
+// verifier rejections.
 
 #include <gtest/gtest.h>
 
@@ -96,50 +95,11 @@ TEST_P(VcDuality, ExactVcEqualsTotalMinusMaxIs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VcDuality, ::testing::Values(71, 72, 73, 74));
 
-class VcApproximations : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(VcApproximations, LocalRatioWithinFactorTwo) {
-  Rng rng(GetParam() + 10);
-  for (int trial = 0; trial < 15; ++trial) {
-    auto g = graph::gnp_random(rng, 2 + rng.below(16), 0.35, 6);
-    const auto approx = solve_vertex_cover_local_ratio(g);
-    const auto exact = solve_vertex_cover_exact(g);
-    EXPECT_TRUE(is_vertex_cover(g, approx.nodes));
-    EXPECT_LE(approx.weight, 2 * exact.weight);
-    EXPECT_GE(approx.weight, exact.weight);
-  }
-}
-
-TEST_P(VcApproximations, MatchingCoverWithinFactorTwoUnweighted) {
-  Rng rng(GetParam() + 20);
-  for (int trial = 0; trial < 15; ++trial) {
-    auto g = graph::gnp_random(rng, 2 + rng.below(16), 0.35, 1);
-    const auto approx = solve_vertex_cover_matching(g);
-    const auto exact = solve_vertex_cover_exact(g);
-    EXPECT_TRUE(is_vertex_cover(g, approx.nodes));
-    EXPECT_LE(approx.weight, 2 * exact.weight);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, VcApproximations,
-                         ::testing::Values(81, 82, 83, 84));
-
-TEST(VertexCover, LocalRatioTightOnStar) {
-  // Star with a heavy center: local ratio pays the leaves, exact takes the
-  // center — the classic factor-2 witness when center weight = sum of
-  // leaf weights.
-  auto g = graph::star_graph(5);
-  g.set_weight(0, 4);
-  const auto exact = solve_vertex_cover_exact(g);
-  EXPECT_EQ(exact.weight, 4);
-  const auto approx = solve_vertex_cover_local_ratio(g);
-  EXPECT_LE(approx.weight, 8);
-}
-
 TEST(VertexCover, EdgelessGraphNeedsNothing) {
   graph::Graph g(6, 3);
-  EXPECT_EQ(solve_vertex_cover_exact(g).weight, 0);
-  EXPECT_EQ(solve_vertex_cover_local_ratio(g).nodes.size(), 0u);
+  const VcSolution vc = solve_vertex_cover_exact(g);
+  EXPECT_EQ(vc.weight, 0);
+  EXPECT_EQ(vc.nodes.size(), 0u);
 }
 
 }  // namespace
