@@ -7,6 +7,8 @@
 //
 // Each figure is emitted both as a summary table (stdout) and as a
 // Graphviz .dot file under ./figures/ for visual comparison with the paper.
+// Every "built" value is compared with the paper's; any mismatch makes the
+// bench exit 1.
 
 #include <filesystem>
 #include <fstream>
@@ -24,6 +26,21 @@ using clb::Table;
 
 namespace {
 
+/// False once a built value misses the paper's.
+bool all_match = true;
+
+bool holds(bool ok) {
+  all_match = all_match && ok;
+  return ok;
+}
+
+/// One "paper" vs "built" row; the paper's value is `want`.
+void paper_row(Table& t, const std::string& object, const std::string& paper,
+               std::size_t want, std::size_t built) {
+  holds(built == want);
+  t.row(object, paper, built);
+}
+
 void dump_dot(const std::string& name, const clb::graph::Graph& g,
               const clb::graph::DotOptions& opts) {
   std::filesystem::create_directories("figures");
@@ -38,13 +55,19 @@ void figure1() {
   const auto p = clb::lb::GadgetParams::from_l_alpha(2, 1, 3);
   const clb::lb::BaseGadget h(p);
 
+  std::size_t a_edges = 0;
+  for (std::size_t m = 0; m < p.k; ++m) {
+    for (std::size_t m2 = m + 1; m2 < p.k; ++m2) {
+      a_edges += h.graph().has_edge(h.a_node(m), h.a_node(m2)) ? 1 : 0;
+    }
+  }
   Table t({"object", "paper", "built"});
-  t.row("clique A size (k)", 3, p.k);
-  t.row("code cliques (ell+alpha)", 3, p.num_positions());
-  t.row("clique size", "3", std::to_string(p.clique_size()));
-  t.row("nodes", 12, h.graph().num_nodes());
-  t.row("|E(A)|", 3, 3);
-  t.row("total edges", "30", std::to_string(h.graph().num_edges()));
+  paper_row(t, "clique A size (k)", "3", 3, p.k);
+  paper_row(t, "code cliques (ell+alpha)", "3", 3, p.num_positions());
+  paper_row(t, "clique size", "3", 3, p.clique_size());
+  paper_row(t, "nodes", "12", 12, h.graph().num_nodes());
+  paper_row(t, "|E(A)|", "3", 3, a_edges);
+  paper_row(t, "total edges", "30", 30, h.graph().num_edges());
   t.print(std::cout);
 
   // The Figure-1 statement: v_1 is connected to all of Code except Code_1.
@@ -55,7 +78,8 @@ void figure1() {
   }
   std::cout << "  v1 non-neighbors in Code: " << non_neighbors
             << " (= |Code_1| = " << cw.size() << ") -> "
-            << (non_neighbors == cw.size() ? "matches Figure 1" : "MISMATCH")
+            << (holds(non_neighbors == cw.size()) ? "matches Figure 1"
+                                                  : "MISMATCH")
             << "\n";
 
   clb::graph::DotOptions opts;
@@ -78,10 +102,11 @@ void figure2() {
   for (std::size_t r1 = 0; r1 < p.clique_size(); ++r1) {
     std::cout << "    ";
     for (std::size_t r2 = 0; r2 < p.clique_size(); ++r2) {
-      std::cout << (c.fixed_graph().has_edge(c.code_node(0, 0, r1),
-                                             c.code_node(1, 0, r2))
-                        ? "1 "
-                        : "0 ");
+      // An anti-matching: every pair except the diagonal is an edge.
+      const bool edge = c.fixed_graph().has_edge(c.code_node(0, 0, r1),
+                                                 c.code_node(1, 0, r2));
+      holds(edge == (r1 != r2));
+      std::cout << (edge ? "1 " : "0 ");
     }
     std::cout << "\n";
   }
@@ -93,15 +118,17 @@ void figure3() {
   const auto p = clb::lb::GadgetParams::from_l_alpha(2, 1, 3);
   const clb::lb::LinearConstruction c(p, 3);
   Table t({"object", "paper", "built"});
-  t.row("players t", 3, c.num_players());
-  t.row("nodes", 36, c.num_nodes());
-  t.row("cut edges", "t(t-1)/2*(l+a)*p(p-1) = 54",
-        std::to_string(c.cut_edges().size()));
+  paper_row(t, "players t", "3", 3, c.num_players());
+  paper_row(t, "nodes", "36", 36, c.num_nodes());
+  paper_row(t, "cut edges", "t(t-1)/2*(l+a)*p(p-1) = 54", 54,
+            c.cut_edges().size());
   t.print(std::cout);
 
   const auto witness = c.yes_witness(0);
+  holds(witness.size() == 12);
   std::cout << "  {v^i_1} U Code^i_1 over i=1..3: independent = "
-            << (c.fixed_graph().is_independent_set(witness) ? "yes" : "NO")
+            << (holds(c.fixed_graph().is_independent_set(witness)) ? "yes"
+                                                                   : "NO")
             << ", size = " << witness.size() << " (paper: t(1+l+a) = 12)\n";
 
   clb::graph::DotOptions opts;
@@ -119,12 +146,13 @@ void figures456() {
   const auto p = clb::lb::GadgetParams::from_l_alpha(2, 1, 3);
   const clb::lb::QuadraticConstruction c(p, 2);
   Table t({"object", "paper", "built"});
-  t.row("nodes", "2t * |V_H copy| = 48", std::to_string(c.num_nodes()));
-  t.row("string length k^2", 9, c.string_length());
-  t.row("A-node weight", "ell = 2",
-        std::to_string(c.fixed_graph().weight(c.a_node(0, 0, 0))));
-  t.row("cut edges", "2*C(t,2)*(l+a)*p(p-1) = 36",
-        std::to_string(c.cut_edges().size()));
+  paper_row(t, "nodes", "2t * |V_H copy| = 48", 48, c.num_nodes());
+  paper_row(t, "string length k^2", "9", 9, c.string_length());
+  const auto a_weight = c.fixed_graph().weight(c.a_node(0, 0, 0));
+  paper_row(t, "A-node weight", "ell = 2", 2,
+            static_cast<std::size_t>(a_weight));
+  paper_row(t, "cut edges", "2*C(t,2)*(l+a)*p(p-1) = 36", 36,
+            c.cut_edges().size());
   t.print(std::cout);
 
   // Figure 6: x^1_(1,1) = 0, everything else 1 -> exactly one input edge.
@@ -137,11 +165,13 @@ void figures456() {
   inst.strings[0][c.pair_index(0, 0)] = 0;
   inst.witness = c.pair_index(1, 1);
   const auto fx = c.instantiate(inst);
-  std::cout << "  Figure 6 input-edge check: added edges = "
-            << fx.num_edges() - c.fixed_graph().num_edges()
+  const std::size_t added = fx.num_edges() - c.fixed_graph().num_edges();
+  holds(added == 1);
+  std::cout << "  Figure 6 input-edge check: added edges = " << added
             << " (paper: 1), placed at v^(1,1)_1 -- v^(1,2)_1: "
-            << (fx.has_edge(c.a_node(0, 0, 0), c.a_node(0, 1, 0)) ? "yes"
-                                                                  : "NO")
+            << (holds(fx.has_edge(c.a_node(0, 0, 0), c.a_node(0, 1, 0)))
+                    ? "yes"
+                    : "NO")
             << "\n";
 
   clb::graph::DotOptions opts;
@@ -165,6 +195,10 @@ int main() {
   figure2();
   figure3();
   figures456();
+  if (!all_match) {
+    std::cout << "\nMISMATCH against the paper — see tables above.\n";
+    return 1;
+  }
   std::cout << "\nAll construction checks completed.\n";
   return 0;
 }

@@ -84,10 +84,10 @@ int main() {
     }
     const double single = static_cast<double>(single_ok) / trials;
     const double majority = static_cast<double>(majority_ok) / trials;
-    all_hold = all_hold && accounted;
+    const bool clears = majority >= 2.0 / 3.0;
+    all_hold = all_hold && accounted && clears;
     table.row(clb::fmt_double(p_fail, 2), clb::fmt_double(single, 3),
-              clb::fmt_double(majority, 3), accounted,
-              majority >= 2.0 / 3.0);
+              clb::fmt_double(majority, 3), accounted, clears);
   }
   table.print(std::cout);
   std::cout << "  (failures only misclassify the intersecting branch — an "

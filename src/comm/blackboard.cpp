@@ -19,49 +19,49 @@ Blackboard::Blackboard(std::size_t num_players)
 }
 
 void Blackboard::append(std::size_t player, std::span<const std::byte> data,
-                        std::size_t bits, bool edge_tag, std::size_t tag_a,
-                        std::size_t tag_b) {
+                        std::size_t bits, std::uint32_t sender,
+                        std::size_t multiplicity) {
   CLB_EXPECT(player < num_players(), "blackboard: player index out of range");
   CLB_EXPECT(bits <= 8 * data.size(), "blackboard: declared bits exceed payload");
   CLB_EXPECT(bits > 0, "blackboard: empty writes are not charged, don't post them");
   CLB_EXPECT(bits <= kMax32, "blackboard: a post is limited to 2^32 - 1 bits");
-  bits_by_player_[player] += bits;
-  total_bits_ += bits;
+  const std::size_t charged = bits * multiplicity;
+  bits_by_player_[player] += charged;
+  total_bits_ += charged;
+  written_bits_ += bits;
   if (tracer_) {
-    tracer_->emit({bits, static_cast<std::uint32_t>(num_records_),
-                   static_cast<std::uint32_t>(player),
-                   obs::TraceEvent::kNone, obs::EventKind::kBlackboardPost});
+    // One event per charged delivery, numbered among the charged posts.
+    for (std::size_t i = 0; i < multiplicity; ++i) {
+      tracer_->emit({bits, static_cast<std::uint32_t>(charged_posts_ + i),
+                     static_cast<std::uint32_t>(player),
+                     obs::TraceEvent::kNone, obs::EventKind::kBlackboardPost});
+    }
   }
   if (posts_metric_) {
-    posts_metric_->add(1);
-    bits_metric_->add(bits);
+    posts_metric_->add(multiplicity);
+    bits_metric_->add(charged);
   }
+  charged_posts_ += multiplicity;
   if (num_records_ % kChunkRecords == 0) {
     chunks_.push_back(std::make_unique_for_overwrite<Record[]>(kChunkRecords));
   }
-  chunks_.back()[num_records_ % kChunkRecords] = Record{
-      payload_.size(), static_cast<std::uint32_t>(player), edge_tag,
-      static_cast<std::uint32_t>(bits), static_cast<std::uint32_t>(tag_a),
-      static_cast<std::uint32_t>(tag_b)};
+  chunks_.back()[num_records_ % kChunkRecords] =
+      Record{payload_.size(), static_cast<std::uint32_t>(player),
+             static_cast<std::uint32_t>(bits), sender,
+             static_cast<std::uint32_t>(multiplicity)};
   payload_.insert(payload_.end(), data.begin(), data.end());
   ++num_records_;
 }
 
-void Blackboard::post(std::size_t player, std::vector<std::byte> data,
-                      std::size_t bits, std::string tag) {
-  CLB_EXPECT(tag_text_.size() + tag.size() <= kMax32,
-             "blackboard: tag text exceeds 4 GiB");
-  append(player, data, bits, false, tag_text_.size(), tag.size());
-  tag_text_ += tag;
-}
-
-void Blackboard::post_cut_message(std::size_t player,
-                                  std::span<const std::byte> data,
-                                  std::size_t bits, std::size_t from,
-                                  std::size_t to) {
-  CLB_EXPECT(from <= kMax32 && to <= kMax32,
-             "blackboard: cut-message node ids must fit 32 bits");
-  append(player, data, bits, true, from, to);
+void Blackboard::post_broadcast(std::size_t player,
+                                std::span<const std::byte> data,
+                                std::size_t bits, std::size_t sender,
+                                std::size_t multiplicity) {
+  CLB_EXPECT(sender < kNoSender32 && multiplicity >= 1 &&
+                 multiplicity <= kMax32,
+             "blackboard: a broadcast needs a sender id and a multiplicity "
+             "in [1, 2^32 - 1)");
+  append(player, data, bits, static_cast<std::uint32_t>(sender), multiplicity);
 }
 
 BoardEntry Blackboard::entry(std::size_t i) const {
@@ -74,12 +74,8 @@ BoardEntry Blackboard::entry(std::size_t i) const {
   e.data = std::span<const std::byte>(payload_).subspan(rec.offset,
                                                         end - rec.offset);
   e.bits = rec.bits;
-  if (rec.edge_tag) {
-    e.tag = "msg " + std::to_string(rec.tag_a) + "->" +
-            std::to_string(rec.tag_b);
-  } else {
-    e.tag = tag_text_.substr(rec.tag_a, rec.tag_b);
-  }
+  if (rec.sender != kNoSender32) e.sender = rec.sender;
+  e.multiplicity = rec.multiplicity;
   return e;
 }
 
@@ -96,7 +92,7 @@ void Blackboard::attach_observability(obs::Tracer* tracer,
 }
 
 void Blackboard::post_uint(std::size_t player, std::uint64_t value,
-                           std::size_t bits, std::string tag) {
+                           std::size_t bits) {
   CLB_EXPECT(bits >= 1 && bits <= 64, "post_uint: bits must be in [1,64]");
   if (bits < 64) {
     CLB_EXPECT(value < (1ULL << bits), "post_uint: value does not fit in bits");
@@ -105,12 +101,11 @@ void Blackboard::post_uint(std::size_t player, std::uint64_t value,
   for (std::size_t i = 0; i < data.size(); ++i) {
     data[i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
   }
-  post(player, std::move(data), bits, std::move(tag));
+  append(player, data, bits, kNoSender32, 1);
 }
 
 void Blackboard::post_bits(std::size_t player,
-                           const std::vector<std::uint8_t>& bits01,
-                           std::string tag) {
+                           const std::vector<std::uint8_t>& bits01) {
   CLB_EXPECT(!bits01.empty(), "post_bits: empty bit vector");
   std::vector<std::byte> data((bits01.size() + 7) / 8);
   for (std::size_t i = 0; i < bits01.size(); ++i) {
@@ -119,7 +114,7 @@ void Blackboard::post_bits(std::size_t player,
       data[i / 8] |= static_cast<std::byte>(1u << (i % 8));
     }
   }
-  post(player, std::move(data), bits01.size(), std::move(tag));
+  append(player, data, bits01.size(), kNoSender32, 1);
 }
 
 std::uint64_t Blackboard::read_uint(const BoardEntry& entry) {

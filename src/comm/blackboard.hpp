@@ -5,16 +5,18 @@
 // written. Blackboard is the single accounting point for both the reference
 // disjointness protocols (comm/protocols.hpp) and the CONGEST simulation
 // argument of Theorem 5 (sim/reduction.hpp): whenever a simulated CONGEST
-// message crosses between two players' node sets, its bits land here.
+// message crosses between two players' node sets, its bits land here —
+// written once, with its sender and cut multiplicity, however many cut
+// edges it crossed (the vertex-partitioned board of Assadi–Kol–Zhang,
+// arXiv:2209.09049). Charged tallies (total_bits, bits_by, charged_posts)
+// count it once per cut delivery — what Theorem 5 bounds; written tallies
+// count it once. Protocol posts have multiplicity 1.
 //
-// The transcript is stored flat: one fixed-size record per post (player,
-// charged bits, payload offset, tag) and every payload byte in one
-// contiguous byte arena. Records live in fixed chunks of kChunkRecords that
-// are allocated once and never moved, so a post costs no copy of earlier
-// records and at most one chunk allocation per 4096 posts. A cut message
-// posted through post_cut_message records its edge endpoints as two
-// integers; its tag text "msg <from>-><to>" is formatted only when the
-// entry is read. transcript() is a view that materializes BoardEntry values
+// The transcript is stored flat: one 24-byte record per post and every
+// payload byte in one contiguous byte arena. Records live in fixed chunks
+// of kChunkRecords that are allocated once and never moved, so a post
+// costs no copy of earlier records and at most one chunk allocation per
+// 4096 posts. transcript() is a view that materializes BoardEntry values
 // on read.
 
 #pragma once
@@ -23,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace congestlb::obs {
@@ -34,14 +35,17 @@ class Tracer;
 
 namespace congestlb::comm {
 
-/// One blackboard write as read back from the transcript. `bits` is the
-/// charged cost; `data` views the payload rounded up to whole bytes
+/// One blackboard write as read back from the transcript, charged
+/// multiplicity * bits. `data` views the payload rounded up to whole bytes
 /// (readable by every player) and stays valid until the next post.
 struct BoardEntry {
+  static constexpr std::size_t kNoSender = ~std::size_t{0};  ///< protocol post
+
   std::size_t player = 0;
   std::span<const std::byte> data;
   std::size_t bits = 0;
-  std::string tag;  ///< free-form annotation for transcript inspection
+  std::size_t sender = kNoSender;  ///< the broadcasting node (post_broadcast)
+  std::size_t multiplicity = 1;    ///< cut edges the message crossed
 };
 
 class Blackboard;
@@ -83,23 +87,19 @@ class Blackboard {
 
   std::size_t num_players() const { return bits_by_player_.size(); }
 
-  /// Append raw bytes with an explicit bit cost (bits <= 8 * data.size()).
-  void post(std::size_t player, std::vector<std::byte> data, std::size_t bits,
-            std::string tag = {});
-
-  /// Append a simulated CONGEST message that crossed the cut on edge
-  /// (from, to). Same checks as post(); the entry's tag reads
-  /// "msg <from>-><to>". `data` must not view this board's transcript.
-  void post_cut_message(std::size_t player, std::span<const std::byte> data,
-                        std::size_t bits, std::size_t from, std::size_t to);
+  /// Append a simulated CONGEST message that node `sender` broadcast and
+  /// that crossed `multiplicity` (>= 1) cut edges: written once, charged
+  /// multiplicity * bits; bits in [1, 8 * data.size()]. `data` must not
+  /// view this board's transcript.
+  void post_broadcast(std::size_t player, std::span<const std::byte> data,
+                      std::size_t bits, std::size_t sender,
+                      std::size_t multiplicity);
 
   /// Append the low `bits` bits of `value` (bits in [1, 64]).
-  void post_uint(std::size_t player, std::uint64_t value, std::size_t bits,
-                 std::string tag = {});
+  void post_uint(std::size_t player, std::uint64_t value, std::size_t bits);
 
   /// Append a 0/1 bit vector, one payload bit per element.
-  void post_bits(std::size_t player, const std::vector<std::uint8_t>& bits01,
-                 std::string tag = {});
+  void post_bits(std::size_t player, const std::vector<std::uint8_t>& bits01);
 
   /// Decode an entry previously written by post_uint.
   static std::uint64_t read_uint(const BoardEntry& entry);
@@ -108,38 +108,39 @@ class Blackboard {
   static std::vector<std::uint8_t> read_bits(const BoardEntry& entry);
 
   Transcript transcript() const { return Transcript(*this); }
-  std::size_t total_bits() const { return total_bits_; }
-  std::size_t bits_by(std::size_t player) const;
+  std::size_t total_bits() const { return total_bits_; }  ///< charged
+  std::size_t bits_by(std::size_t player) const;          ///< charged
+  std::size_t charged_posts() const { return charged_posts_; }
+  std::size_t written_bits() const { return written_bits_; }
+  std::size_t written_records() const { return num_records_; }
 
-  /// Mirror every post into a trace (kBlackboardPost, a = player, round =
-  /// entry index, value = charged bits) and/or a metrics registry
-  /// ("blackboard.posts" / "blackboard.bits" counters). Either pointer may
-  /// be null; both are non-owning and must outlive the board.
+  /// Mirror every charged post into a trace (kBlackboardPost, a = player,
+  /// round = charged-post index, value = bits) and/or a metrics registry
+  /// (charged "blackboard.posts" / "blackboard.bits" counters). Either
+  /// pointer may be null; both are non-owning and must outlive the board.
   void attach_observability(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
  private:
   friend class Transcript;
 
-  /// One post, 24 bytes. The payload is payload_[offset, next record's
-  /// offset); the tag is the edge (tag_a, tag_b) when `edge_tag`, otherwise
-  /// the text tag_text_[tag_a, tag_a + tag_b). The 32-bit fields bound a
-  /// post to < 2^32 bits, node ids to < 2^32 and tag text to < 4 GiB.
-  /// Trivially constructible, so a fresh chunk is left uninitialized.
+  /// One post, 24 bytes; its payload is payload_[offset, next record's
+  /// offset). The 32-bit fields bound bits, sender and multiplicity to
+  /// < 2^32. Trivially constructible: a fresh chunk stays uninitialized.
   struct Record {
     std::uint64_t offset;
-    std::uint32_t player : 31;
-    std::uint32_t edge_tag : 1;
+    std::uint32_t player;
     std::uint32_t bits;
-    std::uint32_t tag_a;
-    std::uint32_t tag_b;
+    std::uint32_t sender;  ///< kNoSender32 unless posted by post_broadcast
+    std::uint32_t multiplicity;
   };
   static_assert(sizeof(Record) == 24);
+  static constexpr std::uint32_t kNoSender32 = ~std::uint32_t{0};
   static constexpr std::size_t kChunkRecords = 4096;  ///< 96 KiB per chunk
 
-  /// The tag fields are checked by the caller to fit 32 bits.
+  /// `sender` and `multiplicity` are checked by the caller to fit 32 bits.
   void append(std::size_t player, std::span<const std::byte> data,
-              std::size_t bits, bool edge_tag, std::size_t tag_a,
-              std::size_t tag_b);
+              std::size_t bits, std::uint32_t sender,
+              std::size_t multiplicity);
   const Record& record(std::size_t i) const {
     return chunks_[i / kChunkRecords][i % kChunkRecords];
   }
@@ -148,9 +149,10 @@ class Blackboard {
   std::vector<std::unique_ptr<Record[]>> chunks_;
   std::size_t num_records_ = 0;
   std::vector<std::byte> payload_;
-  std::string tag_text_;
   std::vector<std::size_t> bits_by_player_;
   std::size_t total_bits_ = 0;
+  std::size_t charged_posts_ = 0;
+  std::size_t written_bits_ = 0;
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* posts_metric_ = nullptr;
   obs::Counter* bits_metric_ = nullptr;

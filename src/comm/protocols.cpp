@@ -9,7 +9,7 @@ bool FullRevelationProtocol::run(const PromiseInstance& inst,
                                  Blackboard& board) const {
   // Each player in turn posts its string verbatim.
   for (std::size_t i = 0; i < inst.t; ++i) {
-    board.post_bits(i, inst.strings[i], "x^" + std::to_string(i));
+    board.post_bits(i, inst.strings[i]);
   }
   // Everyone can now evaluate the function from the board alone; we evaluate
   // it from player t-1's perspective (reading the transcript back).
@@ -40,9 +40,9 @@ bool SupportExchangeProtocol::run(const PromiseInstance& inst,
   for (std::size_t m = 0; m < inst.k; ++m) {
     if (inst.strings[0][m]) support.push_back(m);
   }
-  board.post_uint(0, support.size(), idx_bits + 1, "support-size");
+  board.post_uint(0, support.size(), idx_bits + 1);
   for (std::size_t m : support) {
-    board.post_uint(0, m, idx_bits, "support-pos");
+    board.post_uint(0, m, idx_bits);
   }
   if (support.empty()) {
     // x^0 empty -> no common index is possible -> promise says disjoint.
@@ -56,7 +56,7 @@ bool SupportExchangeProtocol::run(const PromiseInstance& inst,
     for (std::size_t c = 0; c < support.size(); ++c) {
       mine[c] = inst.strings[i][support[c]];
     }
-    board.post_bits(i, mine, "candidate-mask p" + std::to_string(i));
+    board.post_bits(i, mine);
     for (std::size_t c = 0; c < support.size(); ++c) {
       alive[c] = static_cast<std::uint8_t>(alive[c] & mine[c]);
     }
@@ -71,7 +71,7 @@ bool PromiseAwareProtocol::run(const PromiseInstance& inst,
                                Blackboard& board) const {
   CLB_EXPECT(inst.t >= 2, "promise-aware protocol needs >= 2 players");
   // Player 0 posts its whole string.
-  board.post_bits(0, inst.strings[0], "x^0");
+  board.post_bits(0, inst.strings[0]);
   // Player 1 reads it off the board and answers: under the promise,
   // x^0 intersects x^1 iff the strings are uniquely intersecting.
   const auto x0 = Blackboard::read_bits(board.transcript().back());
@@ -82,7 +82,7 @@ bool PromiseAwareProtocol::run(const PromiseInstance& inst,
       break;
     }
   }
-  board.post_uint(1, intersects ? 1 : 0, 1, "answer");
+  board.post_uint(1, intersects ? 1 : 0, 1);
   return !intersects;
 }
 

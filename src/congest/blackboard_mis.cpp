@@ -65,7 +65,7 @@ BlackboardMisReport full_revelation_mis(const graph::Graph& g,
       if (v <= u) continue;
       board.post_uint(owner_of(u, players),
                       (static_cast<std::uint64_t>(u) << id_bits) | v,
-                      2 * id_bits, "mis/edge");
+                      2 * id_bits);
     }
   }
   BlackboardMisReport report;
@@ -113,7 +113,7 @@ BlackboardMisReport luby_blackboard_mis(const graph::Graph& g,
       if (win) winners.push_back(v);
     }
     for (NodeId v : winners) {
-      board.post_uint(owner_of(v, players), v, id_bits, "mis/winner");
+      board.post_uint(owner_of(v, players), v, id_bits);
       state[v] = 1;
       --undecided;
     }
@@ -132,7 +132,7 @@ BlackboardMisReport luby_blackboard_mis(const graph::Graph& g,
     }
     std::sort(covered.begin(), covered.end());
     for (NodeId u : covered) {
-      board.post_uint(owner_of(u, players), u, id_bits, "mis/covered");
+      board.post_uint(owner_of(u, players), u, id_bits);
     }
     ++rounds;
   }

@@ -117,18 +117,18 @@ Network::Network(const graph::Graph& g, const ProgramFactory& factory,
     infos_.push_back(info);
     node_rng_.push_back(seeder.fork());
   }
-  if (config_.on_message) {
-    // The observed deliveries: (u, v) whose ends have different owners.
-    // Without an owner table every node is its own owner, so every delivery
-    // is listed.
+  if (config_.on_cut_sends) {
+    // The boundary senders, each with its count of neighbors of another
+    // owner. Without an owner table every node is its own owner.
     const std::span<const std::size_t> owner = config_.owner;
     for (NodeId u = 0; u < n; ++u) {
+      std::size_t multiplicity = 0;
       for (const NodeId v : infos_[u].neighbors) {
-        if (owner.empty() || owner[u] != owner[v]) {
-          cut_edges_.push_back({u, v});
-        }
+        multiplicity += owner.empty() || owner[v] != owner[u] ? 1 : 0;
       }
+      if (multiplicity > 0) boundary_.push_back({u, multiplicity, nullptr});
     }
+    cut_sends_.reserve(boundary_.size());
   }
   config_.owner = {};  // read only here; the caller's table may go away
   for (NodeId v = 0; v < n; ++v) {
@@ -237,15 +237,15 @@ void Network::observe_shard(std::size_t shard) {
   }
 }
 
-void Network::notify_observer() {
-  // Canonical order, independent of num_threads: cut_edges_ is listed in
-  // (sender, neighbor-ascending) order.
-  const std::size_t round = stats_.rounds;
+void Network::notify_cut_sends() {
   const Arena& out = arena_[cur_];
-  for (const CutEdge& c : cut_edges_) {
+  cut_sends_.clear();
+  for (CutSend c : boundary_) {
     if (out.sent[c.from] == 0) continue;
-    config_.on_message(round, c.from, c.to, out.msgs[c.from]);
+    c.msg = &out.msgs[c.from];
+    cut_sends_.push_back(c);
   }
+  config_.on_cut_sends(stats_.rounds, cut_sends_);
 }
 
 void Network::rethrow_shard_error() {
@@ -288,10 +288,10 @@ bool Network::step() {
     stats_.bits_sent += sc.bits_delivered;
   }
   inflight_count_ = delivered;
-  // Seal before the observer runs so the staged phase events precede any
-  // kBlackboardPost the observer emits; kRoundEnd closes the round after.
+  // Seal before the hook runs so the staged phase events precede any
+  // kBlackboardPost the hook emits; kRoundEnd closes the round after.
   if (trace_round_) tracer_->seal_round();
-  if (config_.on_message) notify_observer();
+  if (config_.on_cut_sends) notify_cut_sends();
   if (trace_round_) {
     tracer_->emit({delivered, trnd(stats_.rounds), obs::TraceEvent::kNone,
                    obs::TraceEvent::kNone, obs::EventKind::kRoundEnd});
@@ -303,6 +303,16 @@ bool Network::step() {
   cur_ ^= 1;  // this round's sends become next round's inboxes
   stats_.rounds += 1;
   return delivered > 0 || any_inbound;
+}
+
+const RunStats& Network::finish_stats() {
+  stats_.all_finished =
+      std::all_of(programs_.begin(), programs_.end(),
+                  [](const auto& p) { return p->finished(); });
+  stats_.any_failed =
+      std::any_of(programs_.begin(), programs_.end(),
+                  [](const auto& p) { return p->failed(); });
+  return stats_;
 }
 
 bool Network::node_terminal(NodeId v) const {
@@ -321,13 +331,7 @@ RunStats Network::run() {
     if (all_done && inflight_count_ == 0) break;
     step();
   }
-  stats_.all_finished =
-      std::all_of(programs_.begin(), programs_.end(),
-                  [](const auto& p) { return p->finished(); });
-  stats_.any_failed =
-      std::any_of(programs_.begin(), programs_.end(),
-                  [](const auto& p) { return p->failed(); });
-  return stats_;
+  return finish_stats();
 }
 
 RunStats Network::run_rounds(std::size_t rounds) {
@@ -335,13 +339,7 @@ RunStats Network::run_rounds(std::size_t rounds) {
        ++r) {
     step();
   }
-  stats_.all_finished =
-      std::all_of(programs_.begin(), programs_.end(),
-                  [](const auto& p) { return p->finished(); });
-  stats_.any_failed =
-      std::any_of(programs_.begin(), programs_.end(),
-                  [](const auto& p) { return p->failed(); });
-  return stats_;
+  return finish_stats();
 }
 
 const NodeProgram& Network::program(NodeId v) const {

@@ -13,17 +13,16 @@
 //
 // The model is fault-free, as in Theorem 5's simulation argument: every
 // message sent in round r is delivered, unmodified, at the start of round
-// r+1. Edge traffic, RunStats bit counters, and the on_message observer
+// r+1. Edge traffic, RunStats bit counters, and the on_cut_sends hook
 // therefore all see the same traffic, so blackboard charging is exact.
-// The observer has one path: the network lists the observed deliveries
-// once, at construction, and visits only them each round. Given a per-node
-// owner table (NetworkConfig::owner, the reduction driver's player
-// partition) those are exactly the deliveries that cross between two
-// owners; without one every node is its own owner and every delivery is
-// listed. The list walks each node's merged neighbors, so it works on
-// implicit-block topologies too, but it costs O(observed deliveries)
-// memory: an observer is a small-n tool, and an unobserved network builds
-// no list at all.
+// The hook sees each broadcast once, not once per edge: at construction
+// the network lists its boundary senders — nodes with a neighbor of
+// another owner (NetworkConfig::owner, the reduction driver's player
+// partition; without one, every node is its own owner) — each with its cut
+// multiplicity, the number of such neighbors. After every round it hands
+// the hook one span of the boundary senders that sent. Listing walks the
+// merged neighbors, so it works on implicit-block topologies too, in O(m)
+// time and O(boundary) memory; an unobserved network lists nothing.
 //
 // Engine layout (the hot path is allocation-free after warm-up):
 //  - the network borrows the graph's immutable CSR (holding its shared_ptr,
@@ -46,8 +45,8 @@
 //    only to a shard's own out-slots and reads come only from the previous
 //    arena, so there is nothing to race on; per-shard counters merge in
 //    shard order. Results — program outputs, RunStats, per-edge traffic,
-//    observer transcripts, traces — are bit-for-bit identical to the
-//    serial engine for every thread count.
+//    hook calls, traces — are bit-for-bit identical to the serial engine
+//    for every thread count.
 
 #pragma once
 
@@ -224,6 +223,16 @@ class NodeProgram {
 using ProgramFactory =
     std::function<std::unique_ptr<NodeProgram>(NodeId, const NodeInfo&)>;
 
+/// One boundary sender's message in one round: `from` broadcast `*msg`
+/// over `multiplicity` cut edges, one to each neighbor with another owner.
+struct CutSend {
+  NodeId from = 0;
+  std::size_t multiplicity = 0;
+  const Message* msg = nullptr;
+};
+using CutSendsHook =
+    std::function<void(std::size_t round, std::span<const CutSend>)>;
+
 struct NetworkConfig {
   /// Per-edge per-round bandwidth in bits; 0 means "auto": congest_bandwidth_bits(n).
   std::size_t bits_per_edge = 0;
@@ -238,19 +247,16 @@ struct NetworkConfig {
   /// knob. Programs of distinct nodes run concurrently and must not share
   /// mutable state behind the simulator's back.
   std::size_t num_threads = 1;
-  /// Observer invoked at delivery time (round, from, to, msg) for every
-  /// message that crosses between two owners (see `owner`; with no owner
-  /// table, every message). Invoked serially in the canonical (sender,
-  /// neighbor-ascending) order regardless of num_threads. The constructor
-  /// lists the observed deliveries once, so an observer costs O(observed
-  /// deliveries) memory on any topology — a small-n tool.
-  std::function<void(std::size_t, NodeId, NodeId, const Message&)> on_message;
+  /// Hook invoked serially after every round with one CutSend per boundary
+  /// sender that sent (see `owner`), in ascending sender order, identical
+  /// for every num_threads. The span and its messages live for the call.
+  CutSendsHook on_cut_sends;
   /// Optional per-node owner table (owner[v] for every node), used by
   /// sim's reduction driver to charge cut-crossing messages to the
-  /// communication blackboard (Theorem 5's simulation): on_message observes
-  /// only the deliveries (u, v) with owner[u] != owner[v]. Empty means
-  /// every node is its own owner. Read only by the constructor, on
-  /// materialized and implicit-block topologies alike.
+  /// communication blackboard (Theorem 5's simulation): a sender's cut
+  /// multiplicity counts its neighbors v with owner[v] != owner[sender].
+  /// Empty means every node is its own owner. Read only by the
+  /// constructor, on materialized and implicit-block topologies alike.
   std::span<const std::size_t> owner;
   /// Round-level tracer (obs/trace.hpp); null = no tracing. Not owned; must
   /// outlive the Network. The engine binds per-shard staging buffers at
@@ -359,13 +365,14 @@ class Network {
   /// deliver events and metric observations in receiver order.
   void observe_shard(std::size_t shard);
 
-  /// Invoke config_.on_message for this round's deliveries on cut_edges_,
-  /// in the canonical (sender, neighbor-ascending) order — identical for
-  /// every num_threads.
-  void notify_observer();
+  /// Hand this round's sends of boundary_ to config_.on_cut_sends.
+  void notify_cut_sends();
 
   /// Rethrow the first (by shard index) exception captured during a phase.
   void rethrow_shard_error();
+
+  /// Set RunStats' all_finished / any_failed from the programs.
+  const RunStats& finish_stats();
 
   /// Node v is terminal: finished or failed.
   bool node_terminal(NodeId v) const;
@@ -388,15 +395,10 @@ class Network {
   /// Bits node v sent so far; each reached every neighbor of v.
   std::vector<std::uint64_t> dbits_;
 
-  /// An observed delivery: it crosses between two owners. Its message sits
-  /// in the sender's out-slot, `from`.
-  struct CutEdge {
-    NodeId from;
-    NodeId to;
-  };
-  /// Built from NetworkConfig::owner when an observer is installed (empty
-  /// otherwise), in canonical (sender, neighbor-ascending) order.
-  std::vector<CutEdge> cut_edges_;
+  /// Boundary senders (msg unset), ascending; listed only for a hook.
+  std::vector<CutSend> boundary_;
+  /// This round's sends of boundary_; reserved at construction.
+  std::vector<CutSend> cut_sends_;
 
   ThreadPool pool_;
   std::size_t num_shards_ = 1;

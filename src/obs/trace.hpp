@@ -53,7 +53,7 @@ enum class EventKind : std::uint8_t {
   kSend,            ///< a -> b, value = bits queued on the edge
   kDeliver,         ///< a -> b delivered, value = bits
   kPhase,           ///< algorithm/driver phase mark, value = phase id
-  kBlackboardPost,  ///< player a posts value bits; round = entry index
+  kBlackboardPost,  ///< player a charged value bits; round = charged index
 };
 
 /// Stable name for an event kind ("deliver", "send", ...).

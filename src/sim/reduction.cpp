@@ -20,17 +20,17 @@ void phase_mark(obs::Tracer* tracer, std::uint64_t phase,
   }
 }
 
-/// Shared implementation: `owner(v)` maps nodes to players, the thresholds
-/// come from the construction's gap predicate.
-template <typename OwnerFn>
-ReductionReport run_reduction(
-    const graph::Graph& gx, const comm::PromiseInstance& inst,
-    const congest::ProgramFactory& factory, comm::Blackboard& board,
-    congest::NetworkConfig cfg, OwnerFn owner,
-    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& cut,
-    graph::Weight yes_weight, graph::Weight no_bound) {
-  CLB_EXPECT(!cfg.on_message,
-             "reduction driver installs its own message observer");
+/// Shared implementation for both families of constructions.
+template <typename Construction>
+ReductionReport run_reduction(const Construction& c,
+                              const comm::PromiseInstance& inst,
+                              const congest::ProgramFactory& factory,
+                              comm::Blackboard& board,
+                              congest::NetworkConfig cfg) {
+  const graph::Graph gx = c.instantiate(inst);
+  const auto cut = c.cut_edges();
+  CLB_EXPECT(!cfg.on_cut_sends,
+             "reduction driver installs its own cut-send hook");
   CLB_EXPECT(cfg.owner.empty(),
              "reduction driver installs its own owner table");
   CLB_EXPECT(board.num_players() == inst.t,
@@ -40,31 +40,34 @@ ReductionReport run_reduction(
   rep.n = gx.num_nodes();
   rep.t = inst.t;
   rep.cut_edges = cut.size();
-  rep.yes_weight = yes_weight;
-  rep.no_bound = no_bound;
+  rep.yes_weight = c.yes_weight();
+  rep.no_bound = c.no_bound();
   rep.ground_truth_disjoint = inst.answer_is_disjoint();
 
   // Owners are looked up once per node here, not per delivery.
   std::vector<std::size_t> owner_of(gx.num_nodes());
-  for (graph::NodeId v = 0; v < owner_of.size(); ++v) owner_of[v] = owner(v);
+  for (graph::NodeId v = 0; v < owner_of.size(); ++v) owner_of[v] = c.owner(v);
 
   // The simulation argument: cut-crossing messages go on the blackboard,
   // charged to the owner of the sending node. Given the owner table, the
-  // network lists the cut out-slots once and calls the observer only for
-  // their deliveries; messages internal to one player are simulated for
-  // free and never reach it.
-  std::uint64_t observed_cut_bits = 0;
+  // network hands over each round's boundary broadcasts in one call; each
+  // is written once and charged once per cut edge it crossed. Messages
+  // internal to one player are simulated for free and never reach the hook.
   cfg.owner = owner_of;
-  cfg.on_message = [&board, &rep, &observed_cut_bits, &owner_of](
-                       std::size_t round, graph::NodeId from,
-                       graph::NodeId to, const congest::Message& msg) {
-    board.post_cut_message(owner_of[from], {msg.data.data(), msg.data.size()},
-                           msg.bits, from, to);
-    observed_cut_bits += msg.bits;
+  cfg.on_cut_sends = [&board, &rep, &owner_of](
+                         std::size_t round,
+                         std::span<const congest::CutSend> sends) {
+    const std::size_t before = board.total_bits();
+    for (const congest::CutSend& s : sends) {
+      board.post_broadcast(owner_of[s.from],
+                           {s.msg->data.data(), s.msg->data.size()},
+                           s.msg->bits, s.from, s.multiplicity);
+    }
+    if (board.total_bits() == before) return;
     if (rep.cut_bits_per_round.size() <= round) {
       rep.cut_bits_per_round.resize(round + 1, 0);
     }
-    rep.cut_bits_per_round[round] += msg.bits;
+    rep.cut_bits_per_round[round] += board.total_bits() - before;
   };
 
   // Mirror cut charges into the trace/metrics the caller configured on the
@@ -74,7 +77,9 @@ ReductionReport run_reduction(
 
   // A board may carry earlier posts; the report covers this run's only.
   const std::size_t bits_before = board.total_bits();
-  const std::size_t entries_before = board.transcript().size();
+  const std::size_t entries_before = board.charged_posts();
+  const std::size_t written_bits_before = board.written_bits();
+  const std::size_t records_before = board.written_records();
   congest::Network net(gx, factory, cfg);
   phase_mark(cfg.tracer, kPhaseSimulate, 0);
   const congest::RunStats stats = net.run();
@@ -87,18 +92,20 @@ ReductionReport run_reduction(
   rep.algorithm_finished = stats.all_finished;
   rep.net_stats = stats;
   rep.blackboard_bits = board.total_bits() - bits_before;
-  rep.blackboard_entries = board.transcript().size() - entries_before;
+  rep.blackboard_entries = board.charged_posts() - entries_before;
+  rep.board_bits_written = board.written_bits() - written_bits_before;
+  rep.board_records_written = board.written_records() - records_before;
   // Each undirected cut edge carries up to one message per *direction* per
   // round, so the per-round budget is 2 * |cut| * B — the factor the
   // paper's O(log n) absorbs.
   rep.theorem5_budget = static_cast<std::uint64_t>(rep.rounds) * 2 *
                         rep.cut_edges * rep.bits_per_edge;
   rep.accounting_ok = rep.blackboard_bits <= rep.theorem5_budget;
-  // Exactness: what the observer posted must equal what the network
-  // charged to the cut edges.
+  // Exactness: the board's charged bits must equal what the network charged
+  // to the construction's own cut list, which the hook never saw.
   std::uint64_t charged_cut_bits = 0;
   for (auto [u, v] : cut) charged_cut_bits += net.bits_on_edge(u, v);
-  rep.cut_accounting_exact = observed_cut_bits == charged_cut_bits;
+  rep.cut_accounting_exact = rep.blackboard_bits == charged_cut_bits;
 
   // Read off the answer via the gap predicate: the strings intersect iff
   // the graph has an IS of weight >= yes_weight (Definition 6). Only a run
@@ -111,7 +118,7 @@ ReductionReport run_reduction(
     CLB_EXPECT(gx.is_independent_set(selected),
                "reduction: algorithm output is not an independent set");
     rep.computed_weight = gx.weight_of(selected);
-    rep.decided_disjoint = rep.computed_weight < yes_weight;
+    rep.decided_disjoint = rep.computed_weight < rep.yes_weight;
     rep.correct = rep.decided_disjoint == rep.ground_truth_disjoint;
   }
   return rep;
@@ -124,11 +131,7 @@ ReductionReport run_linear_reduction(const lb::LinearConstruction& c,
                                      const congest::ProgramFactory& factory,
                                      comm::Blackboard& board,
                                      congest::NetworkConfig cfg) {
-  const graph::Graph gx = c.instantiate(inst);
-  return run_reduction(
-      gx, inst, factory, board, std::move(cfg),
-      [&c](graph::NodeId v) { return c.owner(v); }, c.cut_edges(),
-      c.yes_weight(), c.no_bound());
+  return run_reduction(c, inst, factory, board, std::move(cfg));
 }
 
 ReductionReport run_quadratic_reduction(const lb::QuadraticConstruction& c,
@@ -136,11 +139,7 @@ ReductionReport run_quadratic_reduction(const lb::QuadraticConstruction& c,
                                         const congest::ProgramFactory& factory,
                                         comm::Blackboard& board,
                                         congest::NetworkConfig cfg) {
-  const graph::Graph fx = c.instantiate(inst);
-  return run_reduction(
-      fx, inst, factory, board, std::move(cfg),
-      [&c](graph::NodeId v) { return c.owner(v); }, c.cut_edges(),
-      c.yes_weight(), c.no_bound());
+  return run_reduction(c, inst, factory, board, std::move(cfg));
 }
 
 }  // namespace congestlb::sim

@@ -3,14 +3,14 @@
 //
 // The driver instantiates a lower-bound construction on a promise instance,
 // runs any CONGEST NodeProgram on the resulting network, and — exactly as
-// the simulation argument prescribes — posts every message that crosses
-// between two players' node sets V^i, V^j to a comm::Blackboard, charged to
-// the sending owner. When the algorithm terminates, the players read the
-// computed independent set's weight off the gap predicate to answer promise
-// pairwise disjointness.
+// the simulation argument prescribes — writes every message that crosses
+// between two players' node sets V^i, V^j to a comm::Blackboard once,
+// charged to the sending owner once per cut edge it crossed. When the
+// algorithm terminates, the players read the computed independent set's
+// weight off the gap predicate to answer promise pairwise disjointness.
 //
 // The report checks the facts Theorem 5 rests on:
-//   1. accounting: blackboard bits <= rounds * |cut| * bits_per_edge;
+//   1. accounting: charged board bits <= rounds * 2|cut| * bits_per_edge;
 //   2. exactness: the bits posted to the blackboard equal the bits the
 //      network accounted on the cut edges — delivered traffic, nothing
 //      more, nothing less;
@@ -38,10 +38,13 @@ struct ReductionReport {
   std::size_t bits_per_edge = 0;
   std::size_t cut_edges = 0;
 
-  /// Bits and entries this run posted for cut messages (posts already on
-  /// a reused board are not counted).
+  /// Charged bits and entries (one per directed cut delivery) this run
+  /// posted for cut messages; posts already on a reused board are not
+  /// counted. The written ones: one record per boundary sender per round.
   std::uint64_t blackboard_bits = 0;
   std::uint64_t blackboard_entries = 0;
+  std::uint64_t board_records_written = 0;
+  std::uint64_t board_bits_written = 0;
   /// Cut traffic per round (index = round as reported at delivery time);
   /// the raw series behind the Theorem-5 accounting.
   std::vector<std::uint64_t> cut_bits_per_round;
@@ -67,8 +70,8 @@ struct ReductionReport {
 };
 
 /// Simulate `factory`'s program on G_xbar for the linear family. The
-/// network bandwidth comes from cfg (0 = auto); cfg.on_message and
-/// cfg.owner must be empty (the driver installs its own observer and the
+/// network bandwidth comes from cfg (0 = auto); cfg.on_cut_sends and
+/// cfg.owner must be empty (the driver installs its own hook and the
 /// players' owner table).
 ReductionReport run_linear_reduction(const lb::LinearConstruction& c,
                                      const comm::PromiseInstance& inst,

@@ -53,8 +53,11 @@ TEST(Blackboard, RejectsBadWrites) {
   EXPECT_THROW(b.post_uint(0, 16, 4), InvariantError);      // value too wide
   EXPECT_THROW(b.post_uint(0, 0, 0), InvariantError);       // zero width
   EXPECT_THROW(b.post_uint(0, 0, 65), InvariantError);      // too wide
-  EXPECT_THROW(b.post(0, {}, 1), InvariantError);           // bits > payload
-  EXPECT_THROW(b.post(0, {std::byte{1}}, 0), InvariantError);  // empty write
+  const std::vector<std::byte> one_byte = {std::byte{1}};
+  EXPECT_THROW(b.post_broadcast(0, {}, 1, 0, 1),
+               InvariantError);  // bits > payload
+  EXPECT_THROW(b.post_broadcast(0, one_byte, 0, 0, 1),
+               InvariantError);  // empty write
   EXPECT_THROW(b.post_bits(0, {1, 2}), InvariantError);     // non-binary
   EXPECT_THROW(b.post_bits(0, {}), InvariantError);         // empty
   EXPECT_THROW(b.bits_by(7), InvariantError);
@@ -62,16 +65,19 @@ TEST(Blackboard, RejectsBadWrites) {
 
 TEST(Blackboard, TranscriptSpansRecordChunks) {
   // More than two 4096-record chunks of mixed posts: every entry reads back
-  // as posted, and the totals match.
+  // as posted, and the charged and written totals match.
   struct Expected {
     std::size_t player;
     std::vector<std::byte> data;
     std::size_t bits;
-    std::string tag;
+    std::size_t sender = BoardEntry::kNoSender;
+    std::size_t multiplicity = 1;
   };
   Blackboard b(3);
   std::vector<Expected> expected;
   std::vector<std::size_t> by_player(3, 0);
+  std::size_t written = 0;
+  std::size_t charged_posts = 0;
   Rng rng(2024);
   for (std::size_t i = 0; i < 9000; ++i) {
     const std::size_t player = rng.below(3);
@@ -81,26 +87,26 @@ TEST(Blackboard, TranscriptSpansRecordChunks) {
     for (std::size_t j = 0; j < data.size(); ++j) {
       data[j] = static_cast<std::byte>(value >> (8 * j));
     }
-    std::string tag = "post " + std::to_string(i);
-    switch (i % 4) {
+    Expected want{player, data, bits};
+    switch (i % 3) {
       case 0:
-        b.post(player, data, bits, tag);
+        b.post_uint(player, value, bits);
         break;
-      case 1:
-        b.post_uint(player, value, bits, tag);
-        break;
-      case 2: {
+      case 1: {
         std::vector<std::uint8_t> bits01(bits);
         for (std::size_t j = 0; j < bits; ++j) bits01[j] = (value >> j) & 1;
-        b.post_bits(player, bits01, tag);
+        b.post_bits(player, bits01);
         break;
       }
       default:
-        b.post_cut_message(player, data, bits, i, i + 1);
-        tag = "msg " + std::to_string(i) + "->" + std::to_string(i + 1);
+        want.sender = i;
+        want.multiplicity = 1 + i % 5;
+        b.post_broadcast(player, data, bits, i, want.multiplicity);
     }
-    expected.push_back({player, std::move(data), bits, std::move(tag)});
-    by_player[player] += bits;
+    by_player[player] += bits * want.multiplicity;
+    written += bits;
+    charged_posts += want.multiplicity;
+    expected.push_back(std::move(want));
   }
   ASSERT_EQ(b.transcript().size(), expected.size());
   std::size_t i = 0;
@@ -108,10 +114,12 @@ TEST(Blackboard, TranscriptSpansRecordChunks) {
     const Expected& want = expected[i];
     ASSERT_EQ(e.player, want.player) << "entry " << i;
     ASSERT_EQ(e.bits, want.bits) << "entry " << i;
-    ASSERT_EQ(e.tag, want.tag) << "entry " << i;
+    ASSERT_EQ(e.sender, want.sender) << "entry " << i;
+    ASSERT_EQ(e.multiplicity, want.multiplicity) << "entry " << i;
     ASSERT_EQ(std::vector<std::byte>(e.data.begin(), e.data.end()), want.data)
         << "entry " << i;
-    ASSERT_EQ(b.transcript()[i].tag, want.tag) << "entry " << i;
+    ASSERT_EQ(b.transcript()[i].multiplicity, want.multiplicity)
+        << "entry " << i;
     ++i;
   }
   std::size_t total = 0;
@@ -120,6 +128,31 @@ TEST(Blackboard, TranscriptSpansRecordChunks) {
     total += by_player[p];
   }
   EXPECT_EQ(b.total_bits(), total);
+  EXPECT_EQ(b.written_bits(), written);
+  EXPECT_EQ(b.written_records(), expected.size());
+  EXPECT_EQ(b.charged_posts(), charged_posts);
+}
+
+TEST(Blackboard, BroadcastIsWrittenOnceAndChargedPerCutEdge) {
+  Blackboard b(2);
+  const std::vector<std::byte> data = {std::byte{0x2a}, std::byte{0x01}};
+  b.post_broadcast(1, data, 10, 7, 4);
+  b.post_uint(0, 5, 3);
+  EXPECT_EQ(b.total_bits(), 4 * 10 + 3u);
+  EXPECT_EQ(b.bits_by(1), 40u);
+  EXPECT_EQ(b.written_bits(), 13u);
+  EXPECT_EQ(b.written_records(), 2u);
+  EXPECT_EQ(b.charged_posts(), 5u);
+  const BoardEntry e = b.transcript()[0];
+  EXPECT_EQ(e.sender, 7u);
+  EXPECT_EQ(e.multiplicity, 4u);
+  EXPECT_EQ(e.bits, 10u);
+  EXPECT_EQ(b.transcript()[1].sender, BoardEntry::kNoSender);
+  EXPECT_EQ(b.transcript()[1].multiplicity, 1u);
+  EXPECT_THROW(b.post_broadcast(0, data, 10, 7, 0), InvariantError);
+  EXPECT_THROW(b.post_broadcast(0, data, 10, std::size_t{1} << 32, 1),
+               InvariantError);
+  EXPECT_EQ(b.written_records(), 2u);
 }
 
 TEST(Blackboard, NeedsTwoPlayers) {

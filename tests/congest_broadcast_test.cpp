@@ -93,7 +93,7 @@ BroadcastRun run_threads(const graph::Graph& g, const ProgramFactory& factory,
   cfg.bits_per_edge = bits_per_edge;
   cfg.num_threads = threads;
   cfg.seed = 5;
-  cfg.on_message = log_deliveries(rec.transcript);
+  cfg.on_cut_sends = log_deliveries(rec.transcript, g);
   Network net(g, factory, cfg);
   rec.stats = net.run();
   rec.selected = net.selected_nodes();
@@ -104,7 +104,7 @@ BroadcastRun run_threads(const graph::Graph& g, const ProgramFactory& factory,
 }
 
 TEST(Broadcast, SameResultAcrossThreadCounts) {
-  // Identical RunStats, outputs, observer transcripts and per-edge bits
+  // Identical RunStats, outputs, hook transcripts and per-edge bits
   // for every thread count. The universal program needs a connected graph
   // and its token width, approx_mis its frame width (bits_per_edge 0 is
   // the auto budget).

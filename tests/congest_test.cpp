@@ -1,6 +1,6 @@
 // CONGEST simulator core: message bit-packing, bandwidth enforcement,
 // synchronous delivery semantics, determinism, one send_all per node per
-// round, the message observer hook and its owner table, run statistics, and
+// round, the per-round cut-send hook and its owner table, run statistics, and
 // the edge-tiled shard partition of the parallel round.
 
 #include <gtest/gtest.h>
@@ -290,10 +290,11 @@ TEST(Network, MessageObserverSeesEverything) {
   std::size_t observed = 0;
   std::uint64_t observed_bits = 0;
   NetworkConfig cfg = echo_cfg();
-  cfg.on_message = [&](std::size_t, graph::NodeId, graph::NodeId,
-                       const Message& m) {
-    ++observed;
-    observed_bits += m.bits;
+  cfg.on_cut_sends = [&](std::size_t, std::span<const CutSend> sends) {
+    for (const CutSend& s : sends) {
+      observed += s.multiplicity;
+      observed_bits += s.msg->bits * s.multiplicity;
+    }
   };
   Network net(g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<EchoProgram>(3);
@@ -636,7 +637,7 @@ FullRun run_full(const graph::Graph& g, std::size_t threads,
   cfg.num_threads = threads;
   cfg.tracer = &tracer;
   cfg.owner = owner;
-  cfg.on_message = log_deliveries(rec.transcript);
+  cfg.on_cut_sends = log_deliveries(rec.transcript, g, owner);
   Network net(g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<VaryingBroadcast>(7);
   }, cfg);
@@ -669,9 +670,9 @@ Gadget linear_gadget() {
 }
 
 TEST(SendAll, OwnerTableObservesExactlyTheCut) {
-  // With an owner table the observer sees the deliveries between two
-  // owners — the full transcript filtered, in the same order — and nothing
-  // else about the run changes.
+  // With an owner table the hook's entries, expanded per cut edge, are the
+  // deliveries between two owners — the full transcript filtered, in the
+  // same order — and nothing else about the run changes.
   const Gadget gx = linear_gadget();
   const FullRun want = run_full(gx.g, 1);
   ASSERT_GT(want.stats.messages_sent, 0u);
@@ -712,7 +713,7 @@ TEST(SendAll, OwnerTableValidated) {
     NetworkConfig c;
     c.bits_per_edge = 32;
     c.owner = table;
-    c.on_message = log_deliveries(log);
+    c.on_cut_sends = log_deliveries(log, g, table);
     Network(g, factory, c).run();
     return log;
   };

@@ -81,19 +81,24 @@ TEST(EngineAlloc, SteadyStateRoundsAllocateNothing) {
 }
 
 TEST(EngineAlloc, CutObserverAllocatesNothing) {
-  // send_all rounds observed through an owner table's cut list, which the
-  // constructor built once.
+  // send_all rounds handed to the per-round hook through an owner table's
+  // boundary list, which the constructor built once.
   Rng rng(2024);
   const auto g = graph::gnp_random_connected(rng, 256, 0.05);
   std::vector<std::size_t> owner(g.num_nodes());
   for (graph::NodeId v = 0; v < owner.size(); ++v) owner[v] = v % 3;
   std::uint64_t observed = 0;
+  std::size_t entries = 0;
+  std::size_t calls = 0;
   NetworkConfig cfg;
   cfg.bits_per_edge = 16;
   cfg.max_rounds = 1'000'000;
   cfg.owner = owner;
-  cfg.on_message = [&observed](std::size_t, graph::NodeId, graph::NodeId,
-                               const Message&) { ++observed; };
+  cfg.on_cut_sends = [&](std::size_t, std::span<const CutSend> sends) {
+    ++calls;
+    entries += sends.size();
+    for (const CutSend& s : sends) observed += s.multiplicity;
+  };
   Network net(g, [](graph::NodeId, const NodeInfo&) {
     return std::make_unique<SteadyFlood>();
   }, cfg);
@@ -106,8 +111,10 @@ TEST(EngineAlloc, CutObserverAllocatesNothing) {
   EXPECT_EQ(after - before, 0u)
       << "observed send_all allocated " << (after - before)
       << " times over 100 steady-state rounds";
+  EXPECT_EQ(calls, net.rounds_executed());
   EXPECT_GT(observed, 0u);
   EXPECT_LT(observed, net.stats().messages_sent);
+  EXPECT_LT(entries, observed);
 }
 
 TEST(EngineAlloc, DisabledTracerAndMetricsCostNothing) {
@@ -247,9 +254,12 @@ TEST(EngineAlloc, BlackboardCutPostsOnlyGrowArenas) {
   board.attach_observability(nullptr, &metrics);
   const Message msg =
       std::move(MessageWriter().put(0x2a5, 10).put(0x1f, 8)).finish();
+  // One record per boundary sender, multiplicities 1..7.
+  std::size_t charged = 0;
   const auto post = [&](std::size_t i) {
-    board.post_cut_message(i % 3, {msg.data.data(), msg.data.size()},
-                           msg.bits, i % 90, (i + 31) % 90);
+    board.post_broadcast(i % 3, {msg.data.data(), msg.data.size()}, msg.bits,
+                         i % 90, 1 + i % 7);
+    charged += 1 + i % 7;
   };
   for (std::size_t i = 0; i < 1000; ++i) post(i);
 
@@ -261,9 +271,10 @@ TEST(EngineAlloc, BlackboardCutPostsOnlyGrowArenas) {
   // doubling of its size.
   EXPECT_LE(after - before, 2 * (std::bit_width(kPosts) + 1))
       << "blackboard posts allocated " << (after - before) << " times over "
-      << kPosts << " cut-message posts";
-  EXPECT_EQ(board.transcript().size(), 1000 + kPosts);
-  EXPECT_EQ(metrics.counter("blackboard.posts").value(), 1000 + kPosts);
+      << kPosts << " broadcast posts";
+  EXPECT_EQ(board.written_records(), 1000 + kPosts);
+  EXPECT_EQ(board.charged_posts(), charged);
+  EXPECT_EQ(metrics.counter("blackboard.posts").value(), charged);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Determinism suite for the parallel round executor: every observable
 // result of a Network run — RunStats, program outputs, per-edge traffic,
-// and the full observer transcript including payload bytes — must be
-// bit-for-bit identical for every num_threads value, across random
+// and the full hook transcript expanded per edge, payload bytes included —
+// must be bit-for-bit identical for every num_threads value, across random
 // topologies and seeds (the fuzz_test recipe).
 //
 // This is the test that licenses NetworkConfig::num_threads as "purely a
@@ -63,7 +63,7 @@ RunRecord run_once(const graph::Graph& g, const ProgramFactory& factory,
                    NetworkConfig cfg, std::size_t num_threads) {
   RunRecord rec;
   cfg.num_threads = num_threads;
-  cfg.on_message = log_deliveries(rec.transcript);
+  cfg.on_cut_sends = log_deliveries(rec.transcript, g);
   Network net(g, factory, cfg);
   rec.stats = net.run();
   rec.outputs = net.outputs();

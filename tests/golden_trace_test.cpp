@@ -14,10 +14,14 @@
 // CLB_GOLDEN_DIR compile definition, so commit the result).
 //
 // The trace stops after three rounds and carries no payloads, so a second
-// test pins whole runs: a digest of every blackboard entry (player, charged
-// bits, payload bytes, tag), the round count and the selected set of full
-// universal-program reductions, against constants recorded from the code
-// before the program's token state was compacted.
+// test pins whole runs: a digest of every charged blackboard delivery
+// (player, bits, payload bytes, and the "msg <from>-><to>" text of its cut
+// edge), the round count and the selected set of full universal-program
+// reductions, against constants recorded from the code before the
+// program's token state was compacted, when the board held one entry per
+// cut edge. The board now holds one record per boundary sender per round;
+// the test expands each record into its cut edges to reach the same
+// digests.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +36,7 @@
 #include "comm/instances.hpp"
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/network.hpp"
+#include "delivery_log.hpp"
 #include "lowerbound/linear_family.hpp"
 #include "lowerbound/params.hpp"
 #include "maxis/branch_and_bound.hpp"
@@ -128,8 +133,8 @@ TEST(GoldenTrace, Theorem5ReductionMatchesByteForByte) {
   }
 }
 
-/// Digest of one full universal-program reduction on G_xbar: every board
-/// entry, then the round count, then the selected set.
+/// Digest of one full universal-program reduction on G_xbar: every charged
+/// board delivery, then the round count, then the selected set.
 std::uint64_t full_run_digest(std::size_t t, bool intersecting,
                               std::uint64_t seed) {
   const auto p = lb::GadgetParams::for_linear_separation(t, 1);
@@ -153,13 +158,17 @@ std::uint64_t full_run_digest(std::size_t t, bool intersecting,
       board, cfg);
   EXPECT_TRUE(rep.algorithm_finished);
   EXPECT_TRUE(rep.correct);
+  const graph::Graph gx = c.instantiate(inst);
+  std::vector<std::size_t> owner(gx.num_nodes());
+  for (graph::NodeId v = 0; v < owner.size(); ++v) owner[v] = c.owner(v);
   std::uint64_t h = hash_mix64(t);
-  for (const comm::BoardEntry e : board.transcript()) {
-    h = hash_combine(h, e.player);
-    h = hash_combine(h, e.bits);
-    h = hash_combine(h, fnv1a64({reinterpret_cast<const char*>(e.data.data()),
-                                 e.data.size()}));
-    h = hash_combine(h, fnv1a64(e.tag));
+  for (const auto& d : congest::expand_board(board, gx, owner)) {
+    h = hash_combine(h, d.player);
+    h = hash_combine(h, d.bits);
+    h = hash_combine(h, fnv1a64({reinterpret_cast<const char*>(d.data.data()),
+                                 d.data.size()}));
+    h = hash_combine(h, fnv1a64("msg " + std::to_string(d.from) + "->" +
+                                std::to_string(d.to)));
   }
   h = hash_combine(h, rep.rounds);
   h = hash_combine(h, selected.size());

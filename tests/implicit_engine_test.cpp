@@ -6,7 +6,8 @@
 // merge block-implied neighbors arithmetically. This suite pins the
 // contract that licenses it: on the SAME graph, blocked and materialized
 // representations must produce identical RunStats, program outputs,
-// per-edge traffic, and observer transcripts — for every thread count.
+// per-edge traffic, and hook transcripts expanded per edge — for every
+// thread count.
 
 #include <gtest/gtest.h>
 
@@ -87,7 +88,7 @@ RunRecord run_once(const graph::Graph& g,
   NetworkConfig cfg;
   cfg.num_threads = num_threads;
   cfg.bits_per_edge = 32;
-  cfg.on_message = log_deliveries(rec.transcript);
+  cfg.on_cut_sends = log_deliveries(rec.transcript, g);
   Network net(
       g,
       [rounds](graph::NodeId, const NodeInfo&) {
@@ -281,6 +282,81 @@ TEST(ImplicitEngine, LinearFamilyBlockedTwinIsBitIdentical) {
   const RunRecord a = run_once(plain.fixed_graph(), probe, 4, 2);
   const RunRecord b = run_once(blocked.fixed_graph(), probe, 4, 2);
   EXPECT_EQ(a, b);
+}
+
+TEST(ImplicitEngine, CutHookGetsOneEntryPerBoundarySender) {
+  // G_xbar (t = 3, n = 90) materialized and as its implicit_threshold = 1
+  // blocked twin, with the players' owner table: every round the hook gets
+  // at most one entry per boundary sender, in ascending sender order, each
+  // with the sender's count of cross-owner neighbors in the materialized
+  // graph; expanded per cut edge, the twins' transcripts are equal at
+  // every thread count.
+  const std::size_t t = 3;
+  const auto params = lb::GadgetParams::for_linear_separation(t, 1);
+  const lb::LinearConstruction plain(params, t);
+  lb::BuildOptions opts;
+  opts.implicit_threshold = 1;
+  const lb::LinearConstruction blocked(params, t, opts);
+  Rng rng(5);
+  const auto inst = comm::make_uniquely_intersecting(params.k, t, rng, 0.3);
+  const graph::Graph gx_plain = plain.instantiate(inst);
+  const graph::Graph gx_blocked = blocked.instantiate(inst);
+  ASSERT_FALSE(gx_plain.has_implicit_blocks());
+  ASSERT_TRUE(gx_blocked.has_implicit_blocks());
+  std::vector<std::size_t> owner(gx_plain.num_nodes());
+  for (graph::NodeId v = 0; v < owner.size(); ++v) owner[v] = plain.owner(v);
+
+  // Cut multiplicities counted from the materialized edge list.
+  std::vector<std::size_t> want(gx_plain.num_nodes(), 0);
+  for (const auto& [u, v] : graph::edge_list(gx_plain)) {
+    if (owner[u] != owner[v]) {
+      ++want[u];
+      ++want[v];
+    }
+  }
+  const auto boundary = static_cast<std::size_t>(std::count_if(
+      want.begin(), want.end(), [](std::size_t m) { return m > 0; }));
+  ASSERT_GT(boundary, 0u);
+  ASSERT_LT(boundary, gx_plain.num_nodes());
+
+  const auto run = [&](const graph::Graph& g, std::size_t threads) {
+    std::vector<Delivery> log;
+    const CutSendsHook expand = log_deliveries(log, gx_plain, owner);
+    std::size_t calls = 0;
+    NetworkConfig cfg;
+    cfg.num_threads = threads;
+    cfg.bits_per_edge = 32;
+    cfg.owner = owner;
+    cfg.on_cut_sends = [&](std::size_t round, std::span<const CutSend> sends) {
+      EXPECT_EQ(round, calls);
+      ++calls;
+      EXPECT_LE(sends.size(), boundary) << "round " << round;
+      for (std::size_t i = 0; i < sends.size(); ++i) {
+        EXPECT_EQ(sends[i].multiplicity, want[sends[i].from])
+            << "sender " << sends[i].from;
+        if (i > 0) {
+          EXPECT_LT(sends[i - 1].from, sends[i].from);
+        }
+      }
+      expand(round, sends);
+    };
+    Network net(
+        g,
+        [](graph::NodeId, const NodeInfo&) {
+          return std::make_unique<MixFlood>(6);
+        },
+        cfg);
+    const RunStats stats = net.run();
+    EXPECT_EQ(calls, stats.rounds);
+    return log;
+  };
+  const std::vector<Delivery> reference = run(gx_plain, 1);
+  ASSERT_FALSE(reference.empty());
+  for (const Delivery& d : reference) EXPECT_NE(owner[d.from], owner[d.to]);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    EXPECT_EQ(run(gx_plain, threads), reference) << "threads=" << threads;
+    EXPECT_EQ(run(gx_blocked, threads), reference) << "threads=" << threads;
+  }
 }
 
 TEST(ImplicitEngine, QuadraticFamilyBlockedTwinIsBitIdentical) {

@@ -5,14 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "congest/algorithms/universal_maxis.hpp"
 #include "congest/algorithms/weighted_greedy.hpp"
+#include "delivery_log.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "sim/reduction.hpp"
 #include "support/expect.hpp"
@@ -23,6 +24,15 @@ namespace {
 
 congest::LocalMaxIsSolver exact_solver() {
   return [](const graph::Graph& g) { return maxis::solve_exact(g).nodes; };
+}
+
+/// The construction's player partition as a per-node owner table.
+template <typename Construction>
+std::vector<std::size_t> owner_table(const Construction& c,
+                                     const graph::Graph& g) {
+  std::vector<std::size_t> owner(g.num_nodes());
+  for (graph::NodeId v = 0; v < owner.size(); ++v) owner[v] = c.owner(v);
+  return owner;
 }
 
 congest::NetworkConfig universal_cfg(std::size_t n, graph::Weight max_w) {
@@ -77,35 +87,45 @@ TEST(LinearReduction, BlackboardChargesOnlyCutTraffic) {
   // Cut traffic is a strict subset of total traffic (the copies talk
   // internally a lot).
   EXPECT_LT(rep.blackboard_bits, rep.total_bits);
-  // Every entry is tagged "msg u->v" with a cut edge {u, v}, charged to the
-  // sender's owner, and the entries' bits sum to the reported board bits.
+  // Expanded per cut edge, every record becomes deliveries u->v over cut
+  // edges {u, v}, charged to the sender's owner, and their bits sum to the
+  // reported board bits.
+  const graph::Graph gx = c.instantiate(inst);
+  const std::vector<std::size_t> owner = owner_table(c, gx);
   std::set<std::pair<graph::NodeId, graph::NodeId>> cut;
   for (auto [u, v] : c.cut_edges()) cut.emplace(std::min(u, v), std::max(u, v));
+  const auto posts = congest::expand_board(board, gx, owner);
   std::size_t bits = 0;
-  for (const auto& entry : board.transcript()) {
-    graph::NodeId u = 0, v = 0;
-    ASSERT_EQ(std::sscanf(entry.tag.c_str(), "msg %zu->%zu", &u, &v), 2)
-        << entry.tag;
-    ASSERT_EQ(entry.tag, "msg " + std::to_string(u) + "->" + std::to_string(v));
-    ASSERT_TRUE(cut.count({std::min(u, v), std::max(u, v)})) << entry.tag;
-    ASSERT_EQ(entry.player, c.owner(u)) << entry.tag;
-    ASSERT_NE(c.owner(u), c.owner(v)) << entry.tag;
-    bits += entry.bits;
+  for (const auto& d : posts) {
+    ASSERT_TRUE(cut.count({std::min(d.from, d.to), std::max(d.from, d.to)}))
+        << d.from << "->" << d.to;
+    ASSERT_EQ(d.player, c.owner(d.from)) << d.from << "->" << d.to;
+    ASSERT_NE(c.owner(d.from), c.owner(d.to)) << d.from << "->" << d.to;
+    bits += d.bits;
   }
   EXPECT_EQ(bits, rep.blackboard_bits);
+  EXPECT_EQ(posts.size(), rep.blackboard_entries);
+  // One record per boundary sender per round: far fewer than deliveries.
+  EXPECT_EQ(board.written_records(), rep.board_records_written);
+  EXPECT_LT(rep.board_records_written, rep.blackboard_entries);
   // The first posts of this seed, pinned as literal text.
-  ASSERT_GE(board.transcript().size(), 3u);
-  EXPECT_EQ(board.transcript()[0].tag, "msg 3->27");
-  EXPECT_EQ(board.transcript()[1].tag, "msg 3->28");
-  EXPECT_EQ(board.transcript()[2].tag, "msg 3->29");
+  ASSERT_GE(posts.size(), 3u);
+  const auto text = [&](std::size_t i) {
+    return "msg " + std::to_string(posts[i].from) + "->" +
+           std::to_string(posts[i].to);
+  };
+  EXPECT_EQ(text(0), "msg 3->27");
+  EXPECT_EQ(text(1), "msg 3->28");
+  EXPECT_EQ(text(2), "msg 3->29");
 }
 
 TEST(LinearReduction, ObserverCallsAreTheCutPostsOnly) {
-  // The driver hands the network its owner table, so the observer runs
-  // once per cut delivery — once per board entry — not once per message.
-  // A twin network with the same owner table and a counting observer
-  // counts those calls; cut_accounting_exact still compares the posted
-  // bits against bits_on_edge over cut_edges(), a tally of its own.
+  // The driver hands the network its owner table, so the hook runs once
+  // per round with one entry per boundary sender that sent — one board
+  // record each — not once per message or per delivery. A twin network
+  // with the same owner table and a counting hook counts those entries;
+  // cut_accounting_exact still compares the posted bits against
+  // bits_on_edge over cut_edges(), a tally of its own.
   const std::size_t t = 2;
   const auto p = lb::GadgetParams::for_linear_separation(t, 1, 3);
   const lb::LinearConstruction c(p, t);
@@ -120,22 +140,33 @@ TEST(LinearReduction, ObserverCallsAreTheCutPostsOnly) {
   EXPECT_TRUE(rep.cut_accounting_exact);
 
   const graph::Graph gx = c.instantiate(inst);
-  std::vector<std::size_t> owner(gx.num_nodes());
-  for (graph::NodeId v = 0; v < owner.size(); ++v) owner[v] = c.owner(v);
+  const std::vector<std::size_t> owner = owner_table(c, gx);
   std::uint64_t calls = 0;
+  std::uint64_t entries = 0;
+  std::uint64_t charged = 0;
   std::uint64_t bits = 0;
+  std::uint64_t written_bits = 0;
   auto counted = cfg;
   counted.owner = owner;
-  counted.on_message = [&](std::size_t, graph::NodeId, graph::NodeId,
-                           const congest::Message& m) {
+  counted.on_cut_sends = [&](std::size_t,
+                             std::span<const congest::CutSend> sends) {
     ++calls;
-    bits += m.bits;
+    entries += sends.size();
+    for (const congest::CutSend& s : sends) {
+      charged += s.multiplicity;
+      bits += s.msg->bits * s.multiplicity;
+      written_bits += s.msg->bits;
+    }
   };
   congest::Network net(gx, factory, counted);
   EXPECT_EQ(net.run(), rep.net_stats);
-  EXPECT_EQ(calls, rep.blackboard_entries);
+  EXPECT_EQ(calls, rep.rounds);
+  EXPECT_EQ(entries, rep.board_records_written);
+  EXPECT_EQ(written_bits, rep.board_bits_written);
+  EXPECT_EQ(charged, rep.blackboard_entries);
   EXPECT_EQ(bits, rep.blackboard_bits);
-  EXPECT_LT(calls, rep.net_stats.messages_sent);
+  EXPECT_LT(charged, rep.net_stats.messages_sent);
+  EXPECT_LT(entries, charged);
 }
 
 TEST(LinearReduction, BlockedGadgetPostsTheMaterializedBoard) {
@@ -163,6 +194,7 @@ TEST(LinearReduction, BlockedGadgetPostsTheMaterializedBoard) {
   EXPECT_EQ(rep.net_stats, twin.net_stats);
   ASSERT_GT(rep.blackboard_entries, 0u);
   ASSERT_EQ(rep.blackboard_entries, twin.blackboard_entries);
+  ASSERT_EQ(rep.board_records_written, twin.board_records_written);
   const auto got = blocked_board.transcript();
   const auto want = twin_board.transcript();
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -170,8 +202,56 @@ TEST(LinearReduction, BlockedGadgetPostsTheMaterializedBoard) {
     const comm::BoardEntry b = want[i];
     ASSERT_EQ(a.player, b.player) << "entry " << i;
     ASSERT_EQ(a.bits, b.bits) << "entry " << i;
-    ASSERT_EQ(a.tag, b.tag) << "entry " << i;
+    ASSERT_EQ(a.sender, b.sender) << "entry " << i;
+    ASSERT_EQ(a.multiplicity, b.multiplicity) << "entry " << i;
     ASSERT_TRUE(std::ranges::equal(a.data, b.data)) << "entry " << i;
+  }
+}
+
+TEST(LinearReduction, ReportsIdenticalAcrossThreadCounts) {
+  // The hook runs serially after each round, so the report and the board
+  // records are the same for every num_threads.
+  const std::size_t t = 3;
+  const auto p = lb::GadgetParams::for_linear_separation(t, 1);
+  const lb::LinearConstruction c(p, t);
+  Rng rng(7);
+  const auto inst = comm::make_uniquely_intersecting(p.k, t, rng);
+  const auto factory = congest::universal_maxis_factory(exact_solver());
+  struct Run {
+    ReductionReport rep;
+    std::vector<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                           std::vector<std::byte>>>
+        records;
+  };
+  const auto run = [&](std::size_t threads) {
+    auto cfg = universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell));
+    cfg.num_threads = threads;
+    comm::Blackboard board(t);
+    Run r{run_linear_reduction(c, inst, factory, board, cfg), {}};
+    for (const comm::BoardEntry e : board.transcript()) {
+      r.records.emplace_back(e.player, e.sender, e.multiplicity, e.bits,
+                             std::vector<std::byte>(e.data.begin(),
+                                                    e.data.end()));
+    }
+    return r;
+  };
+  const Run want = run(1);
+  ASSERT_TRUE(want.rep.correct);
+  ASSERT_TRUE(want.rep.cut_accounting_exact);
+  ASSERT_EQ(want.records.size(), want.rep.board_records_written);
+  for (std::size_t threads : {2, 8}) {
+    const Run got = run(threads);
+    EXPECT_EQ(got.rep.rounds, want.rep.rounds) << "threads=" << threads;
+    EXPECT_EQ(got.rep.net_stats, want.rep.net_stats) << "threads=" << threads;
+    EXPECT_EQ(got.rep.blackboard_bits, want.rep.blackboard_bits);
+    EXPECT_EQ(got.rep.blackboard_entries, want.rep.blackboard_entries);
+    EXPECT_EQ(got.rep.board_records_written, want.rep.board_records_written);
+    EXPECT_EQ(got.rep.board_bits_written, want.rep.board_bits_written);
+    EXPECT_EQ(got.rep.cut_bits_per_round, want.rep.cut_bits_per_round);
+    EXPECT_EQ(got.rep.computed_weight, want.rep.computed_weight);
+    EXPECT_EQ(got.rep.correct, want.rep.correct);
+    EXPECT_EQ(got.rep.cut_accounting_exact, want.rep.cut_accounting_exact);
+    EXPECT_EQ(got.records, want.records) << "threads=" << threads;
   }
 }
 
@@ -269,8 +349,7 @@ TEST(Reduction, RejectsForeignObserver) {
   const auto inst = comm::make_pairwise_disjoint(p.k, 2, rng, 0.3);
   comm::Blackboard board(2);
   congest::NetworkConfig cfg;
-  cfg.on_message = [](std::size_t, graph::NodeId, graph::NodeId,
-                      const congest::Message&) {};
+  cfg.on_cut_sends = [](std::size_t, std::span<const congest::CutSend>) {};
   EXPECT_THROW(run_linear_reduction(c, inst,
                                     congest::weighted_greedy_factory(), board,
                                     cfg),

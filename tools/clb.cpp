@@ -284,6 +284,8 @@ int cmd_simulate(int argc, char** argv) {
                              " / " + std::to_string(rep.cut_edges));
   tbl.row("rounds", rep.rounds);
   tbl.row("blackboard bits", rep.blackboard_bits);
+  tbl.row("blackboard bits written", rep.board_bits_written);
+  tbl.row("board records written", rep.board_records_written);
   tbl.row("theorem-5 budget", rep.theorem5_budget);
   tbl.row("accounting ok", rep.accounting_ok);
   tbl.row("IS weight / YES threshold", std::to_string(rep.computed_weight) +
