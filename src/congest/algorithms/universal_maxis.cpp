@@ -1,6 +1,8 @@
 #include "congest/algorithms/universal_maxis.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -13,12 +15,27 @@ namespace {
 
 constexpr std::size_t kWeightBits = 32;
 
+/// The checked solutions of one run's programs, one per distinct learned
+/// graph. A learned graph is its weights plus its known-edge bitmap; both
+/// have sizes fixed by n, so equal contents mean an equal graph.
+struct SolveMemo {
+  struct Entry {
+    std::vector<std::uint64_t> weight;
+    std::vector<std::uint64_t> edge_known;
+    std::vector<bool> in_set;  ///< membership, indexed by node id
+  };
+
+  explicit SolveMemo(LocalMaxIsSolver s) : solver(std::move(s)) {}
+
+  const LocalMaxIsSolver solver;
+  std::mutex mu;
+  std::vector<Entry> entries;  ///< guarded by mu
+};
+
 class UniversalMaxIsProgram final : public NodeProgram {
  public:
-  explicit UniversalMaxIsProgram(LocalMaxIsSolver solver)
-      : solver_(std::move(solver)) {
-    CLB_EXPECT(solver_ != nullptr, "universal-maxis: solver must be provided");
-  }
+  explicit UniversalMaxIsProgram(std::shared_ptr<SolveMemo> memo)
+      : memo_(std::move(memo)) {}
 
   void round(const NodeInfo& info, const Inbox& inbox, Outbox& outbox,
              Rng& /*rng*/) override {
@@ -122,6 +139,18 @@ class UniversalMaxIsProgram final : public NodeProgram {
   void try_finish(const NodeInfo& info) {
     if (have_solution_ || num_nodes_known_ < info.n) return;
     if (num_edges_known_ * 2 != degree_sum_) return;
+    // The run's first node to learn this graph solves it; the others read
+    // their bit from its checked solution. The solve holds the lock, so a
+    // node finishing meanwhile on another shard waits for the entry rather
+    // than solving again.
+    const std::lock_guard lock(memo_->mu);
+    for (const SolveMemo::Entry& e : memo_->entries) {
+      if (e.weight == weight_ && e.edge_known == edge_known_) {
+        in_set_ = e.in_set[info.id];
+        have_solution_ = true;
+        return;
+      }
+    }
     // Reconstruct and solve.
     graph::Graph g(info.n);
     for (NodeId v = 0; v < info.n; ++v) {
@@ -133,20 +162,18 @@ class UniversalMaxIsProgram final : public NodeProgram {
       if ((tok & 1) != 0) edges.emplace_back(field_a(tok), field_b(tok));
     }
     g.add_edges(edges);
-    const auto solution = solver_(g);
+    const auto solution = memo_->solver(g);
     CLB_EXPECT(g.is_independent_set(solution),
                "universal-maxis: solver returned a non-independent set");
-    in_set_ = false;
-    for (NodeId v : solution) {
-      if (v == info.id) {
-        in_set_ = true;
-        break;
-      }
-    }
+    SolveMemo::Entry entry{weight_, edge_known_,
+                           std::vector<bool>(info.n, false)};
+    for (NodeId v : solution) entry.in_set[v] = true;
+    in_set_ = entry.in_set[info.id];
+    memo_->entries.push_back(std::move(entry));
     have_solution_ = true;
   }
 
-  LocalMaxIsSolver solver_;
+  std::shared_ptr<SolveMemo> memo_;  ///< shared by the run's programs
   bool initialized_ = false;
   std::size_t id_bits_ = 0;
   std::vector<std::uint64_t> tokens_;
@@ -173,8 +200,26 @@ std::size_t universal_required_bits(std::size_t n, graph::Weight max_weight) {
 }
 
 ProgramFactory universal_maxis_factory(LocalMaxIsSolver solver) {
-  return [solver = std::move(solver)](NodeId, const NodeInfo&) {
-    return std::make_unique<UniversalMaxIsProgram>(solver);
+  // The programs alive together share one memo; once the last of them is
+  // gone the next program starts a fresh one, so no run reads another
+  // run's solve.
+  struct Shared {
+    LocalMaxIsSolver solver;
+    std::mutex mu;
+    std::weak_ptr<SolveMemo> memo;  ///< guarded by mu
+  };
+  auto shared = std::make_shared<Shared>();
+  shared->solver = std::move(solver);
+  return [shared](NodeId, const NodeInfo&) -> std::unique_ptr<NodeProgram> {
+    CLB_EXPECT(shared->solver != nullptr,
+               "universal-maxis: solver must be provided");
+    const std::lock_guard lock(shared->mu);
+    std::shared_ptr<SolveMemo> memo = shared->memo.lock();
+    if (!memo) {
+      memo = std::make_shared<SolveMemo>(shared->solver);
+      shared->memo = memo;
+    }
+    return std::make_unique<UniversalMaxIsProgram>(std::move(memo));
   };
 }
 

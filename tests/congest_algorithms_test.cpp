@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "congest/algorithms/greedy_mis.hpp"
@@ -258,6 +261,85 @@ TEST(Universal, DenseGraphsReconstructExactly) {
     path.add_edge(v, v + 1);
   }
   expect_exact(path);
+}
+
+TEST(Universal, NodesFinishingTogetherShareOneSolve) {
+  // Both ends of a single edge learn the whole graph in round 2, when the
+  // other's node token arrives. At threads > 1 they sit in different
+  // shards and reach the memo together; the solver sleeps, so the second
+  // node arrives while the first solve is still open. The memo's lock must
+  // leave exactly one solve.
+  graph::Graph g(2);
+  g.set_weight(0, 2);
+  g.set_weight(1, 3);
+  g.add_edge(0, 1);
+  NetworkConfig cfg;
+  cfg.bits_per_edge = universal_required_bits(g.num_nodes(), 3);
+  for (std::size_t threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::size_t calls = 0;  // unsynchronized: the memo's lock orders calls
+    cfg.num_threads = threads;
+    Network net(g,
+                universal_maxis_factory([&calls](const graph::Graph& lg) {
+                  ++calls;
+                  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                  return maxis::solve_exact(lg).nodes;
+                }),
+                cfg);
+    ASSERT_TRUE(net.run().all_finished);
+    EXPECT_EQ(calls, 1u);
+    EXPECT_EQ(net.outputs(), (std::vector<std::int64_t>{0, 1}));
+  }
+}
+
+TEST(Universal, OverlappingNetworksSolveEachLearnedGraph) {
+  // Two networks from one factory, alive together and stepped one round at
+  // a time in turn, share one memo. Their graphs differ in one edge, or in
+  // one weight, so the full comparison must tell them apart: two solves,
+  // and each network's outputs are those of a fresh factory.
+  Rng rng(31);
+  auto base = random_graph(rng, 14, 0.3, /*max_w=*/8);
+  for (graph::NodeId v = 0; v + 1 < base.num_nodes(); ++v) {
+    if (!base.has_edge(v, v + 1)) base.add_edge(v, v + 1);
+  }
+  graph::Graph extra_edge = base;
+  graph::NodeId far = 2;
+  while (extra_edge.has_edge(0, far)) ++far;
+  extra_edge.add_edge(0, far);
+  graph::Graph heavier = base;
+  heavier.set_weight(5, base.weight(5) == 8 ? 1 : 8);
+  NetworkConfig cfg;
+  cfg.bits_per_edge = universal_required_bits(base.num_nodes(), 8);
+  const auto fresh_outputs = [&](const graph::Graph& g) {
+    Network net(g, universal_maxis_factory(exact_solver()), cfg);
+    EXPECT_TRUE(net.run().all_finished);
+    return net.outputs();
+  };
+  for (const graph::Graph* other : {&extra_edge, &heavier}) {
+    for (std::size_t threads : {1, 2}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      std::size_t calls = 0;  // unsynchronized: the memo's lock orders calls
+      const auto counting =
+          universal_maxis_factory([&calls](const graph::Graph& g) {
+            ++calls;
+            return maxis::solve_exact(g).nodes;
+          });
+      cfg.num_threads = threads;
+      Network a(base, counting, cfg);
+      Network b(*other, counting, cfg);
+      bool a_done = false;
+      bool b_done = false;
+      for (std::size_t r = 0; r < 10'000 && !(a_done && b_done); ++r) {
+        a_done = a.run_rounds(1).all_finished;
+        b_done = b.run_rounds(1).all_finished;
+      }
+      ASSERT_TRUE(a_done && b_done);
+      EXPECT_EQ(calls, 2u);
+      cfg.num_threads = 1;
+      EXPECT_EQ(a.outputs(), fresh_outputs(base));
+      EXPECT_EQ(b.outputs(), fresh_outputs(*other));
+    }
+  }
 }
 
 TEST(Universal, RejectsTooSmallBandwidth) {

@@ -147,7 +147,8 @@ std::uint64_t full_run_digest(std::size_t t, bool intersecting,
   congest::NetworkConfig cfg;
   cfg.bits_per_edge = congest::universal_required_bits(
       c.num_nodes(), static_cast<graph::Weight>(p.ell));
-  // Every node solves the same reconstructed graph; keep its answer.
+  // Every node learns the same graph, solved once for the run; keep the
+  // answer.
   std::vector<graph::NodeId> selected;
   const auto rep = sim::run_linear_reduction(
       c, inst,

@@ -208,51 +208,96 @@ TEST(LinearReduction, BlockedGadgetPostsTheMaterializedBoard) {
   }
 }
 
+/// One linear reduction's report and its board records, field by field.
+struct RecordedRun {
+  ReductionReport rep;
+  std::vector<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
+                         std::vector<std::byte>>>
+      records;
+};
+
+RecordedRun record_linear_reduction(const lb::LinearConstruction& c,
+                                    const comm::PromiseInstance& inst,
+                                    const congest::ProgramFactory& factory,
+                                    const congest::NetworkConfig& cfg) {
+  comm::Blackboard board(inst.t);
+  RecordedRun r{run_linear_reduction(c, inst, factory, board, cfg), {}};
+  for (const comm::BoardEntry e : board.transcript()) {
+    r.records.emplace_back(e.player, e.sender, e.multiplicity, e.bits,
+                           std::vector<std::byte>(e.data.begin(),
+                                                  e.data.end()));
+  }
+  return r;
+}
+
+/// Every report field and board record of `got` equals `want`'s.
+void expect_same_run(const RecordedRun& got, const RecordedRun& want) {
+  EXPECT_EQ(got.rep.rounds, want.rep.rounds);
+  EXPECT_EQ(got.rep.net_stats, want.rep.net_stats);
+  EXPECT_EQ(got.rep.blackboard_bits, want.rep.blackboard_bits);
+  EXPECT_EQ(got.rep.blackboard_entries, want.rep.blackboard_entries);
+  EXPECT_EQ(got.rep.board_records_written, want.rep.board_records_written);
+  EXPECT_EQ(got.rep.board_bits_written, want.rep.board_bits_written);
+  EXPECT_EQ(got.rep.cut_bits_per_round, want.rep.cut_bits_per_round);
+  EXPECT_EQ(got.rep.computed_weight, want.rep.computed_weight);
+  EXPECT_EQ(got.rep.decided_disjoint, want.rep.decided_disjoint);
+  EXPECT_EQ(got.rep.correct, want.rep.correct);
+  EXPECT_EQ(got.rep.cut_accounting_exact, want.rep.cut_accounting_exact);
+  EXPECT_EQ(got.records, want.records);
+}
+
 TEST(LinearReduction, ReportsIdenticalAcrossThreadCounts) {
   // The hook runs serially after each round, so the report and the board
-  // records are the same for every num_threads.
+  // records are the same for every num_threads. Every node learns the same
+  // G_xbar, so each run calls the local solver once, whichever shard's
+  // node learns it first, and sharing its solution changes nothing.
   const std::size_t t = 3;
   const auto p = lb::GadgetParams::for_linear_separation(t, 1);
   const lb::LinearConstruction c(p, t);
   Rng rng(7);
   const auto inst = comm::make_uniquely_intersecting(p.k, t, rng);
-  const auto factory = congest::universal_maxis_factory(exact_solver());
-  struct Run {
-    ReductionReport rep;
-    std::vector<std::tuple<std::size_t, std::size_t, std::size_t, std::size_t,
-                           std::vector<std::byte>>>
-        records;
-  };
-  const auto run = [&](std::size_t threads) {
-    auto cfg = universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell));
-    cfg.num_threads = threads;
-    comm::Blackboard board(t);
-    Run r{run_linear_reduction(c, inst, factory, board, cfg), {}};
-    for (const comm::BoardEntry e : board.transcript()) {
-      r.records.emplace_back(e.player, e.sender, e.multiplicity, e.bits,
-                             std::vector<std::byte>(e.data.begin(),
-                                                    e.data.end()));
-    }
-    return r;
-  };
-  const Run want = run(1);
+  auto cfg = universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell));
+  const RecordedRun want = record_linear_reduction(
+      c, inst, congest::universal_maxis_factory(exact_solver()), cfg);
   ASSERT_TRUE(want.rep.correct);
   ASSERT_TRUE(want.rep.cut_accounting_exact);
   ASSERT_EQ(want.records.size(), want.rep.board_records_written);
-  for (std::size_t threads : {2, 8}) {
-    const Run got = run(threads);
-    EXPECT_EQ(got.rep.rounds, want.rep.rounds) << "threads=" << threads;
-    EXPECT_EQ(got.rep.net_stats, want.rep.net_stats) << "threads=" << threads;
-    EXPECT_EQ(got.rep.blackboard_bits, want.rep.blackboard_bits);
-    EXPECT_EQ(got.rep.blackboard_entries, want.rep.blackboard_entries);
-    EXPECT_EQ(got.rep.board_records_written, want.rep.board_records_written);
-    EXPECT_EQ(got.rep.board_bits_written, want.rep.board_bits_written);
-    EXPECT_EQ(got.rep.cut_bits_per_round, want.rep.cut_bits_per_round);
-    EXPECT_EQ(got.rep.computed_weight, want.rep.computed_weight);
-    EXPECT_EQ(got.rep.correct, want.rep.correct);
-    EXPECT_EQ(got.rep.cut_accounting_exact, want.rep.cut_accounting_exact);
-    EXPECT_EQ(got.records, want.records) << "threads=" << threads;
+  for (std::size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::size_t calls = 0;  // unsynchronized: the memo's lock orders calls
+    const auto counting =
+        congest::universal_maxis_factory([&calls](const graph::Graph& g) {
+          ++calls;
+          return maxis::solve_exact(g).nodes;
+        });
+    cfg.num_threads = threads;
+    expect_same_run(record_linear_reduction(c, inst, counting, cfg), want);
+    EXPECT_EQ(calls, 1u);
   }
+}
+
+TEST(LinearReduction, EachRunSolvesAgain) {
+  // The shared solution lives only as long as one run's programs: a second
+  // run from the same factory solves its graph again.
+  const std::size_t t = 2;
+  const auto p = lb::GadgetParams::for_linear_separation(t, 1, 3);
+  const lb::LinearConstruction c(p, t);
+  Rng rng(11);
+  const auto inst = comm::make_uniquely_intersecting(p.k, t, rng, 0.4);
+  const auto cfg =
+      universal_cfg(c.num_nodes(), static_cast<graph::Weight>(p.ell));
+  std::size_t calls = 0;
+  const auto counting =
+      congest::universal_maxis_factory([&calls](const graph::Graph& g) {
+        ++calls;
+        return maxis::solve_exact(g).nodes;
+      });
+  const RecordedRun first = record_linear_reduction(c, inst, counting, cfg);
+  EXPECT_EQ(calls, 1u);
+  const RecordedRun second = record_linear_reduction(c, inst, counting, cfg);
+  EXPECT_EQ(calls, 2u);
+  EXPECT_TRUE(first.rep.correct);
+  expect_same_run(second, first);
 }
 
 TEST(LinearReduction, ReusedBoardReportsThisRunOnly) {
