@@ -83,10 +83,12 @@ void figure1() {
             << "\n";
 
   clb::graph::DotOptions opts;
-  for (std::size_t m = 0; m < p.k; ++m) opts.cluster[h.a_node(m)] = "A";
+  for (std::size_t m = 0; m < p.k; ++m) opts.cluster.emplace(h.a_node(m), "A");
   for (std::size_t pos = 0; pos < p.num_positions(); ++pos) {
+    std::string name = "C";
+    name += std::to_string(pos + 1);
     for (std::size_t r = 0; r < p.clique_size(); ++r) {
-      opts.cluster[h.code_node(pos, r)] = "C" + std::to_string(pos + 1);
+      opts.cluster[h.code_node(pos, r)] = name;
     }
   }
   dump_dot("figure1_base_gadget", h.graph(), opts);

@@ -169,6 +169,34 @@ Graph& Graph::operator=(Graph&& other) noexcept {
   return *this;
 }
 
+Graph Graph::tiled(const Graph& h, std::size_t copies) {
+  const Csr& src = *h.adj_;
+  const std::size_t nh = h.num_nodes();
+  const std::size_t mh = src.targets.size();
+  auto csr = std::make_shared<Csr>();
+  csr->offsets.resize(copies * nh + 1);
+  csr->targets.resize(copies * mh);
+  Graph g;
+  g.weight_.reserve(copies * nh);
+  g.blocks_.reserve(copies * h.blocks_.size());
+  for (std::size_t c = 0; c < copies; ++c) {
+    const NodeId shift = c * nh;
+    const std::size_t base = c * mh;
+    std::transform(src.offsets.begin() + 1, src.offsets.end(),
+                   csr->offsets.begin() + shift + 1,
+                   [base](std::size_t o) { return base + o; });
+    std::transform(src.targets.begin(), src.targets.end(),
+                   csr->targets.begin() + base,
+                   [shift](NodeId u) { return u + shift; });
+    g.weight_.insert(g.weight_.end(), h.weight_.begin(), h.weight_.end());
+    for (const auto& b : h.blocks_) g.blocks_.push_back(b.shifted(shift));
+  }
+  g.adj_ = std::move(csr);
+  g.implicit_edges_ = copies * h.implicit_edges_;
+  g.implicit_threshold_ = h.implicit_threshold_;
+  return g;
+}
+
 NodeId Graph::add_node(Weight w, std::string label) {
   auto next = std::make_shared<Csr>(*adj_);
   next->offsets.push_back(next->offsets.back());

@@ -213,6 +213,14 @@ class Graph {
   Graph(Graph&& other) noexcept;
   Graph& operator=(Graph&& other) noexcept;
 
+  /// `copies` disjoint copies of h, copy c on ids [c*n_h, (c+1)*n_h): its
+  /// CSR rows are h's sorted rows with every target raised by c*n_h, and
+  /// h's blocks follow copy by copy, shifted the same way. Weights and the
+  /// implicit-block threshold are h's; labels are not copied. Equal to
+  /// building every copy's edges and blocks into one graph in copy order,
+  /// in O(copies * (n_h + m_h)) with one allocation per array.
+  static Graph tiled(const Graph& h, std::size_t copies);
+
   std::size_t num_nodes() const { return weight_.size(); }
 
   /// Total edges, explicit + implicit-block. Fits std::size_t on 64-bit

@@ -121,6 +121,27 @@ struct ImplicitBlock {
     return 0;
   }
 
+  /// The same block with every member id raised by `offset` — the block of
+  /// a copy placed `offset` ids further on. Fields the kind does not use
+  /// stay zero, so a shifted block equals one built at the new position.
+  ImplicitBlock shifted(NodeId offset) const {
+    ImplicitBlock b = *this;
+    switch (kind) {
+      case BlockKind::kBiclique:
+        b.b_begin += offset;
+        b.b_end += offset;
+        [[fallthrough]];
+      case BlockKind::kClique:
+        b.a_begin += offset;
+        b.a_end += offset;
+        break;
+      case BlockKind::kAntiMatchingGrid:
+        b.base += offset;
+        break;
+    }
+    return b;
+  }
+
   bool contains(NodeId v) const {
     switch (kind) {
       case BlockKind::kClique:

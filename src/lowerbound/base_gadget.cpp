@@ -25,7 +25,9 @@ BaseGadget::BaseGadget(GadgetParams params, const BuildOptions& opts)
   // Labels (presentation only; used by the figure generator).
   if (!opts.skip_labels) {
     for (std::size_t m = 0; m < k; ++m) {
-      g_.set_label(a_node(m), "v" + std::to_string(m + 1));
+      std::string name = "v";
+      name += std::to_string(m + 1);
+      g_.set_label(a_node(m), std::move(name));
     }
     for (std::size_t h = 0; h < m_pos; ++h) {
       for (std::size_t r = 0; r < p; ++r) {

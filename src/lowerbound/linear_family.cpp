@@ -12,14 +12,17 @@ LinearConstruction::LinearConstruction(GadgetParams params, std::size_t t)
 
 LinearConstruction::LinearConstruction(GadgetParams params, std::size_t t,
                                        const BuildOptions& opts)
-    : params_(std::move(params)), t_(t), base_(params_), g_(0) {
+    : params_(std::move(params)), t_(t), base_(params_, opts), g_(0) {
   CLB_EXPECT(t_ >= 2, "linear construction: t >= 2");
   const std::size_t npc = params_.nodes_per_copy();
   const std::size_t p = params_.clique_size();
   const std::size_t m_pos = params_.num_positions();
   const std::size_t k = params_.k;
-  g_ = graph::Graph(t_ * npc);
-  g_.set_implicit_block_threshold(opts.implicit_threshold);
+
+  // Per-copy structure: copy i is H^i, the base gadget built with the same
+  // options, tiled at offset i * npc — its sorted CSR rows (the codeword
+  // stars and any sub-threshold cliques) shifted, then its clique blocks.
+  g_ = graph::Graph::tiled(base_.graph(), t_);
 
   if (!opts.skip_labels) {
     for (std::size_t i = 0; i < t_; ++i) {
@@ -31,36 +34,13 @@ LinearConstruction::LinearConstruction(GadgetParams params, std::size_t t,
     }
   }
 
-  // Per-copy structure: the clique A^i, the code cliques C^i_h, and the
-  // codeword star edges v^i_m <-> Code^i \ Code^i_m. All are contiguous id
-  // ranges, so the cliques become blocks above the threshold; the stars are
-  // the irreducibly explicit part (k * (ell+alpha) * (p-1) per copy). Every
-  // sub-threshold edge joins one batch, so the fixed graph's CSR is built
-  // once.
-  graph::EdgeList edges;
-  edges.reserve(t_ * base_.graph().num_edges());  // per-copy cliques + stars
-  for (std::size_t i = 0; i < t_; ++i) {
-    std::vector<NodeId> a(k);
-    for (std::size_t m = 0; m < k; ++m) a[m] = a_node(i, m);
-    g_.add_clique(a, edges);
-    for (std::size_t h = 0; h < m_pos; ++h) {
-      g_.add_clique(clique_nodes(i, h), edges);
-    }
-    for (std::size_t m = 0; m < k; ++m) {
-      const codes::Word& w = base_.codeword(m);
-      for (std::size_t h = 0; h < m_pos; ++h) {
-        for (std::size_t r = 0; r < p; ++r) {
-          if (r != w[h]) edges.emplace_back(a_node(i, m), code_node(i, h, r));
-        }
-      }
-    }
-  }
-
   // Inter-copy connections (Figure 2): for each position h, all edges
   // between C^i_h and C^j_h (i != j) except the natural perfect matching —
   // exactly one anti-matching grid over rows = copies, columns = symbols,
   // covering every copy pair at once (block count stays ell+alpha, not
-  // C(t,2) * (ell+alpha)).
+  // C(t,2) * (ell+alpha)). Grids below the threshold are merged into the
+  // tiled CSR by one add_edges.
+  graph::EdgeList edges;
   for (std::size_t h = 0; h < m_pos; ++h) {
     g_.add_anti_matching_grid(static_cast<NodeId>(k + h * p), npc, t_, p,
                               edges);

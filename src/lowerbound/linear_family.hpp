@@ -33,8 +33,10 @@ class LinearConstruction {
   /// as one kAntiMatchingGrid block per code position (covering all C(t,2)
   /// copy pairs arithmetically) and large cliques as clique blocks, so the
   /// fixed graph costs O(t * k * (ell+alpha) * p) explicit edges however
-  /// large t grows. With the default options this is edge-for-edge the same
-  /// graph as the two-argument constructor.
+  /// large t grows. The t copies are tiled from one copy of H built with
+  /// the same options (graph::Graph::tiled), so no per-copy edge list is
+  /// built. With the default options this is edge-for-edge the same graph
+  /// as the two-argument constructor.
   LinearConstruction(GadgetParams params, std::size_t t,
                      const BuildOptions& opts);
 
@@ -109,7 +111,7 @@ class LinearConstruction {
  private:
   GadgetParams params_;
   std::size_t t_;
-  BaseGadget base_;  ///< one copy; used for codeword/node geometry
+  BaseGadget base_;  ///< H with the build options: the tile, and the geometry
   graph::Graph g_;   ///< the full fixed construction
 };
 

@@ -14,51 +14,32 @@ QuadraticConstruction::QuadraticConstruction(GadgetParams params,
 QuadraticConstruction::QuadraticConstruction(GadgetParams params,
                                              std::size_t t,
                                              const BuildOptions& opts)
-    : params_(std::move(params)), t_(t), base_(params_), g_(0) {
+    : params_(std::move(params)), t_(t), base_(params_, opts), g_(0) {
   CLB_EXPECT(t_ >= 1, "quadratic construction: t >= 1");
   const std::size_t npc = params_.nodes_per_copy();
   const std::size_t p = params_.clique_size();
   const std::size_t m_pos = params_.num_positions();
   const std::size_t k = params_.k;
-  g_ = graph::Graph(2 * t_ * npc);
-  g_.set_implicit_block_threshold(opts.implicit_threshold);
 
-  // Per-copy structure (2t copies of H, indexed (i, b)): labels, the fixed
-  // weights w_F, the cliques, and the explicit codeword stars. Every
-  // sub-threshold edge joins one batch, so the fixed graph's CSR is built
-  // once.
-  graph::EdgeList edges;
-  edges.reserve(2 * t_ * base_.graph().num_edges());  // cliques + stars
-  for (std::size_t i = 0; i < t_; ++i) {
-    for (std::size_t b = 0; b < 2; ++b) {
-      const NodeId offset = a_node(i, b, 0);
-      if (!opts.skip_labels) {
+  // Per-copy structure: 2t copies of H, copy (i, b) at offset
+  // (2i + b) * npc — the base gadget built with the same options, tiled
+  // (see LinearConstruction) — then the fixed weights w_F: the A cliques
+  // weigh ell.
+  g_ = graph::Graph::tiled(base_.graph(), 2 * t_);
+  for (std::size_t c = 0; c < 2 * t_; ++c) {
+    for (std::size_t m = 0; m < k; ++m) {
+      g_.set_weight(c * npc + m, static_cast<graph::Weight>(params_.ell));
+    }
+  }
+
+  if (!opts.skip_labels) {
+    for (std::size_t i = 0; i < t_; ++i) {
+      for (std::size_t b = 0; b < 2; ++b) {
+        const NodeId offset = a_node(i, b, 0);
         for (NodeId local = 0; local < npc; ++local) {
           g_.set_label(offset + local, base_.graph().label(local) + "^(" +
                                            std::to_string(i + 1) + "," +
                                            std::to_string(b + 1) + ")");
-        }
-      }
-      // Fixed weights w_F: the A cliques weigh ell.
-      for (std::size_t m = 0; m < k; ++m) {
-        g_.set_weight(a_node(i, b, m), static_cast<graph::Weight>(params_.ell));
-      }
-      std::vector<NodeId> a(k);
-      for (std::size_t m = 0; m < k; ++m) a[m] = a_node(i, b, m);
-      g_.add_clique(a, edges);
-      for (std::size_t h = 0; h < m_pos; ++h) {
-        std::vector<NodeId> c(p);
-        for (std::size_t r = 0; r < p; ++r) c[r] = code_node(i, b, h, r);
-        g_.add_clique(c, edges);
-      }
-      for (std::size_t m = 0; m < k; ++m) {
-        const codes::Word& w = base_.codeword(m);
-        for (std::size_t h = 0; h < m_pos; ++h) {
-          for (std::size_t r = 0; r < p; ++r) {
-            if (r != w[h]) {
-              edges.emplace_back(a_node(i, b, m), code_node(i, b, h, r));
-            }
-          }
         }
       }
     }
@@ -66,6 +47,9 @@ QuadraticConstruction::QuadraticConstruction(GadgetParams params,
 
   // Within each block b: the Figure-2 anti-matchings between copies — one
   // grid per (b, h) over rows = copies (stride 2*npc), columns = symbols.
+  // Grids below the threshold are merged into the tiled CSR by one
+  // add_edges.
+  graph::EdgeList edges;
   if (t_ >= 2) {
     for (std::size_t b = 0; b < 2; ++b) {
       for (std::size_t h = 0; h < m_pos; ++h) {

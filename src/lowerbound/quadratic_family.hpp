@@ -31,9 +31,10 @@ class QuadraticConstruction {
   QuadraticConstruction(GadgetParams params, std::size_t t);
 
   /// Build with explicit construction options — see
-  /// LinearConstruction(params, t, opts); the anti-matchings become one
-  /// grid block per (block b, position h) pair. Default options reproduce
-  /// the two-argument constructor edge-for-edge.
+  /// LinearConstruction(params, t, opts); the 2t copies are tiled from one
+  /// copy of H, and the anti-matchings become one grid block per (block b,
+  /// position h) pair. Default options reproduce the two-argument
+  /// constructor edge-for-edge.
   QuadraticConstruction(GadgetParams params, std::size_t t,
                         const BuildOptions& opts);
 

@@ -54,7 +54,12 @@ int run_cmd(const std::string& cmd) {
   return -1;
 }
 
-std::string quoted(const fs::path& p) { return "'" + p.string() + "'"; }
+std::string quoted(const fs::path& p) {
+  std::string q = "'";
+  q += p.string();
+  q += '\'';
+  return q;
+}
 
 /// `clb campaign <action> smoke ...` against one scratch state. `env`
 /// prefixes the command (e.g. "CLB_CHAOS_KILL_AFTER_JOBS=3"), scoping any
@@ -108,7 +113,8 @@ TEST(ChaosHarness, KilledCampaignsResumeToByteIdenticalManifest) {
   // a few dozen jobs). A kill point past the end simply completes — that
   // terminates the ladder having proven the interesting prefix.
   for (const int kill_after : {1, 2, 3, 5, 8, 13, 21, 34, 55}) {
-    const std::string tag = "k" + std::to_string(kill_after);
+    std::string tag = "k";
+    tag += std::to_string(kill_after);
     const fs::path cache_dir = scratch.path / ("cache-" + tag);
     const fs::path manifest = scratch.path / (tag + ".json");
 

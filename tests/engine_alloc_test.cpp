@@ -7,6 +7,8 @@
 // engine-rewrite contract, and the benches report it as allocs/round.
 // The blackboard's cut-message posts, the other half of the Theorem-5 hot
 // path, may allocate only to grow their flat arenas: O(log N) for N posts.
+// The tiled gadget build allocates nothing per copy of H, and requests
+// little beyond the fixed graph it returns.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "congest/network.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "lowerbound/linear_family.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "support/alloc_hook.hpp"
@@ -275,6 +278,40 @@ TEST(EngineAlloc, BlackboardCutPostsOnlyGrowArenas) {
   EXPECT_EQ(board.written_records(), 1000 + kPosts);
   EXPECT_EQ(board.charged_posts(), charged);
   EXPECT_EQ(metrics.counter("blackboard.posts").value(), charged);
+}
+
+TEST(EngineAlloc, TiledGadgetBuildAllocatesNothingPerCopy) {
+  // The scale workload's G_xbar: ell = 3, alpha = 1, grids as blocks, the
+  // per-copy cliques and stars explicit, no labels.
+  const auto params = lb::GadgetParams::from_l_alpha(3, 1);
+  lb::BuildOptions opts;
+  opts.implicit_threshold = 4096;
+  opts.skip_labels = true;
+  struct Cost {
+    std::uint64_t allocations = 0, bytes = 0, budget = 0;
+  };
+  const auto build = [&](std::size_t t) {
+    const auto count0 = allochook::allocation_count();
+    const auto bytes0 = allochook::allocated_bytes();
+    const lb::LinearConstruction c(params, t, opts);
+    Cost cost{allochook::allocation_count() - count0,
+              allochook::allocated_bytes() - bytes0, 0};
+    const graph::Graph& g = c.fixed_graph();
+    EXPECT_EQ(g.implicit_blocks().size(), params.num_positions());
+    // The final CSR and weights, plus 16 B per node for everything else:
+    // an edge list (16 B per explicit edge, ~37 per node here) cannot hide.
+    const std::size_t n = g.num_nodes();
+    cost.budget = (n + 1) * sizeof(std::size_t) +
+                  2 * g.num_explicit_edges() * sizeof(graph::NodeId) +
+                  n * sizeof(graph::Weight) + 16 * n;
+    return cost;
+  };
+  build(500);  // one-time set-up (code tables, the shared empty CSR)
+  const Cost at500 = build(500), at1000 = build(1000);
+  EXPECT_EQ(at500.allocations, at1000.allocations)
+      << "the gadget build allocates per copy";
+  EXPECT_LE(at500.bytes, at500.budget);
+  EXPECT_LE(at1000.bytes, at1000.budget);
 }
 
 }  // namespace

@@ -586,7 +586,9 @@ TEST_P(FuzzSweep, MetricsExportEscapesHostileNames) {
   obs::MetricsRegistry reg(2);
   const std::string hostile_chars = "\"\\\n\t\x01{}[],:";
   for (int i = 0; i < 12; ++i) {
-    std::string name = "m" + std::to_string(i) + ".";
+    std::string name = "m";
+    name += std::to_string(i);
+    name += '.';
     const std::size_t len = 1 + rng.below(8);
     for (std::size_t j = 0; j < len; ++j) {
       name += hostile_chars[rng.below(hostile_chars.size())];

@@ -129,6 +129,26 @@ TEST(ImplicitBlock, GridMatchesPaperAntiMatching) {
   EXPECT_EQ(b.num_edges(), rows * (rows - 1) / 2 * p * (p - 1));
 }
 
+TEST(ImplicitBlock, ShiftedEqualsBlockBuiltAtOffset) {
+  // Fields a kind does not use stay zero, so == (the Graph equality the
+  // tiled gadget build relies on) holds against the factory's block.
+  EXPECT_EQ(ImplicitBlock::clique(3, 9).shifted(10),
+            ImplicitBlock::clique(13, 19));
+  EXPECT_EQ(ImplicitBlock::biclique(6, 9, 1, 4).shifted(7),
+            ImplicitBlock::biclique(13, 16, 8, 11));
+  EXPECT_EQ(ImplicitBlock::anti_matching_grid(2, 7, 4, 5).shifted(5),
+            ImplicitBlock::anti_matching_grid(7, 7, 4, 5));
+  EXPECT_EQ(ImplicitBlock::clique(3, 9).shifted(0), ImplicitBlock::clique(3, 9));
+  // The shifted block's arithmetic is the original's, translated.
+  const auto grid = ImplicitBlock::anti_matching_grid(0, 4, 3, 3);
+  const auto moved = grid.shifted(6);
+  check_block(moved, 24);
+  grid.for_each_edge([&](NodeId u, NodeId v) {
+    EXPECT_TRUE(moved.is_edge(u + 6, v + 6));
+  });
+  EXPECT_EQ(moved.num_edges(), grid.num_edges());
+}
+
 TEST(ImplicitBlock, FactoryValidation) {
   EXPECT_THROW(ImplicitBlock::clique(5, 5), InvariantError);
   EXPECT_THROW(ImplicitBlock::clique(5, 6), InvariantError);  // one node
@@ -223,6 +243,43 @@ TEST(GraphImplicit, MaterializedMatchesExplicitTwin) {
     EXPECT_EQ(merged, std::vector<NodeId>(want.begin(), want.end()))
         << "node " << v;
   }
+}
+
+TEST(GraphImplicit, TiledEqualsCopiesBuiltInOrder) {
+  // h: a clique block, a biclique block, explicit edges, one heavy node.
+  Graph h(9);
+  h.set_implicit_block_threshold(3);
+  const std::vector<NodeId> clique{0, 1, 2}, a{3, 4}, b{5, 6};
+  h.add_clique(clique);
+  h.add_biclique(a, b);
+  const EdgeList extra{{0, 7}, {7, 8}, {2, 8}, {3, 4}};
+  h.add_edges(extra);
+  h.set_weight(8, 5);
+  ASSERT_EQ(h.implicit_blocks().size(), 2u);
+
+  const std::size_t copies = 4;
+  Graph want(copies * 9);
+  want.set_implicit_block_threshold(3);
+  EdgeList edges;
+  for (std::size_t c = 0; c < copies; ++c) {
+    const NodeId off = c * 9;
+    const std::vector<NodeId> cc{off, off + 1, off + 2};
+    const std::vector<NodeId> ca{off + 3, off + 4}, cb{off + 5, off + 6};
+    want.add_clique(cc, edges);
+    want.add_biclique(ca, cb, edges);
+    for (auto [u, v] : extra) edges.emplace_back(off + u, off + v);
+    want.set_weight(off + 8, 5);
+  }
+  want.add_edges(edges);
+
+  const Graph got = Graph::tiled(h, copies);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.csr(), want.csr());
+  EXPECT_EQ(got.implicit_blocks(), want.implicit_blocks());
+  EXPECT_EQ(got.num_edges(), copies * h.num_edges());
+  EXPECT_EQ(got.implicit_block_threshold(), 3u);
+  EXPECT_EQ(Graph::tiled(h, 1), h);
+  EXPECT_EQ(Graph::tiled(h, 0).num_nodes(), 0u);
 }
 
 TEST(GraphImplicit, IndependentSetRespectsBlocks) {

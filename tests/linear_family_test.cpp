@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "comm/instances.hpp"
 #include "graph/matching.hpp"
@@ -71,6 +73,82 @@ TEST(LinearConstruction, NoEdgesBetweenACliquesOfDifferentCopies) {
             EXPECT_FALSE(
                 c.fixed_graph().has_edge(c.a_node(i, m1), c.code_node(j, h, r)));
           }
+        }
+      }
+    }
+  }
+}
+
+/// G built the way the construction used to be: every copy's cliques and
+/// codeword stars regenerated into one edge list, then the grids, then one
+/// add_edges — the reference the tiled build must reproduce exactly.
+graph::Graph reference_linear(const GadgetParams& p, std::size_t t,
+                              std::size_t threshold) {
+  const BaseGadget h(p);
+  const std::size_t npc = p.nodes_per_copy();
+  const std::size_t q = p.clique_size();
+  graph::Graph g(t * npc);
+  g.set_implicit_block_threshold(threshold);
+  graph::EdgeList edges;
+  for (std::size_t i = 0; i < t; ++i) {
+    const NodeId off = i * npc;
+    const auto shifted = [off](std::vector<NodeId> nodes) {
+      for (NodeId& v : nodes) v += off;
+      return nodes;
+    };
+    g.add_clique(shifted(h.a_nodes()), edges);
+    for (std::size_t pos = 0; pos < p.num_positions(); ++pos) {
+      g.add_clique(shifted(h.clique_nodes(pos)), edges);
+    }
+    for (std::size_t m = 0; m < p.k; ++m) {
+      for (std::size_t pos = 0; pos < p.num_positions(); ++pos) {
+        for (std::size_t r = 0; r < q; ++r) {
+          if (r != h.codeword(m)[pos]) {
+            edges.emplace_back(off + h.a_node(m), off + h.code_node(pos, r));
+          }
+        }
+      }
+    }
+    for (NodeId local = 0; local < npc; ++local) {
+      std::string label = h.graph().label(local);
+      label += '^';
+      label += std::to_string(i + 1);
+      g.set_label(off + local, std::move(label));
+    }
+  }
+  for (std::size_t pos = 0; pos < p.num_positions(); ++pos) {
+    g.add_anti_matching_grid(p.k + pos * q, npc, t, q, edges);
+  }
+  g.add_edges(edges);
+  return g;
+}
+
+TEST(LinearConstruction, TiledBuildEqualsPerCopyReference) {
+  for (const auto& p : {GadgetParams::from_l_alpha(2, 1, 3),
+                        GadgetParams::from_l_alpha(3, 1)}) {
+    const std::size_t q = p.clique_size();
+    // Above every per-copy clique, at or below every grid: only the grids
+    // become blocks.
+    const std::size_t grids_only =
+        std::max(p.k * (p.k - 1) / 2, q * (q - 1) / 2) + 1;
+    for (std::size_t threshold :
+         {graph::Graph::kNeverImplicit, std::size_t{1}, grids_only}) {
+      for (std::size_t t : {2, 3, 5}) {
+        BuildOptions opts;
+        opts.implicit_threshold = threshold;
+        const LinearConstruction c(p, t, opts);
+        const graph::Graph want = reference_linear(p, t, threshold);
+        const auto& g = c.fixed_graph();
+        SCOPED_TRACE(testing::Message() << "k=" << p.k << " t=" << t
+                                        << " threshold=" << threshold);
+        EXPECT_EQ(g, want);
+        EXPECT_EQ(g.csr(), want.csr());
+        EXPECT_EQ(g.implicit_blocks(), want.implicit_blocks());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(g.label(v), want.label(v)) << "node " << v;
+        }
+        if (threshold == grids_only) {
+          EXPECT_EQ(g.implicit_blocks().size(), p.num_positions());
         }
       }
     }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "comm/instances.hpp"
 #include "lowerbound/framework.hpp"
 #include "lowerbound/quadratic_family.hpp"
@@ -71,6 +74,96 @@ TEST(QuadraticConstruction, TEqualsOneHasEmptyCut) {
   const QuadraticConstruction c(small_params(), 1);
   EXPECT_EQ(c.cut_size(), 0u);
   EXPECT_TRUE(c.cut_edges().empty());
+}
+
+/// F built the way the construction used to be: every copy (i, b) gets
+/// its cliques and codeword stars regenerated into one edge list and its A
+/// clique weighted ell, then the grids, then one add_edges — the reference
+/// the tiled build must reproduce exactly.
+graph::Graph reference_quadratic(const GadgetParams& p, std::size_t t,
+                                 std::size_t threshold) {
+  const BaseGadget h(p);
+  const std::size_t npc = p.nodes_per_copy();
+  const std::size_t q = p.clique_size();
+  graph::Graph g(2 * t * npc);
+  g.set_implicit_block_threshold(threshold);
+  graph::EdgeList edges;
+  for (std::size_t i = 0; i < t; ++i) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      const NodeId off = (2 * i + b) * npc;
+      const auto shifted = [off](std::vector<NodeId> nodes) {
+        for (NodeId& v : nodes) v += off;
+        return nodes;
+      };
+      for (std::size_t m = 0; m < p.k; ++m) {
+        g.set_weight(off + h.a_node(m), static_cast<graph::Weight>(p.ell));
+      }
+      g.add_clique(shifted(h.a_nodes()), edges);
+      for (std::size_t pos = 0; pos < p.num_positions(); ++pos) {
+        g.add_clique(shifted(h.clique_nodes(pos)), edges);
+      }
+      for (std::size_t m = 0; m < p.k; ++m) {
+        for (std::size_t pos = 0; pos < p.num_positions(); ++pos) {
+          for (std::size_t r = 0; r < q; ++r) {
+            if (r != h.codeword(m)[pos]) {
+              edges.emplace_back(off + h.a_node(m), off + h.code_node(pos, r));
+            }
+          }
+        }
+      }
+      for (NodeId local = 0; local < npc; ++local) {
+        std::string label = h.graph().label(local);
+        label += "^(";
+        label += std::to_string(i + 1);
+        label += ',';
+        label += std::to_string(b + 1);
+        label += ')';
+        g.set_label(off + local, std::move(label));
+      }
+    }
+  }
+  if (t >= 2) {
+    for (std::size_t b = 0; b < 2; ++b) {
+      for (std::size_t pos = 0; pos < p.num_positions(); ++pos) {
+        g.add_anti_matching_grid(b * npc + p.k + pos * q, 2 * npc, t, q,
+                                 edges);
+      }
+    }
+  }
+  g.add_edges(edges);
+  return g;
+}
+
+TEST(QuadraticConstruction, TiledBuildEqualsPerCopyReference) {
+  for (const auto& p : {small_params(), GadgetParams::from_l_alpha(3, 1)}) {
+    const std::size_t q = p.clique_size();
+    // Above every per-copy clique, at or below every grid: only the grids
+    // become blocks.
+    const std::size_t grids_only =
+        std::max(p.k * (p.k - 1) / 2, q * (q - 1) / 2) + 1;
+    for (std::size_t threshold :
+         {graph::Graph::kNeverImplicit, std::size_t{1}, grids_only}) {
+      for (std::size_t t : {1, 2, 3, 5}) {
+        BuildOptions opts;
+        opts.implicit_threshold = threshold;
+        const QuadraticConstruction c(p, t, opts);
+        const graph::Graph want = reference_quadratic(p, t, threshold);
+        const auto& g = c.fixed_graph();
+        SCOPED_TRACE(testing::Message() << "k=" << p.k << " t=" << t
+                                        << " threshold=" << threshold);
+        EXPECT_EQ(g, want);
+        EXPECT_EQ(g.csr(), want.csr());
+        EXPECT_EQ(g.implicit_blocks(), want.implicit_blocks());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(g.label(v), want.label(v)) << "node " << v;
+        }
+        if (threshold == grids_only) {
+          EXPECT_EQ(g.implicit_blocks().size(),
+                    t >= 2 ? 2 * p.num_positions() : 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(QuadraticConstruction, PairIndexLayout) {
