@@ -12,7 +12,7 @@ round count) and emits a dependency-free SVG scatter of
 overlaid with the paper's Theorem 1 and Theorem 2 inapproximability
 curves: the point (R(eps, n), ratio) on a curve says "no algorithm with
 ratio >= this can finish in fewer than R rounds on n nodes". The measured
-zoo runs on CI-sized instances (n = 16..48) where the bounds are vacuous,
+zoo runs on CI-sized instances (n = 24..72) where the bounds are vacuous,
 so the curves are drawn at a paper-regime --n (default 2^40: large enough
 that Theorem 1's linear-in-k communication clears its gadget's cut cost;
 Theorem 2's quadratic communication is non-vacuous orders of magnitude

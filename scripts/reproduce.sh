@@ -6,7 +6,7 @@
 # and C35 tables; each bench prints the other sections, one bench per
 # section (EXPERIMENTS.md names it in the section's header).
 #
-# The bench loop runs every bench once, the 13 table benches included, so
+# The bench loop runs every bench once, the 14 table benches included, so
 # the ctest pass leaves those out (label table_bench). It also runs
 # bench_simulation's full scaling curve up to n = 10^6 (~1.5 GB peak RSS
 # per bench/baselines/BENCH_scale_baseline.json); set CLB_SCALE_MAX_N

@@ -94,53 +94,47 @@ std::vector<ApproxBenchRow> measure_blackboard_rows(const graph::Graph& g,
                                                     std::uint64_t seed) {
   const std::size_t n = g.num_nodes();
   const std::size_t id_bits = id_bits_of(n);
+  const std::int64_t upper = maxis::clique_partition_upper_bound(g);
   // The board registers at least two parties even when the protocol only
   // exercises one of them (comm::Blackboard's own floor).
   const std::size_t board_players = std::max<std::size_t>(2, players);
 
-  std::vector<ApproxBenchRow> rows;
-  {
-    comm::Blackboard board(board_players);
-    const auto rep = congest::full_revelation_mis(g, players, board);
+  const auto row_of = [&](std::string variant,
+                          const congest::BlackboardMisReport& rep,
+                          std::uint64_t round_bound,
+                          std::uint64_t bit_budget) {
     ApproxBenchRow row;
     row.name = name;
-    row.variant = "full-revelation";
+    row.variant = std::move(variant);
     row.nodes = n;
     row.edges = g.num_edges();
     row.rounds = rep.blackboard_rounds;
-    row.round_bound = 1;
+    row.round_bound = round_bound;
     row.bits = rep.bits_posted;
-    row.bit_budget = static_cast<std::uint64_t>(g.num_edges()) * 2 * id_bits;
+    row.bit_budget = bit_budget;
     row.alg_weight = g.weight_of(rep.mis);
-    row.opt_upper = maxis::clique_partition_upper_bound(g);
-    // The bit leg is exact for full revelation: the protocol posts every
-    // half-open incident edge exactly once, no more, no less.
-    row.holds = g.is_independent_set(rep.mis) && rep.blackboard_rounds == 1 &&
-                rep.bits_posted == row.bit_budget &&
-                row.alg_weight <= row.opt_upper;
-    rows.push_back(std::move(row));
-  }
-  {
-    comm::Blackboard board(board_players);
-    const auto rep = congest::luby_blackboard_mis(g, players, board, seed);
-    ApproxBenchRow row;
-    row.name = std::move(name);
-    row.variant = "luby";
-    row.nodes = n;
-    row.edges = g.num_edges();
-    row.rounds = rep.blackboard_rounds;
-    row.round_bound = 2 * n;
-    row.bits = rep.bits_posted;
-    row.bit_budget = static_cast<std::uint64_t>(2 * n) * id_bits;
-    row.alg_weight = g.weight_of(rep.mis);
-    row.opt_upper = maxis::clique_partition_upper_bound(g);
-    row.holds = g.is_independent_set(rep.mis) &&
-                rep.blackboard_rounds <= row.round_bound &&
-                rep.bits_posted <= row.bit_budget &&
-                row.alg_weight <= row.opt_upper;
-    rows.push_back(std::move(row));
-  }
-  return rows;
+    row.opt_upper = upper;
+    row.holds = g.is_independent_set(rep.mis) && row.rounds <= round_bound &&
+                row.bits <= bit_budget && row.alg_weight <= upper;
+    return row;
+  };
+
+  comm::Blackboard full_board(board_players);
+  ApproxBenchRow full =
+      row_of("full-revelation",
+             congest::full_revelation_mis(g, players, full_board), 1,
+             static_cast<std::uint64_t>(g.num_edges()) * 2 * id_bits);
+  // Both legs are exact for full revelation: one round, and every
+  // half-open incident edge posted exactly once, no more, no less.
+  full.holds = full.holds && full.rounds == full.round_bound &&
+               full.bits == full.bit_budget;
+
+  comm::Blackboard luby_board(board_players);
+  ApproxBenchRow luby =
+      row_of("luby",
+             congest::luby_blackboard_mis(g, players, luby_board, seed),
+             2 * n, static_cast<std::uint64_t>(2 * n) * id_bits);
+  return {full, luby};
 }
 
 void write_approx_bench_json(std::ostream& os,

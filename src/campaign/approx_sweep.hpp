@@ -15,14 +15,10 @@
 // contract: measured rounds against the published envelope and measured
 // bits against the model budget.
 //
-// The same row type and writer back three consumers, so their schemas can
-// never drift apart:
-//   - the campaign checks (CheckKind::kApproxSweep / kBlackboardSweep in
-//     campaign/jobs.cpp);
-//   - bench/bench_approx.cpp, which emits BENCH_approx.json and the
-//     EXPERIMENTS.md gap-sandwich table;
-//   - tests/approx_bench_golden_test.cpp, which pins the JSON row schema
-//     byte for byte.
+// The campaign's algorithm checks produce these rows (algorithm_rows in
+// campaign/jobs.hpp); bench/bench_approx.cpp times that same call and
+// writes them as BENCH_approx.json, whose row schema
+// tests/approx_bench_golden_test.cpp pins byte for byte.
 
 #pragma once
 

@@ -24,6 +24,13 @@
 #include "support/json.hpp"
 
 namespace congestlb::campaign {
+
+std::uint64_t check_job_seed(std::uint64_t campaign_seed,
+                             std::string_view sweep_name,
+                             std::size_t point_index) {
+  return hash_mix(campaign_seed, fnv1a64(sweep_name), point_index, 3);
+}
+
 namespace {
 
 enum class Stage : std::uint8_t { kBuild, kSolveYes, kSolveNo, kCheck };
@@ -120,7 +127,7 @@ Expansion expand(const CampaignSpec& spec) {
         c.stage = Stage::kCheck;
         c.check = sweep.check;
         c.point = p;
-        c.seed = hash_mix(spec.seed, sweep_hash, pi, 3);
+        c.seed = check_job_seed(spec.seed, sweep.name, pi);
         c.sample_budget = sweep.sample_budget;
         c.eps_num = sweep.eps_num;
         c.eps_den = sweep.eps_den;

@@ -31,6 +31,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/cache.hpp"
@@ -123,6 +124,14 @@ struct CampaignResult {
 
   const JobRecord* find(std::string_view id) const;
 };
+
+/// Seed of the check job at point `point_index` of sweep `sweep_name` in a
+/// campaign seeded `campaign_seed` (every check kind but the claims, whose
+/// seeds belong to their solve jobs). A pure function of the spec
+/// position: bench_approx replays the algorithm sweeps' jobs with it.
+std::uint64_t check_job_seed(std::uint64_t campaign_seed,
+                             std::string_view sweep_name,
+                             std::size_t point_index);
 
 /// Execute the campaign. `prior` (e.g. read_manifest of a partial run)
 /// enables resume; pass nullptr for a fresh run. Throws InvariantError on

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "campaign/approx_sweep.hpp"
 #include "comm/instances.hpp"
 #include "graph/io.hpp"
 #include "graph/matching.hpp"
@@ -148,45 +147,23 @@ PointOutcome check_property(CheckKind kind, const lb::LinearConstruction& c,
   throw InvariantError("check_property: not a property check");
 }
 
-PointOutcome check_algorithm(CheckKind kind, const lb::LinearConstruction& c,
-                             std::uint64_t seed, std::size_t eps_num,
-                             std::size_t eps_den) {
-  const graph::Graph& g = c.fixed_graph();
-  PointOutcome out;
-  out.nodes = g.num_nodes();
-  out.edges = g.num_edges();
+std::vector<ApproxBenchRow> algorithm_rows(CheckKind kind,
+                                           const lb::LinearConstruction& c,
+                                           std::uint64_t seed,
+                                           std::size_t eps_num,
+                                           std::size_t eps_den) {
+  const lb::GadgetParams& p = c.params();
+  std::string name = "gadget/ell=" + std::to_string(p.ell) +
+                     ",alpha=" + std::to_string(p.alpha) +
+                     ",t=" + std::to_string(c.num_players());
   switch (kind) {
-    case CheckKind::kApproxSweep: {
-      const ApproxBenchRow row =
-          measure_approx_row(g, "gadget", eps_num, eps_den, seed);
-      out.alg_weight = row.alg_weight;
-      out.opt = row.opt_exact;
-      out.bound_no = row.opt_upper;
-      out.rounds = row.rounds;
-      out.round_bound = row.round_bound;
-      out.bits = row.bits;
-      out.checked = 1;
-      out.holds = row.holds;
-      return out;
-    }
-    case CheckKind::kBlackboardSweep: {
-      // Both protocols, players = t (the gadget's natural party count).
-      const auto rows =
-          measure_blackboard_rows(g, "gadget", c.num_players(), seed);
-      bool holds = true;
-      for (const ApproxBenchRow& row : rows) holds = holds && row.holds;
-      // Recorded legs: the Luby run (the interesting tradeoff point); the
-      // full-revelation legs are pinned by its exact-bit holds check.
-      const ApproxBenchRow& luby = rows.back();
-      out.alg_weight = luby.alg_weight;
-      out.bound_no = luby.opt_upper;
-      out.rounds = luby.rounds;
-      out.round_bound = luby.round_bound;
-      out.bits = luby.bits;
-      out.checked = rows.size();
-      out.holds = holds;
-      return out;
-    }
+    case CheckKind::kApproxSweep:
+      return {measure_approx_row(c.fixed_graph(), std::move(name), eps_num,
+                                 eps_den, seed)};
+    case CheckKind::kBlackboardSweep:
+      // Players = t, the gadget's natural party count.
+      return measure_blackboard_rows(c.fixed_graph(), std::move(name),
+                                     c.num_players(), seed);
     case CheckKind::kProperty1:
     case CheckKind::kProperty2:
     case CheckKind::kProperty3:
@@ -194,7 +171,31 @@ PointOutcome check_algorithm(CheckKind kind, const lb::LinearConstruction& c,
     case CheckKind::kClaim35:
       break;
   }
-  throw InvariantError("check_algorithm: not an algorithm check");
+  throw InvariantError("algorithm_rows: not an algorithm check");
+}
+
+PointOutcome check_algorithm(CheckKind kind, const lb::LinearConstruction& c,
+                             std::uint64_t seed, std::size_t eps_num,
+                             std::size_t eps_den) {
+  const std::vector<ApproxBenchRow> rows =
+      algorithm_rows(kind, c, seed, eps_num, eps_den);
+  // Recorded legs: the last row — the KKSS run, or the blackboard sweep's
+  // Luby run (the interesting tradeoff point); the full-revelation legs
+  // are pinned by its exact-bit holds check.
+  const ApproxBenchRow& row = rows.back();
+  PointOutcome out;
+  out.nodes = row.nodes;
+  out.edges = row.edges;
+  out.alg_weight = row.alg_weight;
+  out.opt = row.opt_exact;
+  out.bound_no = row.opt_upper;
+  out.rounds = row.rounds;
+  out.round_bound = row.round_bound;
+  out.bits = row.bits;
+  out.checked = rows.size();
+  out.holds = std::all_of(rows.begin(), rows.end(),
+                          [](const ApproxBenchRow& r) { return r.holds; });
+  return out;
 }
 
 SolveResult solve_branch(const lb::LinearConstruction& c, bool yes_branch,

@@ -19,7 +19,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "campaign/approx_sweep.hpp"
 #include "campaign/manifest.hpp"
 #include "graph/graph.hpp"
 #include "lowerbound/linear_family.hpp"
@@ -147,11 +149,20 @@ SolveResult solve_branch(const lb::LinearConstruction& c, bool yes_branch,
 PointOutcome check_claim(CheckKind kind, const ResolvedPoint& p,
                          std::int64_t yes_opt, std::int64_t no_opt);
 
-/// Algorithm-sweep verdict (kApproxSweep / kBlackboardSweep): run the
-/// upper-bound algorithm on the point's fixed gadget graph and evaluate
-/// its full approximation contract — the gap sandwich plus round and bit
-/// envelopes (campaign/approx_sweep.hpp). `opt` records the certified
-/// optimum (or -1), `bound_no` the clique-partition upper bound.
+/// The gap-sandwich rows of one algorithm-sweep point, named
+/// "gadget/ell=…,alpha=…,t=…": kApproxSweep gives the one KKSS row at
+/// eps_num / eps_den, kBlackboardSweep the full-revelation and Luby rows
+/// with players = t. The check jobs and bench_approx both measure here.
+std::vector<ApproxBenchRow> algorithm_rows(CheckKind kind,
+                                           const lb::LinearConstruction& c,
+                                           std::uint64_t seed,
+                                           std::size_t eps_num,
+                                           std::size_t eps_den);
+
+/// Algorithm-sweep verdict: every algorithm_rows row holds its contract.
+/// The outcome carries the last row's legs (the KKSS or the Luby run):
+/// `opt` the certified optimum (or -1), `bound_no` the clique-partition
+/// upper bound.
 PointOutcome check_algorithm(CheckKind kind, const lb::LinearConstruction& c,
                              std::uint64_t seed, std::size_t eps_num,
                              std::size_t eps_den);

@@ -1,11 +1,10 @@
 // Stateless deterministic hashing for schedule-independent decisions.
 //
 // Seeded choices that must not depend on iteration order — blackboard_mis's
-// per-phase lottery keys, the traffic workloads' per-node draws, the
-// campaign's per-job seeds, message checksums (congest/message.hpp) — are
-// derived by hashing their coordinates rather than by advancing a shared
-// generator, so a refactor of the loop that asks cannot silently change
-// them and break seed-based repros. These helpers turn a tuple of integers
+// per-phase lottery keys, the campaign's per-job seeds, message checksums
+// (congest/message.hpp) — are derived by hashing their coordinates rather
+// than by advancing a shared generator, so a refactor of the loop that asks
+// cannot silently change them and break seed-based repros. These helpers turn a tuple of integers
 // into a high-quality 64-bit hash (a chain of splitmix64 finalizers), with
 // no generator state involved: hash_mix(seed, a, b, c) is a pure function.
 

@@ -42,6 +42,7 @@
 #include "congest/approx_mis.hpp"
 #include "congest/blackboard_mis.hpp"
 #include "congest/network.hpp"
+#include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "maxis/brute_force.hpp"
 #include "maxis/branch_and_bound.hpp"
@@ -49,6 +50,7 @@
 #include "property_harness.hpp"
 #include "support/hash.hpp"
 #include "support/math.hpp"
+#include "support/rng.hpp"
 
 namespace congestlb::testing {
 
@@ -227,6 +229,64 @@ inline std::optional<std::string> check_blackboard_contract(
     return "blackboard luby: MIS depends on the player count";
   }
   return std::nullopt;
+}
+
+// ----------------------------------------------------- hostile topologies --
+// Structure that random G(n, p) rarely produces, with node weights drawn
+// from [1, 8]. Each graph is a pure function of (shape, n, rng state).
+
+enum class HostileShape : std::uint8_t {
+  kPathWithChords,  ///< G(n, 2/n) over a path backbone
+  kBipartite,       ///< random bipartite, halves n/2 and n - n/2, p = 1/2
+  kStar,            ///< one cut vertex
+  kBridgedCliques,  ///< two n/2-cliques joined by one edge: carve elections
+                    ///< meet at the bottleneck
+  kCycle,           ///< a ring: no endpoint breaks the symmetry
+};
+
+/// gtest prints a shape parameter by name, so ctest lists each case as
+/// ".../PathWithChords" and so on.
+inline void PrintTo(HostileShape shape, std::ostream* os) {
+  static constexpr const char* kNames[] = {"PathWithChords", "Bipartite",
+                                           "Star", "BridgedCliques", "Cycle"};
+  *os << kNames[static_cast<std::size_t>(shape)];
+}
+
+inline graph::Graph hostile_graph(HostileShape shape, std::size_t n,
+                                  Rng& rng) {
+  graph::Graph g;
+  switch (shape) {
+    case HostileShape::kPathWithChords:
+      return graph::gnp_random_connected(
+          rng, n, 2.0 / static_cast<double>(n), /*max_weight=*/8);
+    case HostileShape::kBipartite:
+      g = graph::random_bipartite(rng, n / 2, n - n / 2, 0.5);
+      break;
+    case HostileShape::kStar:
+      g = graph::star_graph(n);
+      break;
+    case HostileShape::kBridgedCliques: {
+      const std::size_t half = n / 2;
+      graph::EdgeList edges;
+      for (graph::NodeId u = 0; u < half; ++u) {
+        for (graph::NodeId v = u + 1; v < half; ++v) {
+          edges.emplace_back(u, v);
+          edges.emplace_back(half + u, half + v);
+        }
+      }
+      edges.emplace_back(half - 1, half);  // the bridge
+      g = graph::Graph(2 * half);
+      g.add_edges(edges);
+      break;
+    }
+    case HostileShape::kCycle:
+      g = graph::cycle_graph(n);
+      break;
+  }
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    g.set_weight(v, static_cast<graph::Weight>(1 + rng.below(8)));
+  }
+  return g;
 }
 
 // --------------------------------------------------------- property forms --

@@ -2,8 +2,9 @@
 // KKSS-style (1+eps)-approximate MaxIS (congest/approx_mis.hpp) and the
 // Assadi–Kol–Zhang blackboard MIS protocols (congest/blackboard_mis.hpp),
 // sampled across workloads, seeds, and thread counts via
-// the contract harness (approx_contract.hpp). Traffic-pattern graphs
-// (sim/traffic.hpp) serve as the structured stress workloads.
+// the contract harness (approx_contract.hpp). Hostile topologies from
+// graph/generators (stars, bridged cliques, sparse chords) serve as the
+// structured stress workloads.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,6 @@
 #include "lowerbound/params.hpp"
 #include "maxis/branch_and_bound.hpp"
 #include "maxis/verify.hpp"
-#include "sim/traffic.hpp"
 #include "support/rng.hpp"
 
 namespace congestlb::testing {
@@ -53,28 +53,32 @@ TEST(ApproxContract, BlackboardProtocols) {
   EXPECT_FALSE(failure.has_value()) << failure->describe();
 }
 
-// ------------------------------------------------------ traffic workloads --
-// The interconnect patterns are the adversarial-structure workloads: rings
-// with long chords (tornado, shuffle) and bipartite-ish matchings
-// (bit-complement, transpose).
+// ----------------------------------------------------- hostile topologies --
+// Weighted graphs from graph/generators whose structure random G(n, p)
+// rarely produces (approx_contract.hpp's HostileShape).
 
-class TrafficWorkloadSweep
-    : public ::testing::TestWithParam<sim::TrafficPattern> {};
+class ApproxContractTopology
+    : public ::testing::TestWithParam<HostileShape> {};
 
-TEST_P(TrafficWorkloadSweep, ApproxMisContractHolds) {
-  const auto g = sim::traffic_graph(GetParam(), 12, /*seed=*/5);
+TEST_P(ApproxContractTopology, ApproxMisContractHolds) {
+  Rng rng(5);
+  const auto g = hostile_graph(GetParam(), 12, rng);
   const auto failure = check_approx_mis_contract(g, /*seed=*/5);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }
 
-TEST_P(TrafficWorkloadSweep, BlackboardContractHolds) {
-  const auto g = sim::traffic_graph(GetParam(), 16, /*seed=*/6);
+TEST_P(ApproxContractTopology, BlackboardContractHolds) {
+  Rng rng(6);
+  const auto g = hostile_graph(GetParam(), 16, rng);
   const auto failure = check_blackboard_contract(g, /*seed=*/6, /*players=*/4);
   EXPECT_FALSE(failure.has_value()) << *failure;
 }
 
-INSTANTIATE_TEST_SUITE_P(Patterns, TrafficWorkloadSweep,
-                         ::testing::ValuesIn(sim::kAllTrafficPatterns));
+INSTANTIATE_TEST_SUITE_P(
+    Hostile, ApproxContractTopology,
+    ::testing::Values(HostileShape::kPathWithChords, HostileShape::kBipartite,
+                      HostileShape::kStar, HostileShape::kBridgedCliques,
+                      HostileShape::kCycle));
 
 // ------------------------------------------------------- gadget workloads --
 // The paper's own hard instances: instantiated linear-family gadgets, where
@@ -202,8 +206,36 @@ TEST(BlackboardMis, RejectsBadPlayerCount) {
 }
 
 // ------------------------------------------------------ campaign builtins --
-// The algorithm sweeps as resumable campaigns: every check must hold, and
-// the records must survive a manifest round trip bit for bit.
+// The algorithm sweeps as resumable campaigns: every check must hold, the
+// records must survive a manifest round trip bit for bit, and each record
+// must equal the algorithm_rows call bench_approx makes for that job.
+
+/// Every check record of `result` carries the legs of its point's last
+/// algorithm_rows row, measured at the job's exported seed.
+void expect_records_match_algorithm_rows(
+    const campaign::CampaignSpec& spec,
+    const campaign::CampaignResult& result) {
+  for (const campaign::SweepSpec& sweep : spec.sweeps) {
+    for (std::size_t pi = 0; pi < sweep.points.size(); ++pi) {
+      const campaign::ResolvedPoint p =
+          campaign::resolve_point(sweep.points[pi]);
+      const auto* rec =
+          result.find(sweep.name + "/" + p.canonical() + "/check");
+      ASSERT_NE(rec, nullptr) << sweep.name << " point " << pi;
+      const auto rows = campaign::algorithm_rows(
+          sweep.check, campaign::build_gadget(p, ""),
+          campaign::check_job_seed(spec.seed, sweep.name, pi), sweep.eps_num,
+          sweep.eps_den);
+      ASSERT_FALSE(rows.empty());
+      const campaign::ApproxBenchRow& row = rows.back();
+      EXPECT_EQ(rec->outcome.alg_weight, row.alg_weight) << rec->id;
+      EXPECT_EQ(rec->outcome.opt, row.opt_exact) << rec->id;
+      EXPECT_EQ(rec->outcome.bound_no, row.opt_upper) << rec->id;
+      EXPECT_EQ(rec->outcome.rounds, row.rounds) << rec->id;
+      EXPECT_EQ(rec->outcome.bits, row.bits) << rec->id;
+    }
+  }
+}
 
 TEST(ApproxCampaign, BuiltinApproxSweepAllHold) {
   const auto spec = campaign::builtin_campaign("approx_sweep");
@@ -230,6 +262,8 @@ TEST(ApproxCampaign, BuiltinApproxSweepAllHold) {
   EXPECT_EQ(it->second.outcome.alg_weight, rec->outcome.alg_weight);
   EXPECT_EQ(it->second.outcome.rounds, rec->outcome.rounds);
   EXPECT_EQ(it->second.outcome.bits, rec->outcome.bits);
+
+  expect_records_match_algorithm_rows(*spec, result);
 }
 
 TEST(ApproxCampaign, BuiltinBlackboardSweepAllHold) {
@@ -238,6 +272,7 @@ TEST(ApproxCampaign, BuiltinBlackboardSweepAllHold) {
   const auto result = campaign::run_campaign(*spec, {});
   EXPECT_TRUE(result.all_hold);
   EXPECT_EQ(result.checks, 4u);
+  expect_records_match_algorithm_rows(*spec, result);
 }
 
 TEST(ApproxCampaign, EpsRoundTripsThroughSpecText) {

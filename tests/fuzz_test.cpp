@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 
+#include "approx_contract.hpp"
 #include "comm/blackboard.hpp"
 #include "congest/approx_mis.hpp"
 #include "congest/blackboard_mis.hpp"
@@ -23,7 +24,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/traffic.hpp"
 #include "support/expect.hpp"
 #include "support/rng.hpp"
 
@@ -258,38 +258,22 @@ TEST_P(FuzzSweep, BlackboardTranscriptRoundTrip) {
 
 // ----------------------------------------------- upper-bound algorithm zoo --
 
-/// Hostile topologies for the approximation programs: traffic-pattern
-/// graphs (rings with adversarial chords), stars (one cut vertex), and two
-/// cliques joined by a bridge (carve elections meet at the bottleneck).
+/// Hostile topologies for the approximation programs: paths with sparse
+/// random chords, stars (one cut vertex), and two cliques joined by a
+/// bridge (carve elections meet at the bottleneck).
 graph::Graph hostile_topology(Rng& rng) {
+  using testing::HostileShape;
+  using testing::hostile_graph;
   const std::size_t shape = rng.below(3);
   if (shape == 0) {
-    const auto pattern = sim::kAllTrafficPatterns[rng.below(
-        std::size(sim::kAllTrafficPatterns))];
-    return sim::traffic_graph(pattern, 4 + rng.below(12), rng.next());
+    return hostile_graph(HostileShape::kPathWithChords, 4 + rng.below(12),
+                         rng);
   }
   if (shape == 1) {
-    const std::size_t n = 3 + rng.below(12);
-    graph::Graph g(n);
-    for (graph::NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      g.set_weight(v, static_cast<graph::Weight>(1 + rng.below(8)));
-    }
-    return g;
+    return hostile_graph(HostileShape::kStar, 3 + rng.below(12), rng);
   }
-  const std::size_t half = 3 + rng.below(5);
-  graph::Graph g(2 * half);
-  for (graph::NodeId u = 0; u < half; ++u) {
-    for (graph::NodeId v = u + 1; v < half; ++v) {
-      g.add_edge(u, v);
-      g.add_edge(half + u, half + v);
-    }
-  }
-  g.add_edge(half - 1, half);  // the bridge
-  for (graph::NodeId v = 0; v < 2 * half; ++v) {
-    g.set_weight(v, static_cast<graph::Weight>(1 + rng.below(8)));
-  }
-  return g;
+  return hostile_graph(HostileShape::kBridgedCliques, 2 * (3 + rng.below(5)),
+                       rng);
 }
 
 TEST_P(FuzzSweep, ApproxMisSurvivesHostileTopologies) {
