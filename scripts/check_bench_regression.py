@@ -19,7 +19,10 @@ gain in one configuration can never mask a regression in another.
 
 The rules are one table keyed by metric name (_RULES):
   - timing (ns_per_round, ns_per_solve, ns_per_iteration) and
-    peak_rss_bytes fail when measured > factor * baseline (default 2x);
+    peak_rss_bytes fail when measured > factor * baseline (default 2x),
+    and fail as untimed when they measure 0 against a positive baseline
+    (a row the bench no longer times gates nothing; a baseline of 0
+    marks a row as untimed on purpose);
   - allocs_per_round must be 0 on flood/* rows (steady-state flood);
   - jobs_quarantined and jobs_blocked must be 0 (a bench runs with no
     chaos injected, so any of them means real work failed).
@@ -143,6 +146,12 @@ def main():
         for metric, base_v in sorted(base["metrics"].items()):
             got_v = got["metrics"].get(metric)
             if _RULES.get(metric) != ("factor",) or not base_v or got_v is None:
+                continue
+            if not got_v:
+                failures.append(
+                    f"{describe(key)}: {metric} measured 0 against baseline "
+                    f"{base_v:.0f} (untimed)")
+                print(f"{describe(key)}: {metric} 0 -> UNTIMED")
                 continue
             ratio = got_v / base_v
             status = "ok"

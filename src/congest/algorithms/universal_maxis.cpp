@@ -41,10 +41,12 @@ class UniversalMaxIsProgram final : public NodeProgram {
              Rng& /*rng*/) override {
     if (!initialized_) initialize(info);
 
-    for (const auto& msg : inbox) {
-      if (msg) ingest(info, *msg);
+    // A node that holds the graph already knows every token it could be
+    // sent, so from then on it reads nothing and only sends.
+    if (!have_solution_) {
+      ingest_all(info, inbox);
+      try_finish(info);
     }
-    try_finish(info);
 
     // Broadcast the next not-yet-sent token to every neighbor. (An isolated
     // node's send_all is a no-op, so its cursor runs out in one round.)
@@ -111,29 +113,58 @@ class UniversalMaxIsProgram final : public NodeProgram {
     tokens_.push_back(id << 1 | deg << (1 + id_bits_));
   }
 
-  /// Edge (u, v), u < v, is bit C(v, 2) + u of edge_known_.
-  void add_edge_token(std::uint64_t u, std::uint64_t v) {
+  /// Edge (u, v), u < v, is bit C(v, 2) + u of the bitmap `known`. Sets
+  /// the bit; true when it was clear.
+  static bool mark_edge(std::uint64_t* known, std::uint64_t u,
+                        std::uint64_t v) {
     const std::uint64_t bit = v * (v - 1) / 2 + u;
-    std::uint64_t& word = edge_known_[bit / 64];
+    std::uint64_t& word = known[bit / 64];
     const std::uint64_t mask = std::uint64_t{1} << (bit % 64);
-    if ((word & mask) != 0) return;
+    if ((word & mask) != 0) return false;
     word |= mask;
+    return true;
+  }
+
+  void add_edge_token(std::uint64_t u, std::uint64_t v) {
+    if (!mark_edge(edge_known_.data(), u, v)) return;
     ++num_edges_known_;
     tokens_.push_back(1 | u << 1 | v << (1 + id_bits_));
   }
 
-  void ingest(const NodeInfo& info, const Message& msg) {
-    MessageReader r(msg);
-    const std::uint64_t head = r.get(head_bits());
-    const std::uint64_t a = field_a(head);
-    const std::uint64_t b = field_b(head);
-    CLB_EXPECT(a < info.n && b < info.n, "universal-maxis: bad token ids");
-    if ((head & 1) != 0) {
-      CLB_EXPECT(a < b, "universal-maxis: edge token endpoints out of order");
-      add_edge_token(a, b);
-    } else {
-      add_node_token(a, b, r.get(kWeightBits));
+  /// Store every new token of this round's inbox. The loop keeps the
+  /// widths, masks, n, bitmap and edge count in locals: its 64-bit stores
+  /// into the bitmap may alias the size_t members, which would otherwise be
+  /// reloaded per message.
+  void ingest_all(const NodeInfo& info, const Inbox& inbox) {
+    const std::size_t id_bits = id_bits_;
+    const std::size_t hb = head_bits();
+    const std::uint64_t head_mask = (std::uint64_t{1} << hb) - 1;
+    const std::uint64_t id_mask = (std::uint64_t{1} << id_bits) - 1;
+    const std::uint64_t n = info.n;
+    std::uint64_t* const bitmap = edge_known_.data();
+    std::size_t edges = num_edges_known_;
+    for (const auto& slot : inbox) {
+      if (!slot) continue;
+      const Message& msg = *slot;
+      // The head is the low hb bits of the first word (hb <= 63); the
+      // check is MessageReader's read-past-end check on it.
+      CLB_EXPECT(hb <= msg.bits, "MessageReader: read past end");
+      const std::uint64_t head = msg.data.words()[0] & head_mask;
+      const std::uint64_t a = (head >> 1) & id_mask;
+      const std::uint64_t b = head >> (1 + id_bits);
+      CLB_EXPECT(a < n && b < n, "universal-maxis: bad token ids");
+      if ((head & 1) != 0) {
+        CLB_EXPECT(a < b, "universal-maxis: edge token endpoints out of order");
+        if (!mark_edge(bitmap, a, b)) continue;
+        ++edges;
+        tokens_.push_back(head);  // the head word is the token
+      } else {
+        MessageReader r(msg);
+        r.get(hb);
+        add_node_token(a, b, r.get(kWeightBits));
+      }
     }
+    num_edges_known_ = edges;
   }
 
   void try_finish(const NodeInfo& info) {

@@ -15,9 +15,12 @@
 // from it. The solver runs once per distinct learned graph per run. Every
 // node still learns the whole graph, and the solver is deterministic on
 // that graph, so outputs do not depend on which node solves first or on
-// the thread count. Every neighbor receives the same message each round,
-// so this is a CONGEST-Broadcast algorithm, as the engine requires: each
-// round's token is stored once, in the sender's one out-slot.
+// the thread count. Once a node knows the graph, every token it could
+// still receive is one it holds, so it stops reading its inbox: from then
+// on its work per round is one send. Every neighbor receives the same
+// message each round, so this is a CONGEST-Broadcast algorithm, as the
+// engine requires: each round's token is stored once, in the sender's one
+// out-slot.
 //
 // It is also the honest end-to-end algorithm for the reduction pipeline
 // (sim::ReductionDriver): it decides the gap predicate exactly, so the

@@ -2,8 +2,9 @@
 """Self-test for scripts/check_bench_regression.py.
 
 Exercises the checker end-to-end over JSON files in a temp directory: a
-healthy pair passes, a genuine regression fails (exit 1), a file written
-under an unknown schema is a hard error (exit 2), and a comparison in
+healthy pair passes, a genuine regression or a timed row that measures 0
+fails (exit 1), a file written under an unknown schema is a hard error
+(exit 2), and a comparison in
 which no baseline row matches — an emptied or renamed run — fails instead
 of passing on zero comparisons. Registered in tests/CMakeLists.txt as a
 plain CTest command; runs standalone too:
@@ -91,6 +92,21 @@ class CheckBenchRegressionTest(unittest.TestCase):
         base = self._write("base.json", _doc([_row("a", ns_per_round=100)]))
         meas = self._write("meas.json", _doc([_row("a", ns_per_round=250)]))
         self.assertEqual(self._run(meas, base, "--factor", "3.0").returncode, 0)
+
+    def test_untimed_row_fails(self):
+        # A timed baseline row that measures 0 was not timed at all: fail
+        # instead of reporting a 0.00x ratio as ok.
+        base = self._write("base.json", _doc([_row("a", ns_per_round=100)]))
+        meas = self._write("meas.json", _doc([_row("a", ns_per_round=0)]))
+        proc = self._run(meas, base)
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("UNTIMED", proc.stdout)
+        self.assertIn("untimed", proc.stderr)
+
+    def test_untimed_baseline_row_is_not_gated(self):
+        base = self._write("base.json", _doc([_row("a", ns_per_round=0)]))
+        meas = self._write("meas.json", _doc([_row("a", ns_per_round=0)]))
+        self.assertEqual(self._run(meas, base).returncode, 0)
 
     def test_ungated_metrics_never_fail(self):
         # wall_ms and messages_per_s are reported by benches but not gated.

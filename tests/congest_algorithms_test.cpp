@@ -358,46 +358,93 @@ TEST(Universal, RejectsNullSolver) {
                InvariantError);
 }
 
-/// Sends one hand-built edge token (a, b) to every neighbor, then idles.
-class RawEdgeTokenSender final : public NodeProgram {
+/// Sends one hand-built message to every neighbor, then idles.
+class RawMessageSender final : public NodeProgram {
  public:
-  RawEdgeTokenSender(std::uint64_t a, std::uint64_t b) : a_(a), b_(b) {}
-  void round(const NodeInfo& info, const Inbox&, Outbox& outbox,
-             Rng&) override {
+  explicit RawMessageSender(Message msg) : msg_(std::move(msg)) {}
+  void round(const NodeInfo&, const Inbox&, Outbox& outbox, Rng&) override {
     if (sent_) return;
     sent_ = true;
-    const std::size_t id_bits = 2;  // n = 4
-    ASSERT_EQ(info.n, 4u);
-    outbox.send_all(
-        std::move(MessageWriter().put(1, 1).put(a_, id_bits).put(b_, id_bits))
-            .finish());
+    outbox.send_all(msg_);
   }
   bool finished() const override { return sent_; }
   std::int64_t output() const override { return 0; }
 
  private:
-  std::uint64_t a_, b_;
+  Message msg_;
   bool sent_ = false;
 };
+
+graph::Graph path_graph(std::size_t n) {
+  graph::Graph g(n);
+  for (graph::NodeId v = 0; v + 1 < n; ++v) g.add_edge(v, v + 1);
+  return g;
+}
+
+/// Runs the universal program on path `g` with node 0 replaced by a
+/// RawMessageSender of `msg` and expects InvariantError with `text`. No
+/// other node can learn node 0's token, so node 1 reads `msg` before it
+/// could know the graph.
+void expect_rejected(const graph::Graph& g, const Message& msg,
+                     const std::string& text) {
+  NetworkConfig cfg;
+  cfg.bits_per_edge = universal_required_bits(g.num_nodes(), 1);
+  const auto universal = universal_maxis_factory(exact_solver());
+  Network net(g, [&](graph::NodeId v, const NodeInfo& info)
+                  -> std::unique_ptr<NodeProgram> {
+    if (v == 0) return std::make_unique<RawMessageSender>(msg);
+    return universal(v, info);
+  }, cfg);
+  try {
+    net.run();
+    ADD_FAILURE() << "no InvariantError";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Universal, RejectsMalformedEdgeTokens) {
   // Senders always emit u < v; a reversed or self-loop token must be
   // refused, not stored as a distinct edge key.
-  graph::Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 3);
-  NetworkConfig cfg;
-  cfg.bits_per_edge = universal_required_bits(g.num_nodes(), 1);
-  const auto universal = universal_maxis_factory(exact_solver());
+  const std::size_t id_bits = 2;  // n = 4
   for (const auto& [a, b] : {std::pair<std::uint64_t, std::uint64_t>{2, 1},
                              std::pair<std::uint64_t, std::uint64_t>{1, 1}}) {
-    Network net(g, [&, a = a, b = b](graph::NodeId v, const NodeInfo& info)
-                    -> std::unique_ptr<NodeProgram> {
-      if (v == 0) return std::make_unique<RawEdgeTokenSender>(a, b);
-      return universal(v, info);
-    }, cfg);
-    EXPECT_THROW(net.run(), InvariantError) << "token (" << a << ", " << b << ")";
+    SCOPED_TRACE("token (" + std::to_string(a) + ", " + std::to_string(b) +
+                 ")");
+    expect_rejected(
+        path_graph(4),
+        std::move(MessageWriter().put(1, 1).put(a, id_bits).put(b, id_bits))
+            .finish(),
+        "universal-maxis: edge token endpoints out of order");
+  }
+}
+
+TEST(Universal, RejectsMalformedTokensWithTheirMessage) {
+  // n = 5: ids take 3 bits, so a head is 7 bits and 5..7 are out of range.
+  struct Case {
+    const char* what;
+    Message msg;
+    const char* text;
+  };
+  const Case cases[] = {
+      {"node id >= n",
+       std::move(MessageWriter().put(0, 1).put(5, 3).put(1, 3).put(1, 32))
+           .finish(),
+       "universal-maxis: bad token ids"},
+      {"edge endpoint >= n",
+       std::move(MessageWriter().put(1, 1).put(1, 3).put(7, 3)).finish(),
+       "universal-maxis: bad token ids"},
+      {"head shorter than head_bits",
+       std::move(MessageWriter().put(1, 1).put(1, 3)).finish(),
+       "MessageReader: read past end"},
+      {"node token with no weight field",
+       std::move(MessageWriter().put(0, 1).put(0, 3).put(1, 3)).finish(),
+       "MessageReader: read past end"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    expect_rejected(path_graph(5), c.msg, c.text);
   }
 }
 
